@@ -10,14 +10,8 @@ from .geometry import (
     ManifoldPoint,
     RankDropError,
     Stiefel,
-    TangentVector,
-    inner,
-    norm,
     random_tangent,
     retract,
-    riem_grad,
-    riem_hess_vec,
-    tangent_project,
 )
 from .lagrangian import (
     ProblemSpec,

@@ -39,18 +39,6 @@ class ParseError(ValueError):
 # ---------------------------------------------------------------------------
 # Sparse spectral modes on the Stiefel manifold.
 
-@dataclass(frozen=True)
-class CmInstance:
-    n: int
-    r: int
-    mu: float
-    length: float
-
-    @property
-    def H(self) -> np.ndarray:
-        return cm_hamiltonian(self.n, self.length)
-
-
 def cm_hamiltonian(n: int, length: float) -> np.ndarray:
     """Periodic three-point stencil for -(1/2) d^2/dx^2 on [0, length]."""
     if n < 3 or length <= 0:
@@ -111,16 +99,6 @@ def cm_initial_point(n: int, r: int, seed: int) -> ManifoldPoint:
 # ---------------------------------------------------------------------------
 # Robust low-rank completion on the fixed-rank manifold.
 
-@dataclass(frozen=True)
-class RmcInstance:
-    m: int
-    n: int
-    r: int
-    A: np.ndarray
-    omega: np.ndarray  # boolean observation mask
-    mu: float = 1.0
-
-
 def build_rmc(A: np.ndarray, omega: np.ndarray, r: int, mu: float = 1.0) -> ProblemSpec:
     """Problem spec for ``min mu |P_Omega(X - A)|_1`` on Fr(m, n, r)."""
     A = np.asarray(A, dtype=float)
@@ -151,7 +129,7 @@ def build_rmc(A: np.ndarray, omega: np.ndarray, r: int, mu: float = 1.0) -> Prob
 @dataclass(frozen=True)
 class RmcFixture:
     problem: ProblemSpec
-    instance: RmcInstance
+    A: np.ndarray  # observed data: A_exact + E_out
     A_exact: np.ndarray
     E_out: np.ndarray
     X_bar: ManifoldPoint
@@ -187,12 +165,11 @@ def rmc_toy_fixture(seed: int = 7, magnitude: float = 0.5) -> RmcFixture:
     omega = np.ones((5, 5), dtype=bool)
 
     problem = build_rmc(A, omega, r=3)
-    instance = RmcInstance(5, 5, 3, A, omega)
     X_bar = problem.manifold.point_from_ambient(A_exact)
     # g(X_bar) = -E_out on the block, so the certifying sign is -sgn(E_out).
     y_bar = np.zeros((5, 5))
     y_bar[3:, 3:] = -np.sign(block)
-    return RmcFixture(problem, instance, A_exact, E_out, X_bar, y_bar)
+    return RmcFixture(problem, A, A_exact, E_out, X_bar, y_bar)
 
 
 def rmc_random_outliers(

@@ -20,8 +20,8 @@ from typing import Sequence, Tuple
 import numpy as np
 import scipy.linalg
 
-from . import geometry, lagrangian
-from .geometry import ManifoldPoint, TangentVector
+from . import lagrangian
+from .geometry import ManifoldPoint
 from .lagrangian import ProblemSpec
 
 NULLSPACE_TOL = 1e-10
@@ -41,10 +41,11 @@ class StationarityError(CertifyError):
 
 @dataclass(frozen=True)
 class SubspaceBasis:
-    """Orthonormal tangent vectors spanning a subspace of T_X M."""
+    """Orthonormal tangent vectors (ambient-shape arrays) spanning a
+    subspace of T_X M."""
 
     point: ManifoldPoint
-    vectors: Tuple[TangentVector, ...]
+    vectors: Tuple[np.ndarray, ...]
 
     @property
     def dim(self) -> int:
@@ -73,8 +74,8 @@ class Certificate:
         return self.verdict == "holds"
 
 
-def _stack(vectors: Sequence[TangentVector]) -> np.ndarray:
-    return np.stack([v.ambient.ravel() for v in vectors])
+def _stack(vectors: Sequence[np.ndarray]) -> np.ndarray:
+    return np.stack([v.ravel() for v in vectors])
 
 
 def critical_cone_basis(
@@ -104,18 +105,18 @@ def critical_cone_basis(
 
     rows = []
     for v in basis:
-        rows.append(P.g_jvp(X.X, v.ambient)[constrained])
+        rows.append(P.g_jvp(X.X, v)[constrained])
     C = np.stack(rows).T  # (n_constraints, tangent_dim)
     null = scipy.linalg.null_space(C, rcond=NULLSPACE_TOL)
     coeff_mat = _stack(basis)  # (tangent_dim, ambient_size)
     vectors = []
     for j in range(null.shape[1]):
         amb = (null[:, j] @ coeff_mat).reshape(X.manifold.ambient_shape)
-        vectors.append(geometry.tangent_project(X, amb))
+        vectors.append(X.manifold.project(X, amb))
     return SubspaceBasis(X, tuple(vectors))
 
 
-def _quadratic_form(apply_op, basis: Sequence[TangentVector]) -> np.ndarray:
+def _quadratic_form(apply_op, basis: Sequence[np.ndarray]) -> np.ndarray:
     images = _stack([apply_op(v) for v in basis])
     B = _stack(basis) @ images.T
     return 0.5 * (B + B.T)

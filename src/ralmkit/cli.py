@@ -186,8 +186,6 @@ def cmd_solve(args) -> int:
 def _load_point(P, path: str):
     M = bench.load_dense(path, "csv")
     manifold = P.manifold
-    if isinstance(manifold, geometry.Stiefel):
-        return manifold.point(M)
     if isinstance(manifold, geometry.FixedRank):
         return manifold.point_from_ambient(M)
     return manifold.point(M)

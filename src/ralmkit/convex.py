@@ -130,25 +130,3 @@ class L1Norm:
         """sup-norm radius of dom theta*; multipliers live in this box."""
         return self.mu
 
-
-# ---------------------------------------------------------------------------
-# Functional surface mirroring the operation names.
-
-def prox(theta: L1Norm, t: float, p: np.ndarray) -> np.ndarray:
-    return theta.prox(t, p)
-
-
-def moreau_env(theta: L1Norm, rho: float, p: np.ndarray) -> float:
-    return theta.moreau(rho, p)
-
-
-def moreau_grad(theta: L1Norm, rho: float, p: np.ndarray) -> np.ndarray:
-    return theta.moreau_grad(rho, p)
-
-
-def prox_clarke_jac(theta: L1Norm, t: float, p: np.ndarray, boundary_value: int = 0) -> ProxJacobian:
-    return theta.prox_jacobian(t, p, boundary_value=boundary_value)
-
-
-def in_subdifferential(theta: L1Norm, z: np.ndarray, y: np.ndarray, tol: float = 1e-10) -> bool:
-    return theta.in_subdifferential(z, y, tol=tol)

@@ -8,9 +8,11 @@ Frobenius inner product:
 * ``FixedRank(m, n, r)`` -- m x n matrices of exact rank r, stored in
   factored SVD form ``(U, s, V)`` with ``s`` positive and nonincreasing.
 
-Points and tangent vectors are immutable values.  Tangent vectors carry
-ambient coordinates; fixed-rank tangent vectors additionally carry the
-factored coordinates ``(M, Up, Vp)`` with ``U^T Up = 0`` and ``V^T Vp = 0``.
+Points are immutable values.  A tangent vector at a point is a plain
+ndarray of the manifold's ambient shape, holding its ambient coordinates;
+the Riemannian metric is the Frobenius inner product ``np.vdot``.  The
+fixed-rank geometry computes the factored coordinates ``(M, Up, Vp)``
+(with ``U^T Up = 0`` and ``V^T Vp = 0``) internally and never returns them.
 
 Both retractions are second order: the polar retraction on Stiefel and the
 metric-projection (truncated SVD) retraction on the fixed-rank manifold.
@@ -66,53 +68,11 @@ class ManifoldPoint:
         return self.X.shape
 
 
-@dataclass(frozen=True)
-class TangentVector:
-    """An element of T_X M in ambient coordinates.
-
-    Fixed-rank tangent vectors also carry ``factors = (M, Up, Vp)`` such
-    that ``ambient = U M V^T + Up V^T + U Vp^T``.
-    """
-
-    point: ManifoldPoint
-    ambient: np.ndarray
-    factors: Optional[tuple] = None
-
-    def __add__(self, other: "TangentVector") -> "TangentVector":
-        _check_same_base(self, other)
-        fac = None
-        if self.factors is not None and other.factors is not None:
-            fac = tuple(a + b for a, b in zip(self.factors, other.factors))
-        return TangentVector(self.point, _readonly(self.ambient + other.ambient), fac)
-
-    def __sub__(self, other: "TangentVector") -> "TangentVector":
-        return self + (-1.0) * other
-
-    def __neg__(self) -> "TangentVector":
-        return (-1.0) * self
-
-    def __rmul__(self, c: float) -> "TangentVector":
-        fac = None
-        if self.factors is not None:
-            fac = tuple(c * a for a in self.factors)
-        return TangentVector(self.point, _readonly(c * self.ambient), fac)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.ambient))
-
-
-def _check_same_base(a: TangentVector, b: TangentVector) -> None:
-    if a.point is b.point:
-        return
-    if a.point.manifold is not b.point.manifold or not np.allclose(
-        a.point.X, b.point.X, atol=1e-12, rtol=0.0
-    ):
-        raise GeometryError("tangent vectors have mismatched base points")
-
-
 class Manifold:
     """Base class; concrete geometries implement the projection, the
-    retraction and the Euclidean-to-Riemannian Hessian conversion."""
+    retraction and the Euclidean-to-Riemannian Hessian conversion.
+
+    Tangent vectors, in and out, are ndarrays of ``ambient_shape``."""
 
     name = "manifold"
     ambient_shape: tuple
@@ -123,10 +83,10 @@ class Manifold:
     def check_point(self, point: ManifoldPoint) -> None:
         raise NotImplementedError
 
-    def project(self, point: ManifoldPoint, Y: np.ndarray) -> TangentVector:
+    def project(self, point: ManifoldPoint, Y: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def retract(self, point: ManifoldPoint, xi: TangentVector) -> ManifoldPoint:
+    def retract(self, point: ManifoldPoint, xi: np.ndarray) -> ManifoldPoint:
         raise NotImplementedError
 
     def ehess2rhess(
@@ -134,8 +94,8 @@ class Manifold:
         point: ManifoldPoint,
         egrad: np.ndarray,
         ehess_vec: np.ndarray,
-        xi: TangentVector,
-    ) -> TangentVector:
+        xi: np.ndarray,
+    ) -> np.ndarray:
         raise NotImplementedError
 
     def tangent_basis(self, point: ManifoldPoint) -> list:
@@ -143,9 +103,6 @@ class Manifold:
 
     def random_point(self, rng: np.random.Generator) -> ManifoldPoint:
         raise NotImplementedError
-
-    def zero_tangent(self, point: ManifoldPoint) -> TangentVector:
-        return self.project(point, np.zeros(self.ambient_shape))
 
     def _check_ambient(self, Y: np.ndarray) -> np.ndarray:
         Y = np.asarray(Y, dtype=float)
@@ -175,21 +132,21 @@ class Euclidean(Manifold):
     def check_point(self, point: ManifoldPoint) -> None:
         self._check_ambient(point.X)
 
-    def project(self, point: ManifoldPoint, Y: np.ndarray) -> TangentVector:
-        return TangentVector(point, _readonly(self._check_ambient(Y)))
+    def project(self, point: ManifoldPoint, Y: np.ndarray) -> np.ndarray:
+        return self._check_ambient(Y)
 
-    def retract(self, point: ManifoldPoint, xi: TangentVector) -> ManifoldPoint:
-        return self.point(point.X + xi.ambient)
+    def retract(self, point: ManifoldPoint, xi: np.ndarray) -> ManifoldPoint:
+        return self.point(point.X + xi)
 
-    def ehess2rhess(self, point, egrad, ehess_vec, xi) -> TangentVector:
-        return TangentVector(point, _readonly(self._check_ambient(ehess_vec)))
+    def ehess2rhess(self, point, egrad, ehess_vec, xi) -> np.ndarray:
+        return self._check_ambient(ehess_vec)
 
     def tangent_basis(self, point: ManifoldPoint) -> list:
         basis = []
         for idx in np.ndindex(*self.ambient_shape):
             E = np.zeros(self.ambient_shape)
             E[idx] = 1.0
-            basis.append(TangentVector(point, _readonly(E)))
+            basis.append(E)
         return basis
 
     def random_point(self, rng: np.random.Generator) -> ManifoldPoint:
@@ -226,20 +183,20 @@ class Stiefel(Manifold):
         if err > ORTHO_TOL:
             raise GeometryError(f"columns not orthonormal: |X^T X - I|_inf = {err:.3e}")
 
-    def project(self, point: ManifoldPoint, Y: np.ndarray) -> TangentVector:
+    def project(self, point: ManifoldPoint, Y: np.ndarray) -> np.ndarray:
         Y = self._check_ambient(Y)
         X = point.X
-        return TangentVector(point, _readonly(Y - X @ _sym(X.T @ Y)))
+        return Y - X @ _sym(X.T @ Y)
 
-    def retract(self, point: ManifoldPoint, xi: TangentVector) -> ManifoldPoint:
+    def retract(self, point: ManifoldPoint, xi: np.ndarray) -> ManifoldPoint:
         # Polar factor of X + xi, computed by SVD for robustness.
-        A = point.X + xi.ambient
+        A = point.X + xi
         W, _, Zt = np.linalg.svd(A, full_matrices=False)
         return ManifoldPoint(self, _readonly(W @ Zt))
 
-    def ehess2rhess(self, point, egrad, ehess_vec, xi) -> TangentVector:
+    def ehess2rhess(self, point, egrad, ehess_vec, xi) -> np.ndarray:
         X = point.X
-        corrected = self._check_ambient(ehess_vec) - xi.ambient @ _sym(X.T @ egrad)
+        corrected = self._check_ambient(ehess_vec) - xi @ _sym(X.T @ egrad)
         return self.project(point, corrected)
 
     def tangent_basis(self, point: ManifoldPoint) -> list:
@@ -253,11 +210,11 @@ class Stiefel(Manifold):
             for j in range(i + 1, self.r):
                 A = np.zeros((self.r, self.r))
                 A[i, j], A[j, i] = inv_sqrt2, -inv_sqrt2
-                basis.append(TangentVector(point, _readonly(X @ A)))
+                basis.append(X @ A)
         for a in range(self.n - self.r):
             for b in range(self.r):
                 B = np.outer(Xp[:, a], np.eye(self.r)[b])
-                basis.append(TangentVector(point, _readonly(B)))
+                basis.append(B)
         return basis
 
     def random_point(self, rng: np.random.Generator) -> ManifoldPoint:
@@ -312,26 +269,32 @@ class FixedRank(Manifold):
         U, s, V = point.factors
         self.point_from_factors(U, s, V)
 
-    def _tangent_from_factors(self, point, M, Up, Vp) -> TangentVector:
-        U, _, V = point.factors
-        amb = U @ M @ V.T + Up @ V.T + U @ Vp.T
-        return TangentVector(point, _readonly(amb), factors=(_readonly(M), _readonly(Up), _readonly(Vp)))
-
-    def project(self, point: ManifoldPoint, Y: np.ndarray) -> TangentVector:
-        Y = self._check_ambient(Y)
+    @staticmethod
+    def _tangent_factors(point: ManifoldPoint, Y: np.ndarray) -> tuple:
+        """Factored coordinates ``(M, Up, Vp)`` of the projection of ``Y``
+        onto T_X M, with ``U^T Up = 0`` and ``V^T Vp = 0``."""
         U, _, V = point.factors
         YV = Y @ V
         YtU = Y.T @ U
         M = U.T @ YV
         Up = YV - U @ M
         Vp = YtU - V @ M.T
-        return self._tangent_from_factors(point, M, Up, Vp)
+        return M, Up, Vp
 
-    def retract(self, point: ManifoldPoint, xi: TangentVector) -> ManifoldPoint:
+    @staticmethod
+    def _from_factors(point: ManifoldPoint, M, Up, Vp) -> np.ndarray:
+        U, _, V = point.factors
+        return U @ M @ V.T + Up @ V.T + U @ Vp.T
+
+    def project(self, point: ManifoldPoint, Y: np.ndarray) -> np.ndarray:
+        Y = self._check_ambient(Y)
+        return self._from_factors(point, *self._tangent_factors(point, Y))
+
+    def retract(self, point: ManifoldPoint, xi: np.ndarray) -> ManifoldPoint:
         # Metric projection: rank-r truncated SVD of X + xi.
-        return self.point_from_ambient(point.X + xi.ambient)
+        return self.point_from_ambient(point.X + xi)
 
-    def ehess2rhess(self, point, egrad, ehess_vec, xi) -> TangentVector:
+    def ehess2rhess(self, point, egrad, ehess_vec, xi) -> np.ndarray:
         # Projected Euclidean Hessian plus the sigma-weighted curvature terms;
         # the correction only sees the normal component of the gradient.
         U, s, V = point.factors
@@ -341,11 +304,10 @@ class FixedRank(Manifold):
         ehess_vec = self._check_ambient(ehess_vec)
         N = egrad - U @ (U.T @ egrad)
         N = N - (N @ V) @ V.T  # N = P_U^perp egrad P_V^perp
-        base = self.project(point, ehess_vec)
-        M0, Up0, Vp0 = base.factors
-        Up_c = (N @ (xi.ambient.T @ U)) / s
-        Vp_c = (N.T @ (xi.ambient @ V)) / s
-        return self._tangent_from_factors(point, M0, Up0 + Up_c, Vp0 + Vp_c)
+        M0, Up0, Vp0 = self._tangent_factors(point, ehess_vec)
+        Up_c = (N @ (xi.T @ U)) / s
+        Vp_c = (N.T @ (xi @ V)) / s
+        return self._from_factors(point, M0, Up0 + Up_c, Vp0 + Vp_c)
 
     def tangent_basis(self, point: ManifoldPoint) -> list:
         U, _, V = point.factors
@@ -359,15 +321,15 @@ class FixedRank(Manifold):
             for j in range(self.r):
                 M = Z_M.copy()
                 M[i, j] = 1.0
-                basis.append(self._tangent_from_factors(point, M, Z_U, Z_V))
+                basis.append(self._from_factors(point, M, Z_U, Z_V))
         for a in range(self.m - self.r):
             for j in range(self.r):
                 Up = np.outer(Upx[:, a], np.eye(self.r)[j])
-                basis.append(self._tangent_from_factors(point, Z_M, Up, Z_V))
+                basis.append(self._from_factors(point, Z_M, Up, Z_V))
         for a in range(self.n - self.r):
             for j in range(self.r):
                 Vp = np.outer(Vpx[:, a], np.eye(self.r)[j])
-                basis.append(self._tangent_from_factors(point, Z_M, Z_U, Vp))
+                basis.append(self._from_factors(point, Z_M, Z_U, Vp))
         return basis
 
     def random_point(self, rng: np.random.Generator) -> ManifoldPoint:
@@ -378,65 +340,24 @@ class FixedRank(Manifold):
 
 
 # ---------------------------------------------------------------------------
-# Functional surface.
+# Module-level entries.
 
-def tangent_project(point: ManifoldPoint, Y: np.ndarray) -> TangentVector:
-    """Orthogonal projection of an ambient matrix onto T_X M."""
-    return point.manifold.project(point, Y)
+def retract(point: ManifoldPoint, xi: np.ndarray) -> ManifoldPoint:
+    """Second-order retraction of the tangent vector ``xi`` at ``point``.
 
-
-def retract(point: ManifoldPoint, xi: TangentVector) -> ManifoldPoint:
-    """Second-order retraction of the tangent vector ``xi`` based at ``point``."""
-    _require_base(point, xi)
-    return point.manifold.retract(point, xi)
-
-
-def riem_grad(point: ManifoldPoint, egrad: np.ndarray) -> TangentVector:
-    """Riemannian gradient from the Euclidean gradient (projection)."""
-    return point.manifold.project(point, egrad)
-
-
-def riem_hess_vec(
-    point: ManifoldPoint,
-    egrad: np.ndarray,
-    ehess_vec: np.ndarray,
-    xi: TangentVector,
-) -> TangentVector:
-    """Riemannian Hessian-vector product from Euclidean derivatives.
-
-    ``ehess_vec`` must be the Euclidean Hessian of the function applied to
-    the ambient coordinates of ``xi``.
+    ``xi`` must have the ambient shape; anything else raises
+    :class:`GeometryError` rather than broadcasting against the point.
     """
-    _require_base(point, xi)
-    return point.manifold.ehess2rhess(point, egrad, ehess_vec, xi)
+    return point.manifold.retract(point, point.manifold._check_ambient(xi))
 
 
-def inner(xi1: TangentVector, xi2: TangentVector) -> float:
-    """Frobenius inner product of two tangent vectors at a common base."""
-    _check_same_base(xi1, xi2)
-    return float(np.vdot(xi1.ambient, xi2.ambient))
-
-
-def norm(xi: TangentVector) -> float:
-    return xi.norm()
-
-
-def random_tangent(point: ManifoldPoint, seed: int) -> TangentVector:
+def random_tangent(point: ManifoldPoint, seed: int) -> np.ndarray:
     """Unit-norm tangent vector at ``point``, deterministic per seed."""
     rng = np.random.default_rng(seed)
     for _ in range(16):
         G = rng.standard_normal(point.manifold.ambient_shape)
         xi = point.manifold.project(point, G)
-        nrm = xi.norm()
+        nrm = float(np.linalg.norm(xi))
         if nrm > 1e-12:
             return (1.0 / nrm) * xi
     raise GeometryError("failed to draw a nonzero tangent vector")
-
-
-def _require_base(point: ManifoldPoint, xi: TangentVector) -> None:
-    if xi.point is point:
-        return
-    if xi.point.manifold is not point.manifold or not np.allclose(
-        xi.point.X, point.X, atol=1e-12, rtol=0.0
-    ):
-        raise GeometryError("tangent vector is not based at the given point")

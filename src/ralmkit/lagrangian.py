@@ -18,9 +18,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import geometry
 from .convex import L1Norm, ProxJacobian
-from .geometry import Manifold, ManifoldPoint, TangentVector
+from .geometry import Manifold, ManifoldPoint
 
 
 class LagrangianError(ValueError):
@@ -80,10 +79,10 @@ def auglag_value(P: ProblemSpec, rho: float, X: ManifoldPoint, y: np.ndarray) ->
     return P.f_value(X.X) + env - float(np.sum(y * y)) / (2.0 * rho)
 
 
-def auglag_rgrad(P: ProblemSpec, rho: float, X: ManifoldPoint, y: np.ndarray) -> TangentVector:
+def auglag_rgrad(P: ProblemSpec, rho: float, X: ManifoldPoint, y: np.ndarray) -> np.ndarray:
     yt = shifted_multiplier(P, rho, X, y)
     egrad = P.f_egrad(X.X) + P.g_vjp(X.X, yt)
-    return geometry.riem_grad(X, egrad)
+    return X.manifold.project(X, egrad)
 
 
 def auglag_dual_grad(P: ProblemSpec, rho: float, X: ManifoldPoint, y: np.ndarray) -> np.ndarray:
@@ -91,16 +90,16 @@ def auglag_dual_grad(P: ProblemSpec, rho: float, X: ManifoldPoint, y: np.ndarray
     return (shifted_multiplier(P, rho, X, y) - y) / rho
 
 
-def lagrangian_rgrad(P: ProblemSpec, X: ManifoldPoint, y: np.ndarray) -> TangentVector:
+def lagrangian_rgrad(P: ProblemSpec, X: ManifoldPoint, y: np.ndarray) -> np.ndarray:
     """Riemannian gradient of L(x, y) = f(x) + <y, g(x)> at fixed y."""
-    return geometry.riem_grad(X, P.f_egrad(X.X) + P.g_vjp(X.X, y))
+    return X.manifold.project(X, P.f_egrad(X.X) + P.g_vjp(X.X, y))
 
 
-def lagrangian_hess_vec(P: ProblemSpec, X: ManifoldPoint, y: np.ndarray, xi: TangentVector) -> TangentVector:
+def lagrangian_hess_vec(P: ProblemSpec, X: ManifoldPoint, y: np.ndarray, xi: np.ndarray) -> np.ndarray:
     """Riemannian Hessian of L(., y) at fixed y applied to xi."""
     egrad = P.f_egrad(X.X) + P.g_vjp(X.X, y)
-    ehess = P.f_ehess(X.X, xi.ambient) + P.gy_ehess(X.X, y, xi.ambient)
-    return geometry.riem_hess_vec(X, egrad, ehess, xi)
+    ehess = P.f_ehess(X.X, xi) + P.gy_ehess(X.X, y, xi)
+    return X.manifold.ehess2rhess(X, egrad, ehess, xi)
 
 
 def auglag_ghess_vec(
@@ -108,9 +107,9 @@ def auglag_ghess_vec(
     rho: float,
     X: ManifoldPoint,
     y: np.ndarray,
-    xi: TangentVector,
+    xi: np.ndarray,
     jac: Optional[ProxJacobian] = None,
-) -> TangentVector:
+) -> np.ndarray:
     """A generalized Hessian-vector product of ``l_rho(., y)``.
 
     Equals the Riemannian Hessian of L(., ytilde) plus the projected
@@ -125,9 +124,9 @@ def auglag_ghess_vec(
         jac = P.theta.prox_jacobian(1.0 / rho, p)
     yt = P.theta.moreau_grad(rho, p)
     smooth = lagrangian_hess_vec(P, X, yt, xi)
-    w = P.g_jvp(X.X, xi.ambient)
+    w = P.g_jvp(X.X, xi)
     Gw = rho * (w - jac.apply(w))
-    envelope_term = geometry.tangent_project(X, P.g_vjp(X.X, Gw))
+    envelope_term = X.manifold.project(X, P.g_vjp(X.X, Gw))
     return smooth + envelope_term
 
 
@@ -149,6 +148,6 @@ def kkt_residual(P: ProblemSpec, X: ManifoldPoint, y: np.ndarray) -> float:
     """|grad_x L(x,y)| + |g(x) - prox_theta(g(x) + y)|; zero exactly at
     stationary pairs."""
     g = P.g_value(X.X)
-    grad_part = lagrangian_rgrad(P, X, y).norm()
+    grad_part = float(np.linalg.norm(lagrangian_rgrad(P, X, y)))
     prox_part = float(np.linalg.norm(g - P.theta.prox(1.0, g + y)))
     return grad_part + prox_part

@@ -22,7 +22,7 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from . import geometry, lagrangian
-from .geometry import ManifoldPoint, RankDropError, TangentVector
+from .geometry import ManifoldPoint, RankDropError
 from .lagrangian import ProblemSpec
 
 log = logging.getLogger("ralmkit.newton")
@@ -91,14 +91,15 @@ class NewtonStats:
 
 
 def cg_solve(
-    apply_H: Callable[[TangentVector], TangentVector],
+    apply_H: Callable[[np.ndarray], np.ndarray],
     omega: float,
-    b: TangentVector,
+    b: np.ndarray,
     tol: float,
     max_iter: int,
 ) -> tuple:
     """Conjugate gradients for ``(H + omega I) v = b`` on a tangent space.
 
+    Vectors are ambient-shape arrays with the Frobenius inner product;
     ``apply_H`` must be self-adjoint.  Exits early with the current
     iterate flagged when nonpositive curvature is detected.
     """
@@ -106,20 +107,20 @@ def cg_solve(
         raise ValueError("shift must be nonnegative")
     info = CgInfo()
     x = 0.0 * b
-    bnorm = b.norm()
+    bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
         info.converged = True
         info.residual_norm = 0.0
         return x, info
     r = b
     d = r
-    rr = geometry.inner(r, r)
+    rr = np.vdot(r, r)
     for it in range(max_iter):
         Hd = apply_H(d) + omega * d
-        if not np.all(np.isfinite(Hd.ambient)):
+        if not np.all(np.isfinite(Hd)):
             raise NewtonError("operator returned non-finite values")
-        dHd = geometry.inner(d, Hd)
-        dd = geometry.inner(d, d)
+        dHd = np.vdot(d, Hd)
+        dd = np.vdot(d, d)
         if dHd <= 1e-14 * dd:
             info.indefinite = True
             info.residual_norm = math.sqrt(rr)
@@ -128,7 +129,7 @@ def cg_solve(
         alpha = rr / dHd
         x = x + alpha * d
         r = r - alpha * Hd
-        rr_new = geometry.inner(r, r)
+        rr_new = np.vdot(r, r)
         info.iterations = it + 1
         if math.sqrt(rr_new) <= tol:
             info.converged = True
@@ -146,7 +147,7 @@ def ssn_minimize(
     y: np.ndarray,
     X0: ManifoldPoint,
     cfg: Optional[NewtonConfig] = None,
-    stop: Optional[Callable[[ManifoldPoint, TangentVector], bool]] = None,
+    stop: Optional[Callable[[ManifoldPoint, np.ndarray], bool]] = None,
 ) -> tuple:
     """Run the globalized semismooth Newton iteration from ``X0``.
 
@@ -164,7 +165,7 @@ def ssn_minimize(
 
     for k in range(cfg.max_iter):
         grad = lagrangian.auglag_rgrad(P, rho, X, y)
-        gnorm = grad.norm()
+        gnorm = float(np.linalg.norm(grad))
         stats.final_grad_norm = gnorm
         if not math.isfinite(gnorm) or not math.isfinite(val):
             raise NewtonError(f"non-finite subproblem state at iteration {k}")
@@ -176,17 +177,17 @@ def ssn_minimize(
         eta_cap = min(cfg.eta(k), gnorm ** (1.0 + cfg.nu_bar))
         jac = P.theta.prox_jacobian(1.0 / rho, lagrangian.envelope_point(P, rho, X, y))
         apply_H = lambda v: lagrangian.auglag_ghess_vec(P, rho, X, y, v, jac)
-        V, cg = cg_solve(apply_H, omega, -1.0 * grad, eta_cap, cfg.cg_max_iter)
+        V, cg = cg_solve(apply_H, omega, -grad, eta_cap, cfg.cg_max_iter)
         stats.cg_iterations += cg.iterations
 
-        vnorm = V.norm()
-        descent = geometry.inner(-1.0 * grad, V)
+        vnorm = float(np.linalg.norm(V))
+        descent = np.vdot(-grad, V)
         if vnorm == 0.0 or descent < min(cfg.beta0, cfg.beta1 * vnorm ** cfg.p) * vnorm ** 2:
-            V = -1.0 * grad
+            V = -grad
             stats.fallbacks += 1
             log.debug("iter %d: gradient fallback (cg indefinite=%s)", k, cg.indefinite)
 
-        slope = geometry.inner(grad, V)
+        slope = np.vdot(grad, V)
         accepted = False
         for m in range(cfg.m_max + 1):
             step = cfg.delta ** m
@@ -211,6 +212,6 @@ def ssn_minimize(
             stats.points.append(X)
 
     grad = lagrangian.auglag_rgrad(P, rho, X, y)
-    stats.final_grad_norm = grad.norm()
+    stats.final_grad_norm = float(np.linalg.norm(grad))
     stats.stopped = (stop is not None and stop(X, grad)) or stats.final_grad_norm <= cfg.grad_tol
     return X, stats

@@ -15,7 +15,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from . import geometry, lagrangian
-from .geometry import ManifoldPoint, TangentVector
+from .geometry import ManifoldPoint
 from .lagrangian import ProblemSpec
 
 
@@ -28,7 +28,7 @@ def _rel_err(approx: float, exact: float, scale: float = 1.0) -> float:
 def directional_derivative(
     value: Callable[[ManifoldPoint], float],
     X: ManifoldPoint,
-    xi: TangentVector,
+    xi: np.ndarray,
     h: float = 1e-6,
 ) -> float:
     """Central difference of ``t -> value(retract(X, t xi))`` at 0."""
@@ -43,7 +43,7 @@ def _stable_sample(
     rng: np.random.Generator,
     h: float,
     max_tries: int = 50,
-) -> Tuple[ManifoldPoint, np.ndarray, TangentVector]:
+) -> Tuple[ManifoldPoint, np.ndarray, np.ndarray]:
     """Draw (X, y, xi) whose prox active set is constant across the
     differencing stencil."""
     theta = P.theta
@@ -80,9 +80,9 @@ def gradient_check(
     for _ in range(samples):
         X, y, xi = _stable_sample(P, rho, rng, h)
         grad = lagrangian.auglag_rgrad(P, rho, X, y)
-        exact = geometry.inner(grad, xi)
+        exact = np.vdot(grad, xi)
         approx = directional_derivative(lambda Z: lagrangian.auglag_value(P, rho, Z, y), X, xi, h)
-        worst = max(worst, _rel_err(approx, exact, scale=max(grad.norm(), 1.0)))
+        worst = max(worst, _rel_err(approx, exact, scale=max(np.linalg.norm(grad), 1.0)))
     return worst
 
 
@@ -100,20 +100,20 @@ def hessian_check(
     for _ in range(samples):
         X, y, xi = _stable_sample(P, rho, rng, h)
         Hxi = lagrangian.auglag_ghess_vec(P, rho, X, y, xi)
-        up = lagrangian.auglag_rgrad(P, rho, geometry.retract(X, h * xi), y).ambient
-        dn = lagrangian.auglag_rgrad(P, rho, geometry.retract(X, (-h) * xi), y).ambient
-        fd = geometry.tangent_project(X, (up - dn) / (2.0 * h))
-        denom = max(Hxi.norm(), 1e-8)
-        worst = max(worst, float((fd - Hxi).norm()) / denom)
+        up = lagrangian.auglag_rgrad(P, rho, geometry.retract(X, h * xi), y)
+        dn = lagrangian.auglag_rgrad(P, rho, geometry.retract(X, (-h) * xi), y)
+        fd = X.manifold.project(X, (up - dn) / (2.0 * h))
+        denom = max(np.linalg.norm(Hxi), 1e-8)
+        worst = max(worst, float(np.linalg.norm(fd - Hxi)) / denom)
     return worst
 
 
 def taylor_remainder_slope(
     value: Callable[[ManifoldPoint], float],
-    grad: TangentVector,
-    hess_vec: Callable[[TangentVector], TangentVector],
+    grad: np.ndarray,
+    hess_vec: Callable[[np.ndarray], np.ndarray],
     X: ManifoldPoint,
-    xi: TangentVector,
+    xi: np.ndarray,
     t_grid: Optional[np.ndarray] = None,
 ) -> float:
     """Log-log slope of the second-order Taylor remainder along a
@@ -125,8 +125,8 @@ def taylor_remainder_slope(
     if t_grid is None:
         t_grid = np.logspace(-2.0, -3.5, 7)
     f0 = value(X)
-    g = geometry.inner(grad, xi)
-    H = geometry.inner(xi, hess_vec(xi))
+    g = np.vdot(grad, xi)
+    H = np.vdot(xi, hess_vec(xi))
     ts, rems = [], []
     for t in t_grid:
         model = f0 + t * g + 0.5 * t * t * H

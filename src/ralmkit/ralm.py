@@ -151,7 +151,7 @@ def ralm_solve(
             rho=rho,
             rho_tilde=rho_tilde,
             inner_iters=0,
-            grad_norm=lagrangian.auglag_rgrad(P, rho, X, y).norm(),
+            grad_norm=float(np.linalg.norm(lagrangian.auglag_rgrad(P, rho, X, y))),
             kkt_residual=R_prev,
             dual_step_norm=0.0,
             auglag=lagrangian.auglag_value(P, rho, X, y),
@@ -169,7 +169,7 @@ def ralm_solve(
         eps_k = max(cfg.eps0 * cfg.kappa ** (k - 1), cfg.eps_min)
 
         def stop(Xc, grad, _rho=rho, _rt=rho_tilde, _eps=eps_k):
-            gnorm = grad.norm()
+            gnorm = np.linalg.norm(grad)
             # Criteria 'b'/'c' depend on the dual step at the current
             # iterate, so the threshold is re-evaluated every inner step.
             dual_step = _rt * float(

@@ -88,7 +88,7 @@ class TestBuilders:
         assert np.all(np.abs(block) <= 0.5)
         assert np.all(np.abs(block) >= 0.1)
         assert np.all(fx.E_out[:3, :] == 0.0) and np.all(fx.E_out[:, :3] == 0.0)
-        np.testing.assert_array_equal(fx.instance.A, fx.A_exact + fx.E_out)
+        np.testing.assert_array_equal(fx.A, fx.A_exact + fx.E_out)
 
     def test_rmc_fixture_is_kkt_pair(self, rmc_fixture):
         fx = rmc_fixture

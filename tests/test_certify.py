@@ -39,14 +39,14 @@ class TestCriticalCone:
         v2 = np.zeros((4, 2))
         v2[0, 1], v2[1, 1] = 1.0, -1.0
         span = np.stack([(v1 / SQRT2).ravel(), (v2 / SQRT2).ravel()])
-        B = np.stack([v.ambient.ravel() for v in basis.vectors])
+        B = np.stack([v.ravel() for v in basis.vectors])
         # same projector => same subspace
         np.testing.assert_allclose(B.T @ B, span.T @ span, atol=1e-10)
 
     def test_orthonormality(self, cm_pair):
         P, Xbar, ybar = cm_pair
         basis = critical_cone_basis(P, Xbar, ybar)
-        G = np.array([[geometry.inner(a, b) for b in basis.vectors] for a in basis.vectors])
+        G = np.array([[np.vdot(a, b) for b in basis.vectors] for a in basis.vectors])
         np.testing.assert_allclose(G, np.eye(basis.dim), atol=1e-10)
 
     def test_interior_multiplier_gives_dimension_zero(self):
@@ -149,10 +149,10 @@ class TestMssosc:
         Q, _ = np.linalg.qr(rng.standard_normal((basis.dim, basis.dim)))
         mixed = []
         for i in range(basis.dim):
-            amb = sum(Q[j, i] * basis.vectors[j].ambient for j in range(basis.dim))
-            mixed.append(geometry.tangent_project(Xbar, amb))
+            amb = sum(Q[j, i] * basis.vectors[j] for j in range(basis.dim))
+            mixed.append(Xbar.manifold.project(Xbar, amb))
         B = np.array(
-            [[geometry.inner(a, lagrangian.lagrangian_hess_vec(P, Xbar, ybar, b))
+            [[np.vdot(a, lagrangian.lagrangian_hess_vec(P, Xbar, ybar, b))
               for b in mixed] for a in mixed]
         )
         w = np.linalg.eigvalsh(0.5 * (B + B.T))

@@ -88,8 +88,8 @@ class TestSolve:
         fx = rmc_fixture
         data = tmp_path / "obs.mtx"
         rows = []
-        m, n = fx.instance.A.shape
-        entries = [(i + 1, j + 1, fx.instance.A[i, j]) for i in range(m) for j in range(n)]
+        m, n = fx.A.shape
+        entries = [(i + 1, j + 1, fx.A[i, j]) for i in range(m) for j in range(n)]
         rows.append("%%MatrixMarket matrix coordinate real general")
         rows.append(f"{m} {n} {len(entries)}")
         rows += [f"{i} {j} {v:.17g}" for i, j, v in entries]
@@ -134,6 +134,27 @@ class TestCertify:
         assert code == EXIT_OK
         report = json.loads(capsys.readouterr().out)
         assert report["mssosc_verdict"] == "fails"
+
+    def test_fixed_rank_pair_report(self, tmp_path, capsys, rmc_fixture):
+        # the point is read through the FixedRank branch of the point loader
+        fx = rmc_fixture
+        data = tmp_path / "A.csv"
+        bench.save_dense(str(data), fx.A)
+        # mu overrides the cm default merged into the problem block; the
+        # fixture's multiplier certifies the pair at mu = 1
+        cfg = write_config(tmp_path, problem={"kind": "rmc", "data": str(data), "r": 3,
+                                              "mu": 1.0})
+        point, mult = self._dump_pair(tmp_path, fx.X_bar.X, fx.y_bar)
+        code = main(["certify", "--config", cfg, "--point", point, "--multiplier", mult])
+        assert code == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert report["stationarity_residual"] <= 1e-10
+        assert report["cone_dim"] == 0
+        assert report["mssosc_min_eig"] is None
+        assert report["mssosc_verdict"] == "holds-degenerate"
+        assert report["rho"] == 10.0
+        assert report["genhess_min_eig"] == pytest.approx(8.585786437626899, abs=1e-8)
+        assert report["genhess_verdict"] == "holds"
 
     def test_garbage_point_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -194,7 +215,7 @@ class TestRateAndGradcheck:
     def test_gradcheck_rmc(self, tmp_path, capsys, rmc_fixture):
         fx = rmc_fixture
         data = tmp_path / "A.csv"
-        bench.save_dense(str(data), fx.instance.A)
+        bench.save_dense(str(data), fx.A)
         cfg = write_config(tmp_path, problem={"kind": "rmc", "data": str(data), "r": 3})
         code = main(["gradcheck", "--config", cfg, "--samples", "5"])
         assert code == EXIT_OK

@@ -1,15 +1,7 @@
 import numpy as np
 import pytest
 
-from ralmkit.convex import (
-    ConvexError,
-    L1Norm,
-    in_subdifferential,
-    moreau_env,
-    moreau_grad,
-    prox,
-    prox_clarke_jac,
-)
+from ralmkit.convex import ConvexError, L1Norm
 
 
 def grid_min(objective, lo=-5.0, hi=5.0, step=1e-4):
@@ -22,18 +14,18 @@ def grid_min(objective, lo=-5.0, hi=5.0, step=1e-4):
 class TestProx:
     def test_inside_threshold_maps_to_zero(self):
         th = L1Norm(1.0)
-        assert prox(th, 1.0, np.array(0.5)) == 0.0
+        assert th.prox(1.0, np.array(0.5)) == 0.0
 
     def test_grid_oracle(self):
         th = L1Norm(1.0)
         u, _ = grid_min(lambda u: np.abs(u) + 0.5 * (u - 2.0) ** 2)
-        assert abs(prox(th, 1.0, np.array(2.0)) - u) <= 1e-4
-        assert abs(prox(th, 1.0, np.array(2.0)) - 1.0) <= 1e-12
+        assert abs(th.prox(1.0, np.array(2.0)) - u) <= 1e-4
+        assert abs(th.prox(1.0, np.array(2.0)) - 1.0) <= 1e-12
 
     def test_zero_input(self):
         th = L1Norm(3.0)
         for t in (0.1, 1.0, 7.0):
-            assert np.all(prox(th, t, np.zeros((2, 3))) == 0.0)
+            assert np.all(th.prox(t, np.zeros((2, 3))) == 0.0)
 
     def test_prox_objective_beats_grid(self):
         th = L1Norm(0.7)
@@ -41,14 +33,14 @@ class TestProx:
         for _ in range(5):
             p = float(rng.uniform(-3, 3))
             t = float(rng.uniform(0.1, 2.0))
-            q = float(prox(th, t, np.array(p)))
+            q = float(th.prox(t, np.array(p)))
             val = th.mu * abs(q) + (q - p) ** 2 / (2 * t)
             _, best = grid_min(lambda u: th.mu * np.abs(u) + (u - p) ** 2 / (2 * t))
             assert val <= best + 1e-8
 
     def test_nonpositive_t(self):
         with pytest.raises(ConvexError):
-            prox(L1Norm(1.0), 0.0, np.array(1.0))
+            L1Norm(1.0).prox(0.0, np.array(1.0))
 
     def test_invalid_weight(self):
         with pytest.raises(ConvexError):
@@ -58,13 +50,13 @@ class TestProx:
 class TestMoreau:
     def test_grid_oracle(self):
         th = L1Norm(1.0)
-        assert abs(moreau_env(th, 1.0, np.array(2.0)) - 1.5) <= 1e-6
-        assert abs(moreau_grad(th, 1.0, np.array(2.0)) - 1.0) <= 1e-12
+        assert abs(th.moreau(1.0, np.array(2.0)) - 1.5) <= 1e-6
+        assert abs(th.moreau_grad(1.0, np.array(2.0)) - 1.0) <= 1e-12
 
     def test_zero_point(self):
         th = L1Norm(2.0)
-        assert moreau_env(th, 3.0, np.zeros((2, 2))) == 0.0
-        assert np.all(moreau_grad(th, 3.0, np.zeros((2, 2))) == 0.0)
+        assert th.moreau(3.0, np.zeros((2, 2))) == 0.0
+        assert np.all(th.moreau_grad(3.0, np.zeros((2, 2))) == 0.0)
 
     def test_grad_matches_finite_differences(self):
         th = L1Norm(1.3)
@@ -73,11 +65,11 @@ class TestMoreau:
         for _ in range(20):
             p = rng.uniform(-3, 3, size=(3, 2))
             rho = float(rng.uniform(0.2, 5.0))
-            g = moreau_grad(th, rho, p)
+            g = th.moreau_grad(rho, p)
             for idx in [(0, 0), (1, 1), (2, 0)]:
                 e = np.zeros_like(p)
                 e[idx] = 1.0
-                fd = (moreau_env(th, rho, p + h * e) - moreau_env(th, rho, p - h * e)) / (2 * h)
+                fd = (th.moreau(rho, p + h * e) - th.moreau(rho, p - h * e)) / (2 * h)
                 assert abs(fd - g[idx]) <= 1e-6 * max(1.0, abs(g[idx]))
 
     def test_envelope_below_function_and_monotone_in_rho(self):
@@ -86,7 +78,7 @@ class TestMoreau:
         for _ in range(50):
             p = rng.uniform(-2, 2, size=(2, 2))
             rhos = [1.0, 10.0, 1e3, 1e6]
-            vals = [moreau_env(th, r, p) for r in rhos]
+            vals = [th.moreau(r, p) for r in rhos]
             assert all(v <= th.value(p) + 1e-12 for v in vals)
             assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
 
@@ -97,9 +89,9 @@ class TestMoreau:
             p = rng.uniform(-4, 4, size=3)
             q = rng.uniform(-4, 4, size=3)
             rho = float(rng.uniform(0.1, 10.0))
-            g = moreau_grad(th, rho, p)
-            np.testing.assert_array_equal(g, rho * (p - prox(th, 1.0 / rho, p)))
-            d = np.linalg.norm(prox(th, 1.0 / rho, p) - prox(th, 1.0 / rho, q))
+            g = th.moreau_grad(rho, p)
+            np.testing.assert_array_equal(g, rho * (p - th.prox(1.0 / rho, p)))
+            d = np.linalg.norm(th.prox(1.0 / rho, p) - th.prox(1.0 / rho, q))
             assert d <= np.linalg.norm(p - q) + 1e-14
 
     def test_grad_in_subdifferential_at_prox(self):
@@ -108,30 +100,30 @@ class TestMoreau:
         for _ in range(100):
             p = rng.uniform(-3, 3, size=(2, 3))
             rho = float(rng.uniform(0.2, 8.0))
-            g = moreau_grad(th, rho, p)
-            q = prox(th, 1.0 / rho, p)
-            assert in_subdifferential(th, q, g, tol=1e-10)
+            g = th.moreau_grad(rho, p)
+            q = th.prox(1.0 / rho, p)
+            assert th.in_subdifferential(q, g, tol=1e-10)
             assert np.max(np.abs(g)) <= th.mu + 1e-12
 
     def test_nonpositive_rho(self):
         with pytest.raises(ConvexError):
-            moreau_env(L1Norm(1.0), -1.0, np.array(1.0))
+            L1Norm(1.0).moreau(-1.0, np.array(1.0))
 
 
 class TestClarkeJacobian:
     def test_threshold_rule(self):
         th = L1Norm(1.0)
-        jac = prox_clarke_jac(th, 1.0, np.array([0.5, 2.0, -3.0]))
+        jac = th.prox_jacobian(1.0, np.array([0.5, 2.0, -3.0]))
         np.testing.assert_array_equal(jac.mask, [0.0, 1.0, 1.0])
         assert jac.boundary_count == 0
 
     def test_boundary_convention(self):
         th = L1Norm(1.0)
         p = np.array([1.0, -1.0, 0.2])
-        jac0 = prox_clarke_jac(th, 1.0, p)
+        jac0 = th.prox_jacobian(1.0, p)
         np.testing.assert_array_equal(jac0.mask, [0.0, 0.0, 0.0])
         assert jac0.boundary_count == 2
-        jac1 = prox_clarke_jac(th, 1.0, p, boundary_value=1)
+        jac1 = th.prox_jacobian(1.0, p, boundary_value=1)
         np.testing.assert_array_equal(jac1.mask, [1.0, 1.0, 0.0])
 
     def test_directional_derivative_away_from_kinks(self):
@@ -146,8 +138,8 @@ class TestClarkeJacobian:
                 continue  # too close to a kink for differencing
             tries += 1
             d = rng.standard_normal((3, 3))
-            jac = prox_clarke_jac(th, t, p)
-            fd = (prox(th, t, p + h * d) - prox(th, t, p - h * d)) / (2 * h)
+            jac = th.prox_jacobian(t, p)
+            fd = (th.prox(t, p + h * d) - th.prox(t, p - h * d)) / (2 * h)
             num = np.linalg.norm(fd - jac.apply(d))
             assert num <= 1e-8 * max(1.0, np.linalg.norm(jac.apply(d)))
         assert tries >= 10
@@ -165,19 +157,19 @@ class TestClarkeJacobian:
 
 class TestSubdifferentialMembership:
     def test_zero_zero(self):
-        assert in_subdifferential(L1Norm(1.0), np.zeros(3), np.zeros(3))
+        assert L1Norm(1.0).in_subdifferential(np.zeros(3), np.zeros(3))
 
     def test_analytic_pair(self):
         # the sparse-modes stationary pair: y = mu * sign pattern on the support
         from ralmkit.bench import cm_analytic_pair
 
         P, Xbar, ybar = cm_analytic_pair(0.8)
-        assert in_subdifferential(P.theta, Xbar.X, ybar, tol=1e-12)
+        assert P.theta.in_subdifferential(Xbar.X, ybar, tol=1e-12)
 
     def test_sign_mismatch(self):
         th = L1Norm(1.0)
-        assert not in_subdifferential(th, np.array(1.0), np.array(-1.0))
+        assert not th.in_subdifferential(np.array(1.0), np.array(-1.0))
 
     def test_box_violation(self):
         th = L1Norm(1.0)
-        assert not in_subdifferential(th, np.zeros(2), np.array([0.0, 1.5]))
+        assert not th.in_subdifferential(np.zeros(2), np.array([0.0, 1.5]))

@@ -82,7 +82,7 @@ class TestAuglagGradient:
     def test_zero_at_analytic_pair_for_all_rho(self, cm_pair):
         P, Xbar, ybar = cm_pair
         for rho in (0.5, 1.0, 10.0, 100.0):
-            assert auglag_rgrad(P, rho, Xbar, ybar).norm() <= 1e-10
+            assert np.linalg.norm(auglag_rgrad(P, rho, Xbar, ybar)) <= 1e-10
 
     def test_matches_finite_differences(self, rmc_fixture):
         Pcm = bench.build_cm(6, 2, 0.5, 3.0)
@@ -103,7 +103,7 @@ class TestAuglagGradient:
 
         P_big = euclidean_quadratic_problem(Q, a, mu=1e9, g_zero=False)
         X = P_big.manifold.point(X_data)
-        g = auglag_rgrad(P_big, rho, X, np.zeros(3)).ambient
+        g = auglag_rgrad(P_big, rho, X, np.zeros(3))
         expect = P_big.f_egrad(X.X) + rho * X.X  # d/dx [f + rho/2 |x|^2]
         assert np.max(np.abs(g - expect)) <= 1e-8
         val = auglag_value(P_big, rho, X, np.zeros(3))
@@ -111,16 +111,16 @@ class TestAuglagGradient:
 
         P_tiny = euclidean_quadratic_problem(Q, a, mu=1e-9, g_zero=False)
         X = P_tiny.manifold.point(X_data)
-        g = auglag_rgrad(P_tiny, rho, X, np.zeros(3)).ambient
+        g = auglag_rgrad(P_tiny, rho, X, np.zeros(3))
         assert np.max(np.abs(g - P_tiny.f_egrad(X.X))) <= 1e-8
 
 
 class TestAuglagHessian:
     def test_zero_direction(self, cm_pair):
         P, Xbar, ybar = cm_pair
-        zero = Xbar.manifold.zero_tangent(Xbar)
+        zero = np.zeros(Xbar.manifold.ambient_shape)
         out = auglag_ghess_vec(P, 10.0, Xbar, ybar, zero)
-        assert out.norm() <= 1e-14
+        assert np.linalg.norm(out) <= 1e-14
 
     def test_symmetry(self, cm_pair, rmc_fixture):
         for (P, X, y) in (cm_pair, (rmc_fixture.problem, rmc_fixture.X_bar, rmc_fixture.y_bar)):
@@ -130,8 +130,8 @@ class TestAuglagHessian:
                 eta = geometry.random_tangent(X, 800 + trial)
                 Hxi = auglag_ghess_vec(P, 7.0, X, y, xi)
                 Heta = auglag_ghess_vec(P, 7.0, X, y, eta)
-                a = geometry.inner(eta, Hxi)
-                b = geometry.inner(xi, Heta)
+                a = np.vdot(eta, Hxi)
+                b = np.vdot(xi, Heta)
                 assert abs(a - b) <= 1e-10 * (1.0 + abs(a))
 
     def test_matches_differenced_gradients(self, rmc_fixture):
@@ -216,7 +216,7 @@ class TestKktResidual:
         P, Xbar, ybar = cm_pair
         assert kkt_residual(P, Xbar, ybar) <= 1e-12
         for rho in (0.5, 1.0, 10.0, 100.0):
-            assert auglag_rgrad(P, rho, Xbar, ybar).norm() <= 1e-10
+            assert np.linalg.norm(auglag_rgrad(P, rho, Xbar, ybar)) <= 1e-10
             y1 = multiplier_update(P, rho, rho, Xbar, ybar)
             assert np.max(np.abs(y1 - ybar)) <= 1e-12
 
@@ -242,4 +242,4 @@ class TestStructure:
 
     def test_lagrangian_gradient_at_pair(self, cm_pair):
         P, Xbar, ybar = cm_pair
-        assert lagrangian_rgrad(P, Xbar, ybar).norm() <= 1e-12
+        assert np.linalg.norm(lagrangian_rgrad(P, Xbar, ybar)) <= 1e-12
