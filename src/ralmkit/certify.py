@@ -135,7 +135,7 @@ def mssosc_certificate(
     basis = critical_cone_basis(P, X, y, tol=cone_tol)
     if basis.dim == 0:
         return Certificate("mssosc", math.inf, 0, degenerate=True, tol=tol)
-    B = _quadratic_form(lambda v: lagrangian.lagrangian_hess_vec(P, X, y, v), basis.vectors)
+    B = _quadratic_form(lagrangian.lagrangian_hess_operator(P, X, y), basis.vectors)
     w = scipy.linalg.eigvalsh(B)
     return Certificate("mssosc", float(w[0]), basis.dim, tol=tol)
 
@@ -173,9 +173,7 @@ def genhess_min_eig(
         partial = b > 0
     min_eig = math.inf
     for jac in jacs:
-        B = _quadratic_form(
-            lambda v: lagrangian.auglag_ghess_vec(P, rho, X, y, v, jac), basis
-        )
+        B = _quadratic_form(lagrangian.ghess_operator(P, rho, X, y, jac), basis)
         w = scipy.linalg.eigvalsh(B)
         min_eig = min(min_eig, float(w[0]))
     return Certificate(

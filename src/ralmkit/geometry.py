@@ -21,7 +21,7 @@ metric-projection (truncated SVD) retraction on the fixed-rank manifold.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 import scipy.linalg
@@ -70,7 +70,8 @@ class ManifoldPoint:
 
 class Manifold:
     """Base class; concrete geometries implement the projection, the
-    retraction and the Euclidean-to-Riemannian Hessian conversion.
+    retraction and the prepared Euclidean-to-Riemannian Hessian conversion
+    (``hess_operator``); ``ehess2rhess`` is its one-shot form.
 
     Tangent vectors, in and out, are ndarrays of ``ambient_shape``."""
 
@@ -89,6 +90,12 @@ class Manifold:
     def retract(self, point: ManifoldPoint, xi: np.ndarray) -> ManifoldPoint:
         raise NotImplementedError
 
+    def hess_operator(self, point: ManifoldPoint, egrad: np.ndarray) -> Callable:
+        """The Euclidean-to-Riemannian Hessian conversion at ``point`` for the
+        Euclidean gradient ``egrad``, prepared once for many directions:
+        returns ``(ehess_vec, xi) -> rhess``."""
+        raise NotImplementedError
+
     def ehess2rhess(
         self,
         point: ManifoldPoint,
@@ -96,7 +103,7 @@ class Manifold:
         ehess_vec: np.ndarray,
         xi: np.ndarray,
     ) -> np.ndarray:
-        raise NotImplementedError
+        return self.hess_operator(point, egrad)(ehess_vec, xi)
 
     def tangent_basis(self, point: ManifoldPoint) -> list:
         raise NotImplementedError
@@ -138,8 +145,8 @@ class Euclidean(Manifold):
     def retract(self, point: ManifoldPoint, xi: np.ndarray) -> ManifoldPoint:
         return self.point(point.X + xi)
 
-    def ehess2rhess(self, point, egrad, ehess_vec, xi) -> np.ndarray:
-        return self._check_ambient(ehess_vec)
+    def hess_operator(self, point, egrad) -> Callable:
+        return lambda ehess_vec, xi: self._check_ambient(ehess_vec)
 
     def tangent_basis(self, point: ManifoldPoint) -> list:
         basis = []
@@ -194,10 +201,9 @@ class Stiefel(Manifold):
         W, _, Zt = np.linalg.svd(A, full_matrices=False)
         return ManifoldPoint(self, _readonly(W @ Zt))
 
-    def ehess2rhess(self, point, egrad, ehess_vec, xi) -> np.ndarray:
-        X = point.X
-        corrected = self._check_ambient(ehess_vec) - xi @ _sym(X.T @ egrad)
-        return self.project(point, corrected)
+    def hess_operator(self, point, egrad) -> Callable:
+        S = _sym(point.X.T @ egrad)
+        return lambda ehess_vec, xi: self.project(point, self._check_ambient(ehess_vec) - xi @ S)
 
     def tangent_basis(self, point: ManifoldPoint) -> list:
         # xi = X A + X_perp B with A skew; both families are orthonormal in
@@ -294,20 +300,23 @@ class FixedRank(Manifold):
         # Metric projection: rank-r truncated SVD of X + xi.
         return self.point_from_ambient(point.X + xi)
 
-    def ehess2rhess(self, point, egrad, ehess_vec, xi) -> np.ndarray:
+    def hess_operator(self, point, egrad) -> Callable:
         # Projected Euclidean Hessian plus the sigma-weighted curvature terms;
         # the correction only sees the normal component of the gradient.
         U, s, V = point.factors
         if s[-1] <= self.rank_tol:
             raise GeometryError("singular values below tolerance: curvature term ill-conditioned")
         egrad = self._check_ambient(egrad)
-        ehess_vec = self._check_ambient(ehess_vec)
         N = egrad - U @ (U.T @ egrad)
         N = N - (N @ V) @ V.T  # N = P_U^perp egrad P_V^perp
-        M0, Up0, Vp0 = self._tangent_factors(point, ehess_vec)
-        Up_c = (N @ (xi.T @ U)) / s
-        Vp_c = (N.T @ (xi @ V)) / s
-        return self._from_factors(point, M0, Up0 + Up_c, Vp0 + Vp_c)
+
+        def apply(ehess_vec, xi):
+            M0, Up0, Vp0 = self._tangent_factors(point, self._check_ambient(ehess_vec))
+            Up_c = (N @ (xi.T @ U)) / s
+            Vp_c = (N.T @ (xi @ V)) / s
+            return self._from_factors(point, M0, Up0 + Up_c, Vp0 + Vp_c)
+
+        return apply
 
     def tangent_basis(self, point: ManifoldPoint) -> list:
         U, _, V = point.factors

@@ -95,11 +95,41 @@ def lagrangian_rgrad(P: ProblemSpec, X: ManifoldPoint, y: np.ndarray) -> np.ndar
     return X.manifold.project(X, P.f_egrad(X.X) + P.g_vjp(X.X, y))
 
 
+def lagrangian_hess_operator(P: ProblemSpec, X: ManifoldPoint, y: np.ndarray) -> Callable:
+    """Riemannian Hessian of L(., y) at fixed y, prepared at ``X``:
+    returns ``xi -> Hess xi``."""
+    rhess = X.manifold.hess_operator(X, P.f_egrad(X.X) + P.g_vjp(X.X, y))
+    return lambda xi: rhess(P.f_ehess(X.X, xi) + P.gy_ehess(X.X, y, xi), xi)
+
+
 def lagrangian_hess_vec(P: ProblemSpec, X: ManifoldPoint, y: np.ndarray, xi: np.ndarray) -> np.ndarray:
     """Riemannian Hessian of L(., y) at fixed y applied to xi."""
-    egrad = P.f_egrad(X.X) + P.g_vjp(X.X, y)
-    ehess = P.f_ehess(X.X, xi) + P.gy_ehess(X.X, y, xi)
-    return X.manifold.ehess2rhess(X, egrad, ehess, xi)
+    return lagrangian_hess_operator(P, X, y)(xi)
+
+
+def ghess_operator(
+    P: ProblemSpec, rho: float, X: ManifoldPoint, y: np.ndarray, jac: Optional[ProxJacobian] = None
+) -> Callable:
+    """A generalized Hessian of ``l_rho(., y)``, prepared once at ``X``:
+    returns ``xi -> H xi``.
+
+    ``H`` is the Riemannian Hessian of L(., ytilde) plus the projected
+    second-order envelope term ``Dg* G Dg`` with ``G = rho (I - mask)``,
+    where ``mask`` is a Clarke-Jacobian element of the prox at
+    ``g(X) + y/rho``.  Passing ``jac`` selects the element; the default is
+    the convention element (boundary bit 0).
+    """
+    _check_rho(rho)
+    p = envelope_point(P, rho, X, y)
+    if jac is None:
+        jac = P.theta.prox_jacobian(1.0 / rho, p)
+    smooth = lagrangian_hess_operator(P, X, P.theta.moreau_grad(rho, p))
+
+    def apply(xi):
+        w = P.g_jvp(X.X, xi)
+        return smooth(xi) + X.manifold.project(X, P.g_vjp(X.X, rho * (w - jac.apply(w))))
+
+    return apply
 
 
 def auglag_ghess_vec(
@@ -110,24 +140,9 @@ def auglag_ghess_vec(
     xi: np.ndarray,
     jac: Optional[ProxJacobian] = None,
 ) -> np.ndarray:
-    """A generalized Hessian-vector product of ``l_rho(., y)``.
-
-    Equals the Riemannian Hessian of L(., ytilde) plus the projected
-    second-order envelope term ``Dg* G Dg`` with ``G = rho (I - mask)``,
-    where ``mask`` is a Clarke-Jacobian element of the prox at
-    ``g(X) + y/rho``.  Passing ``jac`` selects the element; the default is
-    the convention element (boundary bit 0).
-    """
-    _check_rho(rho)
-    p = envelope_point(P, rho, X, y)
-    if jac is None:
-        jac = P.theta.prox_jacobian(1.0 / rho, p)
-    yt = P.theta.moreau_grad(rho, p)
-    smooth = lagrangian_hess_vec(P, X, yt, xi)
-    w = P.g_jvp(X.X, xi)
-    Gw = rho * (w - jac.apply(w))
-    envelope_term = X.manifold.project(X, P.g_vjp(X.X, Gw))
-    return smooth + envelope_term
+    """A generalized Hessian-vector product of ``l_rho(., y)``: the one-shot
+    form of :func:`ghess_operator`."""
+    return ghess_operator(P, rho, X, y, jac)(xi)
 
 
 def multiplier_update(

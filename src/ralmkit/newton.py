@@ -117,9 +117,10 @@ def cg_solve(
     rr = np.vdot(r, r)
     for it in range(max_iter):
         Hd = apply_H(d) + omega * d
-        if not np.all(np.isfinite(Hd)):
-            raise NewtonError("operator returned non-finite values")
         dHd = np.vdot(d, Hd)
+        # A non-finite entry of Hd makes dHd non-finite, also where d is 0.
+        if not math.isfinite(dHd):
+            raise NewtonError("operator returned non-finite values")
         dd = np.vdot(d, d)
         if dHd <= 1e-14 * dd:
             info.indefinite = True
@@ -175,8 +176,7 @@ def ssn_minimize(
 
         omega = gnorm ** cfg.nu_bar
         eta_cap = min(cfg.eta(k), gnorm ** (1.0 + cfg.nu_bar))
-        jac = P.theta.prox_jacobian(1.0 / rho, lagrangian.envelope_point(P, rho, X, y))
-        apply_H = lambda v: lagrangian.auglag_ghess_vec(P, rho, X, y, v, jac)
+        apply_H = lagrangian.ghess_operator(P, rho, X, y)
         V, cg = cg_solve(apply_H, omega, -grad, eta_cap, cfg.cg_max_iter)
         stats.cg_iterations += cg.iterations
 

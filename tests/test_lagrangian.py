@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import euclidean_l1_problem
+from conftest import euclidean_l1_problem, euclidean_quadratic_problem
 from ralmkit import bench, geometry, oracles
 from ralmkit.lagrangian import (
     LagrangianError,
@@ -9,7 +9,9 @@ from ralmkit.lagrangian import (
     auglag_ghess_vec,
     auglag_rgrad,
     auglag_value,
+    ghess_operator,
     kkt_residual,
+    lagrangian_hess_operator,
     lagrangian_rgrad,
     multiplier_update,
     shifted_multiplier,
@@ -138,6 +140,94 @@ class TestAuglagHessian:
         Pcm = bench.build_cm(6, 2, 0.5, 3.0)
         for P in (Pcm, rmc_fixture.problem):
             assert oracles.hessian_check(P, samples=20, seed=5) <= 1e-4
+
+
+def reference_rhess(X, egrad, ehess, xi):
+    """Euclidean-to-Riemannian Hessian conversion written out unprepared,
+    with the floating-point operations of the prepared operators in the
+    same order."""
+    man = X.manifold
+    if isinstance(man, geometry.Euclidean):
+        return ehess
+    if isinstance(man, geometry.Stiefel):
+        A = X.X.T @ egrad
+        return man.project(X, ehess - xi @ (0.5 * (A + A.T)))
+    U, s, V = X.factors
+    N = egrad - U @ (U.T @ egrad)
+    N = N - (N @ V) @ V.T
+    YV = ehess @ V
+    M = U.T @ YV
+    Up = YV - U @ M
+    Vp = ehess.T @ U - V @ M.T
+    Up = Up + (N @ (xi.T @ U)) / s
+    Vp = Vp + (N.T @ (xi @ V)) / s
+    return U @ M @ V.T + Up @ V.T + U @ Vp.T
+
+
+def reference_lagrangian_hess(P, X, y, xi):
+    egrad = P.f_egrad(X.X) + P.g_vjp(X.X, y)
+    ehess = P.f_ehess(X.X, xi) + P.gy_ehess(X.X, y, xi)
+    return reference_rhess(X, egrad, ehess, xi)
+
+
+def reference_ghess(P, rho, X, y, xi):
+    """The generalized HVP at the convention Jacobian element: the smooth
+    term, then the separately projected envelope term, added last."""
+    p = P.g_value(X.X) + y / rho
+    mask = P.theta.prox_jacobian(1.0 / rho, p).mask
+    smooth = reference_lagrangian_hess(P, X, P.theta.moreau_grad(rho, p), xi)
+    w = P.g_jvp(X.X, xi)
+    return smooth + X.manifold.project(X, P.g_vjp(X.X, rho * (w - mask * w)))
+
+
+def hessian_cases():
+    """(problem, rho, point, multiplier) on each geometry, at points where
+    the prox Jacobian has both 0 and 1 entries."""
+    rng = np.random.default_rng(11)
+    cm = bench.build_cm(8, 3, 0.3, 3.0)
+    rmc = bench.rmc_toy_fixture(seed=7).problem
+    Q = rng.standard_normal((6, 6))
+    flat = euclidean_quadratic_problem(Q @ Q.T, rng.standard_normal((3, 2)), mu=2.0, g_zero=False)
+    cases = []
+    for P, rho in ((cm, 4.0), (rmc, 2.0), (flat, 3.0)):
+        X = P.manifold.random_point(rng)
+        y = rng.uniform(-1.0, 1.0, P.manifold.ambient_shape)
+        cases.append((P, rho, X, y))
+    return cases
+
+
+CASE_IDS = ["stiefel", "fixed-rank", "euclidean"]
+
+
+class TestPreparedHessian:
+    @pytest.mark.parametrize("case", hessian_cases(), ids=CASE_IDS)
+    def test_bit_identical_to_unprepared_reference(self, case):
+        P, rho, X, y = case
+        mask = P.theta.prox_jacobian(1.0 / rho, P.g_value(X.X) + y / rho).mask
+        assert 0 < mask.sum() < mask.size
+        H = ghess_operator(P, rho, X, y)
+        L = lagrangian_hess_operator(P, X, y)
+        for seed in range(5):
+            xi = geometry.random_tangent(X, 900 + seed)
+            assert np.array_equal(H(xi), reference_ghess(P, rho, X, y, xi))
+            assert np.array_equal(auglag_ghess_vec(P, rho, X, y, xi), H(xi))
+            assert np.array_equal(L(xi), reference_lagrangian_hess(P, X, y, xi))
+
+    @pytest.mark.parametrize("case", hessian_cases(), ids=CASE_IDS)
+    def test_reuse_neither_aliases_nor_mutates(self, case):
+        P, rho, X, y = case
+        H = ghess_operator(P, rho, X, y)
+        results, snapshots = [], []
+        for seed in range(4):
+            xi = geometry.random_tangent(X, 950 + seed)
+            xi_before = xi.copy()
+            out = H(xi)
+            assert np.array_equal(out, ghess_operator(P, rho, X, y)(xi))
+            assert np.array_equal(xi, xi_before)
+            results.append(out)
+            snapshots.append(out.copy())
+        for out, snap in zip(results, snapshots):
+            assert np.array_equal(out, snap)
 
 
 class TestMultiplierUpdate:

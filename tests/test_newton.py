@@ -65,6 +65,19 @@ class TestCg:
         with pytest.raises(NewtonError):
             cg_solve(bad, 0.0, b, 1e-12, 10)
 
+    def test_nonfinite_entry_where_direction_vanishes(self):
+        # The first direction is b, zero in entry 2; the operator is finite
+        # everywhere else, so only the curvature d^T H d can reveal the inf.
+        def bad(v):
+            out = v.copy()
+            out[2, 0] = np.inf
+            return out
+
+        b = np.ones((5, 1))
+        b[2, 0] = 0.0
+        with pytest.raises(NewtonError):
+            cg_solve(bad, 0.5, b, 1e-12, 10)
+
 
 class TestConfigValidation:
     def test_ranges(self):
