@@ -25,7 +25,6 @@ from .newton import NewtonConfig, NewtonStats, cg_solve, ssn_minimize
 from .ralm import IterateRecord, RalmConfig, RalmResult, inner_threshold, ralm_solve
 from .certify import (
     Certificate,
-    SubspaceBasis,
     critical_cone_basis,
     fit_linear_rate,
     genhess_min_eig,

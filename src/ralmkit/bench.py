@@ -18,7 +18,7 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Sequence, Tuple, get_type_hints
 
 import numpy as np
 
@@ -195,17 +195,8 @@ def save_dense(path: str, M: np.ndarray) -> None:
     atomic_write(path, payload)
 
 
-def load_dense(path: str, fmt: str = "csv") -> np.ndarray:
-    """Load a dense matrix from CSV or Matrix Market coordinate format."""
-    if fmt == "csv":
-        return _load_csv(path)
-    if fmt in ("matrix-market", "mm"):
-        M, _ = load_coordinate(path)
-        return M
-    raise ParseError(f"unknown format {fmt!r}; expected 'csv' or 'matrix-market'")
-
-
-def _load_csv(path: str) -> np.ndarray:
+def load_dense(path: str) -> np.ndarray:
+    """Load a dense matrix from CSV."""
     rows: List[List[float]] = []
     with open(path, newline="") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
@@ -271,17 +262,18 @@ def load_coordinate(path: str) -> Tuple[np.ndarray, np.ndarray]:
     return M, mask
 
 
+# Cell type (int or float) of each log column, from IterateRecord's annotations.
+_LOG_TYPES = [get_type_hints(IterateRecord)[name] for name in IterateRecord.FIELDS]
+
+
 def save_log(path: str, records: Sequence[IterateRecord]) -> None:
     """Write iterate telemetry as CSV (atomically, stable schema)."""
     lines = [",".join(IterateRecord.FIELDS)]
     for rec in records:
-        cells = []
-        for name, v in zip(IterateRecord.FIELDS, rec.as_row()):
-            if name in ("k", "inner_iters"):
-                cells.append(str(int(v)))
-            else:
-                cells.append(f"{float(v):.17g}")
-        lines.append(",".join(cells))
+        lines.append(",".join(
+            str(int(v)) if kind is int else f"{float(v):.17g}"
+            for kind, v in zip(_LOG_TYPES, rec.as_row())
+        ))
     atomic_write(path, "\n".join(lines) + "\n")
 
 
@@ -298,18 +290,7 @@ def load_log(path: str) -> List[IterateRecord]:
             if len(row) != len(IterateRecord.FIELDS):
                 raise ParseError(f"{path}: line {lineno}: wrong number of columns")
             try:
-                records.append(
-                    IterateRecord(
-                        k=int(row[0]),
-                        rho=float(row[1]),
-                        rho_tilde=float(row[2]),
-                        inner_iters=int(row[3]),
-                        grad_norm=float(row[4]),
-                        kkt_residual=float(row[5]),
-                        dual_step_norm=float(row[6]),
-                        auglag=float(row[7]),
-                    )
-                )
+                records.append(IterateRecord(*(kind(v) for kind, v in zip(_LOG_TYPES, row))))
             except ValueError as exc:
                 raise ParseError(f"{path}: line {lineno}: {exc}") from None
     return records

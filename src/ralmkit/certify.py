@@ -40,19 +40,6 @@ class StationarityError(CertifyError):
 
 
 @dataclass(frozen=True)
-class SubspaceBasis:
-    """Orthonormal tangent vectors (ambient-shape arrays) spanning a
-    subspace of T_X M."""
-
-    point: ManifoldPoint
-    vectors: Tuple[np.ndarray, ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.vectors)
-
-
-@dataclass(frozen=True)
 class Certificate:
     kind: str
     min_eig: float
@@ -83,8 +70,9 @@ def critical_cone_basis(
     X: ManifoldPoint,
     y: np.ndarray,
     tol: float = 1e-8,
-) -> SubspaceBasis:
-    """Orthonormal basis of aff(critical cone) intersected with T_X M.
+) -> list:
+    """Orthonormal basis of aff(critical cone) intersected with T_X M, as a
+    list of ambient-shape tangent vectors.
 
     For the l1 term the affine hull fixes to zero every constraint-space
     entry where ``g(X)`` vanishes and the multiplier is strictly inside
@@ -101,7 +89,7 @@ def critical_cone_basis(
     constrained = (np.abs(z) <= tol) & (np.abs(y) < mu - tol)
     basis = X.manifold.tangent_basis(X)
     if not np.any(constrained):
-        return SubspaceBasis(X, tuple(basis))
+        return basis
 
     rows = []
     for v in basis:
@@ -113,7 +101,7 @@ def critical_cone_basis(
     for j in range(null.shape[1]):
         amb = (null[:, j] @ coeff_mat).reshape(X.manifold.ambient_shape)
         vectors.append(X.manifold.project(X, amb))
-    return SubspaceBasis(X, tuple(vectors))
+    return vectors
 
 
 def _quadratic_form(apply_op, basis: Sequence[np.ndarray]) -> np.ndarray:
@@ -133,11 +121,11 @@ def mssosc_certificate(
     affine hull; positive means the second-order sufficient condition
     holds at ``(X, y)``."""
     basis = critical_cone_basis(P, X, y, tol=cone_tol)
-    if basis.dim == 0:
+    if not basis:
         return Certificate("mssosc", math.inf, 0, degenerate=True, tol=tol)
-    B = _quadratic_form(lagrangian.lagrangian_hess_operator(P, X, y), basis.vectors)
+    B = _quadratic_form(lagrangian.lagrangian_hess_operator(P, X, y), basis)
     w = scipy.linalg.eigvalsh(B)
-    return Certificate("mssosc", float(w[0]), basis.dim, tol=tol)
+    return Certificate("mssosc", float(w[0]), len(basis), tol=tol)
 
 
 def genhess_min_eig(

@@ -15,9 +15,11 @@ Exit codes: 0 success/converged, 1 error, 2 iteration budget exhausted.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
 import math
+import operator
 import os
 import sys
 from typing import Optional
@@ -59,48 +61,58 @@ def load_config(path: str) -> dict:
         raise ConfigError("config must be a JSON object")
     if "problem" not in cfg:
         raise ConfigError("missing 'problem' block")
+    for name in ("problem", "solver", "output", "certify"):
+        if not isinstance(cfg.get(name, {}), dict):
+            raise ConfigError(f"'{name}' block must be a JSON object")
     version = cfg.get("schema_version", 1)
     if version != 1:
         raise ConfigError(f"unsupported schema_version {version}")
     return cfg
 
 
+@contextlib.contextmanager
+def _fields_of(name: str):
+    """Report a missing or ill-typed field of config block ``name`` as a ConfigError."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ConfigError(f"'{name}' block missing field {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad '{name}' block: {exc}") from None
+
+
 def build_problem(cfg: dict, seed: Optional[int]):
     """Instantiate (problem, X0, y0) from the config's problem block."""
     block = cfg["problem"]
-    if not isinstance(block, dict) or "kind" not in block:
+    if "kind" not in block:
         raise ConfigError("'problem' block must contain a 'kind'")
     kind = block["kind"]
-    out_seed = seed if seed is not None else cfg.get("output", {}).get("seed", 0)
+    with _fields_of("output"):
+        out_seed = seed if seed is not None else operator.index(cfg.get("output", {}).get("seed", 0))
     if kind == "cm":
-        try:
+        with _fields_of("problem"):
             n, r = int(block["n"]), int(block["r"])
             mu, length = float(block["mu"]), float(block["len"])
-        except KeyError as exc:
-            raise ConfigError(f"'problem' block missing field {exc}") from None
         P = bench.build_cm(n, r, mu, length)
         X0 = bench.cm_initial_point(n, r, out_seed)
         y0 = np.zeros((n, r))
         return P, X0, y0
     if kind == "rmc":
-        r = int(block.get("r", 0))
+        with _fields_of("problem"):
+            r, mu = int(block.get("r", 0)), float(block.get("mu", 1.0))
+            if "data" not in block:
+                m, n = int(block["m"]), int(block["n"])
+                density, magnitude = float(block["density"]), float(block["magnitude"])
         if r < 1:
             raise ConfigError("'problem' block needs a positive rank 'r'")
-        mu = float(block.get("mu", 1.0))
         if "data" in block:
             path = block["data"]
             if path.endswith((".mtx", ".mm")):
                 A, omega = bench.load_coordinate(path)
             else:
-                A = bench.load_dense(path, "csv")
+                A = bench.load_dense(path)
                 omega = np.ones_like(A, dtype=bool)
         else:
-            try:
-                m, n = int(block["m"]), int(block["n"])
-                density = float(block["density"])
-                magnitude = float(block["magnitude"])
-            except KeyError as exc:
-                raise ConfigError(f"'problem' block missing field {exc}") from None
             rng = np.random.default_rng(out_seed)
             U, _ = np.linalg.qr(rng.standard_normal((m, r)))
             V, _ = np.linalg.qr(rng.standard_normal((n, r)))
@@ -119,11 +131,8 @@ def build_problem(cfg: dict, seed: Optional[int]):
 def build_solver_config(cfg: dict) -> ralm.RalmConfig:
     block = dict(cfg.get("solver", {}))
     newton_block = block.pop("newton", {})
-    try:
-        ncfg = newton.NewtonConfig(**newton_block)
-        return ralm.RalmConfig(newton=ncfg, **block)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad 'solver' block: {exc}") from None
+    with _fields_of("solver"):
+        return ralm.RalmConfig(newton=newton.NewtonConfig(**newton_block), **block)
 
 
 def write_svg(path: str, residuals, width: int = 640, height: int = 400) -> None:
@@ -184,7 +193,7 @@ def cmd_solve(args) -> int:
 
 
 def _load_point(P, path: str):
-    M = bench.load_dense(path, "csv")
+    M = bench.load_dense(path)
     manifold = P.manifold
     if isinstance(manifold, geometry.FixedRank):
         return manifold.point_from_ambient(M)
@@ -199,10 +208,15 @@ def cmd_certify(args) -> int:
     except geometry.GeometryError as exc:
         print(f"point invariant violation: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    y = bench.load_dense(args.multiplier, "csv")
+    y = bench.load_dense(args.multiplier)
+    g = P.g_value(X.X)
+    if y.shape != g.shape:
+        raise certify.CertifyError(f"multiplier shape {y.shape} does not match g(X) {g.shape}")
+    block = cfg.get("certify", {})
+    with _fields_of("certify"):
+        rho = float(block.get("rho", 10.0))
+        stat_tol = float(block.get("stationarity_tol", 1e-6))
     residual = lagrangian.kkt_residual(P, X, y)
-    rho = float(cfg.get("certify", {}).get("rho", 10.0))
-    stat_tol = float(cfg.get("certify", {}).get("stationarity_tol", 1e-6))
     report = {
         "stationarity_residual": residual,
         "cone_dim": None,
@@ -213,12 +227,11 @@ def cmd_certify(args) -> int:
         "rho": rho,
     }
     if residual <= stat_tol:
-        cone = certify.critical_cone_basis(P, X, y)
         msc = certify.mssosc_certificate(P, X, y)
         gh = certify.genhess_min_eig(P, rho, X, y, enumerate_elements=True)
         report.update(
             {
-                "cone_dim": cone.dim,
+                "cone_dim": msc.subspace_dim,
                 "mssosc_min_eig": None if math.isinf(msc.min_eig) else msc.min_eig,
                 "mssosc_verdict": msc.verdict + ("-degenerate" if msc.degenerate else ""),
                 "genhess_min_eig": gh.min_eig,
@@ -290,11 +303,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ParseError, bench.BenchError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except (geometry.GeometryError, lagrangian.LagrangianError, certify.CertifyError,
-            ralm.RalmError, newton.NewtonError) as exc:
+    except (ConfigError, ParseError, bench.BenchError, OSError, geometry.GeometryError,
+            lagrangian.LagrangianError, certify.CertifyError, ralm.RalmError,
+            newton.NewtonError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -34,7 +34,6 @@ class ProxJacobian:
     """
 
     mask: np.ndarray
-    t: float
     boundary: np.ndarray
 
     def apply(self, v: np.ndarray) -> np.ndarray:
@@ -47,8 +46,6 @@ class ProxJacobian:
 
 class L1Norm:
     """theta(z) = mu * sum |z_ij| with mu > 0."""
-
-    kind = "weighted-l1"
 
     def __init__(self, mu: float = 1.0):
         if mu <= 0:
@@ -81,7 +78,7 @@ class L1Norm:
             mask[boundary] = 1.0
         else:
             mask[boundary] = 0.0
-        return ProxJacobian(mask=mask, t=float(t), boundary=boundary)
+        return ProxJacobian(mask=mask, boundary=boundary)
 
     def extreme_prox_jacobians(self, t: float, p: np.ndarray, cap: int = 12) -> List[ProxJacobian]:
         """All extreme B-subdifferential elements of the prox at ``p``.
@@ -99,7 +96,7 @@ class L1Norm:
             mask = base.mask.copy()
             for bit, ij in zip(bits, idx):
                 mask[tuple(ij)] = bit
-            out.append(ProxJacobian(mask=mask, t=base.t, boundary=base.boundary))
+            out.append(ProxJacobian(mask=mask, boundary=base.boundary))
         return out
 
     def moreau(self, rho: float, p: np.ndarray) -> float:

@@ -28,7 +28,6 @@ import scipy.linalg
 
 # Library-wide numerical constants.  Overridable per call where it matters.
 ORTHO_TOL = 1e-12
-TANGENT_TOL = 1e-10
 RANK_TOL = 1e-12
 
 
@@ -63,15 +62,11 @@ class ManifoldPoint:
     X: np.ndarray
     factors: Optional[tuple] = None
 
-    @property
-    def shape(self) -> tuple:
-        return self.X.shape
-
 
 class Manifold:
     """Base class; concrete geometries implement the projection, the
     retraction and the prepared Euclidean-to-Riemannian Hessian conversion
-    (``hess_operator``); ``ehess2rhess`` is its one-shot form.
+    (``hess_operator``).
 
     Tangent vectors, in and out, are ndarrays of ``ambient_shape``."""
 
@@ -95,15 +90,6 @@ class Manifold:
         Euclidean gradient ``egrad``, prepared once for many directions:
         returns ``(ehess_vec, xi) -> rhess``."""
         raise NotImplementedError
-
-    def ehess2rhess(
-        self,
-        point: ManifoldPoint,
-        egrad: np.ndarray,
-        ehess_vec: np.ndarray,
-        xi: np.ndarray,
-    ) -> np.ndarray:
-        return self.hess_operator(point, egrad)(ehess_vec, xi)
 
     def tangent_basis(self, point: ManifoldPoint) -> list:
         raise NotImplementedError

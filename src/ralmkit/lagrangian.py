@@ -102,11 +102,6 @@ def lagrangian_hess_operator(P: ProblemSpec, X: ManifoldPoint, y: np.ndarray) ->
     return lambda xi: rhess(P.f_ehess(X.X, xi) + P.gy_ehess(X.X, y, xi), xi)
 
 
-def lagrangian_hess_vec(P: ProblemSpec, X: ManifoldPoint, y: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """Riemannian Hessian of L(., y) at fixed y applied to xi."""
-    return lagrangian_hess_operator(P, X, y)(xi)
-
-
 def ghess_operator(
     P: ProblemSpec, rho: float, X: ManifoldPoint, y: np.ndarray, jac: Optional[ProxJacobian] = None
 ) -> Callable:
@@ -140,8 +135,8 @@ def auglag_ghess_vec(
     xi: np.ndarray,
     jac: Optional[ProxJacobian] = None,
 ) -> np.ndarray:
-    """A generalized Hessian-vector product of ``l_rho(., y)``: the one-shot
-    form of :func:`ghess_operator`."""
+    """A generalized Hessian-vector product of ``l_rho(., y)``: one
+    application of :func:`ghess_operator`, for single-vector checks."""
     return ghess_operator(P, rho, X, y, jac)(xi)
 
 
@@ -150,8 +145,9 @@ def multiplier_update(
 ) -> np.ndarray:
     """Dual ascent step y + rho_tilde * grad_y l_rho(x, y).
 
-    With the full step ``rho_tilde = rho`` this returns ytilde exactly,
-    which for the l1 term keeps multipliers inside the sup-norm box.
+    With the full step ``rho_tilde = rho`` this returns ytilde up to
+    rounding; for the l1 term ytilde lies in the sup-norm box up to
+    rounding, and so does the updated multiplier.
     """
     _check_rho(rho)
     if not 0 < rho_tilde <= rho:

@@ -52,7 +52,6 @@ class NewtonConfig:
     cg_max_iter: int = 500
     grad_tol: float = 1e-12
     max_iter: int = 200
-    keep_points: bool = False
 
     def __post_init__(self):
         if not 0 < self.nu_bar <= 1:
@@ -74,7 +73,6 @@ class CgInfo:
     iterations: int = 0
     converged: bool = False
     indefinite: bool = False
-    residual_norm: float = float("inf")
 
 
 @dataclass
@@ -87,7 +85,6 @@ class NewtonStats:
     stopped: bool = False
     final_grad_norm: float = float("nan")
     objective_trace: List[float] = field(default_factory=list)
-    points: List[ManifoldPoint] = field(default_factory=list)
 
 
 def cg_solve(
@@ -110,7 +107,6 @@ def cg_solve(
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
         info.converged = True
-        info.residual_norm = 0.0
         return x, info
     r = b
     d = r
@@ -124,7 +120,6 @@ def cg_solve(
         dd = np.vdot(d, d)
         if dHd <= 1e-14 * dd:
             info.indefinite = True
-            info.residual_norm = math.sqrt(rr)
             info.iterations = it
             return x, info
         alpha = rr / dHd
@@ -134,11 +129,9 @@ def cg_solve(
         info.iterations = it + 1
         if math.sqrt(rr_new) <= tol:
             info.converged = True
-            info.residual_norm = math.sqrt(rr_new)
             return x, info
         d = r + (rr_new / rr) * d
         rr = rr_new
-    info.residual_norm = math.sqrt(rr)
     return x, info
 
 
@@ -152,19 +145,17 @@ def ssn_minimize(
 ) -> tuple:
     """Run the globalized semismooth Newton iteration from ``X0``.
 
-    ``stop(X, grad)`` is evaluated before every step; when omitted the
-    solver stops at ``|grad| <= cfg.grad_tol``.  Returns the final point
-    together with :class:`NewtonStats`.
+    ``stop(X, grad)`` is evaluated at every iterate, the last one included;
+    when omitted the solver stops at ``|grad| <= cfg.grad_tol``.  Returns
+    the final point together with :class:`NewtonStats`.
     """
     cfg = cfg or NewtonConfig()
     stats = NewtonStats()
     X = X0
     val = lagrangian.auglag_value(P, rho, X, y)
     stats.objective_trace.append(val)
-    if cfg.keep_points:
-        stats.points.append(X)
 
-    for k in range(cfg.max_iter):
+    for k in range(cfg.max_iter + 1):
         grad = lagrangian.auglag_rgrad(P, rho, X, y)
         gnorm = float(np.linalg.norm(grad))
         stats.final_grad_norm = gnorm
@@ -172,6 +163,8 @@ def ssn_minimize(
             raise NewtonError(f"non-finite subproblem state at iteration {k}")
         if (stop is not None and stop(X, grad)) or gnorm <= cfg.grad_tol:
             stats.stopped = True
+            return X, stats
+        if k == cfg.max_iter:
             return X, stats
 
         omega = gnorm ** cfg.nu_bar
@@ -208,10 +201,3 @@ def ssn_minimize(
         X, val = X_new, val_new
         stats.iterations = k + 1
         stats.objective_trace.append(val)
-        if cfg.keep_points:
-            stats.points.append(X)
-
-    grad = lagrangian.auglag_rgrad(P, rho, X, y)
-    stats.final_grad_norm = float(np.linalg.norm(grad))
-    stats.stopped = (stop is not None and stop(X, grad)) or stats.final_grad_norm <= cfg.grad_tol
-    return X, stats

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass, field, fields
+from typing import ClassVar, List, Optional, Tuple
 
 import numpy as np
 
@@ -72,7 +72,8 @@ class RalmConfig:
 
 @dataclass
 class IterateRecord:
-    """Per-outer-iteration telemetry."""
+    """Per-outer-iteration telemetry.  The fields, in order, are the columns
+    of the CSV log, and their annotations (int or float) are its cell types."""
 
     k: int
     rho: float
@@ -83,8 +84,7 @@ class IterateRecord:
     dual_step_norm: float
     auglag: float
 
-    FIELDS = ("k", "rho", "rho_tilde", "inner_iters", "grad_norm",
-              "kkt_residual", "dual_step_norm", "auglag")
+    FIELDS: ClassVar[Tuple[str, ...]]  # the field names, set below the class
 
     def as_row(self) -> list:
         return [getattr(self, f) for f in self.FIELDS]
@@ -94,6 +94,9 @@ class IterateRecord:
             v = getattr(self, f)
             if not math.isfinite(float(v)):
                 raise RalmError(f"non-finite telemetry at outer iteration {self.k}: {f} = {v}")
+
+
+IterateRecord.FIELDS = tuple(f.name for f in fields(IterateRecord))
 
 
 @dataclass
@@ -143,13 +146,12 @@ def ralm_solve(
 
     X = X0
     rho = cfg.rho0
-    rho_tilde = rho - cfg.rho_bar if cfg.rho_bar > 0 else rho
     R_prev = lagrangian.kkt_residual(P, X, y)
     records = [
         IterateRecord(
             k=0,
             rho=rho,
-            rho_tilde=rho_tilde,
+            rho_tilde=rho - cfg.rho_bar,
             inner_iters=0,
             grad_norm=float(np.linalg.norm(lagrangian.auglag_rgrad(P, rho, X, y))),
             kkt_residual=R_prev,
@@ -163,9 +165,11 @@ def ralm_solve(
         return result
 
     for k in range(1, cfg.max_outer + 1):
-        rho_tilde = rho - cfg.rho_bar if cfg.rho_bar > 0 else rho
-        # The floor keeps the inner criterion reachable in floating point
-        # on long runs; set eps_min = 0 for the pure summable schedule.
+        rho_tilde = rho - cfg.rho_bar
+        # The floor stops eps_k from decaying below eps_min, which bounds the
+        # criterion 'a' threshold below; 'b'/'c' scale it by the dual step,
+        # which can still push it under rounding.  eps_min = 0 gives the pure
+        # summable schedule.
         eps_k = max(cfg.eps0 * cfg.kappa ** (k - 1), cfg.eps_min)
 
         def stop(Xc, grad, _rho=rho, _rt=rho_tilde, _eps=eps_k):
@@ -197,7 +201,7 @@ def ralm_solve(
             grad_norm=nstats.final_grad_norm,
             kkt_residual=R_new,
             dual_step_norm=dual_step_norm,
-            auglag=lagrangian.auglag_value(P, rho, X, y),
+            auglag=nstats.objective_trace[-1],
         )
         rec.check_finite()
         records.append(rec)

@@ -119,14 +119,14 @@ class TestFileFormats:
         path = str(tmp_path / "eye.csv")
         with open(path, "w") as fh:
             fh.write("1,0\n0,1\n")
-        np.testing.assert_array_equal(load_dense(path, "csv"), np.eye(2))
+        np.testing.assert_array_equal(load_dense(path), np.eye(2))
 
     def test_csv_round_trip(self, tmp_path):
         rng = np.random.default_rng(6)
         M = rng.standard_normal((5, 7)) * np.exp(rng.uniform(-12, 12, (5, 7)))
         path = str(tmp_path / "m.csv")
         save_dense(path, M)
-        back = load_dense(path, "csv")
+        back = load_dense(path)
         np.testing.assert_allclose(back, M, rtol=1e-15, atol=0)
 
     def test_csv_ragged_row_names_line(self, tmp_path):
@@ -134,14 +134,14 @@ class TestFileFormats:
         with open(path, "w") as fh:
             fh.write("1,2,3\n4,5\n")
         with pytest.raises(ParseError, match="line 2"):
-            load_dense(path, "csv")
+            load_dense(path)
 
     def test_csv_non_numeric_names_line(self, tmp_path):
         path = str(tmp_path / "bad2.csv")
         with open(path, "w") as fh:
             fh.write("1,2\nx,4\n")
         with pytest.raises(ParseError, match="line 2"):
-            load_dense(path, "csv")
+            load_dense(path)
 
     def test_coordinate_file(self, tmp_path):
         path = str(tmp_path / "obs.mtx")
@@ -182,7 +182,3 @@ class TestFileFormats:
         assert header == "k,rho,rho_tilde,inner_iters,grad_norm,kkt_residual,dual_step_norm,auglag"
         back = load_log(path)
         assert back == records
-
-    def test_unknown_format(self, tmp_path):
-        with pytest.raises(ParseError):
-            load_dense(str(tmp_path / "x"), "parquet")

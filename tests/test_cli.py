@@ -172,6 +172,15 @@ class TestCertify:
         assert report["genhess_min_eig"] == pytest.approx(8.585786437626899, abs=1e-8)
         assert report["genhess_verdict"] == "holds"
 
+    def test_multiplier_shape_mismatch(self, tmp_path, capsys, cm_pair):
+        P, Xbar, ybar = cm_pair
+        cfg = write_config(tmp_path)
+        point, mult = self._dump_pair(tmp_path, Xbar.X, ybar[:3])
+        code = main(["certify", "--config", cfg, "--point", point, "--multiplier", mult])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: multiplier shape (3, 2)") and "(4, 2)" in err
+
     def test_garbage_point_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         point, mult = self._dump_pair(tmp_path, np.ones((4, 2)), np.zeros((4, 2)))
@@ -237,7 +246,33 @@ class TestRateAndGradcheck:
         assert code == EXIT_OK
 
 
+MALFORMED_CONFIGS = {
+    "non-numeric field": ("solve", {"problem": {"n": "abc"}}),
+    "null field": ("solve", {"problem": {"mu": None}}),
+    "non-numeric rmc rank": ("solve", {"problem": {"kind": "rmc", "m": 6, "n": 5, "r": "x",
+                                                   "density": 0.1, "magnitude": 0.5}}),
+    "missing data file": ("solve", {"problem": {"kind": "rmc", "data": "missing.csv", "r": 3}}),
+    "non-numeric seed": ("solve", {"output": {"seed": "x"}}),
+    "output not an object": ("solve", {"output": [1]}),
+    "solver not an object": ("solve", {"solver": [1]}),
+    "non-numeric certify field": ("certify", {"certify": {"rho": "x"}}),
+}
+
+
 class TestRobustness:
+    @pytest.mark.parametrize("command, overrides", MALFORMED_CONFIGS.values(),
+                             ids=MALFORMED_CONFIGS.keys())
+    def test_malformed_config_exits_with_error(self, tmp_path, capsys, command, overrides):
+        argv = [command, "--config", write_config(tmp_path, **overrides)]
+        if command == "certify":
+            _, Xbar, ybar = bench.cm_analytic_pair()
+            point, mult = str(tmp_path / "point.csv"), str(tmp_path / "mult.csv")
+            bench.save_dense(point, Xbar.X)
+            bench.save_dense(mult, ybar)
+            argv += ["--point", point, "--multiplier", mult]
+        assert main(argv) == EXIT_ERROR
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_log_level_env(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("RALMKIT_LOG_LEVEL", "debug")
         cfg = write_config(tmp_path, solver={"max_outer": 1})

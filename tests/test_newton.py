@@ -127,9 +127,10 @@ class TestSsnMinimize:
         P, Xbar, ybar = cm_pair
         assert np.linalg.norm(lagrangian.auglag_rgrad(P, 10.0, Xbar, ybar)) <= 1e-12
         X0 = geometry.retract(Xbar, 0.05 * geometry.random_tangent(Xbar, 5))
-        cfg = NewtonConfig(grad_tol=1e-10, keep_points=True, max_iter=50)
-        Xhat, stats = ssn_minimize(P, 10.0, ybar, X0, cfg)
-        dists = [np.linalg.norm(pt.X - Xbar.X) for pt in stats.points]
+        cfg = NewtonConfig(grad_tol=1e-10, max_iter=50)
+        points = []  # every iterate: the stop test sees each one and never stops
+        Xhat, stats = ssn_minimize(P, 10.0, ybar, X0, cfg, stop=lambda X, g: points.append(X))
+        dists = [np.linalg.norm(pt.X - Xbar.X) for pt in points]
         assert dists[-1] <= 1e-8
         pairs = [(d0, d1) for d0, d1 in zip(dists[:-1], dists[1:]) if d0 > 1e-13][-3:]
         assert len(pairs) >= 2
