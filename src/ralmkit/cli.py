@@ -107,6 +107,8 @@ def build_problem(cfg: dict, seed: Optional[int]):
             raise ConfigError("'problem' block needs a positive rank 'r'")
         if "data" in block:
             path = block["data"]
+            if not isinstance(path, str):
+                raise ConfigError(f"'problem' block field 'data' must be a path, got {path!r}")
             if path.endswith((".mtx", ".mm")):
                 A, omega = bench.load_coordinate(path)
             else:

@@ -15,7 +15,8 @@ fixed-rank geometry computes the factored coordinates ``(M, Up, Vp)``
 (with ``U^T Up = 0`` and ``V^T Vp = 0``) internally and never returns them.
 
 Both retractions are second order: the polar retraction on Stiefel and the
-metric-projection (truncated SVD) retraction on the fixed-rank manifold.
+metric-projection (truncated SVD) retraction on the fixed-rank manifold, which
+runs through a 2r x 2r core in O(mnr + (m + n) r^2), never an m x n SVD.
 """
 
 from __future__ import annotations
@@ -248,12 +249,15 @@ class FixedRank(Manifold):
     def point_from_ambient(self, Z: np.ndarray, rank_tol: Optional[float] = None) -> ManifoldPoint:
         Z = self._check_ambient(Z)
         tol = self.rank_tol if rank_tol is None else rank_tol
-        W, s, Vt = np.linalg.svd(Z, full_matrices=False)
+        return self.point_from_factors(*self._truncate(*np.linalg.svd(Z, full_matrices=False), tol))
+
+    def _truncate(self, W, s, Vt, tol: float) -> tuple:
+        """Factors ``(U, s, V)`` of the rank-r truncation of the SVD ``W diag(s) Vt``."""
         if s[self.r - 1] <= tol:
             raise RankDropError(
                 f"sigma_{self.r} = {s[self.r - 1]:.3e} <= {tol:.1e}: rank below r"
             )
-        return self.point_from_factors(W[:, : self.r], s[: self.r], Vt[: self.r].T)
+        return W[:, : self.r], s[: self.r], Vt[: self.r].T
 
     def check_point(self, point: ManifoldPoint) -> None:
         if point.factors is None:
@@ -283,8 +287,18 @@ class FixedRank(Manifold):
         return self._from_factors(point, *self._tangent_factors(point, Y))
 
     def retract(self, point: ManifoldPoint, xi: np.ndarray) -> ManifoldPoint:
-        # Metric projection: rank-r truncated SVD of X + xi.
-        return self.point_from_ambient(point.X + xi)
+        # Rank-r truncated SVD of X + xi = [U Up] C [V Vp]^T, C = [[S + M, I], [I, 0]],
+        # from QR of both m x 2r / n x 2r blocks (not of Up alone, which loses
+        # orthogonality to U when tiny) and an SVD of the 2r x 2r core Ru C Rv^T:
+        # O(mnr + (m + n) r^2) against O(mn min(m, n)) for a dense SVD.
+        U, s, V = point.factors
+        M, Up, Vp = self._tangent_factors(point, xi)
+        I, O = np.eye(self.r), np.zeros((self.r, self.r))
+        Qu, Ru = np.linalg.qr(np.hstack([U, Up]))
+        Qv, Rv = np.linalg.qr(np.hstack([V, Vp]))
+        core = Ru @ np.block([[np.diag(s) + M, I], [I, O]]) @ Rv.T
+        Uc, sc, Vc = self._truncate(*np.linalg.svd(core), self.rank_tol)
+        return self.point_from_factors(Qu @ Uc, sc, Qv @ Vc)
 
     def hess_operator(self, point, egrad) -> Callable:
         # Projected Euclidean Hessian plus the sigma-weighted curvature terms;
@@ -341,7 +355,8 @@ def retract(point: ManifoldPoint, xi: np.ndarray) -> ManifoldPoint:
     """Second-order retraction of the tangent vector ``xi`` at ``point``.
 
     ``xi`` must have the ambient shape; anything else raises
-    :class:`GeometryError` rather than broadcasting against the point.
+    :class:`GeometryError` rather than broadcasting against the point.  A
+    non-tangent ``xi`` loses its normal component on the fixed-rank manifold.
     """
     return point.manifold.retract(point, point.manifold._check_ambient(xi))
 

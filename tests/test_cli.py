@@ -252,6 +252,7 @@ MALFORMED_CONFIGS = {
     "non-numeric rmc rank": ("solve", {"problem": {"kind": "rmc", "m": 6, "n": 5, "r": "x",
                                                    "density": 0.1, "magnitude": 0.5}}),
     "missing data file": ("solve", {"problem": {"kind": "rmc", "data": "missing.csv", "r": 3}}),
+    "non-string data path": ("solve", {"problem": {"kind": "rmc", "data": 5, "r": 3}}),
     "non-numeric seed": ("solve", {"output": {"seed": "x"}}),
     "output not an object": ("solve", {"output": [1]}),
     "solver not an object": ("solve", {"solver": [1]}),

@@ -140,11 +140,74 @@ class TestRetract:
     def test_rank_drop_raises(self):
         man = FixedRank(2, 2, 1)
         e1 = np.array([[1.0], [0.0]])
-        X = man.point_from_factors(e1, np.array([1.0]), e1)
-        # step straight to the rank-0 matrix
-        xi = man.project(X, -X.X)
-        with pytest.raises(RankDropError):
-            retract(X, xi)
+        points = [man.point_from_factors(e1, np.array([1.0]), e1),
+                  FixedRank(30, 40, 3).random_point(np.random.default_rng(2))]
+        for X in points:
+            # step straight to the rank-0 matrix
+            xi = X.manifold.project(X, -X.X)
+            with pytest.raises(RankDropError):
+                retract(X, xi)
+
+    def test_fixed_rank_matches_truncated_svd(self):
+        # written-out metric projection: rank-r truncation of a dense SVD
+        man = FixedRank(30, 40, 3)
+        rng = np.random.default_rng(21)
+        for trial in range(4):
+            X = man.random_point(rng)
+            xi = random_tangent(X, 70 + trial)
+            for t in (1e-6, 1e-2, 1.0, 10.0):
+                W, s, Vt = np.linalg.svd(X.X + t * xi)
+                expect = (W[:, :3] * s[:3]) @ Vt[:3]
+                out = retract(X, t * xi)
+                man.check_point(out)
+                err = np.linalg.norm(out.X - expect) / np.linalg.norm(expect)
+                assert err <= 1e-10, (trial, t, err)
+
+    def test_fixed_rank_tangent_inside_column_and_row_space(self):
+        # xi = U M V^T has Up = Vp = 0, so [U Up] and [V Vp] are rank-deficient
+        man = FixedRank(30, 40, 3)
+        rng = np.random.default_rng(8)
+        X = man.random_point(rng)
+        U, _, V = X.factors
+        xi = U @ (0.3 * rng.standard_normal((3, 3))) @ V.T
+        out = retract(X, xi)
+        man.check_point(out)
+        np.testing.assert_allclose(out.X, X.X + xi, atol=1e-12)
+
+    def test_fixed_rank_near_rank_drop_keeps_factors_orthonormal(self):
+        # The step shrinks sigma_r to ~1e-9 and adds a normal part of the same
+        # size, so the new r-th singular vector mixes u_r with a direction
+        # whose computed Up carries rounding along U: an orthonormal basis of
+        # Up alone would not be orthogonal to U.
+        man = FixedRank(30, 40, 3)
+        rng = np.random.default_rng(13)
+        X = man.random_point(rng)
+        U, s, V = X.factors
+        p = rng.standard_normal(30)
+        p -= U @ (U.T @ p)
+        p /= np.linalg.norm(p)
+        xi = np.outer(-(s[2] - 1e-9) * U[:, 2] + 1e-9 * p, V[:, 2])
+        out = retract(X, xi)
+        man.check_point(out)
+        np.testing.assert_allclose(out.X, X.X + xi, atol=1e-12)
+        assert abs(out.factors[1][2] - np.sqrt(2) * 1e-9) <= 1e-12
+
+    def test_fixed_rank_svd_stays_in_the_core(self, monkeypatch):
+        # structural: no SVD larger than the 2r x 2r core, no dense m x n SVD
+        man = FixedRank(30, 40, 3)
+        X = man.random_point(np.random.default_rng(6))
+        xi = random_tangent(X, 1)
+        shapes = []
+        svd = np.linalg.svd
+
+        def recording_svd(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        for t in (1e-3, 1.0):
+            retract(X, t * xi)
+        assert shapes and all(max(shape) <= 2 * man.r for shape in shapes), shapes
 
     @pytest.mark.parametrize("man", MANIFOLDS, ids=lambda m: m.name + str(m.ambient_shape))
     def test_rejects_wrongly_shaped_tangent(self, man):
