@@ -21,13 +21,16 @@ import numpy as np
 import scipy.linalg
 
 from . import lagrangian
+from .convex import ENUM_CAP
 from .geometry import ManifoldPoint
 from .lagrangian import ProblemSpec
 
 NULLSPACE_TOL = 1e-10
+# A certificate holds when its minimum eigenvalue exceeds CERT_TOL.
 CERT_TOL = 1e-9
+# Subgradient and activity tolerance of the critical cone.
+CONE_TOL = 1e-8
 MAX_DENSE_DIM = 4000
-ENUM_CAP = 12
 
 
 class CertifyError(ValueError):
@@ -48,13 +51,12 @@ class Certificate:
     elements_checked: int = 1
     partial: bool = False
     degenerate: bool = False
-    tol: float = CERT_TOL
 
     @property
     def verdict(self) -> str:
         if self.degenerate:
             return "holds"
-        return "holds" if self.min_eig > self.tol else "fails"
+        return "holds" if self.min_eig > CERT_TOL else "fails"
 
     @property
     def holds(self) -> bool:
@@ -65,12 +67,7 @@ def _stack(vectors: Sequence[np.ndarray]) -> np.ndarray:
     return np.stack([v.ravel() for v in vectors])
 
 
-def critical_cone_basis(
-    P: ProblemSpec,
-    X: ManifoldPoint,
-    y: np.ndarray,
-    tol: float = 1e-8,
-) -> list:
+def critical_cone_basis(P: ProblemSpec, X: ManifoldPoint, y: np.ndarray) -> list:
     """Orthonormal basis of aff(critical cone) intersected with T_X M, as a
     list of ambient-shape tangent vectors.
 
@@ -78,15 +75,15 @@ def critical_cone_basis(
     entry where ``g(X)`` vanishes and the multiplier is strictly inside
     its box; tangent directions must satisfy those linear constraints
     under Dg(X).  Requires ``y`` to be a subgradient at ``g(X)`` up to
-    ``tol``.
+    ``CONE_TOL``.
     """
     z = P.g_value(X.X)
-    if not P.theta.in_subdifferential(z, y, tol=tol):
+    if not P.theta.in_subdifferential(z, y, tol=CONE_TOL):
         raise StationarityError(
             "multiplier is not in the subdifferential at g(X); the critical cone is undefined"
         )
     mu = P.theta.mu
-    constrained = (np.abs(z) <= tol) & (np.abs(y) < mu - tol)
+    constrained = (np.abs(z) <= CONE_TOL) & (np.abs(y) < mu - CONE_TOL)
     basis = X.manifold.tangent_basis(X)
     if not np.any(constrained):
         return basis
@@ -110,22 +107,16 @@ def _quadratic_form(apply_op, basis: Sequence[np.ndarray]) -> np.ndarray:
     return 0.5 * (B + B.T)
 
 
-def mssosc_certificate(
-    P: ProblemSpec,
-    X: ManifoldPoint,
-    y: np.ndarray,
-    tol: float = CERT_TOL,
-    cone_tol: float = 1e-8,
-) -> Certificate:
+def mssosc_certificate(P: ProblemSpec, X: ManifoldPoint, y: np.ndarray) -> Certificate:
     """Minimum eigenvalue of the Lagrangian Hessian on the critical-cone
     affine hull; positive means the second-order sufficient condition
     holds at ``(X, y)``."""
-    basis = critical_cone_basis(P, X, y, tol=cone_tol)
+    basis = critical_cone_basis(P, X, y)
     if not basis:
-        return Certificate("mssosc", math.inf, 0, degenerate=True, tol=tol)
+        return Certificate("mssosc", math.inf, 0, degenerate=True)
     B = _quadratic_form(lagrangian.lagrangian_hess_operator(P, X, y), basis)
     w = scipy.linalg.eigvalsh(B)
-    return Certificate("mssosc", float(w[0]), len(basis), tol=tol)
+    return Certificate("mssosc", float(w[0]), len(basis))
 
 
 def genhess_min_eig(
@@ -134,7 +125,6 @@ def genhess_min_eig(
     X: ManifoldPoint,
     y: np.ndarray,
     enumerate_elements: bool = False,
-    tol: float = CERT_TOL,
 ) -> Certificate:
     """Minimum eigenvalue of the generalized augmented Hessian on T_X M.
 
@@ -155,7 +145,7 @@ def genhess_min_eig(
     b = base_jac.boundary_count
     partial = False
     if enumerate_elements and b <= ENUM_CAP:
-        jacs = P.theta.extreme_prox_jacobians(1.0 / rho, p, cap=ENUM_CAP)
+        jacs = P.theta.extreme_prox_jacobians(1.0 / rho, p)
     else:
         jacs = [base_jac]
         partial = b > 0
@@ -171,7 +161,6 @@ def genhess_min_eig(
         boundary_count=b,
         elements_checked=len(jacs),
         partial=partial,
-        tol=tol,
     )
 
 

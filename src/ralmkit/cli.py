@@ -22,7 +22,7 @@ import math
 import operator
 import os
 import sys
-from typing import Optional
+from typing import Optional, get_type_hints
 
 import numpy as np
 
@@ -130,20 +130,41 @@ def build_problem(cfg: dict, seed: Optional[int]):
     raise ConfigError(f"unknown problem kind {kind!r}")
 
 
+# Conversion of a JSON value to the annotated type of a config field.
+_CONVERT = {int: operator.index, float: float,
+            Optional[float]: lambda v: None if v is None else float(v)}
+
+
+def _typed(cls, block: dict, **nested):
+    """``cls(**block, **nested)`` with each value of ``block`` converted by its
+    field's annotation; ``cls`` rejects an unknown field."""
+    hints = get_type_hints(cls)
+    kwargs = dict(nested)
+    for name, value in block.items():
+        try:
+            kwargs[name] = _CONVERT.get(hints.get(name), lambda v: v)(value)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"field {name!r}: {exc}") from None
+    return cls(**kwargs)
+
+
 def build_solver_config(cfg: dict) -> ralm.RalmConfig:
     block = dict(cfg.get("solver", {}))
     newton_block = block.pop("newton", {})
+    if not isinstance(newton_block, dict):
+        raise ConfigError("'solver' block field 'newton' must be a JSON object")
     with _fields_of("solver"):
-        return ralm.RalmConfig(newton=newton.NewtonConfig(**newton_block), **block)
+        return _typed(ralm.RalmConfig, block, newton=_typed(newton.NewtonConfig, newton_block))
 
 
-def write_svg(path: str, residuals, width: int = 640, height: int = 400) -> None:
+def write_svg(path: str, residuals) -> None:
     """Log-scale polyline plot of a residual history."""
     vals = [max(v, 1e-300) for v in residuals]
     logs = [math.log10(v) for v in vals]
     lo, hi = min(logs), max(logs)
     if hi - lo < 1e-12:
         hi = lo + 1.0
+    width, height = 640, 400
     mL, mR, mT, mB = 60, 20, 20, 40
     W, Hh = width - mL - mR, height - mT - mB
     pts = []

@@ -17,6 +17,8 @@ from typing import List
 import numpy as np
 
 BOUNDARY_TOL = 1e-12
+# Most boundary entries whose 2^b extreme Jacobians are enumerated.
+ENUM_CAP = 12
 
 
 class ConvexError(ValueError):
@@ -29,8 +31,8 @@ class ProxJacobian:
 
     For the l1 norm this is a diagonal 0/1 mask: 1 wherever
     ``|p_ij| > t*mu``, 0 wherever ``|p_ij| < t*mu``.  ``boundary`` marks
-    the tie entries ``|p_ij| = t*mu`` (within ``BOUNDARY_TOL``) where the
-    recorded convention bit was applied.
+    the tie entries ``|p_ij| = t*mu`` (within ``BOUNDARY_TOL``).  The
+    element :meth:`L1Norm.prox_jacobian` returns sets them to 0.
     """
 
     mask: np.ndarray
@@ -65,32 +67,28 @@ class L1Norm:
         p = np.asarray(p, dtype=float)
         return np.sign(p) * np.maximum(np.abs(p) - t * self.mu, 0.0)
 
-    def prox_jacobian(self, t: float, p: np.ndarray, boundary_value: int = 0) -> ProxJacobian:
+    def prox_jacobian(self, t: float, p: np.ndarray) -> ProxJacobian:
+        """The convention element: 0 on the boundary entries."""
         if t <= 0:
             raise ConvexError(f"prox parameter must be positive, got {t}")
-        if boundary_value not in (0, 1):
-            raise ConvexError("boundary convention bit must be 0 or 1")
         p = np.asarray(p, dtype=float)
         gap = np.abs(p) - t * self.mu
         boundary = np.abs(gap) <= BOUNDARY_TOL
         mask = (gap > 0).astype(float)
-        if boundary_value == 1:
-            mask[boundary] = 1.0
-        else:
-            mask[boundary] = 0.0
+        mask[boundary] = 0.0
         return ProxJacobian(mask=mask, boundary=boundary)
 
-    def extreme_prox_jacobians(self, t: float, p: np.ndarray, cap: int = 12) -> List[ProxJacobian]:
+    def extreme_prox_jacobians(self, t: float, p: np.ndarray) -> List[ProxJacobian]:
         """All extreme B-subdifferential elements of the prox at ``p``.
 
         One element per 0/1 assignment of the boundary entries, so the
-        count is 2^b; refuses to enumerate past ``2**cap`` elements.
+        count is 2^b; refuses to enumerate past ``2**ENUM_CAP`` elements.
         """
-        base = self.prox_jacobian(t, p, boundary_value=0)
+        base = self.prox_jacobian(t, p)
         idx = np.argwhere(base.boundary)
         b = len(idx)
-        if b > cap:
-            raise ConvexError(f"{b} boundary entries exceed the enumeration cap of {cap}")
+        if b > ENUM_CAP:
+            raise ConvexError(f"{b} boundary entries exceed the enumeration cap of {ENUM_CAP}")
         out = []
         for bits in itertools.product((0.0, 1.0), repeat=b):
             mask = base.mask.copy()

@@ -27,7 +27,8 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.linalg
 
-# Library-wide numerical constants.  Overridable per call where it matters.
+# Library-wide numerical constants: the orthonormality tolerance of points
+# and factors, and the floor of a fixed-rank point's smallest singular value.
 ORTHO_TOL = 1e-12
 RANK_TOL = 1e-12
 
@@ -220,13 +221,10 @@ class FixedRank(Manifold):
 
     name = "fixed-rank"
 
-    def __init__(self, m: int, n: int, r: int, rank_tol: float = RANK_TOL):
+    def __init__(self, m: int, n: int, r: int):
         if not 1 <= r <= min(m, n):
             raise GeometryError(f"need 1 <= r <= min(m, n), got {m}x{n}, r={r}")
-        if rank_tol <= 0:
-            raise GeometryError("rank threshold must be positive")
         self.m, self.n, self.r = int(m), int(n), int(r)
-        self.rank_tol = float(rank_tol)
         self.ambient_shape = (self.m, self.n)
 
     def dim(self) -> int:
@@ -246,16 +244,15 @@ class FixedRank(Manifold):
         X = (U * s) @ V.T
         return ManifoldPoint(self, _readonly(X), factors=(_readonly(U), _readonly(s), _readonly(V)))
 
-    def point_from_ambient(self, Z: np.ndarray, rank_tol: Optional[float] = None) -> ManifoldPoint:
+    def point_from_ambient(self, Z: np.ndarray) -> ManifoldPoint:
         Z = self._check_ambient(Z)
-        tol = self.rank_tol if rank_tol is None else rank_tol
-        return self.point_from_factors(*self._truncate(*np.linalg.svd(Z, full_matrices=False), tol))
+        return self.point_from_factors(*self._truncate(*np.linalg.svd(Z, full_matrices=False)))
 
-    def _truncate(self, W, s, Vt, tol: float) -> tuple:
+    def _truncate(self, W, s, Vt) -> tuple:
         """Factors ``(U, s, V)`` of the rank-r truncation of the SVD ``W diag(s) Vt``."""
-        if s[self.r - 1] <= tol:
+        if s[self.r - 1] <= RANK_TOL:
             raise RankDropError(
-                f"sigma_{self.r} = {s[self.r - 1]:.3e} <= {tol:.1e}: rank below r"
+                f"sigma_{self.r} = {s[self.r - 1]:.3e} <= {RANK_TOL:.1e}: rank below r"
             )
         return W[:, : self.r], s[: self.r], Vt[: self.r].T
 
@@ -297,14 +294,14 @@ class FixedRank(Manifold):
         Qu, Ru = np.linalg.qr(np.hstack([U, Up]))
         Qv, Rv = np.linalg.qr(np.hstack([V, Vp]))
         core = Ru @ np.block([[np.diag(s) + M, I], [I, O]]) @ Rv.T
-        Uc, sc, Vc = self._truncate(*np.linalg.svd(core), self.rank_tol)
+        Uc, sc, Vc = self._truncate(*np.linalg.svd(core))
         return self.point_from_factors(Qu @ Uc, sc, Qv @ Vc)
 
     def hess_operator(self, point, egrad) -> Callable:
         # Projected Euclidean Hessian plus the sigma-weighted curvature terms;
         # the correction only sees the normal component of the gradient.
         U, s, V = point.factors
-        if s[-1] <= self.rank_tol:
+        if s[-1] <= RANK_TOL:
             raise GeometryError("singular values below tolerance: curvature term ill-conditioned")
         egrad = self._check_ambient(egrad)
         N = egrad - U @ (U.T @ egrad)

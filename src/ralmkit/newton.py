@@ -4,7 +4,7 @@ subproblem ``min_x l_rho(x, y)`` at fixed multiplier and penalty.
 Each iteration solves the shifted generalized-Newton system
 
     (G_k + omega_k I) V = -grad l_rho(x_k, y),
-    omega_k = |grad|^nu_bar,  residual tolerance min(eta_k, |grad|^(1+nu_bar)),
+    omega_k = |grad|^NU_BAR,  residual tolerance min(1/(k+1)^2, |grad|^(1+NU_BAR)),
 
 by conjugate gradients on the tangent space, falls back to the steepest
 descent direction whenever the candidate fails the sufficient-descent
@@ -32,40 +32,31 @@ class NewtonError(RuntimeError):
     pass
 
 
-def _default_eta(k: int) -> float:
-    return 1.0 / (k + 1.0) ** 2
+# Fixed parameters of the inner iteration, from common semismooth Newton
+# practice where only their ranges are prescribed.
+NU_BAR = 1.0  # CG shift omega_k = |grad|^NU_BAR, in (0, 1]
+MU_LS = 1e-4  # Armijo constant, in (0, 1/2)
+DELTA = 0.5  # backtracking factor, in (0, 1)
+M_MAX = 40  # backtracks per line search
+# A direction V passes if <-grad, V> >= min(BETA0, BETA1 |V|^DESCENT_POWER) |V|^2.
+# BETA0 <= 1 makes the steepest-descent fallback always pass this test.
+BETA0 = 1e-6
+BETA1 = 1e-6
+DESCENT_POWER = 2.0
 
 
 @dataclass
 class NewtonConfig:
-    """Tunables of the inner solver; defaults follow common semismooth
-    Newton practice where only parameter ranges are prescribed."""
+    """Iteration budgets and the gradient-norm stopping tolerance of the
+    inner solver."""
 
-    nu_bar: float = 1.0
-    eta: Callable[[int], float] = _default_eta
-    mu_ls: float = 1e-4
-    delta: float = 0.5
-    beta0: float = 1e-6
-    beta1: float = 1e-6
-    p: float = 2.0
-    m_max: int = 40
     cg_max_iter: int = 500
     grad_tol: float = 1e-12
     max_iter: int = 200
 
     def __post_init__(self):
-        if not 0 < self.nu_bar <= 1:
-            raise ValueError("nu_bar must lie in (0, 1]")
-        if not 0 < self.mu_ls < 0.5:
-            raise ValueError("line-search parameter must lie in (0, 1/2)")
-        if not 0 < self.delta < 1:
-            raise ValueError("backtracking factor must lie in (0, 1)")
-        # beta0 <= 1 makes the steepest-descent fallback always pass the
-        # sufficient-descent test.
-        if not 0 < self.beta0 <= 1 or self.beta1 <= 0 or self.p <= 0:
-            raise ValueError("need 0 < beta0 <= 1, beta1 > 0, p > 0")
-        if self.m_max < 1 or self.max_iter < 0 or self.cg_max_iter < 1:
-            raise ValueError("iteration limits must be positive")
+        if self.max_iter < 0 or self.cg_max_iter < 1:
+            raise ValueError("need max_iter >= 0 and cg_max_iter >= 1")
 
 
 @dataclass
@@ -167,35 +158,35 @@ def ssn_minimize(
         if k == cfg.max_iter:
             return X, stats
 
-        omega = gnorm ** cfg.nu_bar
-        eta_cap = min(cfg.eta(k), gnorm ** (1.0 + cfg.nu_bar))
+        omega = gnorm ** NU_BAR
+        eta_cap = min(1.0 / (k + 1.0) ** 2, gnorm ** (1.0 + NU_BAR))
         apply_H = lagrangian.ghess_operator(P, rho, X, y)
         V, cg = cg_solve(apply_H, omega, -grad, eta_cap, cfg.cg_max_iter)
         stats.cg_iterations += cg.iterations
 
         vnorm = float(np.linalg.norm(V))
         descent = np.vdot(-grad, V)
-        if vnorm == 0.0 or descent < min(cfg.beta0, cfg.beta1 * vnorm ** cfg.p) * vnorm ** 2:
+        if vnorm == 0.0 or descent < min(BETA0, BETA1 * vnorm ** DESCENT_POWER) * vnorm ** 2:
             V = -grad
             stats.fallbacks += 1
             log.debug("iter %d: gradient fallback (cg indefinite=%s)", k, cg.indefinite)
 
         slope = np.vdot(grad, V)
         accepted = False
-        for m in range(cfg.m_max + 1):
-            step = cfg.delta ** m
+        for m in range(M_MAX + 1):
+            step = DELTA ** m
             try:
                 X_new = geometry.retract(X, step * V)
             except RankDropError:
                 stats.rank_drop_retries += 1
                 continue
             val_new = lagrangian.auglag_value(P, rho, X_new, y)
-            if val_new <= val + cfg.mu_ls * step * slope:
+            if val_new <= val + MU_LS * step * slope:
                 accepted = True
                 break
         if not accepted:
             stats.line_search_failed = True
-            log.warning("iter %d: %d backtracks exhausted, returning best iterate", k, cfg.m_max)
+            log.warning("iter %d: %d backtracks exhausted, returning best iterate", k, M_MAX)
             return X, stats
 
         X, val = X_new, val_new

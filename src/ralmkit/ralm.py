@@ -172,14 +172,14 @@ def ralm_solve(
         # summable schedule.
         eps_k = max(cfg.eps0 * cfg.kappa ** (k - 1), cfg.eps_min)
 
-        def stop(Xc, grad, _rho=rho, _rt=rho_tilde, _eps=eps_k):
+        def stop(Xc, grad):
             gnorm = np.linalg.norm(grad)
             # Criteria 'b'/'c' depend on the dual step at the current
             # iterate, so the threshold is re-evaluated every inner step.
-            dual_step = _rt * float(
-                np.linalg.norm(lagrangian.auglag_dual_grad(P, _rho, Xc, y))
+            dual_step = rho_tilde * float(
+                np.linalg.norm(lagrangian.auglag_dual_grad(P, rho, Xc, y))
             )
-            thr = inner_threshold(cfg.criterion, _eps, _rt, dual_step)
+            thr = inner_threshold(cfg.criterion, eps_k, rho_tilde, dual_step)
             ok = gnorm <= thr
             if cfg.exact_c is not None:
                 ok = ok and gnorm <= cfg.exact_c * dual_step

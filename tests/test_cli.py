@@ -245,6 +245,20 @@ class TestRateAndGradcheck:
         code = main(["gradcheck", "--config", cfg, "--samples", "5"])
         assert code == EXIT_OK
 
+    @pytest.mark.parametrize("seed", [2, 5])
+    def test_gradcheck_rmc_above_rounding_noise(self, tmp_path, capsys, seed):
+        # A two-point gradient stencil at h = 1e-6 read 1.4e-5 (seed 2) and
+        # 1.7e-5 (seed 5) here: rounding noise above the 1e-5 gate.
+        cfg = write_config(
+            tmp_path,
+            problem={"kind": "rmc", "m": 200, "n": 300, "r": 5, "mu": 1.0,
+                     "density": 0.05, "magnitude": 0.5},
+            output={"seed": seed},
+        )
+        code = main(["gradcheck", "--config", cfg, "--samples", "3"])
+        assert code == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["grad_max_rel_err"] <= 1e-6
+
 
 MALFORMED_CONFIGS = {
     "non-numeric field": ("solve", {"problem": {"n": "abc"}}),
@@ -257,6 +271,12 @@ MALFORMED_CONFIGS = {
     "output not an object": ("solve", {"output": [1]}),
     "solver not an object": ("solve", {"solver": [1]}),
     "non-numeric certify field": ("certify", {"certify": {"rho": "x"}}),
+    "fractional max_outer": ("solve", {"solver": {"max_outer": 2.5}}),
+    "null kkt_tol": ("solve", {"solver": {"kkt_tol": None}}),
+    "fractional newton max_iter": ("solve", {"solver": {"newton": {"max_iter": 2.5}}}),
+    "fractional newton cg_max_iter": ("solve", {"solver": {"newton": {"cg_max_iter": 3.5}}}),
+    "non-numeric newton grad_tol": ("solve", {"solver": {"newton": {"grad_tol": "x"}}}),
+    "removed newton eta": ("solve", {"solver": {"newton": {"eta": 0.1}}}),
 }
 
 

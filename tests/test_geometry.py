@@ -91,6 +91,16 @@ class TestTangentProject:
         with pytest.raises(GeometryError):
             man.project(X, np.zeros((3, 3)))
 
+    @pytest.mark.parametrize("man", MANIFOLDS, ids=lambda m: m.name + str(m.ambient_shape))
+    def test_tangent_basis_orthonormal(self, man):
+        X = man.random_point(np.random.default_rng(13))
+        basis = man.tangent_basis(X)
+        assert len(basis) == man.dim()
+        B = np.stack([v.ravel() for v in basis])
+        np.testing.assert_allclose(B @ B.T, np.eye(man.dim()), rtol=0, atol=1e-12)
+        for v in basis:
+            np.testing.assert_allclose(man.project(X, v), v, rtol=0, atol=1e-12)
+
 
 class TestRetract:
     @pytest.mark.parametrize("man", MANIFOLDS, ids=lambda m: m.name + str(m.ambient_shape))

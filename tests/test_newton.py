@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import euclidean_quadratic_problem
-from ralmkit import geometry, lagrangian
+from ralmkit import geometry, lagrangian, newton
 from ralmkit.newton import NewtonConfig, NewtonError, cg_solve, ssn_minimize
 
 
@@ -82,22 +82,18 @@ class TestCg:
 class TestConfigValidation:
     def test_ranges(self):
         with pytest.raises(ValueError):
-            NewtonConfig(nu_bar=0.0)
+            NewtonConfig(max_iter=-1)
         with pytest.raises(ValueError):
-            NewtonConfig(mu_ls=0.5)
-        with pytest.raises(ValueError):
-            NewtonConfig(delta=1.0)
-        with pytest.raises(ValueError):
-            NewtonConfig(beta0=2.0)
+            NewtonConfig(cg_max_iter=0)
 
     def test_fallback_direction_always_passes_descent_test(self):
         # <-g, -g> = |g|^2 >= min(beta0, beta1 |g|^p) |g|^2 whenever beta0 <= 1
-        cfg = NewtonConfig()
+        assert newton.BETA0 <= 1
         rng = np.random.default_rng(2)
         for _ in range(100):
             gnorm = float(rng.uniform(1e-8, 1e3))
             lhs = gnorm ** 2
-            rhs = min(cfg.beta0, cfg.beta1 * gnorm ** cfg.p) * gnorm ** 2
+            rhs = min(newton.BETA0, newton.BETA1 * gnorm ** newton.DESCENT_POWER) * gnorm ** 2
             assert lhs >= rhs
 
 
