@@ -26,7 +26,7 @@ from typing import Optional, get_type_hints
 
 import numpy as np
 
-from . import bench, certify, geometry, lagrangian, newton, ralm
+from . import bench, certify, geometry, lagrangian, newton, oracles, ralm
 from .bench import ParseError
 
 log = logging.getLogger("ralmkit.cli")
@@ -278,11 +278,9 @@ def cmd_rate(args) -> int:
 def cmd_gradcheck(args) -> int:
     cfg = load_config(args.config)
     P, X0, _ = build_problem(cfg, args.seed)
-    from .oracles import gradient_check, hessian_check
-
     seed = args.seed if args.seed is not None else cfg.get("output", {}).get("seed", 0)
-    gerr = gradient_check(P, samples=args.samples, seed=seed)
-    herr = hessian_check(P, samples=args.samples, seed=seed)
+    gerr = oracles.gradient_check(P, samples=args.samples, seed=seed)
+    herr = oracles.hessian_check(P, samples=args.samples, seed=seed)
     print(json.dumps({"grad_max_rel_err": gerr, "hess_max_rel_err": herr}))
     return EXIT_OK if gerr <= 1e-5 and herr <= 1e-3 else EXIT_ERROR
 
@@ -328,7 +326,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ConfigError, ParseError, bench.BenchError, OSError, geometry.GeometryError,
             lagrangian.LagrangianError, certify.CertifyError, ralm.RalmError,
-            newton.NewtonError) as exc:
+            newton.NewtonError, oracles.OracleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -38,7 +38,9 @@ class ProblemSpec:
     * ``g_jvp(X, xi)`` / ``g_vjp(X, w)`` -- the differential of g and its
       adjoint,
     * ``gy_ehess(X, y, xi)`` -- Euclidean Hessian-vector of ``<y, g(.)>``
-      at fixed y (zero whenever g is affine).
+      at fixed y, or ``None`` when g is affine (the term is then zero).
+
+    No callback result is written into, so ``f_ehess`` may return ``xi``.
     """
 
     manifold: Manifold
@@ -48,7 +50,7 @@ class ProblemSpec:
     g_value: Callable[[np.ndarray], np.ndarray]
     g_jvp: Callable[[np.ndarray, np.ndarray], np.ndarray]
     g_vjp: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    gy_ehess: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+    gy_ehess: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]]
     theta: L1Norm
     name: str = "problem"
 
@@ -99,6 +101,8 @@ def lagrangian_hess_operator(P: ProblemSpec, X: ManifoldPoint, y: np.ndarray) ->
     """Riemannian Hessian of L(., y) at fixed y, prepared at ``X``:
     returns ``xi -> Hess xi``."""
     rhess = X.manifold.hess_operator(X, P.f_egrad(X.X) + P.g_vjp(X.X, y))
+    if P.gy_ehess is None:
+        return lambda xi: rhess(P.f_ehess(X.X, xi), xi)
     return lambda xi: rhess(P.f_ehess(X.X, xi) + P.gy_ehess(X.X, y, xi), xi)
 
 
@@ -119,10 +123,10 @@ def ghess_operator(
     if jac is None:
         jac = P.theta.prox_jacobian(1.0 / rho, p)
     smooth = lagrangian_hess_operator(P, X, P.theta.moreau_grad(rho, p))
+    G = rho * (1.0 - jac.mask)  # G w equals rho (w - mask w) exactly: mask is 0/1
 
     def apply(xi):
-        w = P.g_jvp(X.X, xi)
-        return smooth(xi) + X.manifold.project(X, P.g_vjp(X.X, rho * (w - jac.apply(w))))
+        return smooth(xi) + X.manifold.project(X, P.g_vjp(X.X, G * P.g_jvp(X.X, xi)))
 
     return apply
 

@@ -89,7 +89,8 @@ def cg_solve(
 
     Vectors are ambient-shape arrays with the Frobenius inner product;
     ``apply_H`` must be self-adjoint.  Exits early with the current
-    iterate flagged when nonpositive curvature is detected.
+    iterate flagged when nonpositive curvature is detected.  Never writes
+    into ``b`` or into an array that ``apply_H`` returns.
     """
     if omega < 0:
         raise ValueError("shift must be nonnegative")
@@ -99,11 +100,11 @@ def cg_solve(
     if bnorm == 0.0:
         info.converged = True
         return x, info
-    r = b
-    d = r
+    r, d, Hd = b.astype(float), b.astype(float), np.empty(b.shape)
     rr = np.vdot(r, r)
     for it in range(max_iter):
-        Hd = apply_H(d) + omega * d
+        np.multiply(omega, d, out=Hd)
+        Hd += apply_H(d)
         dHd = np.vdot(d, Hd)
         # A non-finite entry of Hd makes dHd non-finite, also where d is 0.
         if not math.isfinite(dHd):
@@ -114,14 +115,15 @@ def cg_solve(
             info.iterations = it
             return x, info
         alpha = rr / dHd
-        x = x + alpha * d
-        r = r - alpha * Hd
+        x += alpha * d
+        r -= alpha * Hd
         rr_new = np.vdot(r, r)
         info.iterations = it + 1
         if math.sqrt(rr_new) <= tol:
             info.converged = True
             return x, info
-        d = r + (rr_new / rr) * d
+        d *= rr_new / rr
+        d += r
         rr = rr_new
     return x, info
 

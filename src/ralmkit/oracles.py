@@ -19,6 +19,10 @@ from .geometry import ManifoldPoint
 from .lagrangian import ProblemSpec
 
 
+class OracleError(ValueError):
+    pass
+
+
 # Penalty at which the derivative checks run.
 CHECK_RHO = 1.0
 # Step of the four-point gradient stencil, whose error is O(h^4) truncation
@@ -81,6 +85,8 @@ def _stable_sample(
 def gradient_check(P: ProblemSpec, samples: int = 20, seed: int = 0) -> float:
     """Max relative error of the augmented-Lagrangian gradient against
     central differences of its value along retraction curves."""
+    if samples < 1:
+        raise OracleError(f"need samples >= 1, got {samples}")
     rho = CHECK_RHO
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -96,6 +102,8 @@ def gradient_check(P: ProblemSpec, samples: int = 20, seed: int = 0) -> float:
 def hessian_check(P: ProblemSpec, samples: int = 20, seed: int = 0) -> float:
     """Max relative error of generalized Hessian-vector products against
     differenced gradients along retraction curves (kink-free samples)."""
+    if samples < 1:
+        raise OracleError(f"need samples >= 1, got {samples}")
     rho, h = CHECK_RHO, HESS_STEP
     rng = np.random.default_rng(seed)
     worst = 0.0

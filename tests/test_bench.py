@@ -59,10 +59,50 @@ class TestHamiltonian:
             build_cm(4, 2, -1.0, 1.0)
 
 
+class TestStencil:
+    @pytest.mark.parametrize("n", [3, 4, 7, 200])
+    @pytest.mark.parametrize("length", [2.0, 3.0, 50.0])
+    def test_matches_dense_hamiltonian(self, n, length):
+        # Bit-for-bit agreement with a dense BLAS product depends on the BLAS
+        # build (FMA), so this compares to rounding only.
+        H = cm_hamiltonian(n, length)
+        r = min(n, 3)
+        P = build_cm(n, r, 0.3, length)
+        rng = np.random.default_rng(n)
+
+        def rel(got, ref):
+            return np.linalg.norm(got - ref) / np.linalg.norm(ref)
+
+        for _ in range(3):
+            X = P.manifold.random_point(rng).X
+            xi = rng.standard_normal((n, r))
+            assert rel(P.f_value(X), np.sum(X * (H @ X))) <= 1e-13
+            assert rel(P.f_egrad(X), 2.0 * (H @ X)) <= 1e-13
+            assert rel(P.f_ehess(X, xi), 2.0 * (H @ xi)) <= 1e-13
+
+    def test_builds_no_dense_matrix(self, monkeypatch):
+        def refuse(n, length):
+            raise AssertionError("build_cm built the dense n x n Hamiltonian")
+
+        monkeypatch.setattr(bench, "cm_hamiltonian", refuse)
+        P = build_cm(200, 5, 0.3, 50.0)
+        X = P.manifold.random_point(np.random.default_rng(0)).X
+        assert P.f_value(X) > 0.0
+        assert P.f_egrad(X).shape == P.f_ehess(X, X).shape == (200, 5)
+
+
 class TestBuilders:
     def test_cm_derivative_checks(self):
         P = build_cm(7, 3, 0.4, 3.0)
         assert oracles.gradient_check(P, samples=5, seed=0) <= 1e-6
+
+    def test_checks_need_a_sample(self):
+        P = build_cm(7, 3, 0.4, 3.0)
+        for samples in (0, -3):
+            with pytest.raises(ValueError, match="samples"):
+                oracles.gradient_check(P, samples=samples)
+            with pytest.raises(ValueError, match="samples"):
+                oracles.hessian_check(P, samples=samples)
 
     def test_rmc_derivative_checks(self, rmc_fixture):
         assert oracles.gradient_check(rmc_fixture.problem, samples=5, seed=1) <= 1e-6

@@ -245,6 +245,15 @@ class TestRateAndGradcheck:
         code = main(["gradcheck", "--config", cfg, "--samples", "5"])
         assert code == EXIT_OK
 
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_gradcheck_without_samples(self, tmp_path, capsys, samples):
+        cfg = write_config(tmp_path)
+        code = main(["gradcheck", "--config", cfg, "--samples", samples])
+        assert code == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "samples" in captured.err
+
     @pytest.mark.parametrize("seed", [2, 5])
     def test_gradcheck_rmc_above_rounding_noise(self, tmp_path, capsys, seed):
         # A two-point gradient stencil at h = 1e-6 read 1.4e-5 (seed 2) and

@@ -1,10 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from conftest import euclidean_l1_problem, euclidean_quadratic_problem
 from ralmkit import bench, geometry, oracles
+from ralmkit.convex import L1Norm
 from ralmkit.lagrangian import (
     LagrangianError,
+    ProblemSpec,
     auglag_dual_grad,
     auglag_ghess_vec,
     auglag_rgrad,
@@ -166,7 +170,9 @@ def reference_rhess(X, egrad, ehess, xi):
 
 def reference_lagrangian_hess(P, X, y, xi):
     egrad = P.f_egrad(X.X) + P.g_vjp(X.X, y)
-    ehess = P.f_ehess(X.X, xi) + P.gy_ehess(X.X, y, xi)
+    ehess = P.f_ehess(X.X, xi)
+    if P.gy_ehess is not None:  # None: g is affine
+        ehess = ehess + P.gy_ehess(X.X, y, xi)
     return reference_rhess(X, egrad, ehess, xi)
 
 
@@ -199,6 +205,24 @@ def hessian_cases():
 CASE_IDS = ["stiefel", "fixed-rank", "euclidean"]
 
 
+def identity_hessian_case():
+    """A flat problem whose ``f_ehess`` returns its argument itself."""
+    rng = np.random.default_rng(12)
+    P = ProblemSpec(
+        manifold=geometry.Euclidean(4, 3),
+        f_value=lambda X: 0.5 * float(np.sum(X * X)),
+        f_egrad=lambda X: X,
+        f_ehess=lambda X, xi: xi,
+        g_value=lambda X: X,
+        g_jvp=lambda X, xi: xi,
+        g_vjp=lambda X, w: w,
+        gy_ehess=None,
+        theta=L1Norm(0.5),
+    )
+    X = P.manifold.random_point(rng)
+    return P, 2.0, X, rng.uniform(-0.5, 0.5, (4, 3))
+
+
 class TestPreparedHessian:
     @pytest.mark.parametrize("case", hessian_cases(), ids=CASE_IDS)
     def test_bit_identical_to_unprepared_reference(self, case):
@@ -213,7 +237,9 @@ class TestPreparedHessian:
             assert np.array_equal(auglag_ghess_vec(P, rho, X, y, xi), H(xi))
             assert np.array_equal(L(xi), reference_lagrangian_hess(P, X, y, xi))
 
-    @pytest.mark.parametrize("case", hessian_cases(), ids=CASE_IDS)
+    @pytest.mark.parametrize(
+        "case", hessian_cases() + [identity_hessian_case()], ids=CASE_IDS + ["returns-xi"]
+    )
     def test_reuse_neither_aliases_nor_mutates(self, case):
         P, rho, X, y = case
         H = ghess_operator(P, rho, X, y)
@@ -228,6 +254,18 @@ class TestPreparedHessian:
             snapshots.append(out.copy())
         for out, snap in zip(results, snapshots):
             assert np.array_equal(out, snap)
+
+    @pytest.mark.parametrize("case", hessian_cases()[:2], ids=CASE_IDS[:2])
+    def test_affine_g_skips_the_zero_term(self, case):
+        P, rho, X, y = case
+        assert P.gy_ehess is None
+        Z = dataclasses.replace(P, gy_ehess=lambda X, y, xi: np.zeros_like(xi))
+        for seed in range(3):
+            xi = geometry.random_tangent(X, 970 + seed)
+            assert np.array_equal(ghess_operator(P, rho, X, y)(xi),
+                                  ghess_operator(Z, rho, X, y)(xi))
+            assert np.array_equal(lagrangian_hess_operator(P, X, y)(xi),
+                                  lagrangian_hess_operator(Z, X, y)(xi))
 
 
 class TestMultiplierUpdate:

@@ -79,6 +79,17 @@ class TestCg:
             cg_solve(bad, 0.5, b, 1e-12, 10)
 
 
+    def test_operator_returning_its_argument(self):
+        # (I + I) v = b in one step, alpha = 1/2 exactly.  The HVP returns
+        # the direction itself, so writing into its result would corrupt d.
+        b = np.random.default_rng(3).standard_normal((6, 2))
+        b_before = b.copy()
+        x, info = cg_solve(lambda v: v, 1.0, b, 1e-12, 10)
+        assert info.converged and info.iterations == 1
+        assert np.array_equal(x, b / 2)
+        assert np.array_equal(b, b_before)
+
+
 class TestConfigValidation:
     def test_ranges(self):
         with pytest.raises(ValueError):

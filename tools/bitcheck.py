@@ -1,0 +1,135 @@
+"""Bit-identity check of the benchmark's results across two checkouts.
+
+    python3 tools/bitcheck.py dump OUT.npz [--root CHECKOUT]
+    python3 tools/bitcheck.py compare A.npz B.npz
+
+``dump`` runs every seed-0 operation of ``perfbench/workloads.py``'s
+``SETUPS`` with BLAS pinned to one thread, importing ``ralmkit`` from
+``CHECKOUT/src`` and the workloads from ``CHECKOUT/perfbench`` (default: the
+checkout that holds this file; nothing there is written).  It saves, per
+operation, every array a result holds:
+
+* a solve: the final ``X`` and ``y``, every ``IterateRecord`` row, every
+  inner objective trace and the ``NewtonStats`` counts;
+* a certificate: its fields (``min_eig``, ``subspace_dim``,
+  ``boundary_count``, ...).
+
+``compare`` prints, per operation, ``IDENTICAL`` or the first field whose
+bytes differ with its max abs difference, and exits 1 on any difference.
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import sys
+from pathlib import Path
+
+# NumPy is imported inside the functions: `dump` must pin BLAS threads first.
+ROOT = Path(__file__).resolve().parent.parent
+STAT_COUNTS = ("iterations", "cg_iterations", "fallbacks", "rank_drop_retries",
+               "line_search_failed", "stopped")
+
+
+def _import(root: Path):
+    """Import ``root``'s workloads and ``ralmkit`` from ``root/src`` the way
+    the benchmark does: BLAS pinned to one thread, solver warnings off."""
+    sys.path.insert(0, str(root / "perfbench"))
+    import run
+
+    run.pin_blas_threads()
+    run.import_program()
+    import workloads
+
+    return workloads
+
+
+def _fields(result) -> dict:
+    """Every array of one operation's result, by name."""
+    import numpy as np
+
+    if hasattr(result, "inner_stats"):  # a RalmResult
+        stats = result.inner_stats
+        return {
+            "X": result.X.X,
+            "y": result.y,
+            "records": np.array([rec.as_row() for rec in result.records], dtype=float),
+            "converged": np.array(result.converged),
+            "newton_counts": np.array([[getattr(s, f) for f in STAT_COUNTS] for s in stats],
+                                      dtype=np.int64).reshape(-1, len(STAT_COUNTS)),
+            "final_grad_norms": np.array([s.final_grad_norm for s in stats]),
+            "trace_lengths": np.array([len(s.objective_trace) for s in stats], dtype=np.int64),
+            "objective_traces": np.array([v for s in stats for v in s.objective_trace]),
+        }
+    return {f.name: np.array(getattr(result, f.name)) for f in dataclasses.fields(result)}
+
+
+def dump(out: str, root: Path) -> int:
+    workloads = _import(root)
+    import numpy as np
+
+    arrays = {}
+    for workload, setup in workloads.SETUPS.items():
+        for op in setup(0):
+            for name, value in _fields(op.call()).items():
+                arrays[f"{workload}/{op.name}/{name}"] = np.asarray(value)
+            print(f"{workload}/{op.name}: dumped", flush=True)
+    np.savez(out, **arrays)
+    return 0
+
+
+def _difference(a, b) -> str:
+    import numpy as np
+
+    if a.dtype != b.dtype or a.shape != b.shape:
+        return f"{a.dtype}{list(a.shape)} vs {b.dtype}{list(b.shape)}"
+    if a.tobytes() == b.tobytes():
+        return ""
+    if a.dtype.kind in "fiub":
+        gap = np.abs(a.astype(float) - b.astype(float))
+        return f"max abs difference {np.nanmax(gap) if gap.size else 0.0:.3e}"
+    return "values differ"
+
+
+def compare(path_a: str, path_b: str) -> int:
+    import numpy as np
+
+    with np.load(path_a) as A, np.load(path_b) as B:
+        ops = {}
+        for key in list(A.files) + [k for k in B.files if k not in A.files]:
+            op, name = key.rsplit("/", 1)
+            ops.setdefault(op, []).append((key, name))
+        differ = 0
+        for op, keys in ops.items():
+            verdict = "IDENTICAL"
+            for key, name in keys:
+                if key not in A.files or key not in B.files:
+                    verdict = f"{name}: only in {path_a if key in A.files else path_b}"
+                else:
+                    gap = _difference(A[key], B[key])
+                    if gap:
+                        verdict = f"{name}: {gap}"
+                if verdict != "IDENTICAL":
+                    differ += 1
+                    break
+            print(f"{op}: {verdict}")
+    return 1 if differ else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    p_dump = sub.add_parser("dump", help="run every seed-0 operation and save its results")
+    p_dump.add_argument("out")
+    p_dump.add_argument("--root", type=Path, default=ROOT, help="checkout to run")
+    p_cmp = sub.add_parser("compare", help="compare two dumps field by field")
+    p_cmp.add_argument("a")
+    p_cmp.add_argument("b")
+    args = parser.parse_args(argv)
+    if args.command == "dump":
+        return dump(args.out, args.root)
+    return compare(args.a, args.b)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
