@@ -65,13 +65,16 @@ def _stencil_product(n: int, r: int, diag: float, off: float) -> Callable:
     ``diag`` on its diagonal and ``off`` beside it.  Row i adds its three
     terms in ascending column order, as a sequential dense product does."""
     i = np.arange(n)
-    cols = np.sort(np.stack([i - 1, i, i + 1]) % n, axis=0)
-    idx = cols[:, :, None] * r + np.arange(r)  # flat indices into X, (3, n, r)
-    coef = np.where(idx // r == i[:, None], diag, off)
+    cols = np.sort(np.stack([i - 1, i, i + 1]) % n, axis=0)  # (3, n): rows of X to gather
+    coef = np.repeat(np.where(cols == i, diag, off)[:, :, None], r, axis=2)
+    t = np.empty((3, n, r))
 
     def apply(X):
-        t = np.take(X, idx) * coef
-        return (t[0] + t[1]) + t[2]
+        # mode="clip" (the indices are in range) lets take write into t
+        # directly; sum over the leading axis adds (t[0] + t[1]) + t[2].
+        np.take(X, cols, axis=0, out=t, mode="clip")
+        np.multiply(t, coef, out=t)
+        return t.sum(axis=0)
 
     return apply
 

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
-import scipy.linalg
 
 from . import lagrangian
 from .convex import ENUM_CAP
@@ -77,6 +76,7 @@ def critical_cone_basis(P: ProblemSpec, X: ManifoldPoint, y: np.ndarray) -> list
     under Dg(X).  Requires ``y`` to be a subgradient at ``g(X)`` up to
     ``CONE_TOL``.
     """
+    import scipy.linalg  # loaded on first use: it doubles the time of `import ralmkit`
     z = P.g_value(X.X)
     if not P.theta.in_subdifferential(z, y, tol=CONE_TOL):
         raise StationarityError(
@@ -111,6 +111,7 @@ def mssosc_certificate(P: ProblemSpec, X: ManifoldPoint, y: np.ndarray) -> Certi
     """Minimum eigenvalue of the Lagrangian Hessian on the critical-cone
     affine hull; positive means the second-order sufficient condition
     holds at ``(X, y)``."""
+    import scipy.linalg
     basis = critical_cone_basis(P, X, y)
     if not basis:
         return Certificate("mssosc", math.inf, 0, degenerate=True)
@@ -133,6 +134,7 @@ def genhess_min_eig(
     elements; otherwise only the convention element is used and the
     certificate is marked partial when boundaries were present.
     """
+    import scipy.linalg
     if rho <= 0:
         raise CertifyError(f"penalty must be positive, got {rho}")
     basis = X.manifold.tangent_basis(X)

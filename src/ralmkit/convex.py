@@ -38,9 +38,6 @@ class ProxJacobian:
     mask: np.ndarray
     boundary: np.ndarray
 
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        return self.mask * v
-
     @property
     def boundary_count(self) -> int:
         return int(np.count_nonzero(self.boundary))

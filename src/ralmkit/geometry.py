@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.linalg
 
 # Library-wide numerical constants: the orthonormality tolerance of points
 # and factors, and the floor of a fixed-rank point's smallest singular value.
@@ -90,7 +89,8 @@ class Manifold:
     def hess_operator(self, point: ManifoldPoint, egrad: np.ndarray) -> Callable:
         """The Euclidean-to-Riemannian Hessian conversion at ``point`` for the
         Euclidean gradient ``egrad``, prepared once for many directions:
-        returns ``(ehess_vec, xi) -> rhess``."""
+        returns ``(ehess_vec, xi, extra=None) -> rhess + project(point, extra)``,
+        a fresh array; the ``extra`` term is skipped when omitted."""
         raise NotImplementedError
 
     def tangent_basis(self, point: ManifoldPoint) -> list:
@@ -134,7 +134,11 @@ class Euclidean(Manifold):
         return self.point(point.X + xi)
 
     def hess_operator(self, point, egrad) -> Callable:
-        return lambda ehess_vec, xi: self._check_ambient(ehess_vec)
+        def apply(ehess_vec, xi, extra=None):
+            e = self._check_ambient(ehess_vec)
+            return e.copy() if extra is None else e + self._check_ambient(extra)
+
+        return apply
 
     def tangent_basis(self, point: ManifoldPoint) -> list:
         basis = []
@@ -148,8 +152,11 @@ class Euclidean(Manifold):
         return self.point(rng.standard_normal(self.ambient_shape))
 
 
-def _sym(A: np.ndarray) -> np.ndarray:
-    return 0.5 * (A + A.T)
+def _sym(A: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """(A + A^T) / 2 of a matrix or of each matrix of a stack."""
+    out = np.add(A, A.swapaxes(-1, -2), out=out)
+    out *= 0.5
+    return out
 
 
 class Stiefel(Manifold):
@@ -190,10 +197,30 @@ class Stiefel(Manifold):
         return ManifoldPoint(self, _readonly(W @ Zt))
 
     def hess_operator(self, point, egrad) -> Callable:
-        S = _sym(point.X.T @ egrad)
-        return lambda ehess_vec, xi: self.project(point, self._check_ambient(ehess_vec) - xi @ S)
+        # Both terms share one stacked projection, slice k of Z taking exactly
+        # project's operations on term k; only the returned array is fresh.
+        X, Xt = point.X, point.X.T
+        S = _sym(Xt @ egrad)
+        Z, W = np.empty((2, self.n, self.r)), np.empty((2, self.n, self.r))
+        A, B = np.empty((2, self.r, self.r)), np.empty((2, self.r, self.r))
+        Z0, Z1 = Z
+        stacks = (Z[:1], A[:1], B[:1], W[:1]), (Z, A, B, W)
+
+        def apply(ehess_vec, xi, extra=None):
+            z, a, b, w = stacks[extra is not None]
+            np.matmul(xi, S, out=Z0)
+            np.subtract(self._check_ambient(ehess_vec), Z0, out=Z0)
+            if extra is not None:
+                Z1[...] = self._check_ambient(extra)
+            np.matmul(Xt, z, out=a)
+            np.matmul(X, _sym(a, out=b), out=w)
+            z -= w
+            return Z0 + Z1 if extra is not None else Z0.copy()
+
+        return apply
 
     def tangent_basis(self, point: ManifoldPoint) -> list:
+        import scipy.linalg  # loaded on first use: it doubles the time of `import ralmkit`
         # xi = X A + X_perp B with A skew; both families are orthonormal in
         # the Frobenius metric because X and X_perp have orthonormal columns.
         X = point.X
@@ -307,15 +334,17 @@ class FixedRank(Manifold):
         N = egrad - U @ (U.T @ egrad)
         N = N - (N @ V) @ V.T  # N = P_U^perp egrad P_V^perp
 
-        def apply(ehess_vec, xi):
+        def apply(ehess_vec, xi, extra=None):
             M0, Up0, Vp0 = self._tangent_factors(point, self._check_ambient(ehess_vec))
             Up_c = (N @ (xi.T @ U)) / s
             Vp_c = (N.T @ (xi @ V)) / s
-            return self._from_factors(point, M0, Up0 + Up_c, Vp0 + Vp_c)
+            rhess = self._from_factors(point, M0, Up0 + Up_c, Vp0 + Vp_c)
+            return rhess if extra is None else rhess + self.project(point, extra)
 
         return apply
 
     def tangent_basis(self, point: ManifoldPoint) -> list:
+        import scipy.linalg
         U, _, V = point.factors
         Upx = scipy.linalg.null_space(U.T)
         Vpx = scipy.linalg.null_space(V.T)

@@ -99,11 +99,11 @@ def lagrangian_rgrad(P: ProblemSpec, X: ManifoldPoint, y: np.ndarray) -> np.ndar
 
 def lagrangian_hess_operator(P: ProblemSpec, X: ManifoldPoint, y: np.ndarray) -> Callable:
     """Riemannian Hessian of L(., y) at fixed y, prepared at ``X``:
-    returns ``xi -> Hess xi``."""
+    returns ``(xi, extra=None) -> Hess xi + proj_T(extra)``."""
     rhess = X.manifold.hess_operator(X, P.f_egrad(X.X) + P.g_vjp(X.X, y))
     if P.gy_ehess is None:
-        return lambda xi: rhess(P.f_ehess(X.X, xi), xi)
-    return lambda xi: rhess(P.f_ehess(X.X, xi) + P.gy_ehess(X.X, y, xi), xi)
+        return lambda xi, extra=None: rhess(P.f_ehess(X.X, xi), xi, extra)
+    return lambda xi, extra=None: rhess(P.f_ehess(X.X, xi) + P.gy_ehess(X.X, y, xi), xi, extra)
 
 
 def ghess_operator(
@@ -126,7 +126,7 @@ def ghess_operator(
     G = rho * (1.0 - jac.mask)  # G w equals rho (w - mask w) exactly: mask is 0/1
 
     def apply(xi):
-        return smooth(xi) + X.manifold.project(X, P.g_vjp(X.X, G * P.g_jvp(X.X, xi)))
+        return smooth(xi, P.g_vjp(X.X, G * P.g_jvp(X.X, xi)))
 
     return apply
 

@@ -100,7 +100,7 @@ def cg_solve(
     if bnorm == 0.0:
         info.converged = True
         return x, info
-    r, d, Hd = b.astype(float), b.astype(float), np.empty(b.shape)
+    r, d, Hd, t = b.astype(float), b.astype(float), np.empty(b.shape), np.empty(b.shape)
     rr = np.vdot(r, r)
     for it in range(max_iter):
         np.multiply(omega, d, out=Hd)
@@ -115,8 +115,8 @@ def cg_solve(
             info.iterations = it
             return x, info
         alpha = rr / dHd
-        x += alpha * d
-        r -= alpha * Hd
+        x += np.multiply(alpha, d, out=t)
+        r -= np.multiply(alpha, Hd, out=t)
         rr_new = np.vdot(r, r)
         info.iterations = it + 1
         if math.sqrt(rr_new) <= tol:

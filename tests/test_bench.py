@@ -80,6 +80,22 @@ class TestStencil:
             assert rel(P.f_egrad(X), 2.0 * (H @ X)) <= 1e-13
             assert rel(P.f_ehess(X, xi), 2.0 * (H @ xi)) <= 1e-13
 
+    def test_layout_independent_and_fresh(self):
+        P = build_cm(200, 5, 0.3, 50.0)
+        rng = np.random.default_rng(3)
+        X = P.manifold.random_point(rng).X
+        strided = rng.standard_normal((200, 10))[:, ::2]
+        layouts = [np.ascontiguousarray(strided), np.asfortranarray(strided), strided]
+        before = [a.copy() for a in layouts]
+        outs = [P.f_ehess(X, a) for a in layouts]
+        for a, b, out in zip(layouts, before, outs):
+            assert np.array_equal(a, b)
+            assert np.array_equal(out, outs[0])
+        # Consecutive results are distinct arrays: the gather buffer never leaks.
+        kept = outs[0].copy()
+        assert not np.shares_memory(outs[0], P.f_ehess(X, 2.0 * strided))
+        assert np.array_equal(outs[0], kept)
+
     def test_builds_no_dense_matrix(self, monkeypatch):
         def refuse(n, length):
             raise AssertionError("build_cm built the dense n x n Hamiltonian")

@@ -349,6 +349,18 @@ class TestRobustness:
                              capture_output=True, text=True, env=env)
         check_help(out)
 
+    def test_import_leaves_scipy_linalg_unloaded(self):
+        """scipy.linalg costs about half of the import; only certificates and
+        tangent bases load it, on first use."""
+        import ralmkit
+
+        probe = "import sys, ralmkit, ralmkit.cli; print('scipy.linalg' in sys.modules)"
+        package_root = str(Path(ralmkit.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=package_root)
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                             env=env, check=True)
+        assert out.stdout.strip() == "False"
+
     @pytest.mark.skipif(shutil.which("ralmkit") is None,
                         reason="ralmkit console script not installed")
     def test_console_script_on_path(self):

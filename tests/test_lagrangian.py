@@ -255,6 +255,37 @@ class TestPreparedHessian:
         for out, snap in zip(results, snapshots):
             assert np.array_equal(out, snap)
 
+    @pytest.mark.parametrize("case", hessian_cases(), ids=CASE_IDS)
+    def test_manifold_operator_projects_and_adds_extra(self, case):
+        P, _, X, y = case
+        man = X.manifold
+        hess = man.hess_operator(X, P.f_egrad(X.X) + P.g_vjp(X.X, y))
+        rng = np.random.default_rng(31)
+        for seed in range(4):
+            xi = geometry.random_tangent(X, 980 + seed)
+            e, w = rng.standard_normal((2,) + man.ambient_shape)
+            assert np.array_equal(hess(e, xi, w), hess(e, xi) + man.project(X, w))
+
+    @pytest.mark.parametrize("case", hessian_cases(), ids=CASE_IDS)
+    @pytest.mark.parametrize("with_extra", [False, True], ids=["plain", "extra"])
+    def test_manifold_operator_reuse_keeps_results_and_inputs(self, case, with_extra):
+        P, _, X, y = case
+        man = X.manifold
+        hess = man.hess_operator(X, P.f_egrad(X.X) + P.g_vjp(X.X, y))
+        rng = np.random.default_rng(32)
+        kept = []
+        for seed in range(4):
+            xi = geometry.random_tangent(X, 990 + seed)
+            e, w = rng.standard_normal((2,) + man.ambient_shape)
+            inputs = (e, xi, w) if with_extra else (e, xi)
+            before = [a.copy() for a in inputs]
+            out = hess(*inputs)
+            assert all(np.array_equal(a, b) for a, b in zip(inputs, before))
+            assert not any(np.shares_memory(out, a) for a in inputs)
+            kept.append((out, out.copy()))
+        for out, snap in kept:
+            assert np.array_equal(out, snap)
+
     @pytest.mark.parametrize("case", hessian_cases()[:2], ids=CASE_IDS[:2])
     def test_affine_g_skips_the_zero_term(self, case):
         P, rho, X, y = case
