@@ -7,8 +7,9 @@ strong second-order sufficient condition on the manifold), eigen-solves
 the generalized augmented Hessian over the full tangent space, and fits
 empirical linear rates to residual histories.
 
-All eigensolves are dense and intended for desk-scale verification, not
-production solves.
+The critical-cone basis needs no tangent basis when g is diagonal and few
+ambient coordinates are free.  All eigensolves are dense and intended for
+desk-scale verification, not production solves.
 """
 
 from __future__ import annotations
@@ -72,11 +73,14 @@ def critical_cone_basis(P: ProblemSpec, X: ManifoldPoint, y: np.ndarray) -> list
 
     For the l1 term the affine hull fixes to zero every constraint-space
     entry where ``g(X)`` vanishes and the multiplier is strictly inside
-    its box; tangent directions must satisfy those linear constraints
-    under Dg(X).  Requires ``y`` to be a subgradient at ``g(X)`` up to
-    ``CONE_TOL``.
+    its box: the subspace is T_X M intersected with ker E_c Dg(X).  When
+    Dg(X) is diagonal and at most ``dim T_X M`` ambient unit vectors e_i
+    are free of those entries, it is the null space of the normal parts
+    ``e_i - project(X, e_i)``, from a thin SVD with the absolute threshold
+    ``NULLSPACE_TOL`` (the columns have norm at most 1); otherwise it is
+    taken in the coordinates of the tangent basis.  Requires ``y`` to be a
+    subgradient at ``g(X)`` up to ``CONE_TOL``.
     """
-    import scipy.linalg  # loaded on first use: it doubles the time of `import ralmkit`
     z = P.g_value(X.X)
     if not P.theta.in_subdifferential(z, y, tol=CONE_TOL):
         raise StationarityError(
@@ -84,21 +88,31 @@ def critical_cone_basis(P: ProblemSpec, X: ManifoldPoint, y: np.ndarray) -> list
         )
     mu = P.theta.mu
     constrained = (np.abs(z) <= CONE_TOL) & (np.abs(y) < mu - CONE_TOL)
-    basis = X.manifold.tangent_basis(X)
     if not np.any(constrained):
-        return basis
-
-    rows = []
-    for v in basis:
-        rows.append(P.g_jvp(X.X, v)[constrained])
-    C = np.stack(rows).T  # (n_constraints, tangent_dim)
+        return X.manifold.tangent_basis(X)
+    shape = X.manifold.ambient_shape
+    # Dg(X) is diagonal when g_vjp multiplies a fixed normal probe by
+    # c = g_vjp(X, 1) exactly; a map with an off-diagonal part does that
+    # only for probes in a null set.
+    c = P.g_vjp(X.X, np.ones(z.shape))
+    probe = np.random.default_rng(0).standard_normal(z.shape)
+    diagonal = z.shape == shape and np.array_equal(P.g_vjp(X.X, probe), c * probe)
+    free = np.flatnonzero(~(constrained & (c != 0))) if diagonal else None
+    if diagonal and free.size <= X.manifold.dim():
+        normal = np.zeros((free.size, X.X.size))
+        normal[np.arange(free.size), free] = 1.0
+        for e in normal:
+            e -= X.manifold.project(X, e.reshape(shape)).ravel()
+        _, s, Vt = np.linalg.svd(normal.T, full_matrices=False)
+        K = np.zeros((X.X.size, int(np.sum(s <= NULLSPACE_TOL))))
+        K[free] = Vt[s <= NULLSPACE_TOL].T
+        return [X.manifold.project(X, k.reshape(shape)) for k in K.T]
+    import scipy.linalg  # loaded on first use: it doubles the time of `import ralmkit`
+    basis = X.manifold.tangent_basis(X)
+    C = np.stack([P.g_jvp(X.X, v)[constrained] for v in basis]).T  # (n_constraints, dim)
     null = scipy.linalg.null_space(C, rcond=NULLSPACE_TOL)
-    coeff_mat = _stack(basis)  # (tangent_dim, ambient_size)
-    vectors = []
-    for j in range(null.shape[1]):
-        amb = (null[:, j] @ coeff_mat).reshape(X.manifold.ambient_shape)
-        vectors.append(X.manifold.project(X, amb))
-    return vectors
+    T = _stack(basis)  # (tangent_dim, ambient_size)
+    return [X.manifold.project(X, (coef @ T).reshape(shape)) for coef in null.T]
 
 
 def _quadratic_form(apply_op, basis: Sequence[np.ndarray]) -> np.ndarray:
@@ -137,11 +151,11 @@ def genhess_min_eig(
     import scipy.linalg
     if rho <= 0:
         raise CertifyError(f"penalty must be positive, got {rho}")
-    basis = X.manifold.tangent_basis(X)
-    if len(basis) > MAX_DENSE_DIM:
+    if X.manifold.dim() > MAX_DENSE_DIM:
         raise CertifyError(
-            f"tangent dimension {len(basis)} exceeds dense-assembly limit {MAX_DENSE_DIM}"
+            f"tangent dimension {X.manifold.dim()} exceeds dense-assembly limit {MAX_DENSE_DIM}"
         )
+    basis = X.manifold.tangent_basis(X)
     p = lagrangian.envelope_point(P, rho, X, y)
     base_jac = P.theta.prox_jacobian(1.0 / rho, p)
     b = base_jac.boundary_count

@@ -232,11 +232,9 @@ class Stiefel(Manifold):
                 A = np.zeros((self.r, self.r))
                 A[i, j], A[j, i] = inv_sqrt2, -inv_sqrt2
                 basis.append(X @ A)
-        for a in range(self.n - self.r):
-            for b in range(self.r):
-                B = np.outer(Xp[:, a], np.eye(self.r)[b])
-                basis.append(B)
-        return basis
+        # Xp[:, a] e_b^T for a over X_perp's columns, b inner: [a, b, i, j] = Xp[i, a] I[b, j]
+        outer = Xp.T[:, None, :, None] * np.eye(self.r)[None, :, None, :]
+        return basis + list(outer.reshape(-1, self.n, self.r))
 
     def random_point(self, rng: np.random.Generator) -> ManifoldPoint:
         Q, _ = np.linalg.qr(rng.standard_normal((self.n, self.r)))

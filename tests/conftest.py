@@ -68,3 +68,23 @@ def rmc_fixture():
     from ralmkit.bench import rmc_toy_fixture
 
     return rmc_toy_fixture(seed=7)
+
+
+def reference_cone_basis(P, X, y):
+    """The critical-cone subspace from the full tangent basis: the null space
+    of the constraint matrix C = E_c Dg(X) T in tangent coordinates, mapped
+    back to ambient arrays.  Slow but independent of
+    ``certify.critical_cone_basis``'s two-step construction."""
+    import scipy.linalg
+
+    from ralmkit.certify import CONE_TOL, NULLSPACE_TOL
+
+    z = P.g_value(X.X)
+    constrained = (np.abs(z) <= CONE_TOL) & (np.abs(y) < P.theta.mu - CONE_TOL)
+    basis = X.manifold.tangent_basis(X)
+    if not np.any(constrained):
+        return basis
+    C = np.stack([P.g_jvp(X.X, v)[constrained] for v in basis]).T
+    null = scipy.linalg.null_space(C, rcond=NULLSPACE_TOL)
+    T = np.stack([v.ravel() for v in basis])
+    return [X.manifold.project(X, (c @ T).reshape(X.manifold.ambient_shape)) for c in null.T]

@@ -221,6 +221,28 @@ class TestCriterion6GenHessAtScale:
                + ", ".join(f"{e:.4f}" for e in eigs) + f" {elapsed:.1f}s")
 
 
+class TestMssoscAtScale:
+    def test_cm200_cone_matches_reference(self, cm200_runs):
+        # the two-step critical-cone basis against the tangent-basis null
+        # space at the seed-0 CM-200 pair (tangent dimension 985)
+        from conftest import reference_cone_basis
+
+        P, runs = cm200_runs
+        res = runs[0][0]
+        t0 = time.perf_counter()
+        cert = certify.mssosc_certificate(P, res.X, res.y)
+        elapsed = time.perf_counter() - t0
+        ref = reference_cone_basis(P, res.X, res.y)
+        hess = lagrangian.lagrangian_hess_operator(P, res.X, res.y)
+        ref_eig = float(np.linalg.eigvalsh(certify._quadratic_form(hess, ref))[0])
+        assert cert.subspace_dim == len(ref)
+        assert abs(cert.min_eig - ref_eig) <= 1e-10
+        assert cert.holds
+        report("M-SSOSC at scale", f"cm200 seed 0: dim={cert.subspace_dim} "
+                                   f"min_eig={cert.min_eig:.12f} (reference {ref_eig:.12f}) "
+                                   f"{elapsed:.3f}s")
+
+
 class TestCriterion7DerivativeOracles:
     def test_c7_gradients_hessians_taylor(self):
         t0 = time.perf_counter()

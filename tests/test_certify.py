@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from conftest import euclidean_l1_problem, euclidean_quadratic_problem
+from conftest import euclidean_l1_problem, euclidean_quadratic_problem, reference_cone_basis
 from ralmkit import bench, geometry, lagrangian
+from ralmkit.convex import L1Norm
+from ralmkit.lagrangian import ProblemSpec
 from ralmkit.certify import (
     CertifyError,
     StationarityError,
@@ -68,6 +70,139 @@ class TestCriticalCone:
         bad[0, 0] = 2.0  # outside the box
         with pytest.raises(StationarityError):
             critical_cone_basis(P, Xbar, bad)
+
+
+def linear_g_pair(X, R, fixed, mu=1.0):
+    """f = 0 at the Stiefel point ``X`` with the linear, not entrywise
+    g(X) = R @ X - Z0, where Z0 = R @ X on the ``fixed`` entries (so z = 0
+    there) and 0 elsewhere; the multiplier is 0 on ``fixed`` and mu sign(z)
+    off it.  Returns ``(P, X, y)``."""
+    Z0 = np.where(fixed, R @ X.X, 0.0)
+    P = ProblemSpec(
+        manifold=X.manifold,
+        f_value=lambda Z: 0.0,
+        f_egrad=np.zeros_like,
+        f_ehess=lambda Z, xi: np.zeros_like(xi),
+        g_value=lambda Z: R @ Z - Z0,
+        g_jvp=lambda Z, xi: R @ xi,
+        g_vjp=lambda Z, w: R.T @ w,
+        gy_ehess=lambda Z, y, xi: np.zeros_like(xi),
+        theta=L1Norm(mu),
+    )
+    y = np.where(fixed, 0.0, mu * np.sign(P.g_value(X.X)))
+    return P, X, y
+
+
+def as_rows(basis, shape):
+    return np.stack([v.ravel() for v in basis]) if basis else np.zeros((0, math.prod(shape)))
+
+
+class TestConeBasisAgainstReference:
+    """The two-step construction against the tangent-basis null space."""
+
+    def assert_same_subspace(self, P, X, y):
+        shape = X.manifold.ambient_shape
+        B = as_rows(critical_cone_basis(P, X, y), shape)
+        R = as_rows(reference_cone_basis(P, X, y), shape)
+        assert B.shape == R.shape
+        np.testing.assert_allclose(B @ B.T, np.eye(len(B)), rtol=0, atol=1e-10)
+        np.testing.assert_allclose(B.T @ B, R.T @ R, rtol=0, atol=1e-9)
+        return len(B)
+
+    def test_cm4_pair(self, cm_pair):
+        assert self.assert_same_subspace(*cm_pair) == 2
+
+    def test_rmc_fixture(self, rmc_fixture):
+        fx = rmc_fixture
+        assert self.assert_same_subspace(fx.problem, fx.X_bar, fx.y_bar) == 0
+
+    def test_interior_euclidean(self):
+        P = euclidean_l1_problem(shape=(2, 3), mu=1.0)
+        X = P.manifold.point(np.zeros((2, 3)))
+        assert self.assert_same_subspace(P, X, 0.5 * np.ones((2, 3))) == 0
+
+    def test_diagonal_g_builds_no_tangent_basis(self, cm_pair, monkeypatch):
+        import scipy.linalg
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("tangent-basis route taken for 4 free coordinates")
+
+        monkeypatch.setattr(scipy.linalg, "null_space", refuse)
+        monkeypatch.setattr(geometry.Stiefel, "tangent_basis", refuse)
+        assert len(critical_cone_basis(*cm_pair)) == 2
+
+    def count_null_space_calls(self, monkeypatch):
+        import scipy.linalg
+
+        calls = []
+        original = scipy.linalg.null_space
+        monkeypatch.setattr(scipy.linalg, "null_space",
+                            lambda *a, **k: calls.append(a[0].shape) or original(*a, **k))
+        return calls
+
+    def test_many_free_coordinates_take_the_tangent_route(self, monkeypatch):
+        # g = diag(1, 0, ..., 0) @ X - Z0 on St(6, 2) is diagonal, but it
+        # reads row 0 only: 10 free coordinates exceed the 9 tangent
+        # dimensions, so C = E_c Dg(X) T is formed instead (12 x 9: every
+        # entry has z = 0 and y = 0, and rows 1-5 of C are zero)
+        rng = np.random.default_rng(5)
+        X = geometry.Stiefel(6, 2).random_point(rng)
+        R = np.diag([1.0, 0, 0, 0, 0, 0])
+        fixed = np.zeros((6, 2), dtype=bool)
+        fixed[0] = True
+        P, X, y = linear_g_pair(X, R, fixed)
+        calls = self.count_null_space_calls(monkeypatch)
+        critical_cone_basis(P, X, y)
+        assert calls == [(2, 6), (12, 9)]  # X^T for the tangent basis, then C
+        assert self.assert_same_subspace(P, X, y) == 7
+
+    def test_linear_non_entrywise_g(self, monkeypatch):
+        rng = np.random.default_rng(21)
+        X = geometry.Stiefel(6, 2).random_point(rng)
+        R = np.eye(6) + 0.5 * rng.standard_normal((6, 6))
+        fixed = np.zeros((6, 2), dtype=bool)
+        fixed[[0, 2, 3, 5], [0, 1, 0, 1]] = True
+        P, X, y = linear_g_pair(X, R, fixed)
+        calls = self.count_null_space_calls(monkeypatch)
+        critical_cone_basis(P, X, y)
+        # X^T for the tangent basis, then C: a row per fixed entry, a column per tangent direction
+        assert calls == [(2, 6), (4, 9)]
+        # ker D has dimension 12 - 4, T_X M 12 - 3: they meet in 5 dimensions
+        assert self.assert_same_subspace(P, X, y) == 5
+
+    def test_free_directions_tangent_up_to_rounding(self):
+        # Rows 4 and 5 of X are 1e-17 and g observes rows 0-3 only, so the 4
+        # free unit vectors in rows 4-5 are tangent up to rounding: their
+        # normal parts have norm ~1e-17.  A threshold relative to the
+        # largest singular value would count them as constraints.
+        rng = np.random.default_rng(4)
+        Q, _ = np.linalg.qr(rng.standard_normal((4, 2)))
+        X = geometry.Stiefel(6, 2).point(np.vstack([Q, 1e-17 * rng.standard_normal((2, 2))]))
+        fixed = np.zeros((6, 2), dtype=bool)
+        fixed[:4] = True
+        P, X, y = linear_g_pair(X, np.diag([1.0, 1, 1, 1, 0, 0]), fixed)
+        B = as_rows(critical_cone_basis(P, X, y), (6, 2))
+        np.testing.assert_allclose(B.T @ B, np.diag((~fixed).ravel().astype(float)),
+                                   rtol=0, atol=1e-12)
+        assert self.assert_same_subspace(P, X, y) == 4
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the tangent-basis route thresholds C relative to its largest singular "
+               "value, so a constraint every tangent direction meets up to rounding "
+               "still removes a dimension",
+    )
+    def test_tangent_route_constraint_tangent_up_to_rounding(self):
+        # D = x^T on the sphere St(5, 1): ker D is exactly T_x, so C = D T is
+        # rounding alone and the cone is all of T_x (dimension 4)
+        rng = np.random.default_rng(4)
+        X = geometry.Stiefel(5, 1).random_point(rng)
+        R = rng.standard_normal((5, 5))
+        R[0] = X.X[:, 0]
+        fixed = np.zeros((5, 1), dtype=bool)
+        fixed[0, 0] = True
+        P, X, y = linear_g_pair(X, R, fixed)
+        assert len(critical_cone_basis(P, X, y)) == 4
 
 
 class TestMssosc:
@@ -222,6 +357,18 @@ class TestGenHess:
             for rho in (10.0, 100.0):
                 gh = genhess_min_eig(P, rho, Xbar, ybar, enumerate_elements=True)
                 assert (gh.min_eig > 1e-9) == msc.holds, (mu, rho)
+
+    def test_refuses_before_building_the_tangent_basis(self, monkeypatch):
+        man = geometry.Stiefel(1000, 5)  # tangent dimension 4985
+        X = man.point(np.eye(1000, 5))
+
+        def refuse(point):
+            raise AssertionError("tangent basis built for a refused dimension")
+
+        monkeypatch.setattr(geometry.Stiefel, "tangent_basis", refuse)
+        P = bench.build_cm(1000, 5, 0.3, 50.0)
+        with pytest.raises(CertifyError):
+            genhess_min_eig(P, 1.0, X, np.zeros((1000, 5)))
 
     def test_dense_dimension_guard(self):
         P = euclidean_l1_problem(shape=(80, 80), mu=1.0)

@@ -101,6 +101,19 @@ class TestTangentProject:
         for v in basis:
             np.testing.assert_allclose(man.project(X, v), v, rtol=0, atol=1e-12)
 
+    def test_stiefel_basis_matches_outer_product_loop(self):
+        # the X_perp family is built by one broadcast product; it must equal,
+        # bit for bit and in order, the np.outer loop it replaced
+        import scipy.linalg
+
+        man = Stiefel(7, 3)
+        X = man.random_point(np.random.default_rng(2))
+        basis = man.tangent_basis(X)
+        Xp = scipy.linalg.null_space(X.X.T)
+        loop = [np.outer(Xp[:, a], np.eye(3)[b]) for a in range(4) for b in range(3)]
+        assert len(basis) == 3 + len(loop)
+        assert all(np.array_equal(v, w) for v, w in zip(basis[3:], loop))
+
 
 class TestRetract:
     @pytest.mark.parametrize("man", MANIFOLDS, ids=lambda m: m.name + str(m.ambient_shape))
