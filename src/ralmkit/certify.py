@@ -8,8 +8,8 @@ the generalized augmented Hessian over the full tangent space, and fits
 empirical linear rates to residual histories.
 
 The critical-cone basis needs no tangent basis when g is diagonal and few
-ambient coordinates are free.  All eigensolves are dense and intended for
-desk-scale verification, not production solves.
+ambient coordinates are free.  Only the second-order certificate forms a
+dense matrix, on that basis; the generalized-Hessian eigensolve is matrix-free.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ NULLSPACE_TOL = 1e-10
 CERT_TOL = 1e-9
 # Subgradient and activity tolerance of the critical cone.
 CONE_TOL = 1e-8
-MAX_DENSE_DIM = 4000
 
 
 class CertifyError(ValueError):
@@ -78,8 +77,9 @@ def critical_cone_basis(P: ProblemSpec, X: ManifoldPoint, y: np.ndarray) -> list
     are free of those entries, it is the null space of the normal parts
     ``e_i - project(X, e_i)``, from a thin SVD with the absolute threshold
     ``NULLSPACE_TOL`` (the columns have norm at most 1); otherwise it is
-    taken in the coordinates of the tangent basis.  Requires ``y`` to be a
-    subgradient at ``g(X)`` up to ``CONE_TOL``.
+    the null space of C = E_c Dg(X) T in tangent-basis coordinates, its rows
+    scaled to norm <= 1 by those of E_c Dg(X), with the same threshold.
+    Requires ``y`` to be a subgradient at ``g(X)`` up to ``CONE_TOL``.
     """
     z = P.g_value(X.X)
     if not P.theta.in_subdifferential(z, y, tol=CONE_TOL):
@@ -109,10 +109,15 @@ def critical_cone_basis(P: ProblemSpec, X: ManifoldPoint, y: np.ndarray) -> list
         return [X.manifold.project(X, k.reshape(shape)) for k in K.T]
     import scipy.linalg  # loaded on first use: it doubles the time of `import ralmkit`
     basis = X.manifold.tangent_basis(X)
-    C = np.stack([P.g_jvp(X.X, v)[constrained] for v in basis]).T  # (n_constraints, dim)
-    null = scipy.linalg.null_space(C, rcond=NULLSPACE_TOL)
+    # the norms of the rows of E_c Dg(X); a zero row constrains nothing
+    d = np.abs(c[constrained]) if diagonal else np.array([
+        np.linalg.norm(P.g_vjp(X.X, np.eye(1, z.size, i).reshape(z.shape)))
+        for i in np.flatnonzero(constrained)])
+    C = np.stack([P.g_jvp(X.X, v)[constrained] for v in basis]).T[d > 0] / d[d > 0, None]
+    _, s, Vt = scipy.linalg.svd(C, full_matrices=C.shape[0] < C.shape[1])  # thin when tall
+    null = Vt[np.sum(s > NULLSPACE_TOL):]
     T = _stack(basis)  # (tangent_dim, ambient_size)
-    return [X.manifold.project(X, (coef @ T).reshape(shape)) for coef in null.T]
+    return [X.manifold.project(X, (coef @ T).reshape(shape)) for coef in null]
 
 
 def _quadratic_form(apply_op, basis: Sequence[np.ndarray]) -> np.ndarray:
@@ -147,15 +152,15 @@ def genhess_min_eig(
     of the prox, the minimum is taken over all extreme Clarke-Jacobian
     elements; otherwise only the convention element is used and the
     certificate is marked partial when boundaries were present.
+
+    Matrix-free: Lanczos for the smallest eigenvalue of ``v -> H(Pv) +
+    sigma (v - Pv)``, P the tangent projector, from a seeded tangent v0 whose
+    Rayleigh quotient q lies at or above H's tangent minimum, so the normal
+    eigenvalue sigma = q + max(1, |q|) lies above it whatever H's inertia.
     """
-    import scipy.linalg
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh  # loaded on first use
     if rho <= 0:
         raise CertifyError(f"penalty must be positive, got {rho}")
-    if X.manifold.dim() > MAX_DENSE_DIM:
-        raise CertifyError(
-            f"tangent dimension {X.manifold.dim()} exceeds dense-assembly limit {MAX_DENSE_DIM}"
-        )
-    basis = X.manifold.tangent_basis(X)
     p = lagrangian.envelope_point(P, rho, X, y)
     base_jac = P.theta.prox_jacobian(1.0 / rho, p)
     b = base_jac.boundary_count
@@ -165,15 +170,28 @@ def genhess_min_eig(
     else:
         jacs = [base_jac]
         partial = b > 0
+    shape, project, size = X.manifold.ambient_shape, X.manifold.project, X.X.size
+    v0 = project(X, np.random.default_rng(0).standard_normal(shape))
     min_eig = math.inf
     for jac in jacs:
-        B = _quadratic_form(lagrangian.ghess_operator(P, rho, X, y, jac), basis)
-        w = scipy.linalg.eigvalsh(B)
+        H = lagrangian.ghess_operator(P, rho, X, y, jac)
+        q = float(np.vdot(v0, H(v0)) / np.vdot(v0, v0))
+        sigma = q + max(1.0, abs(q))
+
+        def shifted(v):
+            t = project(X, v.reshape(shape))
+            return (H(t) + sigma * (v.reshape(shape) - t)).ravel()
+
+        try:  # eigsh needs k < size; a 1x1 form is its Rayleigh quotient
+            w = [q] if size == 1 else eigsh(LinearOperator((size, size), shifted, dtype=float), k=1,
+                                             which="SA", v0=v0.ravel(), return_eigenvectors=False)
+        except ArpackNoConvergence as exc:
+            raise CertifyError(f"Lanczos found no eigenvalue: {exc}") from exc
         min_eig = min(min_eig, float(w[0]))
     return Certificate(
         "generalized-hessian",
         min_eig,
-        len(basis),
+        X.manifold.dim(),
         boundary_count=b,
         elements_checked=len(jacs),
         partial=partial,

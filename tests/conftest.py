@@ -88,3 +88,29 @@ def reference_cone_basis(P, X, y):
     null = scipy.linalg.null_space(C, rcond=NULLSPACE_TOL)
     T = np.stack([v.ravel() for v in basis])
     return [X.manifold.project(X, (c @ T).reshape(X.manifold.ambient_shape)) for c in null.T]
+
+
+def reference_genhess_min_eig(P, rho, X, y, enumerate_elements=False):
+    """The minimum eigenvalue of the generalized Hessian from its dense form
+    in tangent coordinates: one HVP per tangent-basis vector, the projected
+    form B = T H T^T and a full eigvalsh, minimised over the same Clarke-
+    Jacobian elements as ``certify.genhess_min_eig``.  Slow but independent
+    of its Lanczos solve."""
+    import scipy.linalg
+
+    from ralmkit import lagrangian
+    from ralmkit.convex import ENUM_CAP
+
+    p = lagrangian.envelope_point(P, rho, X, y)
+    jac = P.theta.prox_jacobian(1.0 / rho, p)
+    if enumerate_elements and jac.boundary_count <= ENUM_CAP:
+        jacs = P.theta.extreme_prox_jacobians(1.0 / rho, p)
+    else:
+        jacs = [jac]
+    T = np.stack([v.ravel() for v in X.manifold.tangent_basis(X)])
+    min_eig = np.inf
+    for jac in jacs:
+        H = lagrangian.ghess_operator(P, rho, X, y, jac)
+        B = T @ np.stack([H(v.reshape(X.manifold.ambient_shape)).ravel() for v in T]).T
+        min_eig = min(min_eig, float(scipy.linalg.eigvalsh(0.5 * (B + B.T))[0]))
+    return min_eig

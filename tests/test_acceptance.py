@@ -220,6 +220,25 @@ class TestCriterion6GenHessAtScale:
         report("C6", "min eigs across 5 seeds: "
                + ", ".join(f"{e:.4f}" for e in eigs) + f" {elapsed:.1f}s")
 
+    def test_cm200_genhess_matches_reference(self, cm200_runs):
+        # the Lanczos minimum against the dense tangent-coordinate form at
+        # the seed-0 CM-200 pair (tangent dimension 985), on both sides of
+        # the penalty where the generalized Hessian turns positive definite
+        from conftest import reference_genhess_min_eig
+
+        P, runs = cm200_runs
+        res = runs[0][0]
+        rows = []
+        for rho in (1.0, 32.0, 256.0):
+            t0 = time.perf_counter()
+            cert = certify.genhess_min_eig(P, rho, res.X, res.y, enumerate_elements=True)
+            elapsed = time.perf_counter() - t0
+            ref = reference_genhess_min_eig(P, rho, res.X, res.y, enumerate_elements=True)
+            assert cert.subspace_dim == 985
+            assert abs(cert.min_eig - ref) <= 1e-10, (rho, cert.min_eig, ref)
+            rows.append(f"rho={rho:g}: {cert.min_eig:+.12f} (reference {ref:+.12f}) {elapsed:.3f}s")
+        report("generalized Hessian at scale", "cm200 seed 0: " + "; ".join(rows))
+
 
 class TestMssoscAtScale:
     def test_cm200_cone_matches_reference(self, cm200_runs):

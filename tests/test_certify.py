@@ -3,7 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from conftest import euclidean_l1_problem, euclidean_quadratic_problem, reference_cone_basis
+from conftest import (
+    euclidean_l1_problem,
+    euclidean_quadratic_problem,
+    reference_cone_basis,
+    reference_genhess_min_eig,
+)
 from ralmkit import bench, geometry, lagrangian
 from ralmkit.convex import L1Norm
 from ralmkit.lagrangian import ProblemSpec
@@ -131,29 +136,30 @@ class TestConeBasisAgainstReference:
         monkeypatch.setattr(geometry.Stiefel, "tangent_basis", refuse)
         assert len(critical_cone_basis(*cm_pair)) == 2
 
-    def count_null_space_calls(self, monkeypatch):
+    def count_decomposition_calls(self, monkeypatch):
         import scipy.linalg
 
         calls = []
-        original = scipy.linalg.null_space
-        monkeypatch.setattr(scipy.linalg, "null_space",
-                            lambda *a, **k: calls.append(a[0].shape) or original(*a, **k))
+        for name in ("null_space", "svd"):
+            original = getattr(scipy.linalg, name)
+            monkeypatch.setattr(scipy.linalg, name, lambda *a, _name=name, _f=original, **k:
+                                calls.append((_name, a[0].shape)) or _f(*a, **k))
         return calls
 
     def test_many_free_coordinates_take_the_tangent_route(self, monkeypatch):
         # g = diag(1, 0, ..., 0) @ X - Z0 on St(6, 2) is diagonal, but it
         # reads row 0 only: 10 free coordinates exceed the 9 tangent
-        # dimensions, so C = E_c Dg(X) T is formed instead (12 x 9: every
-        # entry has z = 0 and y = 0, and rows 1-5 of C are zero)
+        # dimensions, so C = E_c Dg(X) T is formed instead (every entry has
+        # z = 0 and y = 0; rows 1-5 of Dg(X) vanish, so C keeps 2 x 9)
         rng = np.random.default_rng(5)
         X = geometry.Stiefel(6, 2).random_point(rng)
         R = np.diag([1.0, 0, 0, 0, 0, 0])
         fixed = np.zeros((6, 2), dtype=bool)
         fixed[0] = True
         P, X, y = linear_g_pair(X, R, fixed)
-        calls = self.count_null_space_calls(monkeypatch)
+        calls = self.count_decomposition_calls(monkeypatch)
         critical_cone_basis(P, X, y)
-        assert calls == [(2, 6), (12, 9)]  # X^T for the tangent basis, then C
+        assert calls == [("null_space", (2, 6)), ("svd", (2, 9))]  # X^T for the tangent basis, then C
         assert self.assert_same_subspace(P, X, y) == 7
 
     def test_linear_non_entrywise_g(self, monkeypatch):
@@ -163,10 +169,10 @@ class TestConeBasisAgainstReference:
         fixed = np.zeros((6, 2), dtype=bool)
         fixed[[0, 2, 3, 5], [0, 1, 0, 1]] = True
         P, X, y = linear_g_pair(X, R, fixed)
-        calls = self.count_null_space_calls(monkeypatch)
+        calls = self.count_decomposition_calls(monkeypatch)
         critical_cone_basis(P, X, y)
         # X^T for the tangent basis, then C: a row per fixed entry, a column per tangent direction
-        assert calls == [(2, 6), (4, 9)]
+        assert calls == [("null_space", (2, 6)), ("svd", (4, 9))]
         # ker D has dimension 12 - 4, T_X M 12 - 3: they meet in 5 dimensions
         assert self.assert_same_subspace(P, X, y) == 5
 
@@ -186,15 +192,10 @@ class TestConeBasisAgainstReference:
                                    rtol=0, atol=1e-12)
         assert self.assert_same_subspace(P, X, y) == 4
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="the tangent-basis route thresholds C relative to its largest singular "
-               "value, so a constraint every tangent direction meets up to rounding "
-               "still removes a dimension",
-    )
     def test_tangent_route_constraint_tangent_up_to_rounding(self):
         # D = x^T on the sphere St(5, 1): ker D is exactly T_x, so C = D T is
-        # rounding alone and the cone is all of T_x (dimension 4)
+        # rounding alone and the cone is all of T_x (dimension 4).  A
+        # threshold relative to C's largest singular value would count it.
         rng = np.random.default_rng(4)
         X = geometry.Stiefel(5, 1).random_point(rng)
         R = rng.standard_normal((5, 5))
@@ -358,23 +359,103 @@ class TestGenHess:
                 gh = genhess_min_eig(P, rho, Xbar, ybar, enumerate_elements=True)
                 assert (gh.min_eig > 1e-9) == msc.holds, (mu, rho)
 
-    def test_refuses_before_building_the_tangent_basis(self, monkeypatch):
+    def test_beyond_dense_scale_builds_no_tangent_basis(self, monkeypatch):
         man = geometry.Stiefel(1000, 5)  # tangent dimension 4985
-        X = man.point(np.eye(1000, 5))
+        X = bench.cm_initial_point(1000, 5, seed=0)
 
         def refuse(point):
-            raise AssertionError("tangent basis built for a refused dimension")
+            raise AssertionError("tangent basis built by the matrix-free eigensolve")
 
         monkeypatch.setattr(geometry.Stiefel, "tangent_basis", refuse)
         P = bench.build_cm(1000, 5, 0.3, 50.0)
-        with pytest.raises(CertifyError):
-            genhess_min_eig(P, 1.0, X, np.zeros((1000, 5)))
+        y = np.zeros((1000, 5))
+        cert = genhess_min_eig(P, 100.0, X, y)
+        assert cert.subspace_dim == man.dim() == 4985
+        # the minimum lies at or below every Rayleigh quotient on T_X M
+        H = lagrangian.ghess_operator(P, 100.0, X, y)
+        quotients = [np.vdot(v, H(v)) / np.vdot(v, v)
+                     for v in (geometry.random_tangent(X, seed) for seed in range(5))]
+        assert math.isfinite(cert.min_eig)
+        assert cert.min_eig <= min(quotients)
 
-    def test_dense_dimension_guard(self):
+    def test_identity_hessian_at_dimension_6400(self):
+        # g = identity at X = 0, y = 0: every prox entry is strictly inside
+        # its threshold, so G = rho I and H = I on the flat 80 x 80 space
         P = euclidean_l1_problem(shape=(80, 80), mu=1.0)
         X = P.manifold.point(np.zeros((80, 80)))
-        with pytest.raises(CertifyError):
-            genhess_min_eig(P, 1.0, X, np.zeros((80, 80)))
+        cert = genhess_min_eig(P, 1.0, X, np.zeros((80, 80)))
+        assert cert.subspace_dim == 6400
+        assert cert.min_eig == pytest.approx(1.0, abs=1e-12)
+
+    def test_start_on_the_tangent_minimum(self):
+        # f = <B, x> on the sphere St(5, 1) with B = -3x and g = 0: the
+        # Hessian is -(x^T B) = 3 times the identity on T_x, so v0's Rayleigh
+        # quotient is already the minimum and the normal eigenvalue sigma
+        # must lie strictly above it
+        X = geometry.Stiefel(5, 1).random_point(np.random.default_rng(2))
+        B = -3.0 * X.X
+        P = ProblemSpec(
+            manifold=X.manifold,
+            f_value=lambda Z: float(np.vdot(B, Z)),
+            f_egrad=lambda Z: B,
+            f_ehess=lambda Z, xi: np.zeros_like(xi),
+            g_value=np.zeros_like,
+            g_jvp=lambda Z, xi: np.zeros_like(xi),
+            g_vjp=lambda Z, w: np.zeros_like(w),
+            gy_ehess=None,
+            theta=L1Norm(1.0),
+        )
+        cert = genhess_min_eig(P, 1.0, X, np.zeros((5, 1)))
+        assert cert.subspace_dim == 4
+        assert cert.min_eig == pytest.approx(3.0, abs=1e-12)
+
+    def test_lanczos_without_convergence_is_a_certify_error(self, monkeypatch):
+        import scipy.sparse.linalg
+
+        original = scipy.sparse.linalg.eigsh
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh",
+                            lambda *a, **k: original(*a, **{**k, "maxiter": 1}))
+        rng = np.random.default_rng(3)
+        M = rng.standard_normal((100, 100))
+        P = euclidean_quadratic_problem(M @ M.T, np.zeros(100), g_zero=False)
+        X = P.manifold.point(np.zeros(100))
+        with pytest.raises(CertifyError, match=r"\d+ iterations"):
+            genhess_min_eig(P, 1.0, X, np.zeros(100))
+
+    def test_ambient_size_one_is_the_rayleigh_quotient(self):
+        # eigsh refuses k = 1 at size 1.  g = x at 2 lies beyond the prox
+        # threshold 1/rho, so G = 0 and the form is f's curvature 3 alone
+        P = euclidean_quadratic_problem(np.array([[3.0]]), np.zeros(1), g_zero=False)
+        X = P.manifold.point(np.array([2.0]))
+        assert genhess_min_eig(P, 1.0, X, np.zeros(1)).min_eig == pytest.approx(3.0, abs=1e-14)
+
+
+class TestGenHessAgainstReference:
+    """The Lanczos minimum against the dense tangent-coordinate form."""
+
+    def assert_matches(self, P, rho, X, y, enumerate_elements=True):
+        cert = genhess_min_eig(P, rho, X, y, enumerate_elements=enumerate_elements)
+        ref = reference_genhess_min_eig(P, rho, X, y, enumerate_elements=enumerate_elements)
+        assert abs(cert.min_eig - ref) <= 1e-10, (rho, cert.min_eig, ref)
+        assert cert.subspace_dim == X.manifold.dim()
+        return cert
+
+    @pytest.mark.parametrize("mu", [0.4, 0.8, 4.0, 7.1])
+    def test_cm4_pairs(self, mu):
+        P, Xbar, ybar = bench.cm_analytic_pair(mu)
+        for rho in (1.0, 10.0, 100.0):
+            self.assert_matches(P, rho, Xbar, ybar)
+
+    def test_rmc_fixture(self, rmc_fixture):
+        fx = rmc_fixture
+        self.assert_matches(fx.problem, 10.0, fx.X_bar, fx.y_bar)
+
+    def test_boundary_enumeration_pair(self):
+        P = euclidean_l1_problem(shape=(1, 3), mu=1.0)
+        X = P.manifold.point(np.array([[0.5, 0.0, 3.0]]))
+        y = np.zeros((1, 3))
+        assert self.assert_matches(P, 2.0, X, y).elements_checked == 2
+        assert self.assert_matches(P, 2.0, X, y, enumerate_elements=False).partial
 
 
 class TestRateFit:

@@ -351,15 +351,17 @@ class TestRobustness:
 
     def test_import_leaves_scipy_linalg_unloaded(self):
         """scipy.linalg costs about half of the import; only certificates and
-        tangent bases load it, on first use."""
+        tangent bases load it, on first use.  scipy.sparse.linalg (the
+        generalized-Hessian eigensolve) likewise."""
         import ralmkit
 
-        probe = "import sys, ralmkit, ralmkit.cli; print('scipy.linalg' in sys.modules)"
+        probe = ("import sys, ralmkit, ralmkit.cli; "
+                 "print([m in sys.modules for m in ('scipy.linalg', 'scipy.sparse.linalg')])")
         package_root = str(Path(ralmkit.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=package_root)
         out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                              env=env, check=True)
-        assert out.stdout.strip() == "False"
+        assert out.stdout.strip() == "[False, False]"
 
     @pytest.mark.skipif(shutil.which("ralmkit") is None,
                         reason="ralmkit console script not installed")
