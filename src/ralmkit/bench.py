@@ -138,16 +138,20 @@ def build_rmc(A: np.ndarray, omega: np.ndarray, r: int, mu: float = 1.0) -> Prob
     m, n = A.shape
     if not 1 <= r <= min(m, n):
         raise BenchError(f"need 1 <= r <= min(m, n), got r={r}")
-    mask = omega.astype(float)
     manifold = FixedRank(m, n, r)
+    if omega.all():  # g(X) = X - A: multiplying by an all-ones mask is exact
+        g_value, g_jvp = (lambda X: X - A), (lambda X, xi: xi)
+    else:
+        mask = omega.astype(float)
+        g_value, g_jvp = (lambda X: mask * (X - A)), (lambda X, xi: mask * xi)
     return ProblemSpec(
         manifold=manifold,
         f_value=lambda X: 0.0,
         f_egrad=lambda X: np.zeros_like(X),
-        f_ehess=lambda X, xi: np.zeros_like(xi),
-        g_value=lambda X: mask * (X - A),
-        g_jvp=lambda X, xi: mask * xi,
-        g_vjp=lambda X, w: mask * w,
+        f_ehess=None,
+        g_value=g_value,
+        g_jvp=g_jvp,
+        g_vjp=g_jvp,  # Dg is diagonal, so self-adjoint
         gy_ehess=None,
         theta=L1Norm(mu),
         name=f"robust-completion({m}x{n},r={r})",

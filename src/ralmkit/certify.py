@@ -153,6 +153,9 @@ def genhess_min_eig(
     elements; otherwise only the convention element is used and the
     certificate is marked partial when boundaries were present.
 
+    On a zero-dimensional tangent space the certificate is degenerate, as
+    :func:`mssosc_certificate`'s on an empty critical cone.
+
     Matrix-free: Lanczos for the smallest eigenvalue of ``v -> H(Pv) +
     sigma (v - Pv)``, P the tangent projector, from a seeded tangent v0 whose
     Rayleigh quotient q lies at or above H's tangent minimum, so the normal
@@ -161,20 +164,21 @@ def genhess_min_eig(
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh  # loaded on first use
     if rho <= 0:
         raise CertifyError(f"penalty must be positive, got {rho}")
-    p = lagrangian.envelope_point(P, rho, X, y)
-    base_jac = P.theta.prox_jacobian(1.0 / rho, p)
+    ev = lagrangian.evaluate(P, rho, X, y)
+    base_jac = P.theta.prox_jacobian(1.0 / rho, ev.p)
     b = base_jac.boundary_count
     partial = False
     if enumerate_elements and b <= ENUM_CAP:
-        jacs = P.theta.extreme_prox_jacobians(1.0 / rho, p)
+        jacs = P.theta.extreme_prox_jacobians(1.0 / rho, ev.p)
     else:
         jacs = [base_jac]
         partial = b > 0
     shape, project, size = X.manifold.ambient_shape, X.manifold.project, X.X.size
     v0 = project(X, np.random.default_rng(0).standard_normal(shape))
+    dim = X.manifold.dim()
     min_eig = math.inf
-    for jac in jacs:
-        H = lagrangian.ghess_operator(P, rho, X, y, jac)
+    for jac in jacs if dim else []:  # a zero tangent space has no eigenvalue
+        H = ev.ghess_operator(jac)
         q = float(np.vdot(v0, H(v0)) / np.vdot(v0, v0))
         sigma = q + max(1.0, abs(q))
 
@@ -191,10 +195,11 @@ def genhess_min_eig(
     return Certificate(
         "generalized-hessian",
         min_eig,
-        X.manifold.dim(),
+        dim,
         boundary_count=b,
         elements_checked=len(jacs),
         partial=partial,
+        degenerate=dim == 0,
     )
 
 

@@ -202,6 +202,7 @@ def cmd_solve(args) -> int:
         except OSError as exc:  # plotting must never change the exit code
             log.error("plot not written: %s", exc)
     final = result.records[-1]
+    stats = result.inner_stats
     print(
         json.dumps(
             {
@@ -209,6 +210,9 @@ def cmd_solve(args) -> int:
                 "outer_iterations": final.k,
                 "kkt_residual": final.kkt_residual,
                 "rho_final": final.rho,
+                "newton_steps": sum(s.iterations for s in stats),
+                "cg_iterations": sum(s.cg_iterations for s in stats),
+                "line_search_failures": sum(s.line_search_failed for s in stats),
             }
         )
     )

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import List
+from typing import List, Optional
 
 import numpy as np
 
@@ -94,18 +94,23 @@ class L1Norm:
             out.append(ProxJacobian(mask=mask, boundary=base.boundary))
         return out
 
-    def moreau(self, rho: float, p: np.ndarray) -> float:
+    def moreau(self, rho: float, p: np.ndarray, q: Optional[np.ndarray] = None) -> float:
+        """The envelope at ``p``; pass ``q = prox(1/rho, p)`` when it is known."""
         if rho <= 0:
             raise ConvexError(f"envelope parameter must be positive, got {rho}")
         p = np.asarray(p, dtype=float)
-        q = self.prox(1.0 / rho, p)
+        if q is None:
+            q = self.prox(1.0 / rho, p)
         return self.value(q) + 0.5 * rho * float(np.sum((p - q) ** 2))
 
-    def moreau_grad(self, rho: float, p: np.ndarray) -> np.ndarray:
+    def moreau_grad(self, rho: float, p: np.ndarray, q: Optional[np.ndarray] = None) -> np.ndarray:
+        """The envelope gradient rho (p - q) at ``p``, ``q = prox(1/rho, p)``."""
         if rho <= 0:
             raise ConvexError(f"envelope parameter must be positive, got {rho}")
         p = np.asarray(p, dtype=float)
-        return rho * (p - self.prox(1.0 / rho, p))
+        if q is None:
+            q = self.prox(1.0 / rho, p)
+        return rho * (p - q)
 
     def in_subdifferential(self, z: np.ndarray, y: np.ndarray, tol: float = 1e-10) -> bool:
         """Whether ``y`` lies in the subdifferential of theta at ``z``."""

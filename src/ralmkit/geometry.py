@@ -90,7 +90,9 @@ class Manifold:
         """The Euclidean-to-Riemannian Hessian conversion at ``point`` for the
         Euclidean gradient ``egrad``, prepared once for many directions:
         returns ``(ehess_vec, xi, extra=None) -> rhess + project(point, extra)``,
-        a fresh array; the ``extra`` term is skipped when omitted."""
+        a fresh array.  ``ehess_vec=None`` stands for a zero Euclidean
+        Hessian-vector and gives the same bits as a zero array; the ``extra``
+        term is skipped when omitted."""
         raise NotImplementedError
 
     def tangent_basis(self, point: ManifoldPoint) -> list:
@@ -135,6 +137,8 @@ class Euclidean(Manifold):
 
     def hess_operator(self, point, egrad) -> Callable:
         def apply(ehess_vec, xi, extra=None):
+            if ehess_vec is None:
+                ehess_vec = np.zeros(self.ambient_shape)
             e = self._check_ambient(ehess_vec)
             return e.copy() if extra is None else e + self._check_ambient(extra)
 
@@ -209,7 +213,9 @@ class Stiefel(Manifold):
         def apply(ehess_vec, xi, extra=None):
             z, a, b, w = stacks[extra is not None]
             np.matmul(xi, S, out=Z0)
-            np.subtract(self._check_ambient(ehess_vec), Z0, out=Z0)
+            # 0.0 - Z0 has the bits of a zero array minus Z0 (signed zeros too)
+            e = 0.0 if ehess_vec is None else self._check_ambient(ehess_vec)
+            np.subtract(e, Z0, out=Z0)
             if extra is not None:
                 Z1[...] = self._check_ambient(extra)
             np.matmul(Xt, z, out=a)
@@ -301,8 +307,10 @@ class FixedRank(Manifold):
 
     @staticmethod
     def _from_factors(point: ManifoldPoint, M, Up, Vp) -> np.ndarray:
+        """The ambient matrix of tangent factors; ``M=None`` stands for zero."""
         U, _, V = point.factors
-        return U @ M @ V.T + Up @ V.T + U @ Vp.T
+        head = Up @ V.T if M is None else U @ M @ V.T + Up @ V.T
+        return head + U @ Vp.T
 
     def project(self, point: ManifoldPoint, Y: np.ndarray) -> np.ndarray:
         Y = self._check_ambient(Y)
@@ -315,10 +323,14 @@ class FixedRank(Manifold):
         # O(mnr + (m + n) r^2) against O(mn min(m, n)) for a dense SVD.
         U, s, V = point.factors
         M, Up, Vp = self._tangent_factors(point, xi)
-        I, O = np.eye(self.r), np.zeros((self.r, self.r))
+        r = self.r
+        C = np.zeros((2 * r, 2 * r))
+        np.add(np.diag(s), M, out=C[:r, :r])
+        np.fill_diagonal(C[:r, r:], 1.0)
+        np.fill_diagonal(C[r:, :r], 1.0)
         Qu, Ru = np.linalg.qr(np.hstack([U, Up]))
         Qv, Rv = np.linalg.qr(np.hstack([V, Vp]))
-        core = Ru @ np.block([[np.diag(s) + M, I], [I, O]]) @ Rv.T
+        core = Ru @ C @ Rv.T
         Uc, sc, Vc = self._truncate(*np.linalg.svd(core))
         return self.point_from_factors(Qu @ Uc, sc, Qv @ Vc)
 
@@ -333,10 +345,13 @@ class FixedRank(Manifold):
         N = N - (N @ V) @ V.T  # N = P_U^perp egrad P_V^perp
 
         def apply(ehess_vec, xi, extra=None):
-            M0, Up0, Vp0 = self._tangent_factors(point, self._check_ambient(ehess_vec))
             Up_c = (N @ (xi.T @ U)) / s
             Vp_c = (N.T @ (xi @ V)) / s
-            rhess = self._from_factors(point, M0, Up0 + Up_c, Vp0 + Vp_c)
+            if ehess_vec is None:  # a zero ehess has zero factors: skip them
+                rhess = self._from_factors(point, None, Up_c, Vp_c)
+            else:
+                M0, Up0, Vp0 = self._tangent_factors(point, self._check_ambient(ehess_vec))
+                rhess = self._from_factors(point, M0, Up0 + Up_c, Vp0 + Vp_c)
             return rhess if extra is None else rhess + self.project(point, extra)
 
         return apply

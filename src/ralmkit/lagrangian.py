@@ -8,12 +8,15 @@ assembles the augmented Lagrangian
 (where ``env_rho`` is the Moreau envelope of theta), its Riemannian
 gradient, generalized Hessian-vector products, the multiplier update and
 the KKT residual.  All dual quantities are computed analytically from the
-envelope, never by differencing.
+envelope, never by differencing.  An :class:`Evaluation` holds them at one
+point, all from one prox; the module-level functions are single
+evaluations of it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -33,20 +36,22 @@ class ProblemSpec:
     All callbacks work in ambient coordinates:
 
     * ``f_value(X)``, ``f_egrad(X)``, ``f_ehess(X, xi)`` -- the smooth term
-      and its Euclidean derivatives,
+      and its Euclidean derivatives; ``f_ehess`` is ``None`` when f has a
+      zero Hessian (the Hessian then skips the term),
     * ``g_value(X)`` -- constraint-space image of X,
     * ``g_jvp(X, xi)`` / ``g_vjp(X, w)`` -- the differential of g and its
       adjoint,
     * ``gy_ehess(X, y, xi)`` -- Euclidean Hessian-vector of ``<y, g(.)>``
       at fixed y, or ``None`` when g is affine (the term is then zero).
 
-    No callback result is written into, so ``f_ehess`` may return ``xi``.
+    No callback result is written into, so ``f_ehess``, ``g_jvp`` and
+    ``g_vjp`` may return their vector argument itself.
     """
 
     manifold: Manifold
     f_value: Callable[[np.ndarray], float]
     f_egrad: Callable[[np.ndarray], np.ndarray]
-    f_ehess: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    f_ehess: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]]
     g_value: Callable[[np.ndarray], np.ndarray]
     g_jvp: Callable[[np.ndarray, np.ndarray], np.ndarray]
     g_vjp: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -60,36 +65,124 @@ def _check_rho(rho: float) -> None:
         raise LagrangianError(f"penalty must be positive, got {rho}")
 
 
+class Subproblem:
+    """``l_rho(., y)`` at a fixed penalty and multiplier: the Newton
+    subproblem.  The terms that depend only on ``(rho, y)`` are computed
+    once; :meth:`at` evaluates it at a point."""
+
+    def __init__(self, P: ProblemSpec, rho: float, y: np.ndarray):
+        _check_rho(rho)
+        self.P, self.rho, self.y = P, rho, y
+        self.shift = y / rho
+        self.y_term = float(np.sum(y * y)) / (2.0 * rho)
+
+    def at(self, X: ManifoldPoint) -> "Evaluation":
+        return Evaluation(self, X)
+
+
+class Evaluation:
+    """``l_rho(., y)`` at one point ``X``; each quantity is computed on
+    first use and kept.
+
+    The value needs the envelope point ``p = g(X) + y/rho`` and
+    ``q = prox(p)``, one prox; the derivatives reuse them: the shifted
+    multiplier ``ytilde``, the Euclidean and Riemannian gradients, the dual
+    gradient and the generalized Hessian.  The Newton solver evaluates every
+    line-search trial point and reads the derivatives only at accepted ones.
+    """
+
+    def __init__(self, sub: Subproblem, X: ManifoldPoint):
+        self.sub, self.X = sub, X
+
+    @cached_property
+    def p(self) -> np.ndarray:
+        """The envelope argument g(X) + y/rho."""
+        return self.sub.P.g_value(self.X.X) + self.sub.shift
+
+    @cached_property
+    def q(self) -> np.ndarray:
+        return self.sub.P.theta.prox(1.0 / self.sub.rho, self.p)
+
+    @cached_property
+    def value(self) -> float:
+        P = self.sub.P
+        return P.f_value(self.X.X) + P.theta.moreau(self.sub.rho, self.p, self.q) - self.sub.y_term
+
+    @cached_property
+    def ytilde(self) -> np.ndarray:
+        """Gradient of the Moreau envelope at g(X) + y/rho: the multiplier
+        the augmented Lagrangian "sees", since its gradient in x equals the
+        Lagrangian gradient at (x, ytilde)."""
+        return self.sub.P.theta.moreau_grad(self.sub.rho, self.p, self.q)
+
+    @cached_property
+    def egrad(self) -> np.ndarray:
+        return self.sub.P.f_egrad(self.X.X) + self.sub.P.g_vjp(self.X.X, self.ytilde)
+
+    @cached_property
+    def rgrad(self) -> np.ndarray:
+        return self.X.manifold.project(self.X, self.egrad)
+
+    @cached_property
+    def dual_grad(self) -> np.ndarray:
+        """Gradient in y: (ytilde - y) / rho."""
+        return (self.ytilde - self.sub.y) / self.sub.rho
+
+    def multiplier_update(self, rho_tilde: float) -> np.ndarray:
+        """Dual ascent step y + rho_tilde * grad_y l_rho(X, y)."""
+        rho = self.sub.rho
+        if not 0 < rho_tilde <= rho:
+            raise LagrangianError(f"need 0 < rho_tilde <= rho, got {rho_tilde} vs {rho}")
+        return self.sub.y + rho_tilde * self.dual_grad
+
+    def ghess_operator(self, jac: Optional[ProxJacobian] = None) -> Callable:
+        """A generalized Hessian of ``l_rho(., y)`` at ``X``, prepared once:
+        returns ``xi -> H xi``.
+
+        ``H`` is the Riemannian Hessian of L(., ytilde) plus the projected
+        second-order envelope term ``Dg* G Dg`` with ``G = rho (I - mask)``,
+        where ``mask`` is a Clarke-Jacobian element of the prox at ``p``.
+        Passing ``jac`` selects the element; the default is the convention
+        element (boundary bit 0).
+        """
+        P, X, rho = self.sub.P, self.X, self.sub.rho
+        if jac is None:
+            jac = P.theta.prox_jacobian(1.0 / rho, self.p)
+        smooth = _hess_operator(P, X, self.ytilde, self.egrad)
+        G = rho * (1.0 - jac.mask)  # G w equals rho (w - mask w) exactly: mask is 0/1
+
+        def apply(xi):
+            return smooth(xi, P.g_vjp(X.X, G * P.g_jvp(X.X, xi)))
+
+        return apply
+
+
+def evaluate(P: ProblemSpec, rho: float, X: ManifoldPoint, y: np.ndarray) -> Evaluation:
+    """``l_rho(., y)`` at ``X``, for a single evaluation."""
+    return Subproblem(P, rho, y).at(X)
+
+
 def envelope_point(P: ProblemSpec, rho: float, X: ManifoldPoint, y: np.ndarray) -> np.ndarray:
     """The envelope argument g(X) + y/rho."""
-    _check_rho(rho)
-    return P.g_value(X.X) + y / rho
+    return evaluate(P, rho, X, y).p
 
 
 def shifted_multiplier(P: ProblemSpec, rho: float, X: ManifoldPoint, y: np.ndarray) -> np.ndarray:
-    """ytilde = grad of the Moreau envelope at g(X) + y/rho.
-
-    This is the multiplier the augmented Lagrangian "sees": its gradient
-    in x equals the Lagrangian gradient at (x, ytilde).
-    """
-    return P.theta.moreau_grad(rho, envelope_point(P, rho, X, y))
+    """ytilde = grad of the Moreau envelope at g(X) + y/rho."""
+    return evaluate(P, rho, X, y).ytilde
 
 
 def auglag_value(P: ProblemSpec, rho: float, X: ManifoldPoint, y: np.ndarray) -> float:
-    _check_rho(rho)
-    env = P.theta.moreau(rho, envelope_point(P, rho, X, y))
-    return P.f_value(X.X) + env - float(np.sum(y * y)) / (2.0 * rho)
+    return evaluate(P, rho, X, y).value
 
 
 def auglag_rgrad(P: ProblemSpec, rho: float, X: ManifoldPoint, y: np.ndarray) -> np.ndarray:
-    yt = shifted_multiplier(P, rho, X, y)
-    egrad = P.f_egrad(X.X) + P.g_vjp(X.X, yt)
-    return X.manifold.project(X, egrad)
+    return evaluate(P, rho, X, y).rgrad
 
 
 def auglag_dual_grad(P: ProblemSpec, rho: float, X: ManifoldPoint, y: np.ndarray) -> np.ndarray:
     """Gradient of the augmented Lagrangian in y: (ytilde - y) / rho."""
-    return (shifted_multiplier(P, rho, X, y) - y) / rho
+    return evaluate(P, rho, X, y).dual_grad
 
 
 def lagrangian_rgrad(P: ProblemSpec, X: ManifoldPoint, y: np.ndarray) -> np.ndarray:
@@ -97,38 +190,30 @@ def lagrangian_rgrad(P: ProblemSpec, X: ManifoldPoint, y: np.ndarray) -> np.ndar
     return X.manifold.project(X, P.f_egrad(X.X) + P.g_vjp(X.X, y))
 
 
+def _hess_operator(P: ProblemSpec, X: ManifoldPoint, y: np.ndarray, egrad: np.ndarray) -> Callable:
+    """Riemannian Hessian of L(., y), ``egrad`` its Euclidean gradient at X."""
+    rhess = X.manifold.hess_operator(X, egrad)
+    f, gy = P.f_ehess, P.gy_ehess
+    if gy is None:  # g is affine
+        if f is None:
+            return lambda xi, extra=None: rhess(None, xi, extra)
+        return lambda xi, extra=None: rhess(f(X.X, xi), xi, extra)
+    if f is None:
+        return lambda xi, extra=None: rhess(gy(X.X, y, xi), xi, extra)
+    return lambda xi, extra=None: rhess(f(X.X, xi) + gy(X.X, y, xi), xi, extra)
+
+
 def lagrangian_hess_operator(P: ProblemSpec, X: ManifoldPoint, y: np.ndarray) -> Callable:
     """Riemannian Hessian of L(., y) at fixed y, prepared at ``X``:
     returns ``(xi, extra=None) -> Hess xi + proj_T(extra)``."""
-    rhess = X.manifold.hess_operator(X, P.f_egrad(X.X) + P.g_vjp(X.X, y))
-    if P.gy_ehess is None:
-        return lambda xi, extra=None: rhess(P.f_ehess(X.X, xi), xi, extra)
-    return lambda xi, extra=None: rhess(P.f_ehess(X.X, xi) + P.gy_ehess(X.X, y, xi), xi, extra)
+    return _hess_operator(P, X, y, P.f_egrad(X.X) + P.g_vjp(X.X, y))
 
 
 def ghess_operator(
     P: ProblemSpec, rho: float, X: ManifoldPoint, y: np.ndarray, jac: Optional[ProxJacobian] = None
 ) -> Callable:
-    """A generalized Hessian of ``l_rho(., y)``, prepared once at ``X``:
-    returns ``xi -> H xi``.
-
-    ``H`` is the Riemannian Hessian of L(., ytilde) plus the projected
-    second-order envelope term ``Dg* G Dg`` with ``G = rho (I - mask)``,
-    where ``mask`` is a Clarke-Jacobian element of the prox at
-    ``g(X) + y/rho``.  Passing ``jac`` selects the element; the default is
-    the convention element (boundary bit 0).
-    """
-    _check_rho(rho)
-    p = envelope_point(P, rho, X, y)
-    if jac is None:
-        jac = P.theta.prox_jacobian(1.0 / rho, p)
-    smooth = lagrangian_hess_operator(P, X, P.theta.moreau_grad(rho, p))
-    G = rho * (1.0 - jac.mask)  # G w equals rho (w - mask w) exactly: mask is 0/1
-
-    def apply(xi):
-        return smooth(xi, P.g_vjp(X.X, G * P.g_jvp(X.X, xi)))
-
-    return apply
+    """:meth:`Evaluation.ghess_operator` of a single evaluation."""
+    return evaluate(P, rho, X, y).ghess_operator(jac)
 
 
 def auglag_ghess_vec(
@@ -153,10 +238,7 @@ def multiplier_update(
     rounding; for the l1 term ytilde lies in the sup-norm box up to
     rounding, and so does the updated multiplier.
     """
-    _check_rho(rho)
-    if not 0 < rho_tilde <= rho:
-        raise LagrangianError(f"need 0 < rho_tilde <= rho, got {rho_tilde} vs {rho}")
-    return y + rho_tilde * auglag_dual_grad(P, rho, X, y)
+    return evaluate(P, rho, X, y).multiplier_update(rho_tilde)
 
 
 def kkt_residual(P: ProblemSpec, X: ManifoldPoint, y: np.ndarray) -> float:

@@ -134,36 +134,37 @@ def ssn_minimize(
     y: np.ndarray,
     X0: ManifoldPoint,
     cfg: Optional[NewtonConfig] = None,
-    stop: Optional[Callable[[ManifoldPoint, np.ndarray], bool]] = None,
+    stop: Optional[Callable[[lagrangian.Evaluation], bool]] = None,
 ) -> tuple:
     """Run the globalized semismooth Newton iteration from ``X0``.
 
-    ``stop(X, grad)`` is evaluated at every iterate, the last one included;
-    when omitted the solver stops at ``|grad| <= cfg.grad_tol``.  Returns
-    the final point together with :class:`NewtonStats`.
+    ``stop(ev)`` is evaluated at every iterate, the last one included, with
+    the :class:`~ralmkit.lagrangian.Evaluation` there (``ev.X``, the gradient
+    ``ev.rgrad``, the shifted multiplier ``ev.ytilde``, ...); when omitted
+    the solver stops at ``|grad| <= cfg.grad_tol``.  Returns the final
+    point together with :class:`NewtonStats`.
     """
     cfg = cfg or NewtonConfig()
     stats = NewtonStats()
-    X = X0
-    val = lagrangian.auglag_value(P, rho, X, y)
-    stats.objective_trace.append(val)
+    sub = lagrangian.Subproblem(P, rho, y)
+    ev = sub.at(X0)
+    stats.objective_trace.append(ev.value)
 
     for k in range(cfg.max_iter + 1):
-        grad = lagrangian.auglag_rgrad(P, rho, X, y)
+        grad = ev.rgrad
         gnorm = float(np.linalg.norm(grad))
         stats.final_grad_norm = gnorm
-        if not math.isfinite(gnorm) or not math.isfinite(val):
+        if not math.isfinite(gnorm) or not math.isfinite(ev.value):
             raise NewtonError(f"non-finite subproblem state at iteration {k}")
-        if (stop is not None and stop(X, grad)) or gnorm <= cfg.grad_tol:
+        if (stop is not None and stop(ev)) or gnorm <= cfg.grad_tol:
             stats.stopped = True
-            return X, stats
+            return ev.X, stats
         if k == cfg.max_iter:
-            return X, stats
+            return ev.X, stats
 
         omega = gnorm ** NU_BAR
         eta_cap = min(1.0 / (k + 1.0) ** 2, gnorm ** (1.0 + NU_BAR))
-        apply_H = lagrangian.ghess_operator(P, rho, X, y)
-        V, cg = cg_solve(apply_H, omega, -grad, eta_cap, cfg.cg_max_iter)
+        V, cg = cg_solve(ev.ghess_operator(), omega, -grad, eta_cap, cfg.cg_max_iter)
         stats.cg_iterations += cg.iterations
 
         vnorm = float(np.linalg.norm(V))
@@ -178,19 +179,18 @@ def ssn_minimize(
         for m in range(M_MAX + 1):
             step = DELTA ** m
             try:
-                X_new = geometry.retract(X, step * V)
+                trial = sub.at(geometry.retract(ev.X, step * V))
             except RankDropError:
                 stats.rank_drop_retries += 1
                 continue
-            val_new = lagrangian.auglag_value(P, rho, X_new, y)
-            if val_new <= val + MU_LS * step * slope:
+            if trial.value <= ev.value + MU_LS * step * slope:
                 accepted = True
                 break
         if not accepted:
             stats.line_search_failed = True
             log.warning("iter %d: %d backtracks exhausted, returning best iterate", k, M_MAX)
-            return X, stats
+            return ev.X, stats
 
-        X, val = X_new, val_new
+        ev = trial
         stats.iterations = k + 1
-        stats.objective_trace.append(val)
+        stats.objective_trace.append(ev.value)

@@ -147,16 +147,17 @@ def ralm_solve(
     X = X0
     rho = cfg.rho0
     R_prev = lagrangian.kkt_residual(P, X, y)
+    ev = lagrangian.evaluate(P, rho, X, y)
     records = [
         IterateRecord(
             k=0,
             rho=rho,
             rho_tilde=rho - cfg.rho_bar,
             inner_iters=0,
-            grad_norm=float(np.linalg.norm(lagrangian.auglag_rgrad(P, rho, X, y))),
+            grad_norm=float(np.linalg.norm(ev.rgrad)),
             kkt_residual=R_prev,
             dual_step_norm=0.0,
-            auglag=lagrangian.auglag_value(P, rho, X, y),
+            auglag=ev.value,
         )
     ]
     records[0].check_finite()
@@ -172,13 +173,15 @@ def ralm_solve(
         # summable schedule.
         eps_k = max(cfg.eps0 * cfg.kappa ** (k - 1), cfg.eps_min)
 
-        def stop(Xc, grad):
-            gnorm = np.linalg.norm(grad)
+        def stop(inner):
+            # ssn_minimize tests every iterate, the one it returns last, so
+            # ev ends as the evaluation at the inner solution.
+            nonlocal ev
+            ev = inner
+            gnorm = np.linalg.norm(ev.rgrad)
             # Criteria 'b'/'c' depend on the dual step at the current
             # iterate, so the threshold is re-evaluated every inner step.
-            dual_step = rho_tilde * float(
-                np.linalg.norm(lagrangian.auglag_dual_grad(P, rho, Xc, y))
-            )
+            dual_step = rho_tilde * float(np.linalg.norm(ev.dual_grad))
             thr = inner_threshold(cfg.criterion, eps_k, rho_tilde, dual_step)
             ok = gnorm <= thr
             if cfg.exact_c is not None:
@@ -190,7 +193,7 @@ def ralm_solve(
         if not nstats.stopped:
             log.warning("outer %d: inner solver exited before meeting its criterion", k)
 
-        y_new = lagrangian.multiplier_update(P, rho, rho_tilde, X, y)
+        y_new = ev.multiplier_update(rho_tilde)
         dual_step_norm = float(np.linalg.norm(y_new - y))
         R_new = lagrangian.kkt_residual(P, X, y_new)
         rec = IterateRecord(

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -421,6 +423,20 @@ class TestGenHess:
         X = P.manifold.point(np.zeros(100))
         with pytest.raises(CertifyError, match=r"\d+ iterations"):
             genhess_min_eig(P, 1.0, X, np.zeros(100))
+
+    def test_zero_dimensional_tangent_space_is_degenerate(self):
+        # St(1, 1) = {-1, 1} has T_x = {0}: no Rayleigh quotient to take, and
+        # no 0/0 either (warnings are errors here)
+        P = euclidean_l1_problem(shape=(1, 1), mu=1.0)
+        P = dataclasses.replace(P, manifold=geometry.Stiefel(1, 1))
+        X = P.manifold.point(np.array([[1.0]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cert = genhess_min_eig(P, 1.0, X, np.zeros((1, 1)), enumerate_elements=True)
+            cone = mssosc_certificate(P, X, np.array([[1.0]]))
+        assert cert.degenerate and cert.subspace_dim == 0
+        assert cert.verdict == "holds"
+        assert cone.degenerate and cone.subspace_dim == 0
 
     def test_ambient_size_one_is_the_rayleigh_quotient(self):
         # eigsh refuses k = 1 at size 1.  g = x at 2 lies beyond the prox

@@ -12,8 +12,10 @@ import numpy as np
 import pytest
 
 from ralmkit import bench
-from ralmkit.cli import EXIT_ERROR, EXIT_MAXITER, EXIT_OK, main
-from ralmkit.ralm import IterateRecord
+from ralmkit.cli import (
+    EXIT_ERROR, EXIT_MAXITER, EXIT_OK, build_problem, build_solver_config, load_config, main,
+)
+from ralmkit.ralm import IterateRecord, ralm_solve
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -57,6 +59,21 @@ class TestSolve:
         assert out["converged"]
         records = bench.load_log(str(tmp_path / "run.csv"))
         assert records[-1].kkt_residual <= 1e-7
+
+    def test_summary_reports_inner_work(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        assert main(["solve", "--config", cfg]) == EXIT_OK
+        out = json.loads(capsys.readouterr().out)
+        records = bench.load_log(str(tmp_path / "run.csv"))
+        assert out["outer_iterations"] == records[-1].k == len(records) - 1
+        assert out["newton_steps"] == sum(rec.inner_iters for rec in records) > 0
+        config = load_config(cfg)
+        P, X0, y0 = build_problem(config, None)
+        stats = ralm_solve(P, build_solver_config(config), X0, y0).inner_stats
+        assert out["cg_iterations"] == sum(st.cg_iterations for st in stats) > 0
+        assert out["line_search_failures"] == sum(st.line_search_failed for st in stats) == 0
+        assert all(type(out[key]) is int
+                   for key in ("newton_steps", "cg_iterations", "line_search_failures"))
 
     def test_deterministic_bytes(self, tmp_path):
         cfg = write_config(tmp_path)

@@ -170,7 +170,7 @@ def reference_rhess(X, egrad, ehess, xi):
 
 def reference_lagrangian_hess(P, X, y, xi):
     egrad = P.f_egrad(X.X) + P.g_vjp(X.X, y)
-    ehess = P.f_ehess(X.X, xi)
+    ehess = np.zeros_like(xi) if P.f_ehess is None else P.f_ehess(X.X, xi)  # None: zero Hessian
     if P.gy_ehess is not None:  # None: g is affine
         ehess = ehess + P.gy_ehess(X.X, y, xi)
     return reference_rhess(X, egrad, ehess, xi)
@@ -285,6 +285,20 @@ class TestPreparedHessian:
             kept.append((out, out.copy()))
         for out, snap in kept:
             assert np.array_equal(out, snap)
+
+    @pytest.mark.parametrize("case", hessian_cases(), ids=CASE_IDS)
+    def test_manifold_operator_none_is_a_zero_ehess(self, case):
+        P, _, X, y = case
+        man = X.manifold
+        hess = man.hess_operator(X, P.f_egrad(X.X) + P.g_vjp(X.X, y))
+        zero = np.zeros(man.ambient_shape)
+        rng = np.random.default_rng(33)
+        for seed in range(4):
+            xi = geometry.random_tangent(X, 960 + seed)
+            w = rng.standard_normal(man.ambient_shape)
+            for args in ((xi,), (xi, w)):  # without and with the extra term
+                got, want = hess(None, *args), hess(zero, *args)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("case", hessian_cases()[:2], ids=CASE_IDS[:2])
     def test_affine_g_skips_the_zero_term(self, case):

@@ -136,7 +136,7 @@ class TestSsnMinimize:
         X0 = geometry.retract(Xbar, 0.05 * geometry.random_tangent(Xbar, 5))
         cfg = NewtonConfig(grad_tol=1e-10, max_iter=50)
         points = []  # every iterate: the stop test sees each one and never stops
-        Xhat, stats = ssn_minimize(P, 10.0, ybar, X0, cfg, stop=lambda X, g: points.append(X))
+        Xhat, stats = ssn_minimize(P, 10.0, ybar, X0, cfg, stop=lambda ev: points.append(ev.X))
         dists = [np.linalg.norm(pt.X - Xbar.X) for pt in points]
         assert dists[-1] <= 1e-8
         pairs = [(d0, d1) for d0, d1 in zip(dists[:-1], dists[1:]) if d0 > 1e-13][-3:]
@@ -156,9 +156,9 @@ class TestSsnMinimize:
         X0 = geometry.retract(Xbar, 0.3 * geometry.random_tangent(Xbar, 13))
         calls = []
 
-        def stop(X, grad):
-            calls.append(np.linalg.norm(grad))
-            return np.linalg.norm(grad) <= 1e-4
+        def stop(ev):
+            calls.append(np.linalg.norm(ev.rgrad))
+            return np.linalg.norm(ev.rgrad) <= 1e-4
 
         _, stats = ssn_minimize(P, 5.0, ybar, X0, NewtonConfig(), stop)
         assert stats.stopped

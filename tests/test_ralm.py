@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from ralmkit import certify, geometry
+from ralmkit import bench, certify, geometry
+from ralmkit.convex import L1Norm
 from ralmkit.newton import NewtonConfig
 from ralmkit.ralm import IterateRecord, RalmConfig, RalmError, inner_threshold, ralm_solve
 
@@ -144,7 +147,72 @@ class TestSolveCm:
         assert res.converged
 
 
+class TestOneProxPerPoint:
+    # Besides one prox per line-search trial point, each outer step takes one
+    # at the start of its inner solve and one in the KKT residual; the first
+    # record takes the same two.
+    PROX_PER_OUTER_STEP = 2
+    PROX_AT_START = 2
+
+    def test_cm4_prox_calls(self, cm_pair, monkeypatch):
+        P, Xbar, _ = cm_pair
+        X0 = geometry.retract(Xbar, 0.1 * geometry.random_tangent(Xbar, 11))
+        calls = {"prox": 0, "trial": 0}
+        prox, retract = L1Norm.prox, geometry.retract
+
+        def counted_prox(theta, *args):
+            calls["prox"] += 1
+            return prox(theta, *args)
+
+        def counted_retract(*args):  # only the line search retracts
+            calls["trial"] += 1
+            return retract(*args)
+
+        monkeypatch.setattr(L1Norm, "prox", counted_prox)
+        monkeypatch.setattr(geometry, "retract", counted_retract)
+        cfg = RalmConfig(rho0=1.0, gamma=4.0, criterion="b", kkt_tol=1e-8, max_outer=50)
+        res = ralm_solve(P, cfg, X0, np.zeros((4, 2)))
+        outer = res.records[-1].k
+        assert res.converged
+        assert calls["trial"] >= sum(s.iterations for s in res.inner_stats) > outer
+        bound = calls["trial"] + self.PROX_PER_OUTER_STEP * outer + self.PROX_AT_START
+        assert calls["prox"] <= bound
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 class TestSolveRmc:
+    def test_full_observation_is_bit_identical_to_the_mask(self):
+        # A fully observed build_rmc drops the all-ones mask from g and passes
+        # f_ehess=None; the solve must keep every bit of the masked form.
+        rng = np.random.default_rng(4)
+        m, n, r = 20, 30, 2
+        A = rng.standard_normal((m, r)) @ rng.standard_normal((r, n))
+        A = A + bench.rmc_random_outliers(m, n, 0.05, 0.5, 5)
+        P = bench.build_rmc(A, np.ones((m, n), dtype=bool), r)
+        assert P.f_ehess is None
+        mask = np.ones((m, n))
+        masked = dataclasses.replace(
+            P,
+            f_ehess=lambda X, xi: np.zeros_like(xi),
+            g_value=lambda X: mask * (X - A),
+            g_jvp=lambda X, xi: mask * xi,
+            g_vjp=lambda X, w: mask * w,
+        )
+        X0 = P.manifold.point_from_ambient(A)
+        cfg = RalmConfig(kkt_tol=1e-9, max_outer=40)
+        got, want = (ralm_solve(Q, cfg, X0, np.zeros((m, n))) for Q in (P, masked))
+        assert want.converged and len(want.records) > 5
+        assert same_bits(got.X.X, want.X.X) and same_bits(got.y, want.y)
+        assert len(got.records) == len(want.records)
+        for a, b in zip(got.records, want.records):
+            assert same_bits(a.as_row(), b.as_row())
+        assert [s.objective_trace for s in got.inner_stats] == \
+            [s.objective_trace for s in want.inner_stats]
+
     def test_recovers_ground_truth(self, rmc_fixture):
         fx = rmc_fixture
         X0 = geometry.retract(fx.X_bar, 0.05 * geometry.random_tangent(fx.X_bar, 3))
