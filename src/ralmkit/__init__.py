@@ -13,14 +13,7 @@ from .geometry import (
     random_tangent,
     retract,
 )
-from .lagrangian import (
-    ProblemSpec,
-    auglag_ghess_vec,
-    auglag_rgrad,
-    auglag_value,
-    kkt_residual,
-    multiplier_update,
-)
+from .lagrangian import ProblemSpec, kkt_residual
 from .newton import NewtonConfig, NewtonStats, cg_solve, ssn_minimize
 from .ralm import IterateRecord, RalmConfig, RalmResult, inner_threshold, ralm_solve
 from .certify import (

@@ -259,8 +259,10 @@ def load_coordinate(path: str) -> Tuple[np.ndarray, np.ndarray]:
     idx = 0
     if idx < len(lines) and lines[idx].startswith("%%MatrixMarket"):
         header = lines[idx].split()
-        if len(header) < 4 or header[2] != "coordinate":
-            raise ParseError(f"{path}: line 1: only coordinate format is supported")
+        # A symmetric file lists one triangle; reading it as general would
+        # leave the mirrored entries unobserved.
+        if len(header) < 5 or header[2] != "coordinate" or header[4] != "general":
+            raise ParseError(f"{path}: line 1: only 'coordinate ... general' files are supported")
         idx += 1
     while idx < len(lines) and lines[idx].lstrip().startswith("%"):
         idx += 1

@@ -26,7 +26,7 @@ from typing import Optional, get_type_hints
 
 import numpy as np
 
-from . import bench, certify, geometry, lagrangian, newton, oracles, ralm
+from . import bench, certify, convex, geometry, lagrangian, newton, oracles, ralm
 from .bench import ParseError
 
 log = logging.getLogger("ralmkit.cli")
@@ -330,7 +330,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ConfigError, ParseError, bench.BenchError, OSError, geometry.GeometryError,
             lagrangian.LagrangianError, certify.CertifyError, ralm.RalmError,
-            newton.NewtonError, oracles.OracleError) as exc:
+            newton.NewtonError, oracles.OracleError, convex.ConvexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -9,8 +9,8 @@ assembles the augmented Lagrangian
 gradient, generalized Hessian-vector products, the multiplier update and
 the KKT residual.  All dual quantities are computed analytically from the
 envelope, never by differencing.  An :class:`Evaluation` holds them at one
-point, all from one prox; the module-level functions are single
-evaluations of it.
+point, all from one prox, and is the one way to compute them: take one
+from ``Subproblem(P, rho, y).at(X)`` or from :func:`evaluate`.
 """
 
 from __future__ import annotations
@@ -60,18 +60,14 @@ class ProblemSpec:
     name: str = "problem"
 
 
-def _check_rho(rho: float) -> None:
-    if rho <= 0:
-        raise LagrangianError(f"penalty must be positive, got {rho}")
-
-
 class Subproblem:
     """``l_rho(., y)`` at a fixed penalty and multiplier: the Newton
     subproblem.  The terms that depend only on ``(rho, y)`` are computed
     once; :meth:`at` evaluates it at a point."""
 
     def __init__(self, P: ProblemSpec, rho: float, y: np.ndarray):
-        _check_rho(rho)
+        if rho <= 0:
+            raise LagrangianError(f"penalty must be positive, got {rho}")
         self.P, self.rho, self.y = P, rho, y
         self.shift = y / rho
         self.y_term = float(np.sum(y * y)) / (2.0 * rho)
@@ -129,7 +125,8 @@ class Evaluation:
         return (self.ytilde - self.sub.y) / self.sub.rho
 
     def multiplier_update(self, rho_tilde: float) -> np.ndarray:
-        """Dual ascent step y + rho_tilde * grad_y l_rho(X, y)."""
+        """Dual ascent step y + rho_tilde * grad_y l_rho(X, y); the full step
+        ``rho_tilde = rho`` gives ``ytilde`` up to rounding."""
         rho = self.sub.rho
         if not 0 < rho_tilde <= rho:
             raise LagrangianError(f"need 0 < rho_tilde <= rho, got {rho_tilde} vs {rho}")
@@ -162,32 +159,32 @@ def evaluate(P: ProblemSpec, rho: float, X: ManifoldPoint, y: np.ndarray) -> Eva
     return Subproblem(P, rho, y).at(X)
 
 
-def envelope_point(P: ProblemSpec, rho: float, X: ManifoldPoint, y: np.ndarray) -> np.ndarray:
-    """The envelope argument g(X) + y/rho."""
-    return evaluate(P, rho, X, y).p
-
-
-def shifted_multiplier(P: ProblemSpec, rho: float, X: ManifoldPoint, y: np.ndarray) -> np.ndarray:
-    """ytilde = grad of the Moreau envelope at g(X) + y/rho."""
-    return evaluate(P, rho, X, y).ytilde
-
-
 def auglag_value(P: ProblemSpec, rho: float, X: ManifoldPoint, y: np.ndarray) -> float:
+    """``evaluate(P, rho, X, y).value``; kept for ``oracles`` and the benchmark tracer."""
     return evaluate(P, rho, X, y).value
 
 
 def auglag_rgrad(P: ProblemSpec, rho: float, X: ManifoldPoint, y: np.ndarray) -> np.ndarray:
+    """``evaluate(P, rho, X, y).rgrad``; kept for ``oracles`` and the benchmark tracer."""
     return evaluate(P, rho, X, y).rgrad
 
 
 def auglag_dual_grad(P: ProblemSpec, rho: float, X: ManifoldPoint, y: np.ndarray) -> np.ndarray:
-    """Gradient of the augmented Lagrangian in y: (ytilde - y) / rho."""
+    """``evaluate(P, rho, X, y).dual_grad``; kept for the benchmark tracer."""
     return evaluate(P, rho, X, y).dual_grad
 
 
-def lagrangian_rgrad(P: ProblemSpec, X: ManifoldPoint, y: np.ndarray) -> np.ndarray:
-    """Riemannian gradient of L(x, y) = f(x) + <y, g(x)> at fixed y."""
-    return X.manifold.project(X, P.f_egrad(X.X) + P.g_vjp(X.X, y))
+def auglag_ghess_vec(
+    P: ProblemSpec,
+    rho: float,
+    X: ManifoldPoint,
+    y: np.ndarray,
+    xi: np.ndarray,
+    jac: Optional[ProxJacobian] = None,
+) -> np.ndarray:
+    """``evaluate(P, rho, X, y).ghess_operator(jac)(xi)``; kept for
+    ``oracles`` and the benchmark tracer."""
+    return evaluate(P, rho, X, y).ghess_operator(jac)(xi)
 
 
 def _hess_operator(P: ProblemSpec, X: ManifoldPoint, y: np.ndarray, egrad: np.ndarray) -> Callable:
@@ -209,42 +206,10 @@ def lagrangian_hess_operator(P: ProblemSpec, X: ManifoldPoint, y: np.ndarray) ->
     return _hess_operator(P, X, y, P.f_egrad(X.X) + P.g_vjp(X.X, y))
 
 
-def ghess_operator(
-    P: ProblemSpec, rho: float, X: ManifoldPoint, y: np.ndarray, jac: Optional[ProxJacobian] = None
-) -> Callable:
-    """:meth:`Evaluation.ghess_operator` of a single evaluation."""
-    return evaluate(P, rho, X, y).ghess_operator(jac)
-
-
-def auglag_ghess_vec(
-    P: ProblemSpec,
-    rho: float,
-    X: ManifoldPoint,
-    y: np.ndarray,
-    xi: np.ndarray,
-    jac: Optional[ProxJacobian] = None,
-) -> np.ndarray:
-    """A generalized Hessian-vector product of ``l_rho(., y)``: one
-    application of :func:`ghess_operator`, for single-vector checks."""
-    return ghess_operator(P, rho, X, y, jac)(xi)
-
-
-def multiplier_update(
-    P: ProblemSpec, rho: float, rho_tilde: float, X: ManifoldPoint, y: np.ndarray
-) -> np.ndarray:
-    """Dual ascent step y + rho_tilde * grad_y l_rho(x, y).
-
-    With the full step ``rho_tilde = rho`` this returns ytilde up to
-    rounding; for the l1 term ytilde lies in the sup-norm box up to
-    rounding, and so does the updated multiplier.
-    """
-    return evaluate(P, rho, X, y).multiplier_update(rho_tilde)
-
-
 def kkt_residual(P: ProblemSpec, X: ManifoldPoint, y: np.ndarray) -> float:
     """|grad_x L(x,y)| + |g(x) - prox_theta(g(x) + y)|; zero exactly at
     stationary pairs."""
     g = P.g_value(X.X)
-    grad_part = float(np.linalg.norm(lagrangian_rgrad(P, X, y)))
+    grad_part = float(np.linalg.norm(X.manifold.project(X, P.f_egrad(X.X) + P.g_vjp(X.X, y))))
     prox_part = float(np.linalg.norm(g - P.theta.prox(1.0, g + y)))
     return grad_part + prox_part

@@ -57,6 +57,8 @@ class NewtonConfig:
     def __post_init__(self):
         if self.max_iter < 0 or self.cg_max_iter < 1:
             raise ValueError("need max_iter >= 0 and cg_max_iter >= 1")
+        if not math.isfinite(self.grad_tol):
+            raise ValueError(f"grad_tol must be finite, got {self.grad_tol}")
 
 
 @dataclass
@@ -141,8 +143,9 @@ def ssn_minimize(
     ``stop(ev)`` is evaluated at every iterate, the last one included, with
     the :class:`~ralmkit.lagrangian.Evaluation` there (``ev.X``, the gradient
     ``ev.rgrad``, the shifted multiplier ``ev.ytilde``, ...); when omitted
-    the solver stops at ``|grad| <= cfg.grad_tol``.  Returns the final
-    point together with :class:`NewtonStats`.
+    the solver stops at ``|grad| <= cfg.grad_tol``.  Returns the
+    :class:`~ralmkit.lagrangian.Evaluation` at the final iterate (its point
+    ``ev.X``) together with :class:`NewtonStats`.
     """
     cfg = cfg or NewtonConfig()
     stats = NewtonStats()
@@ -158,9 +161,9 @@ def ssn_minimize(
             raise NewtonError(f"non-finite subproblem state at iteration {k}")
         if (stop is not None and stop(ev)) or gnorm <= cfg.grad_tol:
             stats.stopped = True
-            return ev.X, stats
+            return ev, stats
         if k == cfg.max_iter:
-            return ev.X, stats
+            return ev, stats
 
         omega = gnorm ** NU_BAR
         eta_cap = min(1.0 / (k + 1.0) ** 2, gnorm ** (1.0 + NU_BAR))
@@ -189,7 +192,7 @@ def ssn_minimize(
         if not accepted:
             stats.line_search_failed = True
             log.warning("iter %d: %d backtracks exhausted, returning best iterate", k, M_MAX)
-            return ev.X, stats
+            return ev, stats
 
         ev = trial
         stats.iterations = k + 1

@@ -71,7 +71,7 @@ def _stable_sample(
         ok = True
         for t in (-2.0 * h, -h, 0.0, h, 2.0 * h):
             Xt = geometry.retract(X, t * xi) if t else X
-            p = lagrangian.envelope_point(P, CHECK_RHO, Xt, y)
+            p = lagrangian.evaluate(P, CHECK_RHO, Xt, y).p
             jac = theta.prox_jacobian(1.0 / CHECK_RHO, p)
             if jac.boundary_count:
                 ok = False

@@ -54,6 +54,10 @@ class RalmConfig:
     newton: NewtonConfig = field(default_factory=NewtonConfig)
 
     def __post_init__(self):
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if isinstance(v, float) and not math.isfinite(v):
+                raise ValueError(f"{f.name} must be finite, got {v}")
         if self.rho0 <= 0 or self.gamma < 1 or self.rho_max < self.rho0:
             raise ValueError("need rho0 > 0, gamma >= 1, rho_max >= rho0")
         if not 0 <= self.rho_bar < self.rho0:
@@ -140,6 +144,9 @@ def ralm_solve(
     """Run the outer loop from ``(X0, y0)`` until the KKT residual drops
     below ``cfg.kkt_tol`` or ``cfg.max_outer`` iterations elapse."""
     y = np.asarray(y0, dtype=float)
+    g_shape = np.shape(P.g_value(X0.X))
+    if y.shape != g_shape:
+        raise RalmError(f"multiplier shape {y.shape} does not match g(X0) {g_shape}")
     box = P.theta.conjugate_bound()
     if np.max(np.abs(y), initial=0.0) > box:
         log.warning("initial multiplier leaves the |.|_inf <= %g box", box)
@@ -173,11 +180,7 @@ def ralm_solve(
         # summable schedule.
         eps_k = max(cfg.eps0 * cfg.kappa ** (k - 1), cfg.eps_min)
 
-        def stop(inner):
-            # ssn_minimize tests every iterate, the one it returns last, so
-            # ev ends as the evaluation at the inner solution.
-            nonlocal ev
-            ev = inner
+        def stop(ev):
             gnorm = np.linalg.norm(ev.rgrad)
             # Criteria 'b'/'c' depend on the dual step at the current
             # iterate, so the threshold is re-evaluated every inner step.
@@ -188,7 +191,9 @@ def ralm_solve(
                 ok = ok and gnorm <= cfg.exact_c * dual_step
             return ok
 
-        X, nstats = ssn_minimize(P, rho, y, X, cfg.newton, stop)
+        del ev  # free the previous evaluation's arrays during the inner solve
+        ev, nstats = ssn_minimize(P, rho, y, X, cfg.newton, stop)
+        X = ev.X
         result.inner_stats.append(nstats)
         if not nstats.stopped:
             log.warning("outer %d: inner solver exited before meeting its criterion", k)

@@ -101,16 +101,16 @@ def reference_genhess_min_eig(P, rho, X, y, enumerate_elements=False):
     from ralmkit import lagrangian
     from ralmkit.convex import ENUM_CAP
 
-    p = lagrangian.envelope_point(P, rho, X, y)
-    jac = P.theta.prox_jacobian(1.0 / rho, p)
+    ev = lagrangian.evaluate(P, rho, X, y)
+    jac = P.theta.prox_jacobian(1.0 / rho, ev.p)
     if enumerate_elements and jac.boundary_count <= ENUM_CAP:
-        jacs = P.theta.extreme_prox_jacobians(1.0 / rho, p)
+        jacs = P.theta.extreme_prox_jacobians(1.0 / rho, ev.p)
     else:
         jacs = [jac]
     T = np.stack([v.ravel() for v in X.manifold.tangent_basis(X)])
     min_eig = np.inf
     for jac in jacs:
-        H = lagrangian.ghess_operator(P, rho, X, y, jac)
+        H = ev.ghess_operator(jac)
         B = T @ np.stack([H(v.reshape(X.manifold.ambient_shape)).ravel() for v in T]).T
         min_eig = min(min_eig, float(scipy.linalg.eigvalsh(0.5 * (B + B.T))[0]))
     return min_eig

@@ -316,7 +316,7 @@ class TestCriterion8Identities:
             y = rng.uniform(-1.4, 1.4, (3, 2))
             rho = float(rng.uniform(0.2, 20.0))
             lhs = y + rho * lagrangian.auglag_dual_grad(P, rho, X, y)
-            rhs = lagrangian.shifted_multiplier(P, rho, X, y)
+            rhs = lagrangian.evaluate(P, rho, X, y).ytilde
             worst = max(worst, float(np.max(np.abs(lhs - rhs))))
         assert worst <= 1e-12
 
@@ -347,7 +347,7 @@ class TestCriterion9LocalSuperlinearity:
         X0 = geometry.retract(Xbar, 0.05 * geometry.random_tangent(Xbar, 5))
         cfg = NewtonConfig(grad_tol=1e-10, max_iter=50)
         points = []  # every iterate: the stop test sees each one and never stops
-        Xhat, stats = ssn_minimize(P, 10.0, ybar, X0, cfg, stop=lambda ev: points.append(ev.X))
+        _, stats = ssn_minimize(P, 10.0, ybar, X0, cfg, stop=lambda ev: points.append(ev.X))
         dists = [float(np.linalg.norm(pt.X - Xbar.X)) for pt in points]
         assert dists[-1] <= 1e-8
         pairs = [(d0, d1) for d0, d1 in zip(dists[:-1], dists[1:]) if d0 > 1e-13][-3:]

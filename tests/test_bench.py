@@ -212,6 +212,14 @@ class TestFileFormats:
         assert M[0, 0] == 2.5 and M[1, 2] == -1.0 and M[2, 3] == 0.125
         assert np.count_nonzero(M) == 3
 
+    @pytest.mark.parametrize("symmetry", ["symmetric", "skew-symmetric", "hermitian", ""])
+    def test_coordinate_rejects_non_general_symmetry(self, tmp_path, symmetry):
+        path = str(tmp_path / "sym.mtx")
+        with open(path, "w") as fh:
+            fh.write(f"%%MatrixMarket matrix coordinate real {symmetry}\n3 3 2\n1 1 1.0\n3 1 2.0\n")
+        with pytest.raises(ParseError, match="line 1"):
+            load_coordinate(path)
+
     def test_coordinate_count_mismatch(self, tmp_path):
         path = str(tmp_path / "bad.mtx")
         with open(path, "w") as fh:

@@ -374,7 +374,7 @@ class TestGenHess:
         cert = genhess_min_eig(P, 100.0, X, y)
         assert cert.subspace_dim == man.dim() == 4985
         # the minimum lies at or below every Rayleigh quotient on T_X M
-        H = lagrangian.ghess_operator(P, 100.0, X, y)
+        H = lagrangian.evaluate(P, 100.0, X, y).ghess_operator()
         quotients = [np.vdot(v, H(v)) / np.vdot(v, v)
                      for v in (geometry.random_tangent(X, seed) for seed in range(5))]
         assert math.isfinite(cert.min_eig)

@@ -303,6 +303,11 @@ MALFORMED_CONFIGS = {
     "fractional newton cg_max_iter": ("solve", {"solver": {"newton": {"cg_max_iter": 3.5}}}),
     "non-numeric newton grad_tol": ("solve", {"solver": {"newton": {"grad_tol": "x"}}}),
     "removed newton eta": ("solve", {"solver": {"newton": {"eta": 0.1}}}),
+    "zero rmc weight": ("solve", {"problem": {"kind": "rmc", "m": 10, "n": 12, "r": 2,
+                                              "density": 0.1, "magnitude": 0.5, "mu": 0}}),
+    "NaN kkt_tol": ("solve", {"solver": {"kkt_tol": math.nan}}),
+    "infinite rho_max": ("solve", {"solver": {"rho_max": math.inf, "gamma": math.inf}}),
+    "NaN newton grad_tol": ("solve", {"solver": {"newton": {"grad_tol": math.nan}}}),
 }
 
 

@@ -13,12 +13,9 @@ from ralmkit.lagrangian import (
     auglag_ghess_vec,
     auglag_rgrad,
     auglag_value,
-    ghess_operator,
+    evaluate,
     kkt_residual,
     lagrangian_hess_operator,
-    lagrangian_rgrad,
-    multiplier_update,
-    shifted_multiplier,
 )
 
 
@@ -229,7 +226,7 @@ class TestPreparedHessian:
         P, rho, X, y = case
         mask = P.theta.prox_jacobian(1.0 / rho, P.g_value(X.X) + y / rho).mask
         assert 0 < mask.sum() < mask.size
-        H = ghess_operator(P, rho, X, y)
+        H = evaluate(P, rho, X, y).ghess_operator()
         L = lagrangian_hess_operator(P, X, y)
         for seed in range(5):
             xi = geometry.random_tangent(X, 900 + seed)
@@ -242,13 +239,13 @@ class TestPreparedHessian:
     )
     def test_reuse_neither_aliases_nor_mutates(self, case):
         P, rho, X, y = case
-        H = ghess_operator(P, rho, X, y)
+        H = evaluate(P, rho, X, y).ghess_operator()
         results, snapshots = [], []
         for seed in range(4):
             xi = geometry.random_tangent(X, 950 + seed)
             xi_before = xi.copy()
             out = H(xi)
-            assert np.array_equal(out, ghess_operator(P, rho, X, y)(xi))
+            assert np.array_equal(out, evaluate(P, rho, X, y).ghess_operator()(xi))
             assert np.array_equal(xi, xi_before)
             results.append(out)
             snapshots.append(out.copy())
@@ -307,10 +304,27 @@ class TestPreparedHessian:
         Z = dataclasses.replace(P, gy_ehess=lambda X, y, xi: np.zeros_like(xi))
         for seed in range(3):
             xi = geometry.random_tangent(X, 970 + seed)
-            assert np.array_equal(ghess_operator(P, rho, X, y)(xi),
-                                  ghess_operator(Z, rho, X, y)(xi))
+            assert np.array_equal(evaluate(P, rho, X, y).ghess_operator()(xi),
+                                  evaluate(Z, rho, X, y).ghess_operator()(xi))
             assert np.array_equal(lagrangian_hess_operator(P, X, y)(xi),
                                   lagrangian_hess_operator(Z, X, y)(xi))
+
+
+class TestSingleEvaluations:
+    """The kept module-level functions read their field of one evaluation."""
+
+    @pytest.mark.parametrize("rho", [1.0, 30.0])
+    @pytest.mark.parametrize("pair", ["cm_pair", "rmc_fixture"])
+    def test_bit_identical_to_the_evaluation(self, request, pair, rho):
+        fx = request.getfixturevalue(pair)
+        P, Xbar, ybar = fx if pair == "cm_pair" else (fx.problem, fx.X_bar, fx.y_bar)
+        X = geometry.retract(Xbar, 0.1 * geometry.random_tangent(Xbar, 21))
+        xi = geometry.random_tangent(X, 22)
+        ev = evaluate(P, rho, X, ybar)
+        assert auglag_value(P, rho, X, ybar) == ev.value
+        assert np.array_equal(auglag_rgrad(P, rho, X, ybar), ev.rgrad)
+        assert np.array_equal(auglag_dual_grad(P, rho, X, ybar), ev.dual_grad)
+        assert np.array_equal(auglag_ghess_vec(P, rho, X, ybar, xi), ev.ghess_operator()(xi))
 
 
 class TestMultiplierUpdate:
@@ -318,19 +332,19 @@ class TestMultiplierUpdate:
         # mu=1, rho=rho_tilde=1, y=0, g=2: the envelope gradient at 2 is 1
         P = euclidean_l1_problem()
         X = P.manifold.point(np.array([[2.0]]))
-        y1 = multiplier_update(P, 1.0, 1.0, X, np.zeros((1, 1)))
+        y1 = evaluate(P, 1.0, X, np.zeros((1, 1))).multiplier_update(1.0)
         assert abs(y1[0, 0] - 1.0) <= 1e-14
 
     def test_zero_fixed_point(self):
         P = euclidean_l1_problem()
         X = P.manifold.point(np.zeros((1, 1)))
-        y1 = multiplier_update(P, 2.0, 2.0, X, np.zeros((1, 1)))
+        y1 = evaluate(P, 2.0, X, np.zeros((1, 1))).multiplier_update(2.0)
         assert np.all(y1 == 0.0)
 
     def test_fixed_point_at_analytic_pair(self, cm_pair):
         P, Xbar, ybar = cm_pair
         for rho, rho_tilde in ((1.0, 1.0), (10.0, 10.0), (10.0, 3.0), (100.0, 50.0)):
-            y1 = multiplier_update(P, rho, rho_tilde, Xbar, ybar)
+            y1 = evaluate(P, rho, Xbar, ybar).multiplier_update(rho_tilde)
             assert np.max(np.abs(y1 - ybar)) <= 1e-12
 
     def test_envelope_identity(self):
@@ -343,7 +357,7 @@ class TestMultiplierUpdate:
             rho = float(rng.uniform(0.2, 20.0))
             X = P.manifold.point(x)
             lhs = y + rho * auglag_dual_grad(P, rho, X, y)
-            rhs = shifted_multiplier(P, rho, X, y)
+            rhs = evaluate(P, rho, X, y).ytilde
             assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
     def test_full_step_stays_in_box(self):
@@ -353,16 +367,16 @@ class TestMultiplierUpdate:
             X = P.manifold.point(rng.uniform(-4, 4, (2, 2)))
             y = rng.uniform(-0.6, 0.6, (2, 2))
             rho = float(rng.uniform(0.5, 10.0))
-            y1 = multiplier_update(P, rho, rho, X, y)
+            y1 = evaluate(P, rho, X, y).multiplier_update(rho)
             assert np.max(np.abs(y1)) <= 0.6 + 1e-14
 
     def test_step_size_validation(self):
         P = euclidean_l1_problem()
         X = P.manifold.point(np.zeros((1, 1)))
         with pytest.raises(LagrangianError):
-            multiplier_update(P, 1.0, 2.0, X, np.zeros((1, 1)))
+            evaluate(P, 1.0, X, np.zeros((1, 1))).multiplier_update(2.0)
         with pytest.raises(LagrangianError):
-            multiplier_update(P, 1.0, 0.0, X, np.zeros((1, 1)))
+            evaluate(P, 1.0, X, np.zeros((1, 1))).multiplier_update(0.0)
 
 
 class TestKktResidual:
@@ -390,7 +404,7 @@ class TestKktResidual:
         assert kkt_residual(P, Xbar, ybar) <= 1e-12
         for rho in (0.5, 1.0, 10.0, 100.0):
             assert np.linalg.norm(auglag_rgrad(P, rho, Xbar, ybar)) <= 1e-10
-            y1 = multiplier_update(P, rho, rho, Xbar, ybar)
+            y1 = evaluate(P, rho, Xbar, ybar).multiplier_update(rho)
             assert np.max(np.abs(y1 - ybar)) <= 1e-12
 
 
@@ -415,4 +429,5 @@ class TestStructure:
 
     def test_lagrangian_gradient_at_pair(self, cm_pair):
         P, Xbar, ybar = cm_pair
-        assert np.linalg.norm(lagrangian_rgrad(P, Xbar, ybar)) <= 1e-12
+        grad = Xbar.manifold.project(Xbar, P.f_egrad(Xbar.X) + P.g_vjp(Xbar.X, ybar))
+        assert np.linalg.norm(grad) <= 1e-12

@@ -116,17 +116,17 @@ class TestSsnMinimize:
         a = rng.standard_normal(6)
         P = euclidean_quadratic_problem(Q, a, g_zero=True)
         X0 = P.manifold.point(rng.standard_normal(6))
-        X, stats = ssn_minimize(P, 1.0, np.zeros(6), X0, NewtonConfig(grad_tol=1e-10))
+        ev, stats = ssn_minimize(P, 1.0, np.zeros(6), X0, NewtonConfig(grad_tol=1e-10))
         assert stats.iterations <= 15
         assert stats.final_grad_norm <= 1e-10
-        np.testing.assert_allclose(X.X, a, atol=1e-8)
+        np.testing.assert_allclose(ev.X.X, a, atol=1e-8)
 
     def test_starts_at_stationary_point(self, cm_pair):
         P, Xbar, ybar = cm_pair
-        X, stats = ssn_minimize(P, 10.0, ybar, Xbar, NewtonConfig(grad_tol=1e-10))
+        ev, stats = ssn_minimize(P, 10.0, ybar, Xbar, NewtonConfig(grad_tol=1e-10))
         assert stats.iterations == 0
         assert stats.stopped
-        assert X is Xbar
+        assert ev.X is Xbar
 
     def test_local_superlinear_tail(self, cm_pair):
         # quadratic contraction of the distance to the subproblem minimizer,
@@ -136,7 +136,7 @@ class TestSsnMinimize:
         X0 = geometry.retract(Xbar, 0.05 * geometry.random_tangent(Xbar, 5))
         cfg = NewtonConfig(grad_tol=1e-10, max_iter=50)
         points = []  # every iterate: the stop test sees each one and never stops
-        Xhat, stats = ssn_minimize(P, 10.0, ybar, X0, cfg, stop=lambda ev: points.append(ev.X))
+        _, stats = ssn_minimize(P, 10.0, ybar, X0, cfg, stop=lambda ev: points.append(ev.X))
         dists = [np.linalg.norm(pt.X - Xbar.X) for pt in points]
         assert dists[-1] <= 1e-8
         pairs = [(d0, d1) for d0, d1 in zip(dists[:-1], dists[1:]) if d0 > 1e-13][-3:]
@@ -165,6 +165,17 @@ class TestSsnMinimize:
         assert calls, "predicate must be evaluated"
         assert calls[-1] <= 1e-4
 
+    @pytest.mark.parametrize("cfg", [NewtonConfig(grad_tol=1e-10), NewtonConfig(max_iter=2)],
+                             ids=["converged", "budget"])
+    def test_returns_the_evaluation_at_the_last_iterate(self, cm_pair, cfg):
+        P, Xbar, ybar = cm_pair
+        X0 = geometry.retract(Xbar, 0.3 * geometry.random_tangent(Xbar, 13))
+        seen = []
+        ev, stats = ssn_minimize(P, 5.0, ybar, X0, cfg, stop=lambda e: seen.append(e))
+        assert ev is seen[-1]
+        assert ev.value == stats.objective_trace[-1]
+        assert np.linalg.norm(ev.rgrad) == stats.final_grad_norm
+
     def test_rank_drop_shrinks_step(self, rmc_fixture):
         # start the fixed-rank subproblem at a point with a tiny singular
         # value so aggressive steps fall off the rank chart and retry
@@ -174,5 +185,5 @@ class TestSsnMinimize:
         s_small = np.array([s[0], s[1], 1e-7])
         X0 = P.manifold.point_from_factors(U, s_small, V)
         y = np.zeros((5, 5))
-        X, stats = ssn_minimize(P, 50.0, y, X0, NewtonConfig(grad_tol=1e-8, max_iter=60))
-        assert np.all(np.isfinite(X.X))
+        ev, stats = ssn_minimize(P, 50.0, y, X0, NewtonConfig(grad_tol=1e-8, max_iter=60))
+        assert np.all(np.isfinite(ev.X.X))

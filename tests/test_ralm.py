@@ -43,6 +43,18 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             RalmConfig(criterion="d")
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("name", ["rho0", "rho_bar", "gamma", "rho_max", "eps0", "kappa",
+                                      "eps_min", "exact_c", "kkt_tol"])
+    def test_rejects_non_finite_floats(self, name, value):
+        with pytest.raises(ValueError, match="finite"):
+            RalmConfig(**{name: value})
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_newton_rejects_non_finite_grad_tol(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            NewtonConfig(grad_tol=value)
+
 
 class TestSolveCm:
     def test_converges_from_perturbed_start(self, cm_pair):
@@ -61,6 +73,13 @@ class TestSolveCm:
         assert res.converged
         assert len(res.records) == 1  # terminated before any outer iteration
         assert res.records[0].kkt_residual <= 1e-10
+
+    @pytest.mark.parametrize("shape", [(), (1, 2), (2,), (2, 4)], ids=str)
+    def test_rejects_misshapen_multiplier(self, cm_pair, shape):
+        # the first three broadcast against g(X)'s (4, 2); the last is its transpose
+        P, Xbar, _ = cm_pair
+        with pytest.raises(RalmError, match="multiplier shape"):
+            ralm_solve(P, RalmConfig(max_outer=1), Xbar, 0.3 * np.ones(shape))
 
     def test_multiplier_box_invariance_full_step(self, cm_pair):
         # replay deterministic prefixes of the run to observe every y^k
@@ -182,6 +201,33 @@ class TestOneProxPerPoint:
 def same_bits(a, b) -> bool:
     a, b = np.asarray(a), np.asarray(b)
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestNoEvaluationHeldAcrossSolves:
+    def test_inner_solves_start_with_no_live_evaluation(self, cm_pair, monkeypatch):
+        # An evaluation holds several arrays of g's shape; one kept by the
+        # outer loop through the next inner solve raises the peak memory.
+        import gc
+
+        from ralmkit import lagrangian, ralm
+
+        P, Xbar, _ = cm_pair
+        X0 = geometry.retract(Xbar, 0.1 * geometry.random_tangent(Xbar, 11))
+        solve = ralm.ssn_minimize
+
+        def count_live():
+            gc.collect()
+            return sum(isinstance(o, lagrangian.Evaluation) for o in gc.get_objects())
+
+        def counted(*args):
+            live.append(count_live())
+            return solve(*args)
+
+        monkeypatch.setattr(ralm, "ssn_minimize", counted)
+        live, before = [], count_live()
+        res = ralm_solve(P, RalmConfig(kkt_tol=1e-8, max_outer=50), X0, np.zeros((4, 2)))
+        assert res.converged and len(live) == len(res.inner_stats) > 1
+        assert live == [before] * len(live)
 
 
 class TestSolveRmc:
