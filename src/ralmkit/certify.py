@@ -134,7 +134,9 @@ def mssosc_certificate(P: ProblemSpec, X: ManifoldPoint, y: np.ndarray) -> Certi
     basis = critical_cone_basis(P, X, y)
     if not basis:
         return Certificate("mssosc", math.inf, 0, degenerate=True)
-    B = _quadratic_form(lagrangian.lagrangian_hess_operator(P, X, y), basis)
+    # np.vdot of coordinates is the metric, so the form is the same in them
+    B = _quadratic_form(lagrangian.lagrangian_hess_operator(P, X, y),
+                        [X.manifold.coords(X, v) for v in basis])
     w = scipy.linalg.eigvalsh(B)
     return Certificate("mssosc", float(w[0]), len(basis))
 
@@ -162,8 +164,8 @@ def genhess_min_eig(
     eigenvalue sigma = q + max(1, |q|) lies above it whatever H's inertia.
     """
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh  # loaded on first use
-    if rho <= 0:
-        raise CertifyError(f"penalty must be positive, got {rho}")
+    if not (math.isfinite(rho) and rho > 0):
+        raise CertifyError(f"penalty must be positive and finite, got {rho}")
     ev = lagrangian.evaluate(P, rho, X, y)
     base_jac = P.theta.prox_jacobian(1.0 / rho, ev.p)
     b = base_jac.boundary_count
@@ -173,12 +175,17 @@ def genhess_min_eig(
     else:
         jacs = [base_jac]
         partial = b > 0
-    shape, project, size = X.manifold.ambient_shape, X.manifold.project, X.X.size
+    man = X.manifold
+    shape, project, size = man.ambient_shape, man.project, X.X.size
     v0 = project(X, np.random.default_rng(0).standard_normal(shape))
-    dim = X.manifold.dim()
+    dim = man.dim()
     min_eig = math.inf
     for jac in jacs if dim else []:  # a zero tangent space has no eigenvalue
-        H = ev.ghess_operator(jac)
+        Hc = ev.ghess_operator(jac)
+
+        def H(t):  # the ambient form of the operator on coordinates
+            return man.ambient(X, Hc(man.coords(X, t)))
+
         q = float(np.vdot(v0, H(v0)) / np.vdot(v0, v0))
         sigma = q + max(1.0, abs(q))
 

@@ -243,6 +243,8 @@ def cmd_certify(args) -> int:
     with _fields_of("certify"):
         rho = float(block.get("rho", 10.0))
         stat_tol = float(block.get("stationarity_tol", 1e-6))
+        if not math.isfinite(rho):
+            raise ValueError(f"rho must be finite, got {rho}")
     residual = lagrangian.kkt_residual(P, X, y)
     report = {
         "stationarity_residual": residual,

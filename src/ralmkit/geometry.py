@@ -8,11 +8,18 @@ Frobenius inner product:
 * ``FixedRank(m, n, r)`` -- m x n matrices of exact rank r, stored in
   factored SVD form ``(U, s, V)`` with ``s`` positive and nonincreasing.
 
-Points are immutable values.  A tangent vector at a point is a plain
-ndarray of the manifold's ambient shape, holding its ambient coordinates;
-the Riemannian metric is the Frobenius inner product ``np.vdot``.  The
-fixed-rank geometry computes the factored coordinates ``(M, Up, Vp)``
-(with ``U^T Up = 0`` and ``V^T Vp = 0``) internally and never returns them.
+Points are immutable values.  A tangent vector at a point has two forms,
+both plain ndarrays: its *ambient* form, of the manifold's ambient shape
+(what ``project`` returns), and its *coordinates*, which the retraction and
+the Hessian operator take and return.  ``Manifold.coords`` and
+``Manifold.ambient`` map between them, and the Riemannian metric is
+``np.vdot`` in either form.  On Euclidean space and Stiefel the two forms
+are the same array.  On the fixed-rank manifold the coordinates are the
+packed factors ``[M; Up; Vp]``, an ``(r + m + n, r)`` array with
+``xi = U M V^T + Up V^T + U Vp^T``, ``U^T Up = 0`` and ``V^T Vp = 0``
+(Vandereycken, SIAM J. Optim. 23(2), 2013): the three blocks are orthogonal,
+so ``np.vdot`` of packed arrays is the Frobenius inner product, and a Newton
+system is solved on ``r (m + n + r)`` numbers instead of ``m n``.
 
 Both retractions are second order: the polar retraction on Stiefel and the
 metric-projection (truncated SVD) retraction on the fixed-rank manifold, which
@@ -69,7 +76,8 @@ class Manifold:
     retraction and the prepared Euclidean-to-Riemannian Hessian conversion
     (``hess_operator``).
 
-    Tangent vectors, in and out, are ndarrays of ``ambient_shape``."""
+    ``project`` maps ambient arrays to ambient tangent vectors; ``retract``
+    and ``hess_operator`` work on tangent coordinates (see ``coords``)."""
 
     name = "manifold"
     ambient_shape: tuple
@@ -83,16 +91,31 @@ class Manifold:
     def project(self, point: ManifoldPoint, Y: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def retract(self, point: ManifoldPoint, xi: np.ndarray) -> ManifoldPoint:
+    def coords(self, point: ManifoldPoint, xi: np.ndarray) -> np.ndarray:
+        """Coordinates of the ambient tangent vector ``xi``.  Here, where the
+        two forms coincide, ``xi`` itself; a geometry with other coordinates
+        returns those of ``project(point, xi)``."""
+        return xi
+
+    def ambient(self, point: ManifoldPoint, c: np.ndarray) -> np.ndarray:
+        """The ambient tangent vector of the coordinates ``c``; here ``c`` itself."""
+        return c
+
+    def retract(self, point: ManifoldPoint, c: np.ndarray) -> ManifoldPoint:
+        """Retraction of the tangent vector with coordinates ``c``."""
         raise NotImplementedError
 
-    def hess_operator(self, point: ManifoldPoint, egrad: np.ndarray) -> Callable:
-        """The Euclidean-to-Riemannian Hessian conversion at ``point`` for the
-        Euclidean gradient ``egrad``, prepared once for many directions:
-        returns ``(ehess_vec, xi, extra=None) -> rhess + project(point, extra)``,
-        a fresh array.  ``ehess_vec=None`` stands for a zero Euclidean
-        Hessian-vector and gives the same bits as a zero array; the ``extra``
-        term is skipped when omitted."""
+    def hess_operator(self, point: ManifoldPoint, egrad: np.ndarray,
+                      ehess: Optional[Callable] = None,
+                      extra: Optional[Callable] = None) -> Callable:
+        """The Riemannian Hessian at ``point`` of a function with Euclidean
+        gradient ``egrad`` and Euclidean Hessian-vector product
+        ``ehess(xi) + extra(xi)``, prepared once for many directions: returns
+        ``c -> coordinates of Hess xi``, a fresh array, for tangent
+        coordinates ``c``.  The callbacks take the ambient ``xi`` and return
+        ambient arrays; ``None`` stands for a zero term, which is skipped.
+        The two terms differ only in the order of floating-point operations:
+        Stiefel projects them apart, in one stacked call."""
         raise NotImplementedError
 
     def tangent_basis(self, point: ManifoldPoint) -> list:
@@ -135,12 +158,10 @@ class Euclidean(Manifold):
     def retract(self, point: ManifoldPoint, xi: np.ndarray) -> ManifoldPoint:
         return self.point(point.X + xi)
 
-    def hess_operator(self, point, egrad) -> Callable:
-        def apply(ehess_vec, xi, extra=None):
-            if ehess_vec is None:
-                ehess_vec = np.zeros(self.ambient_shape)
-            e = self._check_ambient(ehess_vec)
-            return e.copy() if extra is None else e + self._check_ambient(extra)
+    def hess_operator(self, point, egrad, ehess=None, extra=None) -> Callable:
+        def apply(xi):
+            e = np.zeros(self.ambient_shape) if ehess is None else self._check_ambient(ehess(xi))
+            return e.copy() if extra is None else e + self._check_ambient(extra(xi))
 
         return apply
 
@@ -200,7 +221,7 @@ class Stiefel(Manifold):
         W, _, Zt = np.linalg.svd(A, full_matrices=False)
         return ManifoldPoint(self, _readonly(W @ Zt))
 
-    def hess_operator(self, point, egrad) -> Callable:
+    def hess_operator(self, point, egrad, ehess=None, extra=None) -> Callable:
         # Both terms share one stacked projection, slice k of Z taking exactly
         # project's operations on term k; only the returned array is fresh.
         X, Xt = point.X, point.X.T
@@ -208,19 +229,18 @@ class Stiefel(Manifold):
         Z, W = np.empty((2, self.n, self.r)), np.empty((2, self.n, self.r))
         A, B = np.empty((2, self.r, self.r)), np.empty((2, self.r, self.r))
         Z0, Z1 = Z
-        stacks = (Z[:1], A[:1], B[:1], W[:1]), (Z, A, B, W)
+        z, a, b, w = (Z, A, B, W) if extra is not None else (Z[:1], A[:1], B[:1], W[:1])
 
-        def apply(ehess_vec, xi, extra=None):
-            z, a, b, w = stacks[extra is not None]
+        def apply(xi):
             np.matmul(xi, S, out=Z0)
             # 0.0 - Z0 has the bits of a zero array minus Z0 (signed zeros too)
-            e = 0.0 if ehess_vec is None else self._check_ambient(ehess_vec)
+            e = 0.0 if ehess is None else self._check_ambient(ehess(xi))
             np.subtract(e, Z0, out=Z0)
             if extra is not None:
-                Z1[...] = self._check_ambient(extra)
+                Z1[...] = self._check_ambient(extra(xi))
             np.matmul(Xt, z, out=a)
             np.matmul(X, _sym(a, out=b), out=w)
-            z -= w
+            np.subtract(z, w, out=z)
             return Z0 + Z1 if extra is not None else Z0.copy()
 
         return apply
@@ -293,36 +313,53 @@ class FixedRank(Manifold):
         U, s, V = point.factors
         self.point_from_factors(U, s, V)
 
-    @staticmethod
-    def _tangent_factors(point: ManifoldPoint, Y: np.ndarray) -> tuple:
+    def _split(self, c: np.ndarray) -> tuple:
+        """Views ``(M, Up, Vp)`` of packed coordinates."""
+        r, m = self.r, self.m
+        return c[:r], c[r:r + m], c[r + m:]
+
+    def _tangent_factors(self, point: ManifoldPoint, Y: np.ndarray,
+                         out: Optional[np.ndarray] = None) -> tuple:
         """Factored coordinates ``(M, Up, Vp)`` of the projection of ``Y``
-        onto T_X M, with ``U^T Up = 0`` and ``V^T Vp = 0``."""
+        onto T_X M, with ``U^T Up = 0`` and ``V^T Vp = 0``: views of the
+        packed coordinates ``out``, a fresh array when omitted."""
         U, _, V = point.factors
         YV = Y @ V
         YtU = Y.T @ U
-        M = U.T @ YV
-        Up = YV - U @ M
-        Vp = YtU - V @ M.T
+        M, Up, Vp = self._split(np.empty((self.r + self.m + self.n, self.r)) if out is None else out)
+        np.matmul(U.T, YV, out=M)
+        np.subtract(YV, U @ M, out=Up)
+        np.subtract(YtU, V @ M.T, out=Vp)
         return M, Up, Vp
 
     @staticmethod
     def _from_factors(point: ManifoldPoint, M, Up, Vp) -> np.ndarray:
-        """The ambient matrix of tangent factors; ``M=None`` stands for zero."""
+        """The ambient matrix ``(U M + Up) V^T + U Vp^T`` of tangent factors,
+        as one product of inner dimension 2r."""
         U, _, V = point.factors
-        head = Up @ V.T if M is None else U @ M @ V.T + Up @ V.T
-        return head + U @ Vp.T
+        return np.concatenate((U @ M + Up, U), axis=1) @ np.concatenate((V, Vp), axis=1).T
+
+    def coords(self, point: ManifoldPoint, xi: np.ndarray) -> np.ndarray:
+        """Packed factors ``[M; Up; Vp]`` of ``project(point, xi)``."""
+        c = np.empty((self.r + self.m + self.n, self.r))
+        self._tangent_factors(point, self._check_ambient(xi), out=c)
+        return c
+
+    def ambient(self, point: ManifoldPoint, c: np.ndarray) -> np.ndarray:
+        return self._from_factors(point, *self._split(c))
 
     def project(self, point: ManifoldPoint, Y: np.ndarray) -> np.ndarray:
         Y = self._check_ambient(Y)
         return self._from_factors(point, *self._tangent_factors(point, Y))
 
-    def retract(self, point: ManifoldPoint, xi: np.ndarray) -> ManifoldPoint:
+    def retract(self, point: ManifoldPoint, c: np.ndarray) -> ManifoldPoint:
         # Rank-r truncated SVD of X + xi = [U Up] C [V Vp]^T, C = [[S + M, I], [I, 0]],
         # from QR of both m x 2r / n x 2r blocks (not of Up alone, which loses
         # orthogonality to U when tiny) and an SVD of the 2r x 2r core Ru C Rv^T:
-        # O(mnr + (m + n) r^2) against O(mn min(m, n)) for a dense SVD.
+        # O((m + n) r^2) plus O(mnr) for the new point's X, against
+        # O(mn min(m, n)) for a dense SVD.
         U, s, V = point.factors
-        M, Up, Vp = self._tangent_factors(point, xi)
+        M, Up, Vp = self._split(c)
         r = self.r
         C = np.zeros((2 * r, 2 * r))
         np.add(np.diag(s), M, out=C[:r, :r])
@@ -334,9 +371,12 @@ class FixedRank(Manifold):
         Uc, sc, Vc = self._truncate(*np.linalg.svd(core))
         return self.point_from_factors(Qu @ Uc, sc, Qv @ Vc)
 
-    def hess_operator(self, point, egrad) -> Callable:
-        # Projected Euclidean Hessian plus the sigma-weighted curvature terms;
-        # the correction only sees the normal component of the gradient.
+    def hess_operator(self, point, egrad, ehess=None, extra=None) -> Callable:
+        # The projected Euclidean terms plus the sigma-weighted curvature
+        # terms N (xi^T U) / s and N^T (xi V) / s, which only see the normal
+        # component N of the gradient.  N V = 0 and U^T N = 0, so they read
+        # N Vp / s and N^T Up / s; ambient xi is formed only for the Euclidean
+        # terms, and their sum is projected once.
         U, s, V = point.factors
         if s[-1] <= RANK_TOL:
             raise GeometryError("singular values below tolerance: curvature term ill-conditioned")
@@ -344,15 +384,19 @@ class FixedRank(Manifold):
         N = egrad - U @ (U.T @ egrad)
         N = N - (N @ V) @ V.T  # N = P_U^perp egrad P_V^perp
 
-        def apply(ehess_vec, xi, extra=None):
-            Up_c = (N @ (xi.T @ U)) / s
-            Vp_c = (N.T @ (xi @ V)) / s
-            if ehess_vec is None:  # a zero ehess has zero factors: skip them
-                rhess = self._from_factors(point, None, Up_c, Vp_c)
+        def apply(c):
+            _, Up, Vp = self._split(c)
+            out = np.empty(c.shape)
+            if ehess is None and extra is None:
+                out.fill(0.0)
             else:
-                M0, Up0, Vp0 = self._tangent_factors(point, self._check_ambient(ehess_vec))
-                rhess = self._from_factors(point, M0, Up0 + Up_c, Vp0 + Vp_c)
-            return rhess if extra is None else rhess + self.project(point, extra)
+                xi = self.ambient(point, c)
+                Y = ehess(xi) if extra is None else extra(xi) if ehess is None else ehess(xi) + extra(xi)
+                self._tangent_factors(point, self._check_ambient(Y), out=out)
+            _, out_Up, out_Vp = self._split(out)
+            out_Up += (N @ Vp) / s
+            out_Vp += (N.T @ Up) / s
+            return out
 
         return apply
 
@@ -391,13 +435,15 @@ class FixedRank(Manifold):
 # Module-level entries.
 
 def retract(point: ManifoldPoint, xi: np.ndarray) -> ManifoldPoint:
-    """Second-order retraction of the tangent vector ``xi`` at ``point``.
+    """Second-order retraction of the ambient tangent vector ``xi`` at
+    ``point``: the manifold's retraction of ``coords(point, xi)``.
 
     ``xi`` must have the ambient shape; anything else raises
     :class:`GeometryError` rather than broadcasting against the point.  A
     non-tangent ``xi`` loses its normal component on the fixed-rank manifold.
     """
-    return point.manifold.retract(point, point.manifold._check_ambient(xi))
+    man = point.manifold
+    return man.retract(point, man.coords(point, man._check_ambient(xi)))
 
 
 def random_tangent(point: ManifoldPoint, seed: int) -> np.ndarray:

@@ -15,6 +15,7 @@ from ``Subproblem(P, rho, y).at(X)`` or from :func:`evaluate`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional
@@ -66,8 +67,8 @@ class Subproblem:
     once; :meth:`at` evaluates it at a point."""
 
     def __init__(self, P: ProblemSpec, rho: float, y: np.ndarray):
-        if rho <= 0:
-            raise LagrangianError(f"penalty must be positive, got {rho}")
+        if not (math.isfinite(rho) and rho > 0):
+            raise LagrangianError(f"penalty must be positive and finite, got {rho}")
         self.P, self.rho, self.y = P, rho, y
         self.shift = y / rho
         self.y_term = float(np.sum(y * y)) / (2.0 * rho)
@@ -134,7 +135,7 @@ class Evaluation:
 
     def ghess_operator(self, jac: Optional[ProxJacobian] = None) -> Callable:
         """A generalized Hessian of ``l_rho(., y)`` at ``X``, prepared once:
-        returns ``xi -> H xi``.
+        returns ``c -> H c`` on tangent coordinates (``Manifold.coords``).
 
         ``H`` is the Riemannian Hessian of L(., ytilde) plus the projected
         second-order envelope term ``Dg* G Dg`` with ``G = rho (I - mask)``,
@@ -145,13 +146,9 @@ class Evaluation:
         P, X, rho = self.sub.P, self.X, self.sub.rho
         if jac is None:
             jac = P.theta.prox_jacobian(1.0 / rho, self.p)
-        smooth = _hess_operator(P, X, self.ytilde, self.egrad)
         G = rho * (1.0 - jac.mask)  # G w equals rho (w - mask w) exactly: mask is 0/1
-
-        def apply(xi):
-            return smooth(xi, P.g_vjp(X.X, G * P.g_jvp(X.X, xi)))
-
-        return apply
+        return _hess_operator(P, X, self.ytilde, self.egrad,
+                              lambda xi: P.g_vjp(X.X, G * P.g_jvp(X.X, xi)))
 
 
 def evaluate(P: ProblemSpec, rho: float, X: ManifoldPoint, y: np.ndarray) -> Evaluation:
@@ -182,27 +179,30 @@ def auglag_ghess_vec(
     xi: np.ndarray,
     jac: Optional[ProxJacobian] = None,
 ) -> np.ndarray:
-    """``evaluate(P, rho, X, y).ghess_operator(jac)(xi)``; kept for
-    ``oracles`` and the benchmark tracer."""
-    return evaluate(P, rho, X, y).ghess_operator(jac)(xi)
+    """The generalized HVP ``evaluate(P, rho, X, y).ghess_operator(jac)`` of
+    the ambient tangent vector ``xi``, in ambient form; kept for ``oracles``
+    and the benchmark tracer."""
+    man = X.manifold
+    return man.ambient(X, evaluate(P, rho, X, y).ghess_operator(jac)(man.coords(X, xi)))
 
 
-def _hess_operator(P: ProblemSpec, X: ManifoldPoint, y: np.ndarray, egrad: np.ndarray) -> Callable:
-    """Riemannian Hessian of L(., y), ``egrad`` its Euclidean gradient at X."""
-    rhess = X.manifold.hess_operator(X, egrad)
+def _hess_operator(P: ProblemSpec, X: ManifoldPoint, y: np.ndarray, egrad: np.ndarray,
+                   extra: Optional[Callable] = None) -> Callable:
+    """Riemannian Hessian of L(., y), ``egrad`` its Euclidean gradient at X,
+    plus the projection of the Euclidean term ``extra(xi)``."""
     f, gy = P.f_ehess, P.gy_ehess
     if gy is None:  # g is affine
-        if f is None:
-            return lambda xi, extra=None: rhess(None, xi, extra)
-        return lambda xi, extra=None: rhess(f(X.X, xi), xi, extra)
-    if f is None:
-        return lambda xi, extra=None: rhess(gy(X.X, y, xi), xi, extra)
-    return lambda xi, extra=None: rhess(f(X.X, xi) + gy(X.X, y, xi), xi, extra)
+        ehess = None if f is None else (lambda xi: f(X.X, xi))
+    elif f is None:
+        ehess = lambda xi: gy(X.X, y, xi)
+    else:
+        ehess = lambda xi: f(X.X, xi) + gy(X.X, y, xi)
+    return X.manifold.hess_operator(X, egrad, ehess, extra)
 
 
 def lagrangian_hess_operator(P: ProblemSpec, X: ManifoldPoint, y: np.ndarray) -> Callable:
     """Riemannian Hessian of L(., y) at fixed y, prepared at ``X``:
-    returns ``(xi, extra=None) -> Hess xi + proj_T(extra)``."""
+    returns ``c -> Hess c`` on tangent coordinates."""
     return _hess_operator(P, X, y, P.f_egrad(X.X) + P.g_vjp(X.X, y))
 
 

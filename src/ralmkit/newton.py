@@ -9,7 +9,9 @@ Each iteration solves the shifted generalized-Newton system
 by conjugate gradients on the tangent space, falls back to the steepest
 descent direction whenever the candidate fails the sufficient-descent
 test, and globalizes with an Armijo backtracking line search along the
-retraction.
+retraction.  The system, the descent test and the line search work in
+tangent coordinates (``Manifold.coords``): on the fixed-rank manifold the
+factors ``[M; Up; Vp]``, not m x n arrays.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from . import geometry, lagrangian
+from . import lagrangian
 from .geometry import ManifoldPoint, RankDropError
 from .lagrangian import ProblemSpec
 
@@ -89,7 +91,7 @@ def cg_solve(
 ) -> tuple:
     """Conjugate gradients for ``(H + omega I) v = b`` on a tangent space.
 
-    Vectors are ambient-shape arrays with the Frobenius inner product;
+    Vectors are tangent coordinates, with the inner product ``np.vdot``;
     ``apply_H`` must be self-adjoint.  Exits early with the current
     iterate flagged when nonpositive curvature is detected.  Never writes
     into ``b`` or into an array that ``apply_H`` returns.
@@ -150,6 +152,7 @@ def ssn_minimize(
     cfg = cfg or NewtonConfig()
     stats = NewtonStats()
     sub = lagrangian.Subproblem(P, rho, y)
+    man = X0.manifold
     ev = sub.at(X0)
     stats.objective_trace.append(ev.value)
 
@@ -167,22 +170,23 @@ def ssn_minimize(
 
         omega = gnorm ** NU_BAR
         eta_cap = min(1.0 / (k + 1.0) ** 2, gnorm ** (1.0 + NU_BAR))
-        V, cg = cg_solve(ev.ghess_operator(), omega, -grad, eta_cap, cfg.cg_max_iter)
+        g = man.coords(ev.X, grad)
+        V, cg = cg_solve(ev.ghess_operator(), omega, -g, eta_cap, cfg.cg_max_iter)
         stats.cg_iterations += cg.iterations
 
         vnorm = float(np.linalg.norm(V))
-        descent = np.vdot(-grad, V)
+        descent = np.vdot(-g, V)
         if vnorm == 0.0 or descent < min(BETA0, BETA1 * vnorm ** DESCENT_POWER) * vnorm ** 2:
-            V = -grad
+            V = -g
             stats.fallbacks += 1
             log.debug("iter %d: gradient fallback (cg indefinite=%s)", k, cg.indefinite)
 
-        slope = np.vdot(grad, V)
+        slope = np.vdot(g, V)
         accepted = False
         for m in range(M_MAX + 1):
             step = DELTA ** m
             try:
-                trial = sub.at(geometry.retract(ev.X, step * V))
+                trial = sub.at(man.retract(ev.X, step * V))
             except RankDropError:
                 stats.rank_drop_retries += 1
                 continue

@@ -6,6 +6,14 @@ from ralmkit.geometry import Euclidean
 from ralmkit.lagrangian import ProblemSpec
 
 
+def ambient_operator(X, H):
+    """The ambient form ``v -> ambient(H(coords(v)))`` of an operator ``H``
+    on tangent coordinates at ``X``; on Stiefel and Euclidean space ``H``'s
+    own bits, as both maps return their argument."""
+    man = X.manifold
+    return lambda v: man.ambient(X, H(man.coords(X, v)))
+
+
 def euclidean_l1_problem(shape=(1, 1), mu=1.0):
     """min theta(x) over a flat space: f = 0, g = identity."""
     man = Euclidean(*shape)
@@ -110,7 +118,7 @@ def reference_genhess_min_eig(P, rho, X, y, enumerate_elements=False):
     T = np.stack([v.ravel() for v in X.manifold.tangent_basis(X)])
     min_eig = np.inf
     for jac in jacs:
-        H = ev.ghess_operator(jac)
+        H = ambient_operator(X, ev.ghess_operator(jac))
         B = T @ np.stack([H(v.reshape(X.manifold.ambient_shape)).ravel() for v in T]).T
         min_eig = min(min_eig, float(scipy.linalg.eigvalsh(0.5 * (B + B.T))[0]))
     return min_eig

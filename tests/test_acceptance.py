@@ -253,7 +253,8 @@ class TestMssoscAtScale:
         elapsed = time.perf_counter() - t0
         ref = reference_cone_basis(P, res.X, res.y)
         hess = lagrangian.lagrangian_hess_operator(P, res.X, res.y)
-        ref_eig = float(np.linalg.eigvalsh(certify._quadratic_form(hess, ref))[0])
+        ref_coords = [res.X.manifold.coords(res.X, v) for v in ref]
+        ref_eig = float(np.linalg.eigvalsh(certify._quadratic_form(hess, ref_coords))[0])
         assert cert.subspace_dim == len(ref)
         assert abs(cert.min_eig - ref_eig) <= 1e-10
         assert cert.holds
@@ -292,7 +293,8 @@ class TestCriterion7DerivativeOracles:
                 xi = geometry.random_tangent(X, 600 + trial)
                 egrad = A + X.X
                 grad = X.manifold.project(X, egrad)
-                hv = lambda v: X.manifold.hess_operator(X, egrad)(v, v)
+                hess = X.manifold.hess_operator(X, egrad, lambda u: u)  # ehess is the identity
+                hv = lambda v: X.manifold.ambient(X, hess(X.manifold.coords(X, v)))
                 slope = oracles.taylor_remainder_slope(value, grad, hv, X, xi)
                 slopes.append(slope)
                 assert slope >= 2.7

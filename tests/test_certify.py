@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    ambient_operator,
     euclidean_l1_problem,
     euclidean_quadratic_problem,
     reference_cone_basis,
@@ -289,7 +290,7 @@ class TestMssosc:
         for i in range(len(basis)):
             amb = sum(Q[j, i] * basis[j] for j in range(len(basis)))
             mixed.append(Xbar.manifold.project(Xbar, amb))
-        hess = lagrangian.lagrangian_hess_operator(P, Xbar, ybar)
+        hess = ambient_operator(Xbar, lagrangian.lagrangian_hess_operator(P, Xbar, ybar))
         B = np.array([[np.vdot(a, hess(b)) for b in mixed] for a in mixed])
         w = np.linalg.eigvalsh(0.5 * (B + B.T))
         cert = mssosc_certificate(P, Xbar, ybar)
@@ -297,6 +298,12 @@ class TestMssosc:
 
 
 class TestGenHess:
+    @pytest.mark.parametrize("rho", [math.nan, math.inf, 0.0])
+    def test_rejects_penalty_not_positive_and_finite(self, cm_pair, rho):
+        P, Xbar, ybar = cm_pair
+        with pytest.raises(CertifyError, match="positive and finite"):
+            genhess_min_eig(P, rho, Xbar, ybar)
+
     def test_cm_positive_at_moderate_penalty(self, cm_pair):
         P, Xbar, ybar = cm_pair
         cert = genhess_min_eig(P, 10.0, Xbar, ybar, enumerate_elements=True)
@@ -374,7 +381,7 @@ class TestGenHess:
         cert = genhess_min_eig(P, 100.0, X, y)
         assert cert.subspace_dim == man.dim() == 4985
         # the minimum lies at or below every Rayleigh quotient on T_X M
-        H = lagrangian.evaluate(P, 100.0, X, y).ghess_operator()
+        H = ambient_operator(X, lagrangian.evaluate(P, 100.0, X, y).ghess_operator())
         quotients = [np.vdot(v, H(v)) / np.vdot(v, v)
                      for v in (geometry.random_tangent(X, seed) for seed in range(5))]
         assert math.isfinite(cert.min_eig)

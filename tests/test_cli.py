@@ -297,6 +297,8 @@ MALFORMED_CONFIGS = {
     "output not an object": ("solve", {"output": [1]}),
     "solver not an object": ("solve", {"solver": [1]}),
     "non-numeric certify field": ("certify", {"certify": {"rho": "x"}}),
+    "NaN certify rho": ("certify", {"certify": {"rho": math.nan}}),
+    "infinite certify rho": ("certify", {"certify": {"rho": math.inf}}),
     "fractional max_outer": ("solve", {"solver": {"max_outer": 2.5}}),
     "null kkt_tol": ("solve", {"solver": {"kkt_tol": None}}),
     "fractional newton max_iter": ("solve", {"solver": {"newton": {"max_iter": 2.5}}}),

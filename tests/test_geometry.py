@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ralmkit import geometry, oracles
+from ralmkit import bench, geometry, oracles
 from ralmkit.geometry import (
     Euclidean,
     FixedRank,
@@ -28,8 +28,8 @@ def curve_basis(X, n_curves=60, h=1e-6, seed=123):
     for _ in range(n_curves):
         Z = rng.standard_normal(man.ambient_shape)
         xi = man.project(X, Z)  # direction for the curve
-        up = man.retract(X, h * xi).X
-        dn = man.retract(X, (-h) * xi).X
+        up = retract(X, h * xi).X
+        dn = retract(X, (-h) * xi).X
         rows.append(((up - dn) / (2 * h)).ravel())
     A = np.stack(rows)
     # Orthonormal basis of the row span
@@ -280,14 +280,15 @@ class TestGradientsAndHessians:
 
         X = man.random_point(rng)
         g = egrad(X.X)
-        hess = man.hess_operator(X, g)
-        zero = hess(ehess(X.X, np.zeros_like(g)), np.zeros_like(g))
+        coord_hess = man.hess_operator(X, g, lambda v: ehess(X.X, v))
+        hess = lambda v: man.ambient(X, coord_hess(man.coords(X, v)))
+        zero = hess(np.zeros_like(g))
         assert np.linalg.norm(zero) <= 1e-14
         for trial in range(10):
             xi = random_tangent(X, 400 + trial)
             eta = random_tangent(X, 500 + trial)
-            Hxi = hess(ehess(X.X, xi), xi)
-            Heta = hess(ehess(X.X, eta), eta)
+            Hxi = hess(xi)
+            Heta = hess(eta)
             assert abs(np.vdot(eta, Hxi) - np.vdot(xi, Heta)) <= 1e-10 * (1 + abs(np.vdot(eta, Hxi)))
 
     @pytest.mark.parametrize("man", [Stiefel(5, 2), FixedRank(5, 4, 2)],
@@ -306,9 +307,72 @@ class TestGradientsAndHessians:
             xi = random_tangent(X, 600 + trial)
             egrad = A + X.X
             grad = man.project(X, egrad)
-            hv = lambda v: man.hess_operator(X, egrad)(v, v)
+            hv = lambda v: man.ambient(X, man.hess_operator(X, egrad, lambda u: u)(man.coords(X, v)))
             slope = oracles.taylor_remainder_slope(value, grad, hv, X, xi)
             assert slope >= 2.7
+
+
+class TestTangentCoordinates:
+    """``coords`` / ``ambient``: packed factors on the fixed-rank manifold,
+    the argument itself elsewhere."""
+
+    FIXED_RANK = [FixedRank(5, 4, 2), FixedRank(7, 9, 3), FixedRank(20, 30, 2)]
+
+    @pytest.mark.parametrize("man", FIXED_RANK, ids=str)
+    def test_fixed_rank_round_trip_is_the_projection(self, man):
+        rng = np.random.default_rng(51)
+        for _ in range(10):
+            X = man.random_point(rng)
+            Y = rng.standard_normal(man.ambient_shape)
+            c = man.coords(X, Y)
+            assert c.shape == (man.r + man.m + man.n, man.r)
+            P = man.project(X, Y)
+            assert np.linalg.norm(man.ambient(X, c) - P) <= 1e-14 * np.linalg.norm(P)
+
+    @pytest.mark.parametrize("man", FIXED_RANK, ids=str)
+    def test_fixed_rank_vdot_of_coordinates_is_the_metric(self, man):
+        rng = np.random.default_rng(52)
+        for trial in range(10):
+            X = man.random_point(rng)
+            a, b = random_tangent(X, 10 + trial), random_tangent(X, 40 + trial)
+            assert abs(np.vdot(man.coords(X, a), man.coords(X, b)) - np.vdot(a, b)) <= 1e-14
+            assert abs(np.vdot(man.coords(X, a), man.coords(X, a)) - 1.0) <= 1e-14
+
+    @pytest.mark.parametrize("man", FIXED_RANK, ids=str)
+    def test_fixed_rank_coordinate_operator_is_symmetric(self, man):
+        rng = np.random.default_rng(53)
+        A = rng.standard_normal(man.ambient_shape)
+        Q = rng.standard_normal((A.size, A.size))
+        Q = Q + Q.T
+        ehess = lambda v: (Q @ v.ravel()).reshape(A.shape)
+        W = rng.standard_normal(A.shape)  # a diagonal PSD second term, as the envelope's
+        for trial in range(5):
+            X = man.random_point(rng)
+            H = man.hess_operator(X, A + ehess(X.X), ehess, lambda v: W * W * v)
+            a = man.coords(X, random_tangent(X, 70 + trial))
+            b = man.coords(X, random_tangent(X, 90 + trial))
+            ab, ba = np.vdot(a, H(b)), np.vdot(b, H(a))
+            assert abs(ab - ba) <= 1e-12 * (1.0 + abs(ab))
+
+    def test_fixed_rank_hessian_check_on_a_partial_mask(self):
+        rng = np.random.default_rng(54)
+        A = rng.standard_normal((6, 5))
+        omega = rng.uniform(size=A.shape) < 0.6
+        P = bench.build_rmc(A, omega, 2)
+        assert oracles.hessian_check(P, samples=10, seed=5) <= 1e-4
+
+    def test_fixed_rank_retract_takes_coordinates(self):
+        man = FixedRank(7, 9, 3)
+        X = man.random_point(np.random.default_rng(55))
+        xi = random_tangent(X, 56)
+        assert np.array_equal(man.retract(X, man.coords(X, 0.1 * xi)).X, retract(X, 0.1 * xi).X)
+
+    @pytest.mark.parametrize("man", MANIFOLDS[:3], ids=lambda m: m.name + str(m.ambient_shape))
+    def test_identity_maps_elsewhere(self, man):
+        X = man.random_point(np.random.default_rng(57))
+        xi = random_tangent(X, 58)
+        assert man.coords(X, xi) is xi
+        assert man.ambient(X, xi) is xi
 
 
 class TestInnerNormRandom:

@@ -1,14 +1,16 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
-from conftest import euclidean_l1_problem, euclidean_quadratic_problem
+from conftest import ambient_operator, euclidean_l1_problem, euclidean_quadratic_problem
 from ralmkit import bench, geometry, oracles
 from ralmkit.convex import L1Norm
 from ralmkit.lagrangian import (
     LagrangianError,
     ProblemSpec,
+    Subproblem,
     auglag_dual_grad,
     auglag_ghess_vec,
     auglag_rgrad,
@@ -80,6 +82,12 @@ class TestAuglagValue:
         with pytest.raises(Exception):
             auglag_value(P, 0.0, X, np.zeros((1, 1)))
 
+    @pytest.mark.parametrize("rho", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_subproblem_rejects_penalty_not_positive_and_finite(self, rho):
+        # NaN slips through a plain `rho <= 0` test
+        with pytest.raises(LagrangianError):
+            Subproblem(euclidean_l1_problem(), rho, np.zeros((1, 1)))
+
 
 class TestAuglagGradient:
     def test_zero_at_analytic_pair_for_all_rho(self, cm_pair):
@@ -144,9 +152,10 @@ class TestAuglagHessian:
 
 
 def reference_rhess(X, egrad, ehess, xi):
-    """Euclidean-to-Riemannian Hessian conversion written out unprepared,
-    with the floating-point operations of the prepared operators in the
-    same order."""
+    """Euclidean-to-Riemannian Hessian conversion written out unprepared and
+    in ambient form: on Stiefel and Euclidean space with the floating-point
+    operations of the prepared operators in the same order, on the fixed-rank
+    manifold as the ambient formula (the prepared operator works on factors)."""
     man = X.manifold
     if isinstance(man, geometry.Euclidean):
         return ehess
@@ -220,19 +229,33 @@ def identity_hessian_case():
     return P, 2.0, X, rng.uniform(-0.5, 0.5, (4, 3))
 
 
+# The fixed-rank operators work on packed factors, in another order of
+# floating-point operations than the ambient formulas: compared at this
+# relative tolerance.  Stiefel and Euclidean space stay bit-identical.
+FIXED_RANK_RTOL = 1e-12
+
+
+def assert_same(got, want, man):
+    if isinstance(man, geometry.FixedRank):
+        assert np.linalg.norm(got - want) <= FIXED_RANK_RTOL * np.linalg.norm(want)
+    else:
+        assert np.array_equal(got, want)
+
+
 class TestPreparedHessian:
     @pytest.mark.parametrize("case", hessian_cases(), ids=CASE_IDS)
     def test_bit_identical_to_unprepared_reference(self, case):
+        # bit-identical on Stiefel and Euclidean space, FIXED_RANK_RTOL on fixed rank
         P, rho, X, y = case
         mask = P.theta.prox_jacobian(1.0 / rho, P.g_value(X.X) + y / rho).mask
         assert 0 < mask.sum() < mask.size
-        H = evaluate(P, rho, X, y).ghess_operator()
-        L = lagrangian_hess_operator(P, X, y)
+        H = ambient_operator(X, evaluate(P, rho, X, y).ghess_operator())
+        L = ambient_operator(X, lagrangian_hess_operator(P, X, y))
         for seed in range(5):
             xi = geometry.random_tangent(X, 900 + seed)
-            assert np.array_equal(H(xi), reference_ghess(P, rho, X, y, xi))
+            assert_same(H(xi), reference_ghess(P, rho, X, y, xi), X.manifold)
             assert np.array_equal(auglag_ghess_vec(P, rho, X, y, xi), H(xi))
-            assert np.array_equal(L(xi), reference_lagrangian_hess(P, X, y, xi))
+            assert_same(L(xi), reference_lagrangian_hess(P, X, y, xi), X.manifold)
 
     @pytest.mark.parametrize(
         "case", hessian_cases() + [identity_hessian_case()], ids=CASE_IDS + ["returns-xi"]
@@ -242,11 +265,11 @@ class TestPreparedHessian:
         H = evaluate(P, rho, X, y).ghess_operator()
         results, snapshots = [], []
         for seed in range(4):
-            xi = geometry.random_tangent(X, 950 + seed)
-            xi_before = xi.copy()
-            out = H(xi)
-            assert np.array_equal(out, evaluate(P, rho, X, y).ghess_operator()(xi))
-            assert np.array_equal(xi, xi_before)
+            c = X.manifold.coords(X, geometry.random_tangent(X, 950 + seed))
+            c_before = c.copy()
+            out = H(c)
+            assert np.array_equal(out, evaluate(P, rho, X, y).ghess_operator()(c))
+            assert np.array_equal(c, c_before)
             results.append(out)
             snapshots.append(out.copy())
         for out, snap in zip(results, snapshots):
@@ -256,27 +279,31 @@ class TestPreparedHessian:
     def test_manifold_operator_projects_and_adds_extra(self, case):
         P, _, X, y = case
         man = X.manifold
-        hess = man.hess_operator(X, P.f_egrad(X.X) + P.g_vjp(X.X, y))
+        egrad = P.f_egrad(X.X) + P.g_vjp(X.X, y)
         rng = np.random.default_rng(31)
         for seed in range(4):
-            xi = geometry.random_tangent(X, 980 + seed)
+            c = man.coords(X, geometry.random_tangent(X, 980 + seed))
             e, w = rng.standard_normal((2,) + man.ambient_shape)
-            assert np.array_equal(hess(e, xi, w), hess(e, xi) + man.project(X, w))
+            both = man.hess_operator(X, egrad, lambda xi: e, lambda xi: w)(c)
+            alone = man.hess_operator(X, egrad, lambda xi: e)(c)
+            assert_same(both, alone + man.coords(X, man.project(X, w)), man)
 
     @pytest.mark.parametrize("case", hessian_cases(), ids=CASE_IDS)
     @pytest.mark.parametrize("with_extra", [False, True], ids=["plain", "extra"])
     def test_manifold_operator_reuse_keeps_results_and_inputs(self, case, with_extra):
         P, _, X, y = case
         man = X.manifold
-        hess = man.hess_operator(X, P.f_egrad(X.X) + P.g_vjp(X.X, y))
+        terms = {}
+        hess = man.hess_operator(X, P.f_egrad(X.X) + P.g_vjp(X.X, y), lambda xi: terms["e"],
+                                 (lambda xi: terms["w"]) if with_extra else None)
         rng = np.random.default_rng(32)
         kept = []
         for seed in range(4):
-            xi = geometry.random_tangent(X, 990 + seed)
-            e, w = rng.standard_normal((2,) + man.ambient_shape)
-            inputs = (e, xi, w) if with_extra else (e, xi)
+            c = man.coords(X, geometry.random_tangent(X, 990 + seed))
+            terms["e"], terms["w"] = rng.standard_normal((2,) + man.ambient_shape)
+            inputs = (c, terms["e"], terms["w"]) if with_extra else (c, terms["e"])
             before = [a.copy() for a in inputs]
-            out = hess(*inputs)
+            out = hess(c)
             assert all(np.array_equal(a, b) for a, b in zip(inputs, before))
             assert not any(np.shares_memory(out, a) for a in inputs)
             kept.append((out, out.copy()))
@@ -285,17 +312,24 @@ class TestPreparedHessian:
 
     @pytest.mark.parametrize("case", hessian_cases(), ids=CASE_IDS)
     def test_manifold_operator_none_is_a_zero_ehess(self, case):
+        # the same bytes on Stiefel and Euclidean space; the same values on
+        # fixed rank, whose skipped projection has no signed zeros to match
         P, _, X, y = case
         man = X.manifold
-        hess = man.hess_operator(X, P.f_egrad(X.X) + P.g_vjp(X.X, y))
+        egrad = P.f_egrad(X.X) + P.g_vjp(X.X, y)
         zero = np.zeros(man.ambient_shape)
         rng = np.random.default_rng(33)
         for seed in range(4):
-            xi = geometry.random_tangent(X, 960 + seed)
+            c = man.coords(X, geometry.random_tangent(X, 960 + seed))
             w = rng.standard_normal(man.ambient_shape)
-            for args in ((xi,), (xi, w)):  # without and with the extra term
-                got, want = hess(None, *args), hess(zero, *args)
-                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            for extra in (None, lambda xi: w):  # without and with the extra term
+                got = man.hess_operator(X, egrad, None, extra)(c)
+                want = man.hess_operator(X, egrad, lambda xi: zero, extra)(c)
+                assert got.dtype == want.dtype
+                if isinstance(man, geometry.FixedRank):
+                    assert np.array_equal(got, want)
+                else:
+                    assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("case", hessian_cases()[:2], ids=CASE_IDS[:2])
     def test_affine_g_skips_the_zero_term(self, case):
@@ -303,11 +337,11 @@ class TestPreparedHessian:
         assert P.gy_ehess is None
         Z = dataclasses.replace(P, gy_ehess=lambda X, y, xi: np.zeros_like(xi))
         for seed in range(3):
-            xi = geometry.random_tangent(X, 970 + seed)
-            assert np.array_equal(evaluate(P, rho, X, y).ghess_operator()(xi),
-                                  evaluate(Z, rho, X, y).ghess_operator()(xi))
-            assert np.array_equal(lagrangian_hess_operator(P, X, y)(xi),
-                                  lagrangian_hess_operator(Z, X, y)(xi))
+            c = X.manifold.coords(X, geometry.random_tangent(X, 970 + seed))
+            assert np.array_equal(evaluate(P, rho, X, y).ghess_operator()(c),
+                                  evaluate(Z, rho, X, y).ghess_operator()(c))
+            assert np.array_equal(lagrangian_hess_operator(P, X, y)(c),
+                                  lagrangian_hess_operator(Z, X, y)(c))
 
 
 class TestSingleEvaluations:
@@ -324,7 +358,8 @@ class TestSingleEvaluations:
         assert auglag_value(P, rho, X, ybar) == ev.value
         assert np.array_equal(auglag_rgrad(P, rho, X, ybar), ev.rgrad)
         assert np.array_equal(auglag_dual_grad(P, rho, X, ybar), ev.dual_grad)
-        assert np.array_equal(auglag_ghess_vec(P, rho, X, ybar, xi), ev.ghess_operator()(xi))
+        assert np.array_equal(auglag_ghess_vec(P, rho, X, ybar, xi),
+                              ambient_operator(X, ev.ghess_operator())(xi))
 
 
 class TestMultiplierUpdate:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import euclidean_quadratic_problem
-from ralmkit import geometry, lagrangian, newton
+from ralmkit import bench, geometry, lagrangian, newton
 from ralmkit.newton import NewtonConfig, NewtonError, cg_solve, ssn_minimize
 
 
@@ -106,6 +106,32 @@ class TestConfigValidation:
             lhs = gnorm ** 2
             rhs = min(newton.BETA0, newton.BETA1 * gnorm ** newton.DESCENT_POWER) * gnorm ** 2
             assert lhs >= rhs
+
+
+class TestFactoredNewtonSystem:
+    def test_fixed_rank_cg_sees_only_packed_factors(self, monkeypatch):
+        # partially observed 20 x 30 rank-2 completion: every right-hand side
+        # and every solution CG handles is an (r + m + n, r) array
+        m, n, r = 20, 30, 2
+        rng = np.random.default_rng(3)
+        L = rng.standard_normal((m, r)) @ rng.standard_normal((r, n))
+        A = L + bench.rmc_random_outliers(m, n, 0.05, 0.5, 4)
+        omega = rng.uniform(size=(m, n)) < 0.6
+        P = bench.build_rmc(A, omega, r)
+        X0 = P.manifold.point_from_ambient(A * omega)
+        shapes = []
+
+        def recording_cg(apply_H, omega_k, b, tol, max_iter):
+            x, info = cg_solve(apply_H, omega_k, b, tol, max_iter)
+            shapes.append((b.shape, x.shape))
+            return x, info
+
+        monkeypatch.setattr(newton, "cg_solve", recording_cg)
+        ev, stats = ssn_minimize(P, 10.0, np.zeros((m, n)), X0, NewtonConfig(max_iter=8))
+        assert stats.iterations > 0 and stats.cg_iterations > 0
+        assert len(shapes) >= stats.iterations
+        assert set(shapes) == {((r + m + n, r), (r + m + n, r))}
+        assert ev.value < stats.objective_trace[0]
 
 
 class TestSsnMinimize:

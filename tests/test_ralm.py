@@ -177,7 +177,7 @@ class TestOneProxPerPoint:
         P, Xbar, _ = cm_pair
         X0 = geometry.retract(Xbar, 0.1 * geometry.random_tangent(Xbar, 11))
         calls = {"prox": 0, "trial": 0}
-        prox, retract = L1Norm.prox, geometry.retract
+        prox, retract = L1Norm.prox, geometry.Stiefel.retract
 
         def counted_prox(theta, *args):
             calls["prox"] += 1
@@ -188,7 +188,7 @@ class TestOneProxPerPoint:
             return retract(*args)
 
         monkeypatch.setattr(L1Norm, "prox", counted_prox)
-        monkeypatch.setattr(geometry, "retract", counted_retract)
+        monkeypatch.setattr(geometry.Stiefel, "retract", counted_retract)
         cfg = RalmConfig(rho0=1.0, gamma=4.0, criterion="b", kkt_tol=1e-8, max_outer=50)
         res = ralm_solve(P, cfg, X0, np.zeros((4, 2)))
         outer = res.records[-1].k
