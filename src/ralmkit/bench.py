@@ -147,7 +147,7 @@ def build_rmc(A: np.ndarray, omega: np.ndarray, r: int, mu: float = 1.0) -> Prob
     return ProblemSpec(
         manifold=manifold,
         f_value=lambda X: 0.0,
-        f_egrad=lambda X: np.zeros_like(X),
+        f_egrad=None,
         f_ehess=None,
         g_value=g_value,
         g_jvp=g_jvp,

@@ -73,8 +73,9 @@ def critical_cone_basis(P: ProblemSpec, X: ManifoldPoint, y: np.ndarray) -> list
     For the l1 term the affine hull fixes to zero every constraint-space
     entry where ``g(X)`` vanishes and the multiplier is strictly inside
     its box: the subspace is T_X M intersected with ker E_c Dg(X).  When
-    Dg(X) is diagonal and at most ``dim T_X M`` ambient unit vectors e_i
-    are free of those entries, it is the null space of the normal parts
+    Dg(X) is diagonal (:func:`~ralmkit.lagrangian.jacobian_diagonal`) and at
+    most ``dim T_X M`` ambient unit vectors e_i are free of those entries,
+    it is the null space of the normal parts
     ``e_i - project(X, e_i)``, from a thin SVD with the absolute threshold
     ``NULLSPACE_TOL`` (the columns have norm at most 1); otherwise it is
     the null space of C = E_c Dg(X) T in tangent-basis coordinates, its rows
@@ -91,12 +92,8 @@ def critical_cone_basis(P: ProblemSpec, X: ManifoldPoint, y: np.ndarray) -> list
     if not np.any(constrained):
         return X.manifold.tangent_basis(X)
     shape = X.manifold.ambient_shape
-    # Dg(X) is diagonal when g_vjp multiplies a fixed normal probe by
-    # c = g_vjp(X, 1) exactly; a map with an off-diagonal part does that
-    # only for probes in a null set.
-    c = P.g_vjp(X.X, np.ones(z.shape))
-    probe = np.random.default_rng(0).standard_normal(z.shape)
-    diagonal = z.shape == shape and np.array_equal(P.g_vjp(X.X, probe), c * probe)
+    c = lagrangian.jacobian_diagonal(P, X, np.random.default_rng(0).standard_normal(z.shape))
+    diagonal = c is not None
     free = np.flatnonzero(~(constrained & (c != 0))) if diagonal else None
     if diagonal and free.size <= X.manifold.dim():
         normal = np.zeros((free.size, X.X.size))
@@ -110,7 +107,7 @@ def critical_cone_basis(P: ProblemSpec, X: ManifoldPoint, y: np.ndarray) -> list
     import scipy.linalg  # loaded on first use: it doubles the time of `import ralmkit`
     basis = X.manifold.tangent_basis(X)
     # the norms of the rows of E_c Dg(X); a zero row constrains nothing
-    d = np.abs(c[constrained]) if diagonal else np.array([
+    d = np.abs(np.broadcast_to(c, z.shape)[constrained]) if diagonal else np.array([
         np.linalg.norm(P.g_vjp(X.X, np.eye(1, z.size, i).reshape(z.shape)))
         for i in np.flatnonzero(constrained)])
     C = np.stack([P.g_jvp(X.X, v)[constrained] for v in basis]).T[d > 0] / d[d > 0, None]

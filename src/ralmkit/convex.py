@@ -62,18 +62,19 @@ class L1Norm:
         if t <= 0:
             raise ConvexError(f"prox parameter must be positive, got {t}")
         p = np.asarray(p, dtype=float)
-        return np.sign(p) * np.maximum(np.abs(p) - t * self.mu, 0.0)
+        q = np.abs(p, out=np.empty(p.shape))  # every step written into q
+        q -= t * self.mu
+        return np.multiply(np.sign(p), np.maximum(q, 0.0, out=q), out=q)
 
     def prox_jacobian(self, t: float, p: np.ndarray) -> ProxJacobian:
         """The convention element: 0 on the boundary entries."""
         if t <= 0:
             raise ConvexError(f"prox parameter must be positive, got {t}")
         p = np.asarray(p, dtype=float)
-        gap = np.abs(p) - t * self.mu
-        boundary = np.abs(gap) <= BOUNDARY_TOL
-        mask = (gap > 0).astype(float)
-        mask[boundary] = 0.0
-        return ProxJacobian(mask=mask, boundary=boundary)
+        gap = np.abs(p, out=np.empty(p.shape))
+        gap -= t * self.mu
+        mask = np.greater(gap, BOUNDARY_TOL, out=np.empty(p.shape))  # gap > 0 off the boundary
+        return ProxJacobian(mask=mask, boundary=np.abs(gap, out=gap) <= BOUNDARY_TOL)
 
     def extreme_prox_jacobians(self, t: float, p: np.ndarray) -> List[ProxJacobian]:
         """All extreme B-subdifferential elements of the prox at ``p``.
@@ -101,7 +102,10 @@ class L1Norm:
         p = np.asarray(p, dtype=float)
         if q is None:
             q = self.prox(1.0 / rho, p)
-        return self.value(q) + 0.5 * rho * float(np.sum((p - q) ** 2))
+        r = np.abs(q, out=np.empty(p.shape))
+        value = self.mu * float(np.sum(r))  # self.value(q), in the one temporary
+        np.subtract(p, q, out=r)
+        return value + 0.5 * rho * float(np.sum(np.square(r, out=r)))
 
     def moreau_grad(self, rho: float, p: np.ndarray, q: Optional[np.ndarray] = None) -> np.ndarray:
         """The envelope gradient rho (p - q) at ``p``, ``q = prox(1/rho, p)``."""
@@ -110,7 +114,8 @@ class L1Norm:
         p = np.asarray(p, dtype=float)
         if q is None:
             q = self.prox(1.0 / rho, p)
-        return rho * (p - q)
+        r = np.subtract(p, q, out=np.empty(p.shape))
+        return np.multiply(rho, r, out=r)
 
     def in_subdifferential(self, z: np.ndarray, y: np.ndarray, tol: float = 1e-10) -> bool:
         """Whether ``y`` lies in the subdifferential of theta at ``z``."""

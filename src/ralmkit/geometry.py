@@ -112,10 +112,13 @@ class Manifold:
         gradient ``egrad`` and Euclidean Hessian-vector product
         ``ehess(xi) + extra(xi)``, prepared once for many directions: returns
         ``c -> coordinates of Hess xi``, a fresh array, for tangent
-        coordinates ``c``.  The callbacks take the ambient ``xi`` and return
-        ambient arrays; ``None`` stands for a zero term, which is skipped.
-        The two terms differ only in the order of floating-point operations:
-        Stiefel projects them apart, in one stacked call."""
+        coordinates ``c``.  The callbacks take the ambient ``xi`` and keep
+        no reference to it: ``ehess(xi)`` returns its term, ``extra(xi, out)``
+        writes its term into ``out``, an array the operator owns and may
+        reuse, possibly ``xi`` itself (which an elementwise ufunc handles).
+        ``None`` stands for a zero term, which is skipped.  The two terms
+        differ only in the order of floating-point operations: Stiefel
+        projects them apart, in one stacked call."""
         raise NotImplementedError
 
     def tangent_basis(self, point: ManifoldPoint) -> list:
@@ -161,7 +164,10 @@ class Euclidean(Manifold):
     def hess_operator(self, point, egrad, ehess=None, extra=None) -> Callable:
         def apply(xi):
             e = np.zeros(self.ambient_shape) if ehess is None else self._check_ambient(ehess(xi))
-            return e.copy() if extra is None else e + self._check_ambient(extra(xi))
+            if extra is None:
+                return e.copy()
+            extra(xi, out := np.empty(self.ambient_shape))
+            return np.add(e, out, out=out)
 
         return apply
 
@@ -237,7 +243,7 @@ class Stiefel(Manifold):
             e = 0.0 if ehess is None else self._check_ambient(ehess(xi))
             np.subtract(e, Z0, out=Z0)
             if extra is not None:
-                Z1[...] = self._check_ambient(extra(xi))
+                extra(xi, Z1)
             np.matmul(Xt, z, out=a)
             np.matmul(X, _sym(a, out=b), out=w)
             np.subtract(z, w, out=z)
@@ -381,18 +387,30 @@ class FixedRank(Manifold):
         if s[-1] <= RANK_TOL:
             raise GeometryError("singular values below tolerance: curvature term ill-conditioned")
         egrad = self._check_ambient(egrad)
-        N = egrad - U @ (U.T @ egrad)
-        N = N - (N @ V) @ V.T  # N = P_U^perp egrad P_V^perp
+        # ambient(c) = [U M + Up, U] @ [V, Vp]^T, with both factors and xi kept
+        # across products (xi's array is N's scratch here); extra writes into
+        # W, which is xi itself unless ehess reads xi
+        r, L, R = self.r, np.concatenate((U, U), axis=1), np.concatenate((V, V), axis=1)
+        xi = np.matmul(U, U.T @ egrad)
+        W = xi if ehess is None else np.empty(self.ambient_shape)
+        N = np.subtract(egrad, xi)
+        N -= np.matmul(N @ V, V.T, out=xi)  # N = P_U^perp egrad P_V^perp
 
         def apply(c):
-            _, Up, Vp = self._split(c)
+            M, Up, Vp = self._split(c)
             out = np.empty(c.shape)
             if ehess is None and extra is None:
                 out.fill(0.0)
             else:
-                xi = self.ambient(point, c)
-                Y = ehess(xi) if extra is None else extra(xi) if ehess is None else ehess(xi) + extra(xi)
-                self._tangent_factors(point, self._check_ambient(Y), out=out)
+                np.add(U @ M, Up, out=L[:, :r])
+                R[:, r:] = Vp
+                np.matmul(L, R.T, out=xi)
+                if extra is None:
+                    Y = self._check_ambient(ehess(xi))
+                else:
+                    extra(xi, W)
+                    Y = W if ehess is None else np.add(self._check_ambient(ehess(xi)), W, out=W)
+                self._tangent_factors(point, Y, out=out)
             _, out_Up, out_Vp = self._split(out)
             out_Up += (N @ Vp) / s
             out_Vp += (N.T @ Up) / s

@@ -37,8 +37,9 @@ class ProblemSpec:
     All callbacks work in ambient coordinates:
 
     * ``f_value(X)``, ``f_egrad(X)``, ``f_ehess(X, xi)`` -- the smooth term
-      and its Euclidean derivatives; ``f_ehess`` is ``None`` when f has a
-      zero Hessian (the Hessian then skips the term),
+      and its Euclidean derivatives; ``f_egrad`` is ``None`` when f is
+      constant and ``f_ehess`` when f has a zero Hessian (the gradient and
+      the Hessian then skip the term),
     * ``g_value(X)`` -- constraint-space image of X,
     * ``g_jvp(X, xi)`` / ``g_vjp(X, w)`` -- the differential of g and its
       adjoint,
@@ -51,7 +52,7 @@ class ProblemSpec:
 
     manifold: Manifold
     f_value: Callable[[np.ndarray], float]
-    f_egrad: Callable[[np.ndarray], np.ndarray]
+    f_egrad: Optional[Callable[[np.ndarray], np.ndarray]]
     f_ehess: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]]
     g_value: Callable[[np.ndarray], np.ndarray]
     g_jvp: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -72,6 +73,11 @@ class Subproblem:
         self.P, self.rho, self.y = P, rho, y
         self.shift = y / rho
         self.y_term = float(np.sum(y * y)) / (2.0 * rho)
+
+    @cached_property
+    def probe(self) -> np.ndarray:
+        """The probe of :func:`jacobian_diagonal`, one for every point."""
+        return np.random.default_rng(0).standard_normal(self.y.shape)
 
     def at(self, X: ManifoldPoint) -> "Evaluation":
         return Evaluation(self, X)
@@ -114,7 +120,7 @@ class Evaluation:
 
     @cached_property
     def egrad(self) -> np.ndarray:
-        return self.sub.P.f_egrad(self.X.X) + self.sub.P.g_vjp(self.X.X, self.ytilde)
+        return lagrangian_egrad(self.sub.P, self.X, self.ytilde)
 
     @cached_property
     def rgrad(self) -> np.ndarray:
@@ -123,7 +129,9 @@ class Evaluation:
     @cached_property
     def dual_grad(self) -> np.ndarray:
         """Gradient in y: (ytilde - y) / rho."""
-        return (self.ytilde - self.sub.y) / self.sub.rho
+        d = self.ytilde - self.sub.y
+        d /= self.sub.rho
+        return d
 
     def multiplier_update(self, rho_tilde: float) -> np.ndarray:
         """Dual ascent step y + rho_tilde * grad_y l_rho(X, y); the full step
@@ -141,14 +149,28 @@ class Evaluation:
         second-order envelope term ``Dg* G Dg`` with ``G = rho (I - mask)``,
         where ``mask`` is a Clarke-Jacobian element of the prox at ``p``.
         Passing ``jac`` selects the element; the default is the convention
-        element (boundary bit 0).
+        element (boundary bit 0).  When Dg(X) is a diagonal ``d``
+        (:func:`jacobian_diagonal`) the envelope term is ``W xi`` with
+        ``W = G d^2`` (``G`` for the identity), else ``g_vjp(G g_jvp(xi))``;
+        the two have the same bits where ``d`` is 0/1.
         """
         P, X, rho = self.sub.P, self.X, self.sub.rho
         if jac is None:
             jac = P.theta.prox_jacobian(1.0 / rho, self.p)
-        G = rho * (1.0 - jac.mask)  # G w equals rho (w - mask w) exactly: mask is 0/1
-        return _hess_operator(P, X, self.ytilde, self.egrad,
-                              lambda xi: P.g_vjp(X.X, G * P.g_jvp(X.X, xi)))
+        G = np.subtract(1.0, jac.mask)
+        G *= rho  # G w equals rho (w - mask w) exactly: mask is 0/1
+        d = jacobian_diagonal(P, X, self.sub.probe)
+        if isinstance(d, np.ndarray):  # G becomes W
+            G *= d
+            G *= d
+
+        def extra(xi, out):
+            if d is not None:
+                np.multiply(G, xi, out=out)
+            else:  # checked: out[...] = would broadcast a wrong shape silently
+                out[...] = X.manifold._check_ambient(P.g_vjp(X.X, G * P.g_jvp(X.X, xi)))
+
+        return _hess_operator(P, X, self.ytilde, self.egrad, extra)
 
 
 def evaluate(P: ProblemSpec, rho: float, X: ManifoldPoint, y: np.ndarray) -> Evaluation:
@@ -186,10 +208,34 @@ def auglag_ghess_vec(
     return man.ambient(X, evaluate(P, rho, X, y).ghess_operator(jac)(man.coords(X, xi)))
 
 
+def jacobian_diagonal(P: ProblemSpec, X: ManifoldPoint, probe: np.ndarray):
+    """Dg(X) as the ``d`` with ``g_jvp(X, xi) = g_vjp(X, xi) = d * xi``, or None.
+
+    ``probe`` is a fixed normal draw of g's shape, which must be the ambient
+    shape.  Dg(X) is the identity (``d`` the scalar 1.0) when ``g_vjp``
+    returns the probe itself, and diagonal (``d = g_vjp(X, 1)``) when it
+    multiplies the probe by that exactly; a map that is neither passes only
+    for probes in a null set."""
+    if probe.shape != X.manifold.ambient_shape:
+        return None
+    w = P.g_vjp(X.X, probe)
+    if w is probe:
+        return 1.0
+    d = P.g_vjp(X.X, np.ones(probe.shape))
+    return d if np.array_equal(w, d * probe) else None
+
+
+def lagrangian_egrad(P: ProblemSpec, X: ManifoldPoint, y: np.ndarray) -> np.ndarray:
+    """Euclidean gradient of L(., y) = f + <y, g(.)> at X."""
+    w = P.g_vjp(X.X, y)
+    return w if P.f_egrad is None else P.f_egrad(X.X) + w
+
+
 def _hess_operator(P: ProblemSpec, X: ManifoldPoint, y: np.ndarray, egrad: np.ndarray,
                    extra: Optional[Callable] = None) -> Callable:
     """Riemannian Hessian of L(., y), ``egrad`` its Euclidean gradient at X,
-    plus the projection of the Euclidean term ``extra(xi)``."""
+    plus the projection of the Euclidean term that ``extra(xi, out)`` writes
+    (``Manifold.hess_operator``)."""
     f, gy = P.f_ehess, P.gy_ehess
     if gy is None:  # g is affine
         ehess = None if f is None else (lambda xi: f(X.X, xi))
@@ -203,13 +249,13 @@ def _hess_operator(P: ProblemSpec, X: ManifoldPoint, y: np.ndarray, egrad: np.nd
 def lagrangian_hess_operator(P: ProblemSpec, X: ManifoldPoint, y: np.ndarray) -> Callable:
     """Riemannian Hessian of L(., y) at fixed y, prepared at ``X``:
     returns ``c -> Hess c`` on tangent coordinates."""
-    return _hess_operator(P, X, y, P.f_egrad(X.X) + P.g_vjp(X.X, y))
+    return _hess_operator(P, X, y, lagrangian_egrad(P, X, y))
 
 
 def kkt_residual(P: ProblemSpec, X: ManifoldPoint, y: np.ndarray) -> float:
     """|grad_x L(x,y)| + |g(x) - prox_theta(g(x) + y)|; zero exactly at
     stationary pairs."""
     g = P.g_value(X.X)
-    grad_part = float(np.linalg.norm(X.manifold.project(X, P.f_egrad(X.X) + P.g_vjp(X.X, y))))
+    grad_part = float(np.linalg.norm(X.manifold.project(X, lagrangian_egrad(P, X, y))))
     prox_part = float(np.linalg.norm(g - P.theta.prox(1.0, g + y)))
     return grad_part + prox_part

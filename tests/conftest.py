@@ -14,6 +14,22 @@ def ambient_operator(X, H):
     return lambda v: man.ambient(X, H(man.coords(X, v)))
 
 
+def callback_ghess_operator(P, rho, X, y):
+    """The generalized Hessian at the convention Jacobian element with its
+    envelope term through the callbacks, ``g_vjp(G g_jvp(xi))`` with
+    ``G = rho (1 - mask)``: the route ``Evaluation.ghess_operator`` takes
+    when Dg(X) is not diagonal."""
+    from ralmkit import lagrangian
+
+    ev = lagrangian.evaluate(P, rho, X, y)
+    G = rho * (1.0 - P.theta.prox_jacobian(1.0 / rho, ev.p).mask)
+
+    def extra(xi, out):
+        out[...] = P.g_vjp(X.X, G * P.g_jvp(X.X, xi))
+
+    return lagrangian._hess_operator(P, X, ev.ytilde, ev.egrad, extra)
+
+
 def euclidean_l1_problem(shape=(1, 1), mu=1.0):
     """min theta(x) over a flat space: f = 0, g = identity."""
     man = Euclidean(*shape)

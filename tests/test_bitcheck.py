@@ -1,8 +1,11 @@
-"""``tools/bitcheck.py compare``: exit 0 only when two dumps hold the same
-keys with the same bytes."""
+"""``tools/bitcheck.py``: ``compare`` exits 0 only when two dumps hold the same
+keys with the same bytes; ``dump --workload NAME`` runs only the named workloads."""
 
+import dataclasses
+import importlib.util
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -42,3 +45,37 @@ def test_key_in_one_file_only_exits_1(tmp_path):
     out = compare(tmp_path, BASE, dict(BASE, **{"w/op/extra": np.zeros(2)}))
     assert out.returncode == 1
     assert "extra: only in" in out.stdout
+
+
+def load_bitcheck():
+    spec = importlib.util.spec_from_file_location("bitcheck", BITCHECK)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@dataclasses.dataclass
+class FakeResult:
+    value: float
+
+
+def fake_workloads(ran):
+    def setup(name):
+        def ops(seed):
+            return [types.SimpleNamespace(name="op", call=lambda: ran.append(name) or FakeResult(1.5))]
+        return ops
+
+    return types.SimpleNamespace(SETUPS={"a": setup("a"), "b": setup("b"), "c": setup("c")})
+
+
+def test_dump_runs_only_the_named_workloads(tmp_path, monkeypatch):
+    bitcheck, ran = load_bitcheck(), []
+    monkeypatch.setattr(bitcheck, "_import", lambda root: fake_workloads(ran))
+    out = tmp_path / "o.npz"
+    assert bitcheck.main(["dump", str(out), "--workload", "c", "--workload", "a"]) == 0
+    assert ran == ["a", "c"]
+    with np.load(out) as dumped:
+        assert sorted(dumped.files) == ["a/op/value", "c/op/value"]
+    with pytest.raises(SystemExit, match="unknown workload x; known: a, b, c"):
+        bitcheck.main(["dump", str(out), "--workload", "x"])
+    assert ran == ["a", "c"]

@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from ralmkit.convex import ConvexError, L1Norm
+from ralmkit.convex import BOUNDARY_TOL, ConvexError, L1Norm
 
 
 def grid_min(objective, lo=-5.0, hi=5.0, step=1e-4):
@@ -153,6 +155,51 @@ class TestClarkeJacobian:
         assert len(masks) == 4
         with pytest.raises(ConvexError):
             th.extreme_prox_jacobians(1.0, np.ones(13))
+
+
+def special_points(t, mu):
+    """Signed zeros, exact and near ties |p| = t mu (inside and outside
+    BOUNDARY_TOL), infinities, NaNs of both signs, and ordinary values."""
+    tie = t * mu
+    return np.array([
+        [0.0, -0.0, tie, -tie, np.nextafter(tie, 0.0), -np.nextafter(tie, np.inf), np.inf],
+        [-np.inf, np.nan, -np.nan, tie + 1e-13, tie - 5e-12, 5e-324, -2.5],
+    ])
+
+
+@pytest.mark.parametrize("t, mu, rho", [(1.0, 1.0, 1.0), (0.1, 0.7, 10.0), (1.0 / 3.0, 3.0, 3.0)])
+class TestInPlaceArithmetic:
+    """The prox and envelope write their temporaries in place: their bytes
+    equal the plain formulas', and NaN in gives NaN out (the Newton solver's
+    non-finite check relies on it)."""
+
+    def test_prox_envelope_and_gradient_bytes(self, t, mu, rho):
+        th = L1Norm(mu)
+        p = special_points(t, mu)
+        with np.errstate(invalid="ignore"):
+            q = th.prox(t, p)
+            assert q.tobytes() == (np.sign(p) * np.maximum(np.abs(p) - t * mu, 0.0)).tobytes()
+            q = th.prox(1.0 / rho, p)
+            assert th.moreau_grad(rho, p, q).tobytes() == (rho * (p - q)).tobytes()
+            # a NaN's sign bit from Python float arithmetic depends on the
+            # interpreter's code path, so the NaN envelope is compared as NaN
+            assert math.isnan(th.moreau(rho, p, q))
+            finite = np.where(np.isfinite(p), p, 1.0)
+            q = th.prox(1.0 / rho, finite)
+            env = th.value(q) + 0.5 * rho * float(np.sum((finite - q) ** 2))
+            assert np.float64(th.moreau(rho, finite, q)).tobytes() == np.float64(env).tobytes()
+            assert np.all(np.isnan(th.prox(t, p)[np.isnan(p)]))
+            assert np.all(np.isnan(th.moreau_grad(rho, p)[~np.isfinite(p)]))
+
+    def test_convention_mask_bytes(self, t, mu, rho):
+        p = special_points(t, mu)
+        with np.errstate(invalid="ignore"):
+            gap = np.abs(p) - t * mu
+            mask = (gap > 0).astype(float)
+        mask[np.abs(gap) <= BOUNDARY_TOL] = 0.0
+        jac = L1Norm(mu).prox_jacobian(t, p)
+        assert jac.mask.tobytes() == mask.tobytes()
+        assert np.array_equal(jac.boundary, np.abs(gap) <= BOUNDARY_TOL)
 
 
 class TestSubdifferentialMembership:

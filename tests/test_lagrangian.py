@@ -4,7 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from conftest import ambient_operator, euclidean_l1_problem, euclidean_quadratic_problem
+from conftest import (
+    ambient_operator,
+    callback_ghess_operator,
+    euclidean_l1_problem,
+    euclidean_quadratic_problem,
+)
 from ralmkit import bench, geometry, oracles
 from ralmkit.convex import L1Norm
 from ralmkit.lagrangian import (
@@ -16,7 +21,9 @@ from ralmkit.lagrangian import (
     auglag_rgrad,
     auglag_value,
     evaluate,
+    jacobian_diagonal,
     kkt_residual,
+    lagrangian_egrad,
     lagrangian_hess_operator,
 )
 
@@ -175,7 +182,8 @@ def reference_rhess(X, egrad, ehess, xi):
 
 
 def reference_lagrangian_hess(P, X, y, xi):
-    egrad = P.f_egrad(X.X) + P.g_vjp(X.X, y)
+    f_egrad = np.zeros_like(X.X) if P.f_egrad is None else P.f_egrad(X.X)  # None: f is constant
+    egrad = f_egrad + P.g_vjp(X.X, y)
     ehess = np.zeros_like(xi) if P.f_ehess is None else P.f_ehess(X.X, xi)  # None: zero Hessian
     if P.gy_ehess is not None:  # None: g is affine
         ehess = ehess + P.gy_ehess(X.X, y, xi)
@@ -274,17 +282,43 @@ class TestPreparedHessian:
             snapshots.append(out.copy())
         for out, snap in zip(results, snapshots):
             assert np.array_equal(out, snap)
+        for i, out in enumerate(results):  # each product is a fresh array
+            assert not any(np.shares_memory(out, other) for other in results[i + 1:])
+
+    @pytest.mark.parametrize("observed", [1.0, 0.5], ids=["full", "half"])
+    def test_fixed_rank_products_allocate_less_than_one_ambient_array(self, observed):
+        # The ambient xi and the envelope term live in arrays the operator
+        # owns; a product allocates only coordinate-sized arrays.
+        import tracemalloc
+
+        rng = np.random.default_rng(41)
+        m, n = 60, 80
+        A = rng.standard_normal((m, n))
+        P = bench.build_rmc(A, rng.uniform(size=(m, n)) < observed, 3)
+        X = P.manifold.random_point(rng)
+        H = evaluate(P, 10.0, X, rng.uniform(-1.0, 1.0, (m, n))).ghess_operator()
+        c = X.manifold.coords(X, geometry.random_tangent(X, 42))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            for _ in range(5):
+                H(c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base < A.nbytes
 
     @pytest.mark.parametrize("case", hessian_cases(), ids=CASE_IDS)
     def test_manifold_operator_projects_and_adds_extra(self, case):
         P, _, X, y = case
         man = X.manifold
-        egrad = P.f_egrad(X.X) + P.g_vjp(X.X, y)
+        egrad = lagrangian_egrad(P, X, y)
         rng = np.random.default_rng(31)
         for seed in range(4):
             c = man.coords(X, geometry.random_tangent(X, 980 + seed))
             e, w = rng.standard_normal((2,) + man.ambient_shape)
-            both = man.hess_operator(X, egrad, lambda xi: e, lambda xi: w)(c)
+            both = man.hess_operator(X, egrad, lambda xi: e, lambda xi, out: np.copyto(out, w))(c)
             alone = man.hess_operator(X, egrad, lambda xi: e)(c)
             assert_same(both, alone + man.coords(X, man.project(X, w)), man)
 
@@ -294,8 +328,8 @@ class TestPreparedHessian:
         P, _, X, y = case
         man = X.manifold
         terms = {}
-        hess = man.hess_operator(X, P.f_egrad(X.X) + P.g_vjp(X.X, y), lambda xi: terms["e"],
-                                 (lambda xi: terms["w"]) if with_extra else None)
+        hess = man.hess_operator(X, lagrangian_egrad(P, X, y), lambda xi: terms["e"],
+                                 (lambda xi, out: np.copyto(out, terms["w"])) if with_extra else None)
         rng = np.random.default_rng(32)
         kept = []
         for seed in range(4):
@@ -316,13 +350,13 @@ class TestPreparedHessian:
         # fixed rank, whose skipped projection has no signed zeros to match
         P, _, X, y = case
         man = X.manifold
-        egrad = P.f_egrad(X.X) + P.g_vjp(X.X, y)
+        egrad = lagrangian_egrad(P, X, y)
         zero = np.zeros(man.ambient_shape)
         rng = np.random.default_rng(33)
         for seed in range(4):
             c = man.coords(X, geometry.random_tangent(X, 960 + seed))
             w = rng.standard_normal(man.ambient_shape)
-            for extra in (None, lambda xi: w):  # without and with the extra term
+            for extra in (None, lambda xi, out: np.copyto(out, w)):  # without and with the extra term
                 got = man.hess_operator(X, egrad, None, extra)(c)
                 want = man.hess_operator(X, egrad, lambda xi: zero, extra)(c)
                 assert got.dtype == want.dtype
@@ -342,6 +376,123 @@ class TestPreparedHessian:
                                   evaluate(Z, rho, X, y).ghess_operator()(c))
             assert np.array_equal(lagrangian_hess_operator(P, X, y)(c),
                                   lagrangian_hess_operator(Z, X, y)(c))
+
+
+    @pytest.mark.parametrize("case", hessian_cases()[1:2], ids=CASE_IDS[1:2])
+    def test_constant_f_skips_the_gradient_term(self, case):
+        P, rho, X, y = case
+        assert P.f_egrad is None
+        Z = dataclasses.replace(P, f_egrad=lambda X: np.zeros_like(X))
+        ev, ez = evaluate(P, rho, X, y), evaluate(Z, rho, X, y)
+        assert np.array_equal(ev.egrad, ez.egrad) and np.array_equal(ev.rgrad, ez.rgrad)
+        assert kkt_residual(P, X, y) == kkt_residual(Z, X, y)
+        c = X.manifold.coords(X, geometry.random_tangent(X, 975))
+        assert np.array_equal(ev.ghess_operator()(c), ez.ghess_operator()(c))
+        assert np.array_equal(lagrangian_hess_operator(P, X, y)(c),
+                              lagrangian_hess_operator(Z, X, y)(c))
+
+
+def envelope_route_cases():
+    """(problem, rho, point, multiplier) whose g is entrywise: the identity
+    on each geometry and a 0/1 observation mask."""
+    rng = np.random.default_rng(61)
+    A = rng.standard_normal((7, 9))
+    Q = rng.standard_normal((6, 6))
+    problems = (
+        (bench.build_cm(8, 3, 0.3, 3.0), 4.0),
+        (bench.build_rmc(A, np.ones(A.shape, dtype=bool), 2), 2.0),
+        (bench.build_rmc(A, rng.uniform(size=A.shape) < 0.5, 2), 2.0),
+        (euclidean_quadratic_problem(Q @ Q.T, rng.standard_normal((3, 2)), g_zero=False), 3.0),
+    )
+    cases = []
+    for P, rho in problems:
+        X = P.manifold.random_point(rng)
+        cases.append((P, rho, X, rng.uniform(-1.0, 1.0, P.manifold.ambient_shape)))
+    return cases
+
+
+def count_jvp_calls(P, calls):
+    def g_jvp(X, xi):
+        calls.append(1)
+        return P.g_jvp(X, xi)
+
+    return dataclasses.replace(P, g_jvp=g_jvp)
+
+
+class TestEnvelopeRoutes:
+    """The envelope term as the weight G d^2 against the callbacks' g_vjp(G g_jvp(xi))."""
+
+    @pytest.mark.parametrize("case", envelope_route_cases(),
+                             ids=["stiefel-identity", "fixed-rank-identity", "fixed-rank-mask",
+                                  "euclidean-identity"])
+    def test_identity_and_mask_weights_are_bit_identical(self, case):
+        P, rho, X, y = case
+        probe = np.random.default_rng(0).standard_normal(y.shape)
+        d = jacobian_diagonal(P, X, probe)
+        if P.g_vjp(X.X, probe) is probe:  # the identity: W = G, with no pass over G
+            assert d == 1.0 and isinstance(d, float)
+        else:
+            assert np.array_equal(d, P.g_vjp(X.X, np.ones(y.shape))) and 0 < d.sum() < d.size
+        calls = []
+        Pc = count_jvp_calls(P, calls)
+        H, ref = evaluate(Pc, rho, X, y).ghess_operator(), callback_ghess_operator(P, rho, X, y)
+        for seed in range(4):
+            c = X.manifold.coords(X, geometry.random_tangent(X, 940 + seed))
+            assert H(c).tobytes() == ref(c).tobytes()
+        assert calls == []  # the weight route calls no g_jvp
+
+    def test_general_diagonal_weight_within_rounding(self):
+        rng = np.random.default_rng(62)
+        A = rng.standard_normal((7, 9))
+        D = rng.uniform(0.5, 2.0, A.shape)
+        base = bench.build_rmc(A, np.ones(A.shape, dtype=bool), 2)
+        P = dataclasses.replace(base, g_value=lambda X: D * X - A, g_jvp=lambda X, xi: D * xi,
+                                g_vjp=lambda X, w: D * w)
+        X = P.manifold.random_point(rng)
+        y = rng.uniform(-1.0, 1.0, A.shape)
+        assert np.array_equal(jacobian_diagonal(P, X, rng.standard_normal(A.shape)), D)
+        calls = []
+        H = evaluate(count_jvp_calls(P, calls), 2.0, X, y).ghess_operator()
+        ref = callback_ghess_operator(P, 2.0, X, y)
+        for seed in range(4):
+            c = X.manifold.coords(X, geometry.random_tangent(X, 945 + seed))
+            want = ref(c)
+            assert np.linalg.norm(H(c) - want) <= 1e-12 * np.linalg.norm(want)
+        assert calls == []
+
+    def test_linear_non_entrywise_g_takes_the_callbacks(self):
+        rng = np.random.default_rng(63)
+        R = np.eye(6) + 0.5 * rng.standard_normal((6, 6))
+        Z0 = rng.standard_normal((6, 2))
+        P = ProblemSpec(
+            manifold=geometry.Stiefel(6, 2), f_value=lambda X: 0.0, f_egrad=None, f_ehess=None,
+            g_value=lambda X: R @ X - Z0, g_jvp=lambda X, xi: R @ xi,
+            g_vjp=lambda X, w: R.T @ w, gy_ehess=None, theta=L1Norm(1.0),
+        )
+        X = P.manifold.random_point(rng)
+        y = rng.uniform(-1.0, 1.0, (6, 2))
+        assert jacobian_diagonal(P, X, rng.standard_normal((6, 2))) is None
+        calls = []
+        H = evaluate(count_jvp_calls(P, calls), 2.0, X, y).ghess_operator()
+        ref = callback_ghess_operator(P, 2.0, X, y)
+        for seed in range(4):
+            c = X.manifold.coords(X, geometry.random_tangent(X, 950 + seed))
+            assert H(c).tobytes() == ref(c).tobytes()
+        assert len(calls) == 4
+
+    def test_one_probe_per_subproblem(self):
+        P, rho, X, y = envelope_route_cases()[2]  # the 0/1 mask: not the identity
+        seen = []
+
+        def g_vjp(X, w):
+            seen.append(w)
+            return P.g_vjp(X, w)
+
+        sub = Subproblem(dataclasses.replace(P, g_vjp=g_vjp), rho, y)
+        rng = np.random.default_rng(64)
+        for _ in range(3):
+            sub.at(P.manifold.random_point(rng)).ghess_operator()
+        assert sum(w is sub.probe for w in seen) == 3  # one draw, tested at every point
 
 
 class TestSingleEvaluations:

@@ -1,13 +1,14 @@
 """Bit-identity check of the benchmark's results across two checkouts.
 
-    python3 tools/bitcheck.py dump OUT.npz [--root CHECKOUT]
+    python3 tools/bitcheck.py dump OUT.npz [--root CHECKOUT] [--workload NAME ...]
     python3 tools/bitcheck.py compare A.npz B.npz
 
 ``dump`` runs every seed-0 operation of ``perfbench/workloads.py``'s
 ``SETUPS`` with BLAS pinned to one thread, importing ``ralmkit`` from
 ``CHECKOUT/src`` and the workloads from ``CHECKOUT/perfbench`` (default: the
-checkout that holds this file; nothing there is written).  It saves, per
-operation, every array a result holds:
+checkout that holds this file; nothing there is written).  Each
+``--workload NAME`` (repeatable) restricts it to the named workloads.  It
+saves, per operation, every array a result holds:
 
 * a solve: the final ``X`` and ``y``, every ``IterateRecord`` row, every
   inner objective trace and the ``NewtonStats`` counts;
@@ -64,12 +65,18 @@ def _fields(result) -> dict:
     return {f.name: np.array(getattr(result, f.name)) for f in dataclasses.fields(result)}
 
 
-def dump(out: str, root: Path) -> int:
+def dump(out: str, root: Path, names=None) -> int:
     workloads = _import(root)
     import numpy as np
 
+    unknown = sorted(set(names or ()) - set(workloads.SETUPS))
+    if unknown:
+        raise SystemExit(f"unknown workload {', '.join(unknown)}; "
+                         f"known: {', '.join(workloads.SETUPS)}")
     arrays = {}
     for workload, setup in workloads.SETUPS.items():
+        if names and workload not in names:
+            continue
         for op in setup(0):
             for name, value in _fields(op.call()).items():
                 arrays[f"{workload}/{op.name}/{name}"] = np.asarray(value)
@@ -122,12 +129,14 @@ def main(argv=None) -> int:
     p_dump = sub.add_parser("dump", help="run every seed-0 operation and save its results")
     p_dump.add_argument("out")
     p_dump.add_argument("--root", type=Path, default=ROOT, help="checkout to run")
+    p_dump.add_argument("--workload", action="append", metavar="NAME",
+                        help="dump only this workload (repeatable; default: every workload)")
     p_cmp = sub.add_parser("compare", help="compare two dumps field by field")
     p_cmp.add_argument("a")
     p_cmp.add_argument("b")
     args = parser.parse_args(argv)
     if args.command == "dump":
-        return dump(args.out, args.root)
+        return dump(args.out, args.root, args.workload)
     return compare(args.a, args.b)
 
 
