@@ -213,6 +213,7 @@ def cmd_solve(args) -> int:
                 "newton_steps": sum(s.iterations for s in stats),
                 "cg_iterations": sum(s.cg_iterations for s in stats),
                 "line_search_failures": sum(s.line_search_failed for s in stats),
+                "noise_floor_exits": sum(s.stop_reason == "noise_floor" for s in stats),
             }
         )
     )

@@ -73,11 +73,30 @@ class Subproblem:
         self.P, self.rho, self.y = P, rho, y
         self.shift = y / rho
         self.y_term = float(np.sum(y * y)) / (2.0 * rho)
+        self._affine_diagonal = None  # (d,) once known for an affine g
 
     @cached_property
     def probe(self) -> np.ndarray:
-        """The probe of :func:`jacobian_diagonal`, one for every point."""
+        """The probe of :func:`jacobian_diagonal`, one for every point; drawn
+        only for a g that is not the identity (:meth:`diagonal`)."""
         return np.random.default_rng(0).standard_normal(self.y.shape)
+
+    def diagonal(self, X: ManifoldPoint, held: np.ndarray):
+        """:func:`jacobian_diagonal` at ``X`` with :attr:`probe`.  ``held`` is
+        an array of g's shape that the caller already has: the identity
+        returns it itself, so the probe is drawn only for another g.  An
+        affine g (``gy_ehess`` None) has the same Dg everywhere, and its
+        answer is kept for every later point."""
+        if self._affine_diagonal is not None:
+            return self._affine_diagonal[0]
+        P = self.P
+        if P.g_vjp(X.X, held) is held:
+            d = 1.0
+        else:
+            d = jacobian_diagonal(P, X, self.probe)
+        if P.gy_ehess is None:
+            self._affine_diagonal = (d,)
+        return d
 
     def at(self, X: ManifoldPoint) -> "Evaluation":
         return Evaluation(self, X)
@@ -159,7 +178,7 @@ class Evaluation:
             jac = P.theta.prox_jacobian(1.0 / rho, self.p)
         G = np.subtract(1.0, jac.mask)
         G *= rho  # G w equals rho (w - mask w) exactly: mask is 0/1
-        d = jacobian_diagonal(P, X, self.sub.probe)
+        d = self.sub.diagonal(X, self.p)
         if isinstance(d, np.ndarray):  # G becomes W
             G *= d
             G *= d

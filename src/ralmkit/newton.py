@@ -12,6 +12,10 @@ test, and globalizes with an Armijo backtracking line search along the
 retraction.  The system, the descent test and the line search work in
 tangent coordinates (``Manifold.coords``): on the fixed-rank manifold the
 factors ``[M; Up; Vp]``, not m x n arrays.
+
+The iteration also ends, with stop reason ``"noise_floor"``, at an iterate
+whose gradient is within ``NOISE_FLOOR_C`` times its own first-order
+rounding error: below that a Newton step cannot be told from rounding.
 """
 
 from __future__ import annotations
@@ -38,6 +42,10 @@ class NewtonError(RuntimeError):
 # practice where only their ranges are prescribed.
 NU_BAR = 1.0  # CG shift omega_k = |grad|^NU_BAR, in (0, 1]
 MU_LS = 1e-4  # Armijo constant, in (0, 1/2)
+# Exit when |grad| <= NOISE_FLOOR_C * EPS * (|egrad| + rho |p|), the gradient's
+# first-order rounding error: ytilde = rho (p - q) carries ~rho eps |p| per entry.
+NOISE_FLOOR_C = 2.0
+EPS = float(np.finfo(float).eps)
 DELTA = 0.5  # backtracking factor, in (0, 1)
 M_MAX = 40  # backtracks per line search
 # A direction V passes if <-grad, V> >= min(BETA0, BETA1 |V|^DESCENT_POWER) |V|^2.
@@ -72,14 +80,27 @@ class CgInfo:
 
 @dataclass
 class NewtonStats:
+    """Work counts of one inner solve and why it ended: ``stop_reason`` is
+    ``"criterion"`` (the stop test held), ``"grad_tol"``, ``"max_iter"``,
+    ``"line_search"`` (backtracks exhausted) or ``"noise_floor"`` (the
+    gradient reached its rounding floor)."""
+
     iterations: int = 0
     cg_iterations: int = 0
     fallbacks: int = 0
     rank_drop_retries: int = 0
-    line_search_failed: bool = False
-    stopped: bool = False
+    stop_reason: str = "max_iter"
     final_grad_norm: float = float("nan")
     objective_trace: List[float] = field(default_factory=list)
+
+    @property
+    def stopped(self) -> bool:
+        """Whether the solve met its stop test or the gradient tolerance."""
+        return self.stop_reason in ("criterion", "grad_tol")
+
+    @property
+    def line_search_failed(self) -> bool:
+        return self.stop_reason == "line_search"
 
 
 def cg_solve(
@@ -145,9 +166,11 @@ def ssn_minimize(
     ``stop(ev)`` is evaluated at every iterate, the last one included, with
     the :class:`~ralmkit.lagrangian.Evaluation` there (``ev.X``, the gradient
     ``ev.rgrad``, the shifted multiplier ``ev.ytilde``, ...); when omitted
-    the solver stops at ``|grad| <= cfg.grad_tol``.  Returns the
+    the solver stops at ``|grad| <= cfg.grad_tol``.  Either ends the solve
+    before the rounding floor is tested.  Returns the
     :class:`~ralmkit.lagrangian.Evaluation` at the final iterate (its point
-    ``ev.X``) together with :class:`NewtonStats`.
+    ``ev.X``) together with :class:`NewtonStats`, whose ``stop_reason``
+    says which exit ended it.
     """
     cfg = cfg or NewtonConfig()
     stats = NewtonStats()
@@ -162,8 +185,17 @@ def ssn_minimize(
         stats.final_grad_norm = gnorm
         if not math.isfinite(gnorm) or not math.isfinite(ev.value):
             raise NewtonError(f"non-finite subproblem state at iteration {k}")
-        if (stop is not None and stop(ev)) or gnorm <= cfg.grad_tol:
-            stats.stopped = True
+        if stop is not None and stop(ev):
+            stats.stop_reason = "criterion"
+            return ev, stats
+        if gnorm <= cfg.grad_tol:
+            stats.stop_reason = "grad_tol"
+            return ev, stats
+        floor = EPS * (float(np.linalg.norm(ev.egrad)) + rho * float(np.linalg.norm(ev.p)))
+        if gnorm <= NOISE_FLOOR_C * floor:
+            stats.stop_reason = "noise_floor"
+            log.debug("iter %d: |grad| %.3e within %g x its rounding floor %.3e",
+                      k, gnorm, NOISE_FLOOR_C, floor)
             return ev, stats
         if k == cfg.max_iter:
             return ev, stats
@@ -194,7 +226,7 @@ def ssn_minimize(
                 accepted = True
                 break
         if not accepted:
-            stats.line_search_failed = True
+            stats.stop_reason = "line_search"
             log.warning("iter %d: %d backtracks exhausted, returning best iterate", k, M_MAX)
             return ev, stats
 

@@ -196,7 +196,8 @@ def ralm_solve(
         X = ev.X
         result.inner_stats.append(nstats)
         if not nstats.stopped:
-            log.warning("outer %d: inner solver exited before meeting its criterion", k)
+            log.warning("outer %d: inner solver exited before meeting its criterion: %s",
+                        k, nstats.stop_reason)
 
         y_new = ev.multiplier_update(rho_tilde)
         dual_step_norm = float(np.linalg.norm(y_new - y))

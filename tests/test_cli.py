@@ -72,8 +72,9 @@ class TestSolve:
         stats = ralm_solve(P, build_solver_config(config), X0, y0).inner_stats
         assert out["cg_iterations"] == sum(st.cg_iterations for st in stats) > 0
         assert out["line_search_failures"] == sum(st.line_search_failed for st in stats) == 0
-        assert all(type(out[key]) is int
-                   for key in ("newton_steps", "cg_iterations", "line_search_failures"))
+        assert out["noise_floor_exits"] == sum(st.stop_reason == "noise_floor" for st in stats)
+        assert all(type(out[key]) is int for key in
+                   ("newton_steps", "cg_iterations", "line_search_failures", "noise_floor_exits"))
 
     def test_deterministic_bytes(self, tmp_path):
         cfg = write_config(tmp_path)

@@ -480,7 +480,8 @@ class TestEnvelopeRoutes:
             assert H(c).tobytes() == ref(c).tobytes()
         assert len(calls) == 4
 
-    def test_one_probe_per_subproblem(self):
+    @pytest.mark.parametrize("affine", [True, False], ids=["affine", "curved"])
+    def test_one_probe_per_subproblem(self, affine):
         P, rho, X, y = envelope_route_cases()[2]  # the 0/1 mask: not the identity
         seen = []
 
@@ -488,11 +489,27 @@ class TestEnvelopeRoutes:
             seen.append(w)
             return P.g_vjp(X, w)
 
-        sub = Subproblem(dataclasses.replace(P, g_vjp=g_vjp), rho, y)
+        # a gy_ehess marks g as not affine (here it only reports a zero term)
+        gy_ehess = None if affine else (lambda X, y, xi: np.zeros_like(xi))
+        Pc = dataclasses.replace(P, g_vjp=g_vjp, gy_ehess=gy_ehess)
+        sub = Subproblem(Pc, rho, y)
         rng = np.random.default_rng(64)
-        for _ in range(3):
-            sub.at(P.manifold.random_point(rng)).ghess_operator()
-        assert sum(w is sub.probe for w in seen) == 3  # one draw, tested at every point
+        points = [P.manifold.random_point(rng) for _ in range(3)]
+        ops = [sub.at(pt).ghess_operator() for pt in points]
+        # one draw; an affine g's Dg is tested at the first point only
+        assert sum(w is sub.probe for w in seen) == (1 if affine else 3)
+        for pt, H in zip(points, ops):
+            ref = Subproblem(P, rho, y).at(pt).ghess_operator()
+            c = pt.manifold.coords(pt, geometry.random_tangent(pt, 965))
+            assert H(c).tobytes() == ref(c).tobytes()
+
+    @pytest.mark.parametrize("case", [0, 1, 3], ids=["stiefel", "fixed-rank", "euclidean"])
+    def test_identity_draws_no_probe(self, case):
+        P, rho, X, y = envelope_route_cases()[case]
+        sub = Subproblem(P, rho, y)
+        sub.at(X).ghess_operator()
+        assert sub.diagonal(X, y) == 1.0
+        assert "probe" not in vars(sub)  # the cached_property was never read
 
 
 class TestSingleEvaluations:

@@ -1,3 +1,10 @@
+import dataclasses
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -145,13 +152,14 @@ class TestSsnMinimize:
         ev, stats = ssn_minimize(P, 1.0, np.zeros(6), X0, NewtonConfig(grad_tol=1e-10))
         assert stats.iterations <= 15
         assert stats.final_grad_norm <= 1e-10
+        assert stats.stop_reason == "grad_tol" and stats.stopped
         np.testing.assert_allclose(ev.X.X, a, atol=1e-8)
 
     def test_starts_at_stationary_point(self, cm_pair):
         P, Xbar, ybar = cm_pair
         ev, stats = ssn_minimize(P, 10.0, ybar, Xbar, NewtonConfig(grad_tol=1e-10))
         assert stats.iterations == 0
-        assert stats.stopped
+        assert stats.stop_reason == "grad_tol" and stats.stopped
         assert ev.X is Xbar
 
     def test_local_superlinear_tail(self, cm_pair):
@@ -187,7 +195,7 @@ class TestSsnMinimize:
             return np.linalg.norm(ev.rgrad) <= 1e-4
 
         _, stats = ssn_minimize(P, 5.0, ybar, X0, NewtonConfig(), stop)
-        assert stats.stopped
+        assert stats.stop_reason == "criterion" and stats.stopped
         assert calls, "predicate must be evaluated"
         assert calls[-1] <= 1e-4
 
@@ -199,6 +207,7 @@ class TestSsnMinimize:
         seen = []
         ev, stats = ssn_minimize(P, 5.0, ybar, X0, cfg, stop=lambda e: seen.append(e))
         assert ev is seen[-1]
+        assert stats.stop_reason == ("grad_tol" if cfg.max_iter > 2 else "max_iter")
         assert ev.value == stats.objective_trace[-1]
         assert np.linalg.norm(ev.rgrad) == stats.final_grad_norm
 
@@ -213,3 +222,100 @@ class TestSsnMinimize:
         y = np.zeros((5, 5))
         ev, stats = ssn_minimize(P, 50.0, y, X0, NewtonConfig(grad_tol=1e-8, max_iter=60))
         assert np.all(np.isfinite(ev.X.X))
+
+
+def rounding_level_start(request, pair):
+    """A stationary pair of a fixture, whose subproblem gradient at rho = 1 is
+    at rounding level (~1e-15) and not zero."""
+    fx = request.getfixturevalue(pair)
+    return fx if pair == "cm_pair" else (fx.problem, fx.X_bar, fx.y_bar)
+
+
+class TestStopReasons:
+    def test_reasons_and_derived_flags(self):
+        for reason in ("criterion", "grad_tol", "max_iter", "line_search", "noise_floor"):
+            stats = newton.NewtonStats(stop_reason=reason)
+            assert stats.stopped == (reason in ("criterion", "grad_tol"))
+            assert stats.line_search_failed == (reason == "line_search")
+        with pytest.raises(AttributeError):
+            newton.NewtonStats().stopped = True
+
+    @pytest.mark.parametrize("pair", ["cm_pair", "rmc_fixture"])
+    def test_rounding_level_start_ends_at_the_noise_floor(self, request, pair):
+        # Without the floor exit the CM-4 solve ends in an exhausted line
+        # search after 4 steps and the rmc one runs all 50 steps.
+        P, X, y = rounding_level_start(request, pair)
+        ev, stats = ssn_minimize(P, 1.0, y, X, NewtonConfig(grad_tol=0.0, max_iter=50),
+                                 stop=lambda ev: False)
+        assert stats.stop_reason == "noise_floor" and not stats.stopped
+        assert stats.iterations <= 2
+        floor = newton.EPS * (np.linalg.norm(ev.egrad) + np.linalg.norm(ev.p))
+        assert 0.0 < stats.final_grad_norm <= newton.NOISE_FLOOR_C * floor
+
+    def test_converging_solve_ends_at_the_noise_floor(self, cm_pair):
+        # from 1e-4 away the gradient falls to ~1e-14 in three steps and then
+        # no step can lower it; without the exit an exhausted line search ends
+        # the solve four steps later
+        P, Xbar, ybar = cm_pair
+        X0 = geometry.retract(Xbar, 1e-4 * geometry.random_tangent(Xbar, 5))
+        ev, stats = ssn_minimize(P, 10.0, ybar, X0, NewtonConfig(grad_tol=0.0, max_iter=50),
+                                 stop=lambda ev: False)
+        assert stats.stop_reason == "noise_floor"
+        assert stats.iterations <= 4 and stats.final_grad_norm <= 1e-13
+        assert np.linalg.norm(ev.X.X - Xbar.X) <= 1e-12
+
+    def test_exhausted_line_search(self):
+        # a value that never decreases: no Armijo step exists
+        rng = np.random.default_rng(4)
+        M = rng.standard_normal((4, 4))
+        P = dataclasses.replace(
+            euclidean_quadratic_problem(M @ M.T + np.eye(4), rng.standard_normal(4)),
+            f_value=lambda X: 0.0)
+        X0 = P.manifold.point(np.zeros(4))
+        ev, stats = ssn_minimize(P, 1.0, np.zeros(4), X0, NewtonConfig(max_iter=5))
+        assert stats.stop_reason == "line_search" and stats.line_search_failed
+        assert stats.iterations == 0 and ev.X is X0
+
+
+# Solves the seed-1 instance of the benchmark's fully observed 200 x 300
+# completion with the default configuration and prints its work counts, stop
+# reasons and relative recovery error as JSON.  The path of this solve depends
+# on the BLAS thread count (with two threads it is another one), so the test
+# runs it in a process pinned to one thread, as the benchmark does.
+SEED1_COMPLETION = """
+import json
+import numpy as np
+from ralmkit import cli, ralm
+m, n, r, seed = 200, 300, 5, 1
+cfg = {"problem": {"kind": "rmc", "m": m, "n": n, "r": r, "density": 0.05, "magnitude": 0.5}}
+P, X0, y0 = cli.build_problem(cfg, seed)
+rng = np.random.default_rng(seed)  # the low-rank truth, drawn as build_problem draws it
+U, _ = np.linalg.qr(rng.standard_normal((m, r)))
+V, _ = np.linalg.qr(rng.standard_normal((n, r)))
+L = (U * np.sort(rng.uniform(1.0, 3.0, r))[::-1]) @ V.T
+res = ralm.ralm_solve(P, ralm.RalmConfig(), X0, y0)
+print(json.dumps({
+    "converged": res.converged,
+    "newton_steps": sum(s.iterations for s in res.inner_stats),
+    "cg_iterations": sum(s.cg_iterations for s in res.inner_stats),
+    "stop_reasons": [s.stop_reason for s in res.inner_stats],
+    "recovery_error": float(np.linalg.norm(res.X.X - L) / np.linalg.norm(L)),
+}))
+"""
+
+
+def test_completion_seed1_tail_ends_at_the_noise_floor():
+    """Its last inner solve (rho = 256) reaches the floor at its second step;
+    without the exit it runs to max_iter, 331 Newton steps in all."""
+    import ralmkit
+
+    threads = {v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    env = dict(os.environ, PYTHONPATH=str(Path(ralmkit.__file__).resolve().parents[1]),
+               **threads)
+    out = subprocess.run([sys.executable, "-c", SEED1_COMPLETION], capture_output=True,
+                         text=True, env=env, check=True)
+    got = json.loads(out.stdout)
+    assert got["converged"] and got["recovery_error"] <= 1e-6
+    assert got["newton_steps"] <= 140 and got["cg_iterations"] <= 900
+    assert got["stop_reasons"].count("noise_floor") == 1
+    assert got["stop_reasons"][-1] == "noise_floor"

@@ -66,6 +66,18 @@ class TestSolveCm:
         assert res.records[-1].k <= 50
         assert res.records[-1].kkt_residual <= 1e-7
 
+    def test_unmet_inner_solve_warning_names_the_reason(self, cm_pair, caplog):
+        P, Xbar, _ = cm_pair
+        X0 = geometry.retract(Xbar, 0.1 * geometry.random_tangent(Xbar, 11))
+        cfg = RalmConfig(max_outer=2, newton=NewtonConfig(max_iter=1))
+        with caplog.at_level("WARNING", logger="ralmkit.ralm"):
+            res = ralm_solve(P, cfg, X0, np.zeros((4, 2)))
+        unmet = [s for s in res.inner_stats if not s.stopped]
+        assert unmet and all(s.stop_reason == "max_iter" for s in unmet)
+        warnings = [r.getMessage() for r in caplog.records if r.name == "ralmkit.ralm"]
+        assert len(warnings) == len(unmet)
+        assert all(w.endswith("before meeting its criterion: max_iter") for w in warnings)
+
     def test_starts_at_stationary_pair(self, cm_pair):
         P, Xbar, ybar = cm_pair
         cfg = RalmConfig(kkt_tol=1e-8, max_outer=50)
