@@ -272,9 +272,10 @@ def load_coordinate(path: str) -> Tuple[np.ndarray, np.ndarray]:
         m, n, nnz = (int(tok) for tok in lines[idx].split())
     except ValueError:
         raise ParseError(f"{path}: line {idx + 1}: malformed size line") from None
+    if min(m, n) < 0:
+        raise ParseError(f"{path}: line {idx + 1}: negative matrix size {m} x {n}")
     M = np.zeros((m, n))
     mask = np.zeros((m, n), dtype=bool)
-    count = 0
     for lineno in range(idx + 1, len(lines)):
         line = lines[lineno].strip()
         if not line or line.startswith("%"):
@@ -288,11 +289,12 @@ def load_coordinate(path: str) -> Tuple[np.ndarray, np.ndarray]:
             raise ParseError(f"{path}: line {lineno + 1}: {exc}") from None
         if not (1 <= i <= m and 1 <= j <= n):
             raise ParseError(f"{path}: line {lineno + 1}: index ({i},{j}) out of range")
+        if mask[i - 1, j - 1]:
+            raise ParseError(f"{path}: line {lineno + 1}: entry ({i},{j}) listed twice")
         M[i - 1, j - 1] = v
         mask[i - 1, j - 1] = True
-        count += 1
-    if count != nnz:
-        raise ParseError(f"{path}: header promised {nnz} entries, found {count}")
+    if mask.sum() != nnz:
+        raise ParseError(f"{path}: header promised {nnz} entries, found {mask.sum()}")
     return M, mask
 
 

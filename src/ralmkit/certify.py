@@ -92,7 +92,7 @@ def critical_cone_basis(P: ProblemSpec, X: ManifoldPoint, y: np.ndarray) -> list
     if not np.any(constrained):
         return X.manifold.tangent_basis(X)
     shape = X.manifold.ambient_shape
-    c = lagrangian.jacobian_diagonal(P, X, np.random.default_rng(0).standard_normal(z.shape))
+    c = lagrangian.jacobian_diagonal(P, X, z)
     diagonal = c is not None
     free = np.flatnonzero(~(constrained & (c != 0))) if diagonal else None
     if diagonal and free.size <= X.manifold.dim():

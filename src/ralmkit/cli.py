@@ -230,6 +230,12 @@ def _load_point(P, path: str):
 
 def cmd_certify(args) -> int:
     cfg = load_config(args.config)
+    block = cfg.get("certify", {})
+    with _fields_of("certify"):
+        rho = float(block.get("rho", 10.0))
+        stat_tol = float(block.get("stationarity_tol", 1e-6))
+        if not (math.isfinite(rho) and rho > 0 and math.isfinite(stat_tol) and stat_tol >= 0):
+            raise ValueError(f"need finite rho > 0 and stationarity_tol >= 0, got {rho}, {stat_tol}")
     P, _, _ = build_problem(cfg, args.seed)
     try:
         X = _load_point(P, args.point)
@@ -240,12 +246,6 @@ def cmd_certify(args) -> int:
     g = P.g_value(X.X)
     if y.shape != g.shape:
         raise certify.CertifyError(f"multiplier shape {y.shape} does not match g(X) {g.shape}")
-    block = cfg.get("certify", {})
-    with _fields_of("certify"):
-        rho = float(block.get("rho", 10.0))
-        stat_tol = float(block.get("stationarity_tol", 1e-6))
-        if not math.isfinite(rho):
-            raise ValueError(f"rho must be finite, got {rho}")
     residual = lagrangian.kkt_residual(P, X, y)
     report = {
         "stationarity_residual": residual,

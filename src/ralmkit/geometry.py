@@ -107,18 +107,16 @@ class Manifold:
 
     def hess_operator(self, point: ManifoldPoint, egrad: np.ndarray,
                       ehess: Optional[Callable] = None,
-                      extra: Optional[Callable] = None) -> Callable:
+                      weight: Optional[np.ndarray] = None) -> Callable:
         """The Riemannian Hessian at ``point`` of a function with Euclidean
         gradient ``egrad`` and Euclidean Hessian-vector product
-        ``ehess(xi) + extra(xi)``, prepared once for many directions: returns
-        ``c -> coordinates of Hess xi``, a fresh array, for tangent
-        coordinates ``c``.  The callbacks take the ambient ``xi`` and keep
-        no reference to it: ``ehess(xi)`` returns its term, ``extra(xi, out)``
-        writes its term into ``out``, an array the operator owns and may
-        reuse, possibly ``xi`` itself (which an elementwise ufunc handles).
-        ``None`` stands for a zero term, which is skipped.  The two terms
-        differ only in the order of floating-point operations: Stiefel
-        projects them apart, in one stacked call."""
+        ``ehess(xi) + weight * xi``, prepared once for many directions:
+        returns ``c -> coordinates of Hess xi``, a fresh array, for tangent
+        coordinates ``c``.  ``ehess`` takes the ambient ``xi``, keeps no
+        reference to it and returns its term; ``weight`` is an array of the
+        ambient shape.  ``None`` stands for a zero term, which is skipped.
+        The two terms differ only in the order of floating-point operations:
+        Stiefel projects them apart, in one stacked call."""
         raise NotImplementedError
 
     def tangent_basis(self, point: ManifoldPoint) -> list:
@@ -161,13 +159,10 @@ class Euclidean(Manifold):
     def retract(self, point: ManifoldPoint, xi: np.ndarray) -> ManifoldPoint:
         return self.point(point.X + xi)
 
-    def hess_operator(self, point, egrad, ehess=None, extra=None) -> Callable:
+    def hess_operator(self, point, egrad, ehess=None, weight=None) -> Callable:
         def apply(xi):
             e = np.zeros(self.ambient_shape) if ehess is None else self._check_ambient(ehess(xi))
-            if extra is None:
-                return e.copy()
-            extra(xi, out := np.empty(self.ambient_shape))
-            return np.add(e, out, out=out)
+            return e.copy() if weight is None else e + weight * xi
 
         return apply
 
@@ -227,7 +222,7 @@ class Stiefel(Manifold):
         W, _, Zt = np.linalg.svd(A, full_matrices=False)
         return ManifoldPoint(self, _readonly(W @ Zt))
 
-    def hess_operator(self, point, egrad, ehess=None, extra=None) -> Callable:
+    def hess_operator(self, point, egrad, ehess=None, weight=None) -> Callable:
         # Both terms share one stacked projection, slice k of Z taking exactly
         # project's operations on term k; only the returned array is fresh.
         X, Xt = point.X, point.X.T
@@ -235,19 +230,19 @@ class Stiefel(Manifold):
         Z, W = np.empty((2, self.n, self.r)), np.empty((2, self.n, self.r))
         A, B = np.empty((2, self.r, self.r)), np.empty((2, self.r, self.r))
         Z0, Z1 = Z
-        z, a, b, w = (Z, A, B, W) if extra is not None else (Z[:1], A[:1], B[:1], W[:1])
+        z, a, b, w = (Z, A, B, W) if weight is not None else (Z[:1], A[:1], B[:1], W[:1])
 
         def apply(xi):
             np.matmul(xi, S, out=Z0)
             # 0.0 - Z0 has the bits of a zero array minus Z0 (signed zeros too)
             e = 0.0 if ehess is None else self._check_ambient(ehess(xi))
             np.subtract(e, Z0, out=Z0)
-            if extra is not None:
-                extra(xi, Z1)
+            if weight is not None:
+                np.multiply(weight, xi, out=Z1)
             np.matmul(Xt, z, out=a)
             np.matmul(X, _sym(a, out=b), out=w)
             np.subtract(z, w, out=z)
-            return Z0 + Z1 if extra is not None else Z0.copy()
+            return Z0 + Z1 if weight is not None else Z0.copy()
 
         return apply
 
@@ -377,7 +372,7 @@ class FixedRank(Manifold):
         Uc, sc, Vc = self._truncate(*np.linalg.svd(core))
         return self.point_from_factors(Qu @ Uc, sc, Qv @ Vc)
 
-    def hess_operator(self, point, egrad, ehess=None, extra=None) -> Callable:
+    def hess_operator(self, point, egrad, ehess=None, weight=None) -> Callable:
         # The projected Euclidean terms plus the sigma-weighted curvature
         # terms N (xi^T U) / s and N^T (xi V) / s, which only see the normal
         # component N of the gradient.  N V = 0 and U^T N = 0, so they read
@@ -388,8 +383,8 @@ class FixedRank(Manifold):
             raise GeometryError("singular values below tolerance: curvature term ill-conditioned")
         egrad = self._check_ambient(egrad)
         # ambient(c) = [U M + Up, U] @ [V, Vp]^T, with both factors and xi kept
-        # across products (xi's array is N's scratch here); extra writes into
-        # W, which is xi itself unless ehess reads xi
+        # across products (xi's array is N's scratch here); the weight term
+        # goes into W, which is xi itself unless ehess reads xi
         r, L, R = self.r, np.concatenate((U, U), axis=1), np.concatenate((V, V), axis=1)
         xi = np.matmul(U, U.T @ egrad)
         W = xi if ehess is None else np.empty(self.ambient_shape)
@@ -399,16 +394,16 @@ class FixedRank(Manifold):
         def apply(c):
             M, Up, Vp = self._split(c)
             out = np.empty(c.shape)
-            if ehess is None and extra is None:
+            if ehess is None and weight is None:
                 out.fill(0.0)
             else:
                 np.add(U @ M, Up, out=L[:, :r])
                 R[:, r:] = Vp
                 np.matmul(L, R.T, out=xi)
-                if extra is None:
+                if weight is None:
                     Y = self._check_ambient(ehess(xi))
                 else:
-                    extra(xi, W)
+                    np.multiply(weight, xi, out=W)
                     Y = W if ehess is None else np.add(self._check_ambient(ehess(xi)), W, out=W)
                 self._tangent_factors(point, Y, out=out)
             _, out_Up, out_Vp = self._split(out)

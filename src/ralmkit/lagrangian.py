@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Callable, Optional
 
 import numpy as np
@@ -75,26 +75,12 @@ class Subproblem:
         self.y_term = float(np.sum(y * y)) / (2.0 * rho)
         self._affine_diagonal = None  # (d,) once known for an affine g
 
-    @cached_property
-    def probe(self) -> np.ndarray:
-        """The probe of :func:`jacobian_diagonal`, one for every point; drawn
-        only for a g that is not the identity (:meth:`diagonal`)."""
-        return np.random.default_rng(0).standard_normal(self.y.shape)
-
     def diagonal(self, X: ManifoldPoint, held: np.ndarray):
-        """:func:`jacobian_diagonal` at ``X`` with :attr:`probe`.  ``held`` is
-        an array of g's shape that the caller already has: the identity
-        returns it itself, so the probe is drawn only for another g.  An
-        affine g (``gy_ehess`` None) has the same Dg everywhere, and its
-        answer is kept for every later point."""
-        if self._affine_diagonal is not None:
-            return self._affine_diagonal[0]
-        P = self.P
-        if P.g_vjp(X.X, held) is held:
-            d = 1.0
-        else:
-            d = jacobian_diagonal(P, X, self.probe)
-        if P.gy_ehess is None:
+        """:func:`jacobian_diagonal` at ``X``.  An affine g (``gy_ehess``
+        None) has the same Dg everywhere, and its answer is kept for every
+        later point."""
+        d = self._affine_diagonal[0] if self._affine_diagonal else jacobian_diagonal(self.P, X, held)
+        if self.P.gy_ehess is None:
             self._affine_diagonal = (d,)
         return d
 
@@ -169,9 +155,9 @@ class Evaluation:
         where ``mask`` is a Clarke-Jacobian element of the prox at ``p``.
         Passing ``jac`` selects the element; the default is the convention
         element (boundary bit 0).  When Dg(X) is a diagonal ``d``
-        (:func:`jacobian_diagonal`) the envelope term is ``W xi`` with
-        ``W = G d^2`` (``G`` for the identity), else ``g_vjp(G g_jvp(xi))``;
-        the two have the same bits where ``d`` is 0/1.
+        (:func:`jacobian_diagonal`) the envelope term is the weight term
+        ``W * xi`` with ``W = G d^2`` (``G`` for the identity); otherwise it
+        is ``g_vjp(G g_jvp(xi))``, added to the smooth terms.
         """
         P, X, rho = self.sub.P, self.X, self.sub.rho
         if jac is None:
@@ -179,17 +165,13 @@ class Evaluation:
         G = np.subtract(1.0, jac.mask)
         G *= rho  # G w equals rho (w - mask w) exactly: mask is 0/1
         d = self.sub.diagonal(X, self.p)
+        if d is None:
+            return _hess_operator(P, X, self.ytilde, self.egrad,
+                                  envelope=lambda xi: P.g_vjp(X.X, G * P.g_jvp(X.X, xi)))
         if isinstance(d, np.ndarray):  # G becomes W
             G *= d
             G *= d
-
-        def extra(xi, out):
-            if d is not None:
-                np.multiply(G, xi, out=out)
-            else:  # checked: out[...] = would broadcast a wrong shape silently
-                out[...] = X.manifold._check_ambient(P.g_vjp(X.X, G * P.g_jvp(X.X, xi)))
-
-        return _hess_operator(P, X, self.ytilde, self.egrad, extra)
+        return _hess_operator(P, X, self.ytilde, self.egrad, weight=G)
 
 
 def evaluate(P: ProblemSpec, rho: float, X: ManifoldPoint, y: np.ndarray) -> Evaluation:
@@ -227,21 +209,21 @@ def auglag_ghess_vec(
     return man.ambient(X, evaluate(P, rho, X, y).ghess_operator(jac)(man.coords(X, xi)))
 
 
-def jacobian_diagonal(P: ProblemSpec, X: ManifoldPoint, probe: np.ndarray):
+def jacobian_diagonal(P: ProblemSpec, X: ManifoldPoint, held: np.ndarray):
     """Dg(X) as the ``d`` with ``g_jvp(X, xi) = g_vjp(X, xi) = d * xi``, or None.
 
-    ``probe`` is a fixed normal draw of g's shape, which must be the ambient
-    shape.  Dg(X) is the identity (``d`` the scalar 1.0) when ``g_vjp``
-    returns the probe itself, and diagonal (``d = g_vjp(X, 1)``) when it
-    multiplies the probe by that exactly; a map that is neither passes only
-    for probes in a null set."""
-    if probe.shape != X.manifold.ambient_shape:
+    ``held`` is an array of g's shape (the ambient shape) that the caller
+    already has.  Dg(X) is the identity (``d`` the scalar 1.0) when ``g_vjp``
+    returns ``held`` itself, and diagonal (``d = g_vjp(X, 1)``) when it
+    multiplies a fixed normal probe by that exactly; a map that is neither
+    passes only for probes in a null set."""
+    if held.shape != X.manifold.ambient_shape:
         return None
-    w = P.g_vjp(X.X, probe)
-    if w is probe:
+    if P.g_vjp(X.X, held) is held:
         return 1.0
-    d = P.g_vjp(X.X, np.ones(probe.shape))
-    return d if np.array_equal(w, d * probe) else None
+    probe = np.random.default_rng(0).standard_normal(held.shape)
+    d = P.g_vjp(X.X, np.ones(held.shape))
+    return d if np.array_equal(P.g_vjp(X.X, probe), d * probe) else None
 
 
 def lagrangian_egrad(P: ProblemSpec, X: ManifoldPoint, y: np.ndarray) -> np.ndarray:
@@ -251,18 +233,17 @@ def lagrangian_egrad(P: ProblemSpec, X: ManifoldPoint, y: np.ndarray) -> np.ndar
 
 
 def _hess_operator(P: ProblemSpec, X: ManifoldPoint, y: np.ndarray, egrad: np.ndarray,
-                   extra: Optional[Callable] = None) -> Callable:
+                   weight: Optional[np.ndarray] = None,
+                   envelope: Optional[Callable] = None) -> Callable:
     """Riemannian Hessian of L(., y), ``egrad`` its Euclidean gradient at X,
-    plus the projection of the Euclidean term that ``extra(xi, out)`` writes
-    (``Manifold.hess_operator``)."""
-    f, gy = P.f_ehess, P.gy_ehess
-    if gy is None:  # g is affine
-        ehess = None if f is None else (lambda xi: f(X.X, xi))
-    elif f is None:
-        ehess = lambda xi: gy(X.X, y, xi)
-    else:
-        ehess = lambda xi: f(X.X, xi) + gy(X.X, y, xi)
-    return X.manifold.hess_operator(X, egrad, ehess, extra)
+    plus the Euclidean terms ``envelope(xi)``, summed with the smooth terms,
+    and ``weight * xi`` (``Manifold.hess_operator``)."""
+    f, gy = P.f_ehess, P.gy_ehess  # gy is None for an affine g
+    terms = [t for t in (f and (lambda xi: f(X.X, xi)), gy and (lambda xi: gy(X.X, y, xi)),
+                         envelope) if t is not None]
+    ehess = None if not terms else terms[0] if len(terms) == 1 else (
+        lambda xi: reduce(np.add, [t(xi) for t in terms]))
+    return X.manifold.hess_operator(X, egrad, ehess, weight)
 
 
 def lagrangian_hess_operator(P: ProblemSpec, X: ManifoldPoint, y: np.ndarray) -> Callable:

@@ -17,17 +17,26 @@ def ambient_operator(X, H):
 def callback_ghess_operator(P, rho, X, y):
     """The generalized Hessian at the convention Jacobian element with its
     envelope term through the callbacks, ``g_vjp(G g_jvp(xi))`` with
-    ``G = rho (1 - mask)``: the route ``Evaluation.ghess_operator`` takes
-    when Dg(X) is not diagonal."""
+    ``G = rho (1 - mask)``, summed with the smooth terms: the route
+    ``Evaluation.ghess_operator`` takes when Dg(X) is not diagonal."""
     from ralmkit import lagrangian
 
     ev = lagrangian.evaluate(P, rho, X, y)
     G = rho * (1.0 - P.theta.prox_jacobian(1.0 / rho, ev.p).mask)
+    return lagrangian._hess_operator(P, X, ev.ytilde, ev.egrad,
+                                     envelope=lambda xi: P.g_vjp(X.X, G * P.g_jvp(X.X, xi)))
 
-    def extra(xi, out):
-        out[...] = P.g_vjp(X.X, G * P.g_jvp(X.X, xi))
 
-    return lagrangian._hess_operator(P, X, ev.ytilde, ev.egrad, extra)
+def weight_ghess_operator(P, rho, X, y):
+    """The generalized Hessian at the convention Jacobian element with its
+    envelope term as the weight ``G d^2``, ``d = g_vjp(1)``: the route
+    ``Evaluation.ghess_operator`` takes when Dg(X) is a diagonal ``d``."""
+    from ralmkit import lagrangian
+
+    ev = lagrangian.evaluate(P, rho, X, y)
+    G = rho * (1.0 - P.theta.prox_jacobian(1.0 / rho, ev.p).mask)
+    d = P.g_vjp(X.X, np.ones(y.shape))
+    return lagrangian._hess_operator(P, X, ev.ytilde, ev.egrad, weight=G * d * d)
 
 
 def euclidean_l1_problem(shape=(1, 1), mu=1.0):

@@ -234,6 +234,22 @@ class TestFileFormats:
         with pytest.raises(ParseError, match="out of range"):
             load_coordinate(path)
 
+    def test_coordinate_negative_size(self, tmp_path):
+        path = str(tmp_path / "neg.mtx")
+        with open(path, "w") as fh:
+            fh.write("%%MatrixMarket matrix coordinate real general\n% c\n-2 3 0\n")
+        with pytest.raises(ParseError, match="line 3: negative matrix size"):
+            load_coordinate(path)
+
+    def test_coordinate_repeated_entry(self, tmp_path):
+        # scipy.io.mmread would sum the two values; a completion mask has one
+        # observation per entry, so the file is rejected
+        path = str(tmp_path / "dup.mtx")
+        with open(path, "w") as fh:
+            fh.write("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 2 3.0\n1 2 5.0\n")
+        with pytest.raises(ParseError, match=r"line 4: entry \(1,2\) listed twice"):
+            load_coordinate(path)
+
     def test_log_round_trip(self, tmp_path):
         records = [
             IterateRecord(0, 1.0, 1.0, 0, 0.5, 1.25, 0.0, -3.5),

@@ -68,6 +68,29 @@ def fake_workloads(ran):
     return types.SimpleNamespace(SETUPS={"a": setup("a"), "b": setup("b"), "c": setup("c")})
 
 
+def test_a_solve_dump_tells_inner_stop_reasons_apart(tmp_path):
+    # a noise_floor exit and a max_iter exit have the same counts: neither
+    # stopped nor failed its line search
+    from ralmkit.newton import NewtonStats
+
+    bitcheck = load_bitcheck()
+
+    def dumped(reason):
+        stats = [NewtonStats(iterations=2, stop_reason="criterion"),
+                 NewtonStats(iterations=5, stop_reason=reason)]
+        result = types.SimpleNamespace(X=types.SimpleNamespace(X=np.eye(2)), y=np.zeros(2),
+                                       records=[], converged=False, inner_stats=stats)
+        return {f"w/op/{k}": v for k, v in bitcheck._fields(result).items()}
+
+    a, b = dumped("max_iter"), dumped("noise_floor")
+    assert list(a["w/op/stop_reasons"]) == ["criterion", "max_iter"]
+    assert np.array_equal(a["w/op/newton_counts"], b["w/op/newton_counts"])
+    assert compare(tmp_path, a, {k: v.copy() for k, v in a.items()}).returncode == 0
+    out = compare(tmp_path, a, b)
+    assert out.returncode == 1
+    assert out.stdout.startswith("w/op: stop_reasons:")
+
+
 def test_dump_runs_only_the_named_workloads(tmp_path, monkeypatch):
     bitcheck, ran = load_bitcheck(), []
     monkeypatch.setattr(bitcheck, "_import", lambda root: fake_workloads(ran))

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ralmkit import bench
+from ralmkit import bench, lagrangian
 from ralmkit.cli import (
     EXIT_ERROR, EXIT_MAXITER, EXIT_OK, build_problem, build_solver_config, load_config, main,
 )
@@ -190,6 +190,24 @@ class TestCertify:
         assert report["genhess_min_eig"] == pytest.approx(8.585786437626899, abs=1e-8)
         assert report["genhess_verdict"] == "holds"
 
+    @pytest.mark.parametrize("block", [{"rho": -3}, {"rho": 0}, {"stationarity_tol": -1e-6},
+                                       {"stationarity_tol": math.nan},
+                                       {"stationarity_tol": math.inf}],
+                             ids=["negative-rho", "zero-rho", "negative-tol", "nan-tol", "inf-tol"])
+    def test_bad_certify_block_rejected_at_a_non_stationary_pair(self, tmp_path, capsys, cm_pair,
+                                                                 block):
+        # a non-stationary pair skips the certificates, so only the config
+        # check can reject the block
+        P, Xbar, ybar = cm_pair
+        cfg = write_config(tmp_path, certify=block)
+        point, mult = self._dump_pair(tmp_path, Xbar.X, np.zeros_like(ybar))
+        assert lagrangian.kkt_residual(P, Xbar, np.zeros_like(ybar)) > 1e-6
+        code = main(["certify", "--config", cfg, "--point", point, "--multiplier", mult])
+        assert code == EXIT_ERROR
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: bad 'certify' block: ")
+
     def test_multiplier_shape_mismatch(self, tmp_path, capsys, cm_pair):
         P, Xbar, ybar = cm_pair
         cfg = write_config(tmp_path)
@@ -327,6 +345,13 @@ class TestRobustness:
             argv += ["--point", point, "--multiplier", mult]
         assert main(argv) == EXIT_ERROR
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_negative_size_in_coordinate_file(self, tmp_path, capsys):
+        data = tmp_path / "neg.mtx"
+        data.write_text("%%MatrixMarket matrix coordinate real general\n-2 3 0\n")
+        cfg = write_config(tmp_path, problem={"kind": "rmc", "data": str(data), "r": 1})
+        assert main(["solve", "--config", cfg]) == EXIT_ERROR
+        assert capsys.readouterr().err.startswith(f"error: {data}: line 2: negative matrix size")
 
     def test_log_level_env(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("RALMKIT_LOG_LEVEL", "debug")

@@ -348,7 +348,7 @@ class TestTangentCoordinates:
         W = rng.standard_normal(A.shape)  # a diagonal PSD second term, as the envelope's
         for trial in range(5):
             X = man.random_point(rng)
-            H = man.hess_operator(X, A + ehess(X.X), ehess, lambda v, out: np.multiply(W * W, v, out=out))
+            H = man.hess_operator(X, A + ehess(X.X), ehess, W * W)
             a = man.coords(X, random_tangent(X, 70 + trial))
             b = man.coords(X, random_tangent(X, 90 + trial))
             ab, ba = np.vdot(a, H(b)), np.vdot(b, H(a))

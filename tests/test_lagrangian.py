@@ -9,8 +9,9 @@ from conftest import (
     callback_ghess_operator,
     euclidean_l1_problem,
     euclidean_quadratic_problem,
+    weight_ghess_operator,
 )
-from ralmkit import bench, geometry, oracles
+from ralmkit import bench, geometry, lagrangian, oracles
 from ralmkit.convex import L1Norm
 from ralmkit.lagrangian import (
     LagrangianError,
@@ -310,32 +311,34 @@ class TestPreparedHessian:
         assert peak - base < A.nbytes
 
     @pytest.mark.parametrize("case", hessian_cases(), ids=CASE_IDS)
-    def test_manifold_operator_projects_and_adds_extra(self, case):
+    def test_manifold_operator_projects_and_adds_the_weight_term(self, case):
+        # ehess reads xi, so a weight term written over xi before it shows
         P, _, X, y = case
         man = X.manifold
         egrad = lagrangian_egrad(P, X, y)
         rng = np.random.default_rng(31)
         for seed in range(4):
             c = man.coords(X, geometry.random_tangent(X, 980 + seed))
-            e, w = rng.standard_normal((2,) + man.ambient_shape)
-            both = man.hess_operator(X, egrad, lambda xi: e, lambda xi, out: np.copyto(out, w))(c)
-            alone = man.hess_operator(X, egrad, lambda xi: e)(c)
-            assert_same(both, alone + man.coords(X, man.project(X, w)), man)
+            E, w = rng.standard_normal((2,) + man.ambient_shape)
+            both = man.hess_operator(X, egrad, lambda xi: E * xi, w)(c)
+            alone = man.hess_operator(X, egrad, lambda xi: E * xi)(c)
+            assert_same(both, alone + man.coords(X, man.project(X, w * man.ambient(X, c))), man)
 
     @pytest.mark.parametrize("case", hessian_cases(), ids=CASE_IDS)
-    @pytest.mark.parametrize("with_extra", [False, True], ids=["plain", "extra"])
-    def test_manifold_operator_reuse_keeps_results_and_inputs(self, case, with_extra):
+    @pytest.mark.parametrize("with_weight", [False, True], ids=["plain", "weight"])
+    def test_manifold_operator_reuse_keeps_results_and_inputs(self, case, with_weight):
         P, _, X, y = case
         man = X.manifold
+        rng = np.random.default_rng(32)
+        w = rng.standard_normal(man.ambient_shape)
         terms = {}
         hess = man.hess_operator(X, lagrangian_egrad(P, X, y), lambda xi: terms["e"],
-                                 (lambda xi, out: np.copyto(out, terms["w"])) if with_extra else None)
-        rng = np.random.default_rng(32)
+                                 w if with_weight else None)
         kept = []
         for seed in range(4):
             c = man.coords(X, geometry.random_tangent(X, 990 + seed))
-            terms["e"], terms["w"] = rng.standard_normal((2,) + man.ambient_shape)
-            inputs = (c, terms["e"], terms["w"]) if with_extra else (c, terms["e"])
+            terms["e"] = rng.standard_normal(man.ambient_shape)
+            inputs = (c, terms["e"], w) if with_weight else (c, terms["e"])
             before = [a.copy() for a in inputs]
             out = hess(c)
             assert all(np.array_equal(a, b) for a, b in zip(inputs, before))
@@ -356,9 +359,9 @@ class TestPreparedHessian:
         for seed in range(4):
             c = man.coords(X, geometry.random_tangent(X, 960 + seed))
             w = rng.standard_normal(man.ambient_shape)
-            for extra in (None, lambda xi, out: np.copyto(out, w)):  # without and with the extra term
-                got = man.hess_operator(X, egrad, None, extra)(c)
-                want = man.hess_operator(X, egrad, lambda xi: zero, extra)(c)
+            for weight in (None, w):  # without and with the weight term
+                got = man.hess_operator(X, egrad, None, weight)(c)
+                want = man.hess_operator(X, egrad, lambda xi: zero, weight)(c)
                 assert got.dtype == want.dtype
                 if isinstance(man, geometry.FixedRank):
                     assert np.array_equal(got, want)
@@ -419,6 +422,14 @@ def count_jvp_calls(P, calls):
     return dataclasses.replace(P, g_jvp=g_jvp)
 
 
+def count_calls(monkeypatch, owner, name):
+    """A list that grows by one entry per call of ``owner.name`` until the
+    test ends."""
+    calls, real = [], getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args, **kw: calls.append(args) or real(*args, **kw))
+    return calls
+
+
 class TestEnvelopeRoutes:
     """The envelope term as the weight G d^2 against the callbacks' g_vjp(G g_jvp(xi))."""
 
@@ -427,18 +438,20 @@ class TestEnvelopeRoutes:
                                   "euclidean-identity"])
     def test_identity_and_mask_weights_are_bit_identical(self, case):
         P, rho, X, y = case
-        probe = np.random.default_rng(0).standard_normal(y.shape)
-        d = jacobian_diagonal(P, X, probe)
-        if P.g_vjp(X.X, probe) is probe:  # the identity: W = G, with no pass over G
+        d = jacobian_diagonal(P, X, y)
+        if P.g_vjp(X.X, y) is y:  # the identity: W = G, with no pass over G
             assert d == 1.0 and isinstance(d, float)
         else:
             assert np.array_equal(d, P.g_vjp(X.X, np.ones(y.shape))) and 0 < d.sum() < d.size
         calls = []
-        Pc = count_jvp_calls(P, calls)
-        H, ref = evaluate(Pc, rho, X, y).ghess_operator(), callback_ghess_operator(P, rho, X, y)
+        H = evaluate(count_jvp_calls(P, calls), rho, X, y).ghess_operator()
+        ref, callbacks = weight_ghess_operator(P, rho, X, y), callback_ghess_operator(P, rho, X, y)
         for seed in range(4):
             c = X.manifold.coords(X, geometry.random_tangent(X, 940 + seed))
-            assert H(c).tobytes() == ref(c).tobytes()
+            got, want = H(c), callbacks(c)
+            assert got.tobytes() == ref(c).tobytes()
+            # the callbacks' term is the same one, projected with the smooth terms
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
         assert calls == []  # the weight route calls no g_jvp
 
     def test_general_diagonal_weight_within_rounding(self):
@@ -450,7 +463,7 @@ class TestEnvelopeRoutes:
                                 g_vjp=lambda X, w: D * w)
         X = P.manifold.random_point(rng)
         y = rng.uniform(-1.0, 1.0, A.shape)
-        assert np.array_equal(jacobian_diagonal(P, X, rng.standard_normal(A.shape)), D)
+        assert np.array_equal(jacobian_diagonal(P, X, y), D)
         calls = []
         H = evaluate(count_jvp_calls(P, calls), 2.0, X, y).ghess_operator()
         ref = callback_ghess_operator(P, 2.0, X, y)
@@ -471,7 +484,7 @@ class TestEnvelopeRoutes:
         )
         X = P.manifold.random_point(rng)
         y = rng.uniform(-1.0, 1.0, (6, 2))
-        assert jacobian_diagonal(P, X, rng.standard_normal((6, 2))) is None
+        assert jacobian_diagonal(P, X, y) is None
         calls = []
         H = evaluate(count_jvp_calls(P, calls), 2.0, X, y).ghess_operator()
         ref = callback_ghess_operator(P, 2.0, X, y)
@@ -481,35 +494,31 @@ class TestEnvelopeRoutes:
         assert len(calls) == 4
 
     @pytest.mark.parametrize("affine", [True, False], ids=["affine", "curved"])
-    def test_one_probe_per_subproblem(self, affine):
+    def test_an_affine_g_is_tested_once(self, monkeypatch, affine):
         P, rho, X, y = envelope_route_cases()[2]  # the 0/1 mask: not the identity
-        seen = []
-
-        def g_vjp(X, w):
-            seen.append(w)
-            return P.g_vjp(X, w)
-
         # a gy_ehess marks g as not affine (here it only reports a zero term)
         gy_ehess = None if affine else (lambda X, y, xi: np.zeros_like(xi))
-        Pc = dataclasses.replace(P, g_vjp=g_vjp, gy_ehess=gy_ehess)
-        sub = Subproblem(Pc, rho, y)
+        sub = Subproblem(dataclasses.replace(P, gy_ehess=gy_ehess), rho, y)
         rng = np.random.default_rng(64)
         points = [P.manifold.random_point(rng) for _ in range(3)]
+        tested = count_calls(monkeypatch, lagrangian, "jacobian_diagonal")
+        draws = count_calls(monkeypatch, np.random, "default_rng")
         ops = [sub.at(pt).ghess_operator() for pt in points]
-        # one draw; an affine g's Dg is tested at the first point only
-        assert sum(w is sub.probe for w in seen) == (1 if affine else 3)
+        # an affine g's Dg is tested, with one probe, at the first point only
+        assert len(tested) == len(draws) == (1 if affine else 3)
         for pt, H in zip(points, ops):
             ref = Subproblem(P, rho, y).at(pt).ghess_operator()
             c = pt.manifold.coords(pt, geometry.random_tangent(pt, 965))
             assert H(c).tobytes() == ref(c).tobytes()
 
     @pytest.mark.parametrize("case", [0, 1, 3], ids=["stiefel", "fixed-rank", "euclidean"])
-    def test_identity_draws_no_probe(self, case):
+    def test_identity_draws_no_probe(self, monkeypatch, case):
         P, rho, X, y = envelope_route_cases()[case]
         sub = Subproblem(P, rho, y)
+        draws = count_calls(monkeypatch, np.random, "default_rng")
         sub.at(X).ghess_operator()
         assert sub.diagonal(X, y) == 1.0
-        assert "probe" not in vars(sub)  # the cached_property was never read
+        assert draws == []
 
 
 class TestSingleEvaluations:

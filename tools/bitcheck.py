@@ -11,7 +11,8 @@ checkout that holds this file; nothing there is written).  Each
 saves, per operation, every array a result holds:
 
 * a solve: the final ``X`` and ``y``, every ``IterateRecord`` row, every
-  inner objective trace and the ``NewtonStats`` counts;
+  inner objective trace, the ``NewtonStats`` counts and each inner solve's
+  ``stop_reason``;
 * a certificate: its fields (``min_eig``, ``subspace_dim``,
   ``boundary_count``, ...).
 
@@ -58,6 +59,7 @@ def _fields(result) -> dict:
             "converged": np.array(result.converged),
             "newton_counts": np.array([[getattr(s, f) for f in STAT_COUNTS] for s in stats],
                                       dtype=np.int64).reshape(-1, len(STAT_COUNTS)),
+            "stop_reasons": np.array([s.stop_reason for s in stats], dtype=str),
             "final_grad_norms": np.array([s.final_grad_norm for s in stats]),
             "trace_lengths": np.array([len(s.objective_trace) for s in stats], dtype=np.int64),
             "objective_traces": np.array([v for s in stats for v in s.objective_trace]),
