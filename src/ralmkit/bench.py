@@ -227,6 +227,13 @@ def save_dense(path: str, M: np.ndarray) -> None:
     atomic_write(path, payload)
 
 
+def _finite(text: str) -> float:
+    """``float(text)``, raising ValueError for ``nan`` and ``inf``."""
+    if not math.isfinite(v := float(text)):
+        raise ValueError(f"non-finite value {text.strip()!r}")
+    return v
+
+
 def load_dense(path: str) -> np.ndarray:
     """Load a dense matrix from CSV."""
     rows: List[List[float]] = []
@@ -235,7 +242,7 @@ def load_dense(path: str) -> np.ndarray:
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             try:
-                values = [float(v) for v in row]
+                values = [_finite(v) for v in row]
             except ValueError as exc:
                 raise ParseError(f"{path}: line {lineno}: {exc}") from None
             if rows and len(values) != len(rows[0]):
@@ -284,7 +291,7 @@ def load_coordinate(path: str) -> Tuple[np.ndarray, np.ndarray]:
         if len(toks) != 3:
             raise ParseError(f"{path}: line {lineno + 1}: expected 'i j value'")
         try:
-            i, j, v = int(toks[0]), int(toks[1]), float(toks[2])
+            i, j, v = int(toks[0]), int(toks[1]), _finite(toks[2])
         except ValueError as exc:
             raise ParseError(f"{path}: line {lineno + 1}: {exc}") from None
         if not (1 <= i <= m and 1 <= j <= n):
@@ -326,7 +333,8 @@ def load_log(path: str) -> List[IterateRecord]:
             if len(row) != len(IterateRecord.FIELDS):
                 raise ParseError(f"{path}: line {lineno}: wrong number of columns")
             try:
-                records.append(IterateRecord(*(kind(v) for kind, v in zip(_LOG_TYPES, row))))
+                records.append(IterateRecord(*((_finite if kind is float else kind)(v)
+                                               for kind, v in zip(_LOG_TYPES, row))))
             except ValueError as exc:
                 raise ParseError(f"{path}: line {lineno}: {exc}") from None
     return records

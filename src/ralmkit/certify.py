@@ -7,9 +7,10 @@ strong second-order sufficient condition on the manifold), eigen-solves
 the generalized augmented Hessian over the full tangent space, and fits
 empirical linear rates to residual histories.
 
-The critical-cone basis needs no tangent basis when g is diagonal and few
-ambient coordinates are free.  Only the second-order certificate forms a
-dense matrix, on that basis; the generalized-Hessian eigensolve is matrix-free.
+A tangent or critical-cone basis is one ``(k, *ambient_shape)`` array.  The
+critical-cone basis needs no tangent basis when g is diagonal and few ambient
+coordinates are free.  Only the second-order certificate forms a dense
+matrix, on that basis; the generalized-Hessian eigensolve is matrix-free.
 """
 
 from __future__ import annotations
@@ -62,13 +63,9 @@ class Certificate:
         return self.verdict == "holds"
 
 
-def _stack(vectors: Sequence[np.ndarray]) -> np.ndarray:
-    return np.stack([v.ravel() for v in vectors])
-
-
-def critical_cone_basis(P: ProblemSpec, X: ManifoldPoint, y: np.ndarray) -> list:
+def critical_cone_basis(P: ProblemSpec, X: ManifoldPoint, y: np.ndarray) -> np.ndarray:
     """Orthonormal basis of aff(critical cone) intersected with T_X M, as a
-    list of ambient-shape tangent vectors.
+    ``(k, *ambient_shape)`` array of tangent vectors.
 
     For the l1 term the affine hull fixes to zero every constraint-space
     entry where ``g(X)`` vanishes and the multiplier is strictly inside
@@ -89,37 +86,39 @@ def critical_cone_basis(P: ProblemSpec, X: ManifoldPoint, y: np.ndarray) -> list
         )
     mu = P.theta.mu
     constrained = (np.abs(z) <= CONE_TOL) & (np.abs(y) < mu - CONE_TOL)
+    man, shape = X.manifold, X.manifold.ambient_shape
     if not np.any(constrained):
-        return X.manifold.tangent_basis(X)
-    shape = X.manifold.ambient_shape
+        return man.tangent_basis(X)
     c = lagrangian.jacobian_diagonal(P, X, z)
     diagonal = c is not None
     free = np.flatnonzero(~(constrained & (c != 0))) if diagonal else None
-    if diagonal and free.size <= X.manifold.dim():
+    if diagonal and free.size <= man.dim():
         normal = np.zeros((free.size, X.X.size))
         normal[np.arange(free.size), free] = 1.0
         for e in normal:
-            e -= X.manifold.project(X, e.reshape(shape)).ravel()
+            e -= man.project(X, e.reshape(shape)).ravel()
         _, s, Vt = np.linalg.svd(normal.T, full_matrices=False)
         K = np.zeros((X.X.size, int(np.sum(s <= NULLSPACE_TOL))))
         K[free] = Vt[s <= NULLSPACE_TOL].T
-        return [X.manifold.project(X, k.reshape(shape)) for k in K.T]
-    import scipy.linalg  # loaded on first use: it doubles the time of `import ralmkit`
-    basis = X.manifold.tangent_basis(X)
-    # the norms of the rows of E_c Dg(X); a zero row constrains nothing
-    d = np.abs(np.broadcast_to(c, z.shape)[constrained]) if diagonal else np.array([
-        np.linalg.norm(P.g_vjp(X.X, np.eye(1, z.size, i).reshape(z.shape)))
-        for i in np.flatnonzero(constrained)])
-    C = np.stack([P.g_jvp(X.X, v)[constrained] for v in basis]).T[d > 0] / d[d > 0, None]
-    _, s, Vt = scipy.linalg.svd(C, full_matrices=C.shape[0] < C.shape[1])  # thin when tall
-    null = Vt[np.sum(s > NULLSPACE_TOL):]
-    T = _stack(basis)  # (tangent_dim, ambient_size)
-    return [X.manifold.project(X, (coef @ T).reshape(shape)) for coef in null]
+        rows = K.T
+    else:
+        import scipy.linalg  # loaded on first use: it doubles the time of `import ralmkit`
+        basis = man.tangent_basis(X)
+        # the norms of the rows of E_c Dg(X); a zero row constrains nothing
+        d = np.abs(np.broadcast_to(c, z.shape)[constrained]) if diagonal else np.array([
+            np.linalg.norm(P.g_vjp(X.X, np.eye(1, z.size, i).reshape(z.shape)))
+            for i in np.flatnonzero(constrained)])
+        C = np.stack([P.g_jvp(X.X, v)[constrained] for v in basis]).T[d > 0] / d[d > 0, None]
+        _, s, Vt = scipy.linalg.svd(C, full_matrices=C.shape[0] < C.shape[1])  # thin when tall
+        T = basis.reshape(len(basis), -1)  # (tangent_dim, ambient_size), a view
+        rows = (coef @ T for coef in Vt[np.sum(s > NULLSPACE_TOL):])
+    return np.reshape([man.project(X, v.reshape(shape)) for v in rows], (-1, *shape))
 
 
-def _quadratic_form(apply_op, basis: Sequence[np.ndarray]) -> np.ndarray:
-    images = _stack([apply_op(v) for v in basis])
-    B = _stack(basis) @ images.T
+def _quadratic_form(apply_op, basis) -> np.ndarray:
+    """Symmetric part of ``V H V^T``; V's rows are the flattened ``basis`` vectors."""
+    k = len(basis)
+    B = np.reshape(basis, (k, -1)) @ np.reshape([apply_op(v) for v in basis], (k, -1)).T
     return 0.5 * (B + B.T)
 
 
@@ -129,7 +128,7 @@ def mssosc_certificate(P: ProblemSpec, X: ManifoldPoint, y: np.ndarray) -> Certi
     holds at ``(X, y)``."""
     import scipy.linalg
     basis = critical_cone_basis(P, X, y)
-    if not basis:
+    if not len(basis):
         return Certificate("mssosc", math.inf, 0, degenerate=True)
     # np.vdot of coordinates is the metric, so the form is the same in them
     B = _quadratic_form(lagrangian.lagrangian_hess_operator(P, X, y),

@@ -288,7 +288,8 @@ def cmd_gradcheck(args) -> int:
     seed = args.seed if args.seed is not None else cfg.get("output", {}).get("seed", 0)
     gerr = oracles.gradient_check(P, samples=args.samples, seed=seed)
     herr = oracles.hessian_check(P, samples=args.samples, seed=seed)
-    print(json.dumps({"grad_max_rel_err": gerr, "hess_max_rel_err": herr}))
+    report = {"grad_max_rel_err": gerr, "hess_max_rel_err": herr}
+    print(json.dumps({k: None if math.isinf(v) else v for k, v in report.items()}))
     return EXIT_OK if gerr <= 1e-5 and herr <= 1e-3 else EXIT_ERROR
 
 

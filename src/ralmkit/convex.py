@@ -118,14 +118,14 @@ class L1Norm:
         return np.multiply(rho, r, out=r)
 
     def in_subdifferential(self, z: np.ndarray, y: np.ndarray, tol: float = 1e-10) -> bool:
-        """Whether ``y`` lies in the subdifferential of theta at ``z``."""
+        """Whether ``y`` lies in the subdifferential of theta at ``z``; a NaN fails."""
         z = np.asarray(z, dtype=float)
         y = np.asarray(y, dtype=float)
         if z.shape != y.shape:
             raise ConvexError(f"shape mismatch: {z.shape} vs {y.shape}")
-        if np.any(np.abs(y) > self.mu + tol):
+        if not np.all(np.abs(y) <= self.mu + tol):
             return False
-        active = np.abs(z) > tol
+        active = ~(np.abs(z) <= tol)
         return bool(np.all(np.abs(y[active] - self.mu * np.sign(z[active])) <= tol))
 
     def conjugate_bound(self) -> float:

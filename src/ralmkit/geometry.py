@@ -12,14 +12,15 @@ Points are immutable values.  A tangent vector at a point has two forms,
 both plain ndarrays: its *ambient* form, of the manifold's ambient shape
 (what ``project`` returns), and its *coordinates*, which the retraction and
 the Hessian operator take and return.  ``Manifold.coords`` and
-``Manifold.ambient`` map between them, and the Riemannian metric is
+``Manifold.ambient`` are the only maps between them; the Riemannian metric is
 ``np.vdot`` in either form.  On Euclidean space and Stiefel the two forms
 are the same array.  On the fixed-rank manifold the coordinates are the
 packed factors ``[M; Up; Vp]``, an ``(r + m + n, r)`` array with
 ``xi = U M V^T + Up V^T + U Vp^T``, ``U^T Up = 0`` and ``V^T Vp = 0``
 (Vandereycken, SIAM J. Optim. 23(2), 2013): the three blocks are orthogonal,
 so ``np.vdot`` of packed arrays is the Frobenius inner product, and a Newton
-system is solved on ``r (m + n + r)`` numbers instead of ``m n``.
+system is solved on ``r (m + n + r)`` numbers instead of ``m n``.  A tangent
+basis is one ``(dim, *ambient_shape)`` array of ambient tangent vectors.
 
 Both retractions are second order: the polar retraction on Stiefel and the
 metric-projection (truncated SVD) retraction on the fixed-rank manifold, which
@@ -119,7 +120,8 @@ class Manifold:
         Stiefel projects them apart, in one stacked call."""
         raise NotImplementedError
 
-    def tangent_basis(self, point: ManifoldPoint) -> list:
+    def tangent_basis(self, point: ManifoldPoint) -> np.ndarray:
+        """Orthonormal basis of T_X M, a ``(dim, *ambient_shape)`` array."""
         raise NotImplementedError
 
     def random_point(self, rng: np.random.Generator) -> ManifoldPoint:
@@ -166,13 +168,8 @@ class Euclidean(Manifold):
 
         return apply
 
-    def tangent_basis(self, point: ManifoldPoint) -> list:
-        basis = []
-        for idx in np.ndindex(*self.ambient_shape):
-            E = np.zeros(self.ambient_shape)
-            E[idx] = 1.0
-            basis.append(E)
-        return basis
+    def tangent_basis(self, point: ManifoldPoint) -> np.ndarray:
+        return np.eye(self.dim()).reshape(-1, *self.ambient_shape)
 
     def random_point(self, rng: np.random.Generator) -> ManifoldPoint:
         return self.point(rng.standard_normal(self.ambient_shape))
@@ -183,6 +180,11 @@ def _sym(A: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     out = np.add(A, A.swapaxes(-1, -2), out=out)
     out *= 0.5
     return out
+
+
+def _outer(L: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """Every ``L[:, a] R[:, b]^T`` (a outer, b inner) as one ``(k, len(L), len(R))`` stack."""
+    return (L.T[:, None, :, None] * R.T[None, :, None, :]).reshape(-1, len(L), len(R))
 
 
 class Stiefel(Manifold):
@@ -208,7 +210,7 @@ class Stiefel(Manifold):
     def check_point(self, point: ManifoldPoint) -> None:
         G = point.X.T @ point.X - np.eye(self.r)
         err = np.max(np.abs(G))
-        if err > ORTHO_TOL:
+        if not err <= ORTHO_TOL:  # written so that a NaN fails it
             raise GeometryError(f"columns not orthonormal: |X^T X - I|_inf = {err:.3e}")
 
     def project(self, point: ManifoldPoint, Y: np.ndarray) -> np.ndarray:
@@ -246,22 +248,16 @@ class Stiefel(Manifold):
 
         return apply
 
-    def tangent_basis(self, point: ManifoldPoint) -> list:
+    def tangent_basis(self, point: ManifoldPoint) -> np.ndarray:
         import scipy.linalg  # loaded on first use: it doubles the time of `import ralmkit`
         # xi = X A + X_perp B with A skew; both families are orthonormal in
         # the Frobenius metric because X and X_perp have orthonormal columns.
-        X = point.X
-        Xp = scipy.linalg.null_space(X.T)
-        basis = []
-        inv_sqrt2 = 1.0 / np.sqrt(2.0)
-        for i in range(self.r):
-            for j in range(i + 1, self.r):
-                A = np.zeros((self.r, self.r))
-                A[i, j], A[j, i] = inv_sqrt2, -inv_sqrt2
-                basis.append(X @ A)
-        # Xp[:, a] e_b^T for a over X_perp's columns, b inner: [a, b, i, j] = Xp[i, a] I[b, j]
-        outer = Xp.T[:, None, :, None] * np.eye(self.r)[None, :, None, :]
-        return basis + list(outer.reshape(-1, self.n, self.r))
+        X, I = point.X, np.eye(self.r)
+        # X A for A = (e_i e_j^T - e_j e_i^T) / sqrt(2), i < j, from E[a, b] = X[:, a] e_b^T
+        E = _outer(X, I).reshape(self.r, self.r, self.n, self.r)
+        i, j = np.triu_indices(self.r, 1)
+        skew = (E[i, j] - E[j, i]) * (1.0 / np.sqrt(2.0))
+        return np.concatenate((skew, _outer(scipy.linalg.null_space(X.T), I)))
 
     def random_point(self, rng: np.random.Generator) -> ManifoldPoint:
         Q, _ = np.linalg.qr(rng.standard_normal((self.n, self.r)))
@@ -289,9 +285,9 @@ class FixedRank(Manifold):
             raise GeometryError("factor shapes inconsistent with manifold")
         for F, lbl in ((U, "U"), (V, "V")):
             err = np.max(np.abs(F.T @ F - np.eye(self.r)))
-            if err > ORTHO_TOL:
+            if not err <= ORTHO_TOL:  # these tests are written so that a NaN fails
                 raise GeometryError(f"{lbl} not orthonormal to tolerance ({err:.3e})")
-        if np.any(s <= 0) or np.any(np.diff(s) > 0):
+        if not (np.all(s > 0) and np.all(np.diff(s) <= 0)):
             raise GeometryError("singular values must be positive and nonincreasing")
         X = (U * s) @ V.T
         return ManifoldPoint(self, _readonly(X), factors=(_readonly(U), _readonly(s), _readonly(V)))
@@ -319,39 +315,26 @@ class FixedRank(Manifold):
         r, m = self.r, self.m
         return c[:r], c[r:r + m], c[r + m:]
 
-    def _tangent_factors(self, point: ManifoldPoint, Y: np.ndarray,
-                         out: Optional[np.ndarray] = None) -> tuple:
-        """Factored coordinates ``(M, Up, Vp)`` of the projection of ``Y``
-        onto T_X M, with ``U^T Up = 0`` and ``V^T Vp = 0``: views of the
-        packed coordinates ``out``, a fresh array when omitted."""
-        U, _, V = point.factors
-        YV = Y @ V
-        YtU = Y.T @ U
-        M, Up, Vp = self._split(np.empty((self.r + self.m + self.n, self.r)) if out is None else out)
-        np.matmul(U.T, YV, out=M)
-        np.subtract(YV, U @ M, out=Up)
-        np.subtract(YtU, V @ M.T, out=Vp)
-        return M, Up, Vp
-
-    @staticmethod
-    def _from_factors(point: ManifoldPoint, M, Up, Vp) -> np.ndarray:
-        """The ambient matrix ``(U M + Up) V^T + U Vp^T`` of tangent factors,
-        as one product of inner dimension 2r."""
-        U, _, V = point.factors
-        return np.concatenate((U @ M + Up, U), axis=1) @ np.concatenate((V, Vp), axis=1).T
-
     def coords(self, point: ManifoldPoint, xi: np.ndarray) -> np.ndarray:
         """Packed factors ``[M; Up; Vp]`` of ``project(point, xi)``."""
+        U, _, V = point.factors
+        xi = self._check_ambient(xi)
+        xiV, xitU = xi @ V, xi.T @ U
         c = np.empty((self.r + self.m + self.n, self.r))
-        self._tangent_factors(point, self._check_ambient(xi), out=c)
+        M, Up, Vp = self._split(c)
+        np.matmul(U.T, xiV, out=M)
+        np.subtract(xiV, U @ M, out=Up)
+        np.subtract(xitU, V @ M.T, out=Vp)
         return c
 
     def ambient(self, point: ManifoldPoint, c: np.ndarray) -> np.ndarray:
-        return self._from_factors(point, *self._split(c))
+        """``(U M + Up) V^T + U Vp^T``, as one product of inner dimension 2r."""
+        U, _, V = point.factors
+        M, Up, Vp = self._split(c)
+        return np.concatenate((U @ M + Up, U), axis=1) @ np.concatenate((V, Vp), axis=1).T
 
     def project(self, point: ManifoldPoint, Y: np.ndarray) -> np.ndarray:
-        Y = self._check_ambient(Y)
-        return self._from_factors(point, *self._tangent_factors(point, Y))
+        return self.ambient(point, self.coords(point, Y))
 
     def retract(self, point: ManifoldPoint, c: np.ndarray) -> ManifoldPoint:
         # Rank-r truncated SVD of X + xi = [U Up] C [V Vp]^T, C = [[S + M, I], [I, 0]],
@@ -393,19 +376,18 @@ class FixedRank(Manifold):
 
         def apply(c):
             M, Up, Vp = self._split(c)
-            out = np.empty(c.shape)
             if ehess is None and weight is None:
-                out.fill(0.0)
+                out = np.zeros(c.shape)
             else:
                 np.add(U @ M, Up, out=L[:, :r])
                 R[:, r:] = Vp
                 np.matmul(L, R.T, out=xi)
                 if weight is None:
-                    Y = self._check_ambient(ehess(xi))
+                    Y = ehess(xi)
                 else:
                     np.multiply(weight, xi, out=W)
                     Y = W if ehess is None else np.add(self._check_ambient(ehess(xi)), W, out=W)
-                self._tangent_factors(point, Y, out=out)
+                out = self.coords(point, Y)
             _, out_Up, out_Vp = self._split(out)
             out_Up += (N @ Vp) / s
             out_Vp += (N.T @ Up) / s
@@ -413,29 +395,12 @@ class FixedRank(Manifold):
 
         return apply
 
-    def tangent_basis(self, point: ManifoldPoint) -> list:
+    def tangent_basis(self, point: ManifoldPoint) -> np.ndarray:
         import scipy.linalg
         U, _, V = point.factors
-        Upx = scipy.linalg.null_space(U.T)
-        Vpx = scipy.linalg.null_space(V.T)
-        basis = []
-        Z_M = np.zeros((self.r, self.r))
-        Z_U = np.zeros((self.m, self.r))
-        Z_V = np.zeros((self.n, self.r))
-        for i in range(self.r):
-            for j in range(self.r):
-                M = Z_M.copy()
-                M[i, j] = 1.0
-                basis.append(self._from_factors(point, M, Z_U, Z_V))
-        for a in range(self.m - self.r):
-            for j in range(self.r):
-                Up = np.outer(Upx[:, a], np.eye(self.r)[j])
-                basis.append(self._from_factors(point, Z_M, Up, Z_V))
-        for a in range(self.n - self.r):
-            for j in range(self.r):
-                Vp = np.outer(Vpx[:, a], np.eye(self.r)[j])
-                basis.append(self._from_factors(point, Z_M, Z_U, Vp))
-        return basis
+        Upx, Vpx = scipy.linalg.null_space(U.T), scipy.linalg.null_space(V.T)
+        # U M V^T, Up V^T and U Vp^T for unit M, Upx^T Up or Vpx^T Vp, in packed order
+        return np.concatenate((_outer(U, V), _outer(Upx, V), _outer(Vpx, U).swapaxes(1, 2)))
 
     def random_point(self, rng: np.random.Generator) -> ManifoldPoint:
         U, _ = np.linalg.qr(rng.standard_normal((self.m, self.r)))

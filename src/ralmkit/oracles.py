@@ -83,8 +83,8 @@ def _stable_sample(
 
 
 def gradient_check(P: ProblemSpec, samples: int = 20, seed: int = 0) -> float:
-    """Max relative error of the augmented-Lagrangian gradient against
-    central differences of its value along retraction curves."""
+    """Max relative error of the augmented-Lagrangian gradient against central
+    differences of its value along retraction curves; inf if an error is NaN."""
     if samples < 1:
         raise OracleError(f"need samples >= 1, got {samples}")
     rho = CHECK_RHO
@@ -95,13 +95,14 @@ def gradient_check(P: ProblemSpec, samples: int = 20, seed: int = 0) -> float:
         grad = lagrangian.auglag_rgrad(P, rho, X, y)
         exact = np.vdot(grad, xi)
         approx = directional_derivative(lambda Z: lagrangian.auglag_value(P, rho, Z, y), X, xi)
-        worst = max(worst, _rel_err(approx, exact, scale=max(np.linalg.norm(grad), 1.0)))
-    return worst
+        worst = np.maximum(worst, _rel_err(approx, exact, scale=max(np.linalg.norm(grad), 1.0)))
+    return float(worst) if np.isfinite(worst) else math.inf
 
 
 def hessian_check(P: ProblemSpec, samples: int = 20, seed: int = 0) -> float:
     """Max relative error of generalized Hessian-vector products against
-    differenced gradients along retraction curves (kink-free samples)."""
+    differenced gradients along retraction curves (kink-free samples); inf if
+    an error is NaN."""
     if samples < 1:
         raise OracleError(f"need samples >= 1, got {samples}")
     rho, h = CHECK_RHO, HESS_STEP
@@ -113,9 +114,8 @@ def hessian_check(P: ProblemSpec, samples: int = 20, seed: int = 0) -> float:
         up = lagrangian.auglag_rgrad(P, rho, geometry.retract(X, h * xi), y)
         dn = lagrangian.auglag_rgrad(P, rho, geometry.retract(X, (-h) * xi), y)
         fd = X.manifold.project(X, (up - dn) / (2.0 * h))
-        denom = max(np.linalg.norm(Hxi), 1e-8)
-        worst = max(worst, float(np.linalg.norm(fd - Hxi)) / denom)
-    return worst
+        worst = np.maximum(worst, np.linalg.norm(fd - Hxi) / max(np.linalg.norm(Hxi), 1e-8))
+    return float(worst) if np.isfinite(worst) else math.inf
 
 
 def taylor_remainder_slope(

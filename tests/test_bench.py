@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -123,6 +124,14 @@ class TestBuilders:
     def test_rmc_derivative_checks(self, rmc_fixture):
         assert oracles.gradient_check(rmc_fixture.problem, samples=5, seed=1) <= 1e-6
 
+    def test_nan_derivatives_fail_the_checks(self):
+        # max(worst, nan) keeps worst, so a NaN sample must end the check
+        P = build_cm(4, 2, 0.8, 2.0)
+        nan_grad = dataclasses.replace(P, f_egrad=lambda X: np.full_like(X, np.nan))
+        nan_hess = dataclasses.replace(P, f_ehess=lambda X, xi: np.full_like(xi, np.nan))
+        assert oracles.gradient_check(nan_grad, samples=3) == math.inf
+        assert oracles.hessian_check(nan_hess, samples=3) == math.inf
+
     def test_rmc_requires_observations(self):
         with pytest.raises(BenchError):
             build_rmc(np.eye(3), np.zeros((3, 3), dtype=bool), 1)
@@ -199,6 +208,14 @@ class TestFileFormats:
         with pytest.raises(ParseError, match="line 2"):
             load_dense(path)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+    def test_csv_non_finite_names_line(self, tmp_path, value):
+        path = str(tmp_path / "nan.csv")
+        with open(path, "w") as fh:
+            fh.write(f"1,2\n3,{value}\n")
+        with pytest.raises(ParseError, match="line 2: non-finite value"):
+            load_dense(path)
+
     def test_coordinate_file(self, tmp_path):
         path = str(tmp_path / "obs.mtx")
         with open(path, "w") as fh:
@@ -249,6 +266,23 @@ class TestFileFormats:
             fh.write("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 2 3.0\n1 2 5.0\n")
         with pytest.raises(ParseError, match=r"line 4: entry \(1,2\) listed twice"):
             load_coordinate(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_coordinate_non_finite_value(self, tmp_path, value):
+        path = str(tmp_path / "nan.mtx")
+        with open(path, "w") as fh:
+            fh.write(f"%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n2 2 {value}\n")
+        with pytest.raises(ParseError, match="line 4: non-finite value"):
+            load_coordinate(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_log_non_finite_cell(self, tmp_path, value):
+        path = str(tmp_path / "log.csv")
+        save_log(path, [IterateRecord(0, 1.0, 1.0, 0, 0.5, 1.25, 0.0, -3.5)])
+        with open(path, "a") as fh:
+            fh.write(f"1,4,4,7,1e-07,{value},0.125,-3.75\n")
+        with pytest.raises(ParseError, match="line 3: non-finite value"):
+            load_log(path)
 
     def test_log_round_trip(self, tmp_path):
         records = [

@@ -42,7 +42,7 @@ class TestCriticalCone:
     def test_cm_dimension_and_span(self, cm_pair):
         P, Xbar, ybar = cm_pair
         basis = critical_cone_basis(P, Xbar, ybar)
-        assert len(basis) == 2
+        assert isinstance(basis, np.ndarray) and basis.shape == (2, 4, 2)
         # analytic span: interleaved sign patterns on the frame's support
         v1 = np.zeros((4, 2))
         v1[2, 0], v1[3, 0] = 1.0, -1.0
@@ -65,7 +65,7 @@ class TestCriticalCone:
         X = P.manifold.point(np.zeros((2, 3)))
         y = 0.5 * np.ones((2, 3))
         basis = critical_cone_basis(P, X, y)
-        assert len(basis) == 0
+        assert isinstance(basis, np.ndarray) and basis.shape == (0, 2, 3)
 
     def test_rmc_fixture_dimension_zero(self, rmc_fixture):
         fx = rmc_fixture
@@ -102,7 +102,7 @@ def linear_g_pair(X, R, fixed, mu=1.0):
 
 
 def as_rows(basis, shape):
-    return np.stack([v.ravel() for v in basis]) if basis else np.zeros((0, math.prod(shape)))
+    return np.reshape(basis, (len(basis), math.prod(shape)))
 
 
 class TestConeBasisAgainstReference:
@@ -206,7 +206,7 @@ class TestConeBasisAgainstReference:
         fixed = np.zeros((5, 1), dtype=bool)
         fixed[0, 0] = True
         P, X, y = linear_g_pair(X, R, fixed)
-        assert len(critical_cone_basis(P, X, y)) == 4
+        assert critical_cone_basis(P, X, y).shape == (4, 5, 1)
 
 
 class TestMssosc:

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.metadata
 import json
 import math
@@ -41,6 +42,14 @@ def write_config(tmp_path, name="cfg.json", **overrides):
     return str(path)
 
 
+def parse_report(text):
+    """The CLI's JSON report, parsed strictly: a NaN or Infinity token fails."""
+    def reject(token):
+        raise ValueError(f"non-finite token {token} in the CLI report")
+
+    return json.loads(text, parse_constant=reject)
+
+
 def check_help(out):
     """`ralmkit --help` exits 0 and lists `solve` among the sub-commands."""
     assert out.returncode == 0, out.stderr
@@ -55,7 +64,7 @@ class TestSolve:
         cfg = write_config(tmp_path)
         code = main(["solve", "--config", cfg])
         assert code == EXIT_OK
-        out = json.loads(capsys.readouterr().out)
+        out = parse_report(capsys.readouterr().out)
         assert out["converged"]
         records = bench.load_log(str(tmp_path / "run.csv"))
         assert records[-1].kkt_residual <= 1e-7
@@ -63,7 +72,7 @@ class TestSolve:
     def test_summary_reports_inner_work(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         assert main(["solve", "--config", cfg]) == EXIT_OK
-        out = json.loads(capsys.readouterr().out)
+        out = parse_report(capsys.readouterr().out)
         records = bench.load_log(str(tmp_path / "run.csv"))
         assert out["outer_iterations"] == records[-1].k == len(records) - 1
         assert out["newton_steps"] == sum(rec.inner_iters for rec in records) > 0
@@ -152,7 +161,7 @@ class TestCertify:
         point, mult = self._dump_pair(tmp_path, Xbar.X, ybar)
         code = main(["certify", "--config", cfg, "--point", point, "--multiplier", mult])
         assert code == EXIT_OK
-        report = json.loads(capsys.readouterr().out)
+        report = parse_report(capsys.readouterr().out)
         assert report["stationarity_residual"] <= 1e-10
         assert report["cone_dim"] == 2
         assert abs(report["mssosc_min_eig"] - (8.0 - 0.8 * math.sqrt(2))) <= 1e-8
@@ -166,7 +175,7 @@ class TestCertify:
         point, mult = self._dump_pair(tmp_path, Xbar.X, ybar)
         code = main(["certify", "--config", cfg, "--point", point, "--multiplier", mult])
         assert code == EXIT_OK
-        report = json.loads(capsys.readouterr().out)
+        report = parse_report(capsys.readouterr().out)
         assert report["mssosc_verdict"] == "fails"
 
     def test_fixed_rank_pair_report(self, tmp_path, capsys, rmc_fixture):
@@ -181,7 +190,7 @@ class TestCertify:
         point, mult = self._dump_pair(tmp_path, fx.X_bar.X, fx.y_bar)
         code = main(["certify", "--config", cfg, "--point", point, "--multiplier", mult])
         assert code == EXIT_OK
-        report = json.loads(capsys.readouterr().out)
+        report = parse_report(capsys.readouterr().out)
         assert report["stationarity_residual"] <= 1e-10
         assert report["cone_dim"] == 0
         assert report["mssosc_min_eig"] is None
@@ -224,6 +233,19 @@ class TestCertify:
         assert code == EXIT_ERROR
         assert "orthonormal" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("which", ["point", "multiplier"])
+    def test_nan_in_pair_rejected(self, tmp_path, capsys, cm_pair, which):
+        P, Xbar, ybar = cm_pair
+        X, y = Xbar.X.copy(), ybar.copy()
+        (X if which == "point" else y)[1, 0] = np.nan
+        cfg = write_config(tmp_path)
+        point, mult = self._dump_pair(tmp_path, X, y)
+        code = main(["certify", "--config", cfg, "--point", point, "--multiplier", mult])
+        assert code == EXIT_ERROR
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: ") and "line 2: non-finite value 'nan'" in out.err
+
     def test_nonstationary_pair_reports_null_cone(self, tmp_path, capsys, cm_pair):
         P, Xbar, _ = cm_pair
         cfg = write_config(tmp_path)
@@ -231,7 +253,7 @@ class TestCertify:
         point, mult = self._dump_pair(tmp_path, Xbar.X, y)
         code = main(["certify", "--config", cfg, "--point", point, "--multiplier", mult])
         assert code == EXIT_OK
-        report = json.loads(capsys.readouterr().out)
+        report = parse_report(capsys.readouterr().out)
         assert report["cone_dim"] is None
         assert report["stationarity_residual"] > 1e-6
 
@@ -245,7 +267,7 @@ class TestRateAndGradcheck:
         bench.save_log(path, records)
         code = main(["rate", "--log", path, "--tail", "0.5"])
         assert code == EXIT_OK
-        out = json.loads(capsys.readouterr().out)
+        out = parse_report(capsys.readouterr().out)
         assert out["rate"] == pytest.approx(0.5, abs=1e-9)
         assert out["fit_quality"] == pytest.approx(1.0, abs=1e-9)
 
@@ -255,7 +277,7 @@ class TestRateAndGradcheck:
         capsys.readouterr()
         code = main(["rate", "--log", str(tmp_path / "run.csv"), "--tail", "0.5"])
         assert code == EXIT_OK
-        out = json.loads(capsys.readouterr().out)
+        out = parse_report(capsys.readouterr().out)
         assert out["rate"] < 1.0
         assert out["fit_quality"] >= 0.9
 
@@ -265,11 +287,39 @@ class TestRateAndGradcheck:
         bench.save_log(path, records)
         assert main(["rate", "--log", path]) == EXIT_ERROR
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_rate_rejects_non_finite_residual(self, tmp_path, capsys, value):
+        records = [IterateRecord(k, 1.0, 1.0, 1, 0.0, 0.5 ** k, 0.0, 0.0) for k in range(12)]
+        path = tmp_path / "log.csv"
+        bench.save_log(str(path), records)
+        lines = path.read_text().splitlines()
+        lines[5] = lines[5].replace(f",{0.5 ** 4!r},", f",{value},")
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["rate", "--log", str(path)]) == EXIT_ERROR
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith(f"error: {path}: line 6: non-finite value")
+
+    @pytest.mark.parametrize("field", ["f_egrad", "f_ehess"])
+    def test_gradcheck_fails_nan_derivatives(self, tmp_path, capsys, monkeypatch, field):
+        build_cm = bench.build_cm
+
+        def nan_cm(*args):
+            return dataclasses.replace(build_cm(*args),
+                                       **{field: lambda X, *xi: np.full_like(X, np.nan)})
+
+        monkeypatch.setattr(bench, "build_cm", nan_cm)
+        code = main(["gradcheck", "--config", write_config(tmp_path), "--samples", "2"])
+        assert code == EXIT_ERROR
+        out = parse_report(capsys.readouterr().out)
+        key = "grad_max_rel_err" if field == "f_egrad" else "hess_max_rel_err"
+        assert out[key] is None
+
     def test_gradcheck_cm(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         code = main(["gradcheck", "--config", cfg, "--samples", "5"])
         assert code == EXIT_OK
-        out = json.loads(capsys.readouterr().out)
+        out = parse_report(capsys.readouterr().out)
         assert out["grad_max_rel_err"] <= 1e-5
         assert out["hess_max_rel_err"] <= 1e-3
 
@@ -302,7 +352,7 @@ class TestRateAndGradcheck:
         )
         code = main(["gradcheck", "--config", cfg, "--samples", "3"])
         assert code == EXIT_OK
-        assert json.loads(capsys.readouterr().out)["grad_max_rel_err"] <= 1e-6
+        assert parse_report(capsys.readouterr().out)["grad_max_rel_err"] <= 1e-6
 
 
 MALFORMED_CONFIGS = {

@@ -220,3 +220,8 @@ class TestSubdifferentialMembership:
     def test_box_violation(self):
         th = L1Norm(1.0)
         assert not th.in_subdifferential(np.zeros(2), np.array([0.0, 1.5]))
+
+    def test_nan_fails(self):
+        th = L1Norm(1.0)
+        assert not th.in_subdifferential(np.array([1.0, 0.0]), np.array([1.0, np.nan]))
+        assert not th.in_subdifferential(np.array([1.0, np.nan]), np.array([1.0, 0.0]))

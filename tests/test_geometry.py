@@ -6,6 +6,7 @@ from ralmkit.geometry import (
     Euclidean,
     FixedRank,
     GeometryError,
+    ManifoldPoint,
     RankDropError,
     Stiefel,
     random_tangent,
@@ -95,7 +96,7 @@ class TestTangentProject:
     def test_tangent_basis_orthonormal(self, man):
         X = man.random_point(np.random.default_rng(13))
         basis = man.tangent_basis(X)
-        assert len(basis) == man.dim()
+        assert isinstance(basis, np.ndarray) and basis.shape == (man.dim(), *man.ambient_shape)
         B = np.stack([v.ravel() for v in basis])
         np.testing.assert_allclose(B @ B.T, np.eye(man.dim()), rtol=0, atol=1e-12)
         for v in basis:
@@ -113,6 +114,33 @@ class TestTangentProject:
         loop = [np.outer(Xp[:, a], np.eye(3)[b]) for a in range(4) for b in range(3)]
         assert len(basis) == 3 + len(loop)
         assert all(np.array_equal(v, w) for v, w in zip(basis[3:], loop))
+        # the skew family X A, A = (e_i e_j^T - e_j e_i^T) / sqrt(2) for i < j, likewise
+        skew = []
+        for i in range(3):
+            for j in range(i + 1, 3):
+                A = np.zeros((3, 3))
+                A[i, j], A[j, i] = 1.0 / np.sqrt(2.0), -1.0 / np.sqrt(2.0)
+                skew.append(X.X @ A)
+        assert np.array_equal(basis[:3], np.stack(skew))
+
+    def test_fixed_rank_basis_matches_packed_unit_loop(self):
+        # each basis vector is ambient() of one packed unit direction: a unit
+        # entry of M, or Up = Upx[:, a] e_j^T, or Vp = Vpx[:, a] e_j^T, in order
+        import scipy.linalg
+
+        man = FixedRank(6, 5, 2)
+        X = man.random_point(np.random.default_rng(4))
+        U, _, V = X.factors
+        I, loop = np.eye(2), []
+        for block, cols in enumerate((I, scipy.linalg.null_space(U.T), scipy.linalg.null_space(V.T))):
+            for a in range(cols.shape[1]):
+                for j in range(2):
+                    parts = [np.zeros((2, 2)), np.zeros((6, 2)), np.zeros((5, 2))]
+                    parts[block] = np.outer(cols[:, a], I[j])
+                    loop.append(man.ambient(X, np.concatenate(parts)))
+        basis = man.tangent_basis(X)
+        assert basis.shape == (man.dim(), 6, 5)
+        assert np.array_equal(basis, np.stack(loop))
 
 
 class TestRetract:
@@ -409,12 +437,26 @@ class TestStructuralInvariants:
         for trial in range(10):
             X = man.random_point(rng)
             Y = rng.standard_normal((6, 5))
-            M, Up, Vp = man._tangent_factors(X, Y)
+            M, Up, Vp = man._split(man.coords(X, Y))
             U, _, V = X.factors
             rebuilt = U @ M @ V.T + Up @ V.T + U @ Vp.T
             assert np.max(np.abs(rebuilt - man.project(X, Y))) <= 1e-10
             assert np.max(np.abs(U.T @ Up)) <= 1e-12
             assert np.max(np.abs(V.T @ Vp)) <= 1e-12
+
+    def test_stiefel_nan_point_rejected(self):
+        man = Stiefel(3, 2)
+        X = np.eye(3)[:, :2].copy()
+        X[2, 1] = np.nan
+        with pytest.raises(GeometryError):
+            man.point(X)
+        with pytest.raises(GeometryError):
+            man.check_point(ManifoldPoint(man, X))
+
+    def test_fixed_rank_nan_singular_value_rejected(self):
+        man = FixedRank(3, 3, 2)
+        with pytest.raises(GeometryError):
+            man.point_from_factors(np.eye(3)[:, :2], np.array([2.0, np.nan]), np.eye(3)[:, :2])
 
     def test_point_invariant_enforcement(self):
         with pytest.raises(GeometryError):
