@@ -42,8 +42,8 @@ class ParseError(ValueError):
 def _cm_coefficients(n: int, length: float) -> Tuple[float, float]:
     """Diagonal and off-diagonal of the periodic three-point stencil for
     -(1/2) d^2/dx^2 on n nodes of [0, length]."""
-    if n < 3 or length <= 0:
-        raise BenchError(f"need n >= 3 and length > 0, got n={n}, length={length}")
+    if n < 3 or not 0 < length < math.inf:
+        raise BenchError(f"need n >= 3 and finite length > 0, got n={n}, length={length}")
     h = length / n
     return 1.0 / h ** 2, -0.5 / h ** 2
 
@@ -83,8 +83,8 @@ def build_cm(n: int, r: int, mu: float, length: float) -> ProblemSpec:
     """Problem spec for ``min tr(X^T H X) + mu |X|_1`` on St(n, r)."""
     if not 1 <= r <= n:
         raise BenchError(f"need 1 <= r <= n, got n={n}, r={r}")
-    if mu <= 0:
-        raise BenchError(f"need mu > 0, got {mu}")
+    if not 0 < mu < math.inf:
+        raise BenchError(f"need finite mu > 0, got {mu}")
     diag, off = _cm_coefficients(n, length)
     H = _stencil_product(n, r, diag, off)
     H2 = _stencil_product(n, r, 2.0 * diag, 2.0 * off)  # 2 H: scaling by 2 is exact
@@ -119,9 +119,7 @@ def cm_analytic_pair(mu: float = 0.8) -> Tuple[ProblemSpec, ManifoldPoint, np.nd
 
 def cm_initial_point(n: int, r: int, seed: int) -> ManifoldPoint:
     """Column-orthonormalized Gaussian start, deterministic per seed."""
-    rng = np.random.default_rng(seed)
-    Q, _ = np.linalg.qr(rng.standard_normal((n, r)))
-    return Stiefel(n, r).point(Q)
+    return Stiefel(n, r).random_point(np.random.default_rng(seed))
 
 
 # ---------------------------------------------------------------------------
@@ -208,8 +206,8 @@ def rmc_random_outliers(
     m: int, n: int, density: float, magnitude: float, seed: int
 ) -> np.ndarray:
     """Sparse +/-magnitude outlier matrix at the given density."""
-    if not 0 < density <= 1 or magnitude <= 0:
-        raise BenchError("need density in (0, 1] and magnitude > 0")
+    if not (0 < density <= 1 and 0 < magnitude < math.inf):
+        raise BenchError("need density in (0, 1] and finite magnitude > 0")
     rng = np.random.default_rng(seed)
     E = np.zeros((m, n))
     hit = rng.uniform(size=(m, n)) < density

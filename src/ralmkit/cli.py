@@ -15,11 +15,9 @@ Exit codes: 0 success/converged, 1 error, 2 iteration budget exhausted.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import logging
 import math
-import operator
 import os
 import sys
 from typing import Optional, get_type_hints
@@ -64,88 +62,89 @@ def load_config(path: str) -> dict:
     for name in ("problem", "solver", "output", "certify"):
         if not isinstance(cfg.get(name, {}), dict):
             raise ConfigError(f"'{name}' block must be a JSON object")
-    version = cfg.get("schema_version", 1)
+    version = _reader("config", cfg)("schema_version", int, 1)
     if version != 1:
         raise ConfigError(f"unsupported schema_version {version}")
     return cfg
 
 
-@contextlib.contextmanager
-def _fields_of(name: str):
-    """Report a missing or ill-typed field of config block ``name`` as a ConfigError."""
-    try:
-        yield
-    except KeyError as exc:
-        raise ConfigError(f"'{name}' block missing field {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad '{name}' block: {exc}") from None
+def _expect(ok: bool, v, what: str):
+    if isinstance(v, bool) or not ok:
+        raise ValueError(f"expected {what}, got {v!r}")
+    return v
+
+
+# Conversion of a JSON value to the annotated type of a config field: an int
+# is an integer, a float a finite number and a str a string, never a bool.
+_CONVERT = {
+    int: lambda v: _expect(isinstance(v, int), v, "an integer"),
+    float: lambda v: float(_expect(isinstance(v, (int, float)) and math.isfinite(v), v,
+                                   "a finite number")),
+    str: lambda v: _expect(isinstance(v, str), v, "a string"),
+    Optional[float]: lambda v: None if v is None else _CONVERT[float](v),
+}
+
+
+def _reader(name: str, block: dict):
+    """``get(key, kind[, default])``: field ``key`` of config block ``name``
+    converted by ``_CONVERT[kind]`` (returned as is for any other ``kind``)."""
+    def get(key: str, kind, *default):
+        if key not in block:
+            if not default:
+                raise ConfigError(f"'{name}' block missing field {key!r}")
+            return default[0]
+        try:
+            return _CONVERT.get(kind, lambda v: v)(block[key])
+        except (ValueError, OverflowError) as exc:  # OverflowError: an int beyond float
+            raise ConfigError(f"bad '{name}' block: field {key!r}: {exc}") from None
+    return get
+
+
+def _seed(cfg: dict, seed: Optional[int]) -> int:
+    """``seed`` when given, else the output block's seed (default 0)."""
+    return seed if seed is not None else _reader("output", cfg.get("output", {}))("seed", int, 0)
 
 
 def build_problem(cfg: dict, seed: Optional[int]):
     """Instantiate (problem, X0, y0) from the config's problem block."""
-    block = cfg["problem"]
-    if "kind" not in block:
-        raise ConfigError("'problem' block must contain a 'kind'")
-    kind = block["kind"]
-    with _fields_of("output"):
-        out_seed = seed if seed is not None else operator.index(cfg.get("output", {}).get("seed", 0))
+    get, seed = _reader("problem", cfg["problem"]), _seed(cfg, seed)
+    kind = get("kind", str)
     if kind == "cm":
-        with _fields_of("problem"):
-            n, r = int(block["n"]), int(block["r"])
-            mu, length = float(block["mu"]), float(block["len"])
-        P = bench.build_cm(n, r, mu, length)
-        X0 = bench.cm_initial_point(n, r, out_seed)
-        y0 = np.zeros((n, r))
-        return P, X0, y0
+        n, r = get("n", int), get("r", int)
+        P = bench.build_cm(n, r, get("mu", float), get("len", float))
+        return P, bench.cm_initial_point(n, r, seed), np.zeros((n, r))
     if kind == "rmc":
-        with _fields_of("problem"):
-            r, mu = int(block.get("r", 0)), float(block.get("mu", 1.0))
-            if "data" not in block:
-                m, n = int(block["m"]), int(block["n"])
-                density, magnitude = float(block["density"]), float(block["magnitude"])
+        r, mu, path = get("r", int, 0), get("mu", float, 1.0), get("data", str, None)
         if r < 1:
             raise ConfigError("'problem' block needs a positive rank 'r'")
-        if "data" in block:
-            path = block["data"]
-            if not isinstance(path, str):
-                raise ConfigError(f"'problem' block field 'data' must be a path, got {path!r}")
-            if path.endswith((".mtx", ".mm")):
-                A, omega = bench.load_coordinate(path)
-            else:
-                A = bench.load_dense(path)
-                omega = np.ones_like(A, dtype=bool)
-        else:
-            rng = np.random.default_rng(out_seed)
+        if path is None:
+            m, n = get("m", int), get("n", int)
+            density, magnitude = get("density", float), get("magnitude", float)
+            rng = np.random.default_rng(seed)
             U, _ = np.linalg.qr(rng.standard_normal((m, r)))
             V, _ = np.linalg.qr(rng.standard_normal((n, r)))
             s = np.sort(rng.uniform(1.0, 3.0, r))[::-1]
-            A = (U * s) @ V.T + bench.rmc_random_outliers(
-                m, n, density, magnitude, out_seed + 1
-            )
+            A = (U * s) @ V.T + bench.rmc_random_outliers(m, n, density, magnitude, seed + 1)
             omega = np.ones((m, n), dtype=bool)
+        elif path.endswith((".mtx", ".mm")):
+            A, omega = bench.load_coordinate(path)
+        else:
+            A = bench.load_dense(path)
+            omega = np.ones_like(A, dtype=bool)
         P = bench.build_rmc(A, omega, r, mu)
-        X0 = P.manifold.point_from_ambient(A)
-        y0 = np.zeros_like(A)
-        return P, X0, y0
+        return P, P.manifold.point_from_ambient(A), np.zeros_like(A)
     raise ConfigError(f"unknown problem kind {kind!r}")
 
 
-# Conversion of a JSON value to the annotated type of a config field.
-_CONVERT = {int: operator.index, float: float,
-            Optional[float]: lambda v: None if v is None else float(v)}
-
-
 def _typed(cls, block: dict, **nested):
-    """``cls(**block, **nested)`` with each value of ``block`` converted by its
-    field's annotation; ``cls`` rejects an unknown field."""
-    hints = get_type_hints(cls)
-    kwargs = dict(nested)
-    for name, value in block.items():
-        try:
-            kwargs[name] = _CONVERT.get(hints.get(name), lambda v: v)(value)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"field {name!r}: {exc}") from None
-    return cls(**kwargs)
+    """``cls(**block, **nested)`` with each value of the solver block ``block``
+    converted by its field's annotation; ``cls`` rejects an unknown field."""
+    get, hints = _reader("solver", block), get_type_hints(cls)
+    kwargs = {key: get(key, hints.get(key)) for key in block}
+    try:
+        return cls(**kwargs, **nested)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad 'solver' block: {exc}") from None
 
 
 def build_solver_config(cfg: dict) -> ralm.RalmConfig:
@@ -153,8 +152,7 @@ def build_solver_config(cfg: dict) -> ralm.RalmConfig:
     newton_block = block.pop("newton", {})
     if not isinstance(newton_block, dict):
         raise ConfigError("'solver' block field 'newton' must be a JSON object")
-    with _fields_of("solver"):
-        return _typed(ralm.RalmConfig, block, newton=_typed(newton.NewtonConfig, newton_block))
+    return _typed(ralm.RalmConfig, block, newton=_typed(newton.NewtonConfig, newton_block))
 
 
 def write_svg(path: str, residuals) -> None:
@@ -190,12 +188,11 @@ def cmd_solve(args) -> int:
     cfg = load_config(args.config)
     P, X0, y0 = build_problem(cfg, args.seed)
     scfg = build_solver_config(cfg)
+    out = _reader("output", cfg.get("output", {}))
+    log_path, plot_path = args.log or out("log", str, None), out("plot", str, None)
     result = ralm.ralm_solve(P, scfg, X0, y0)
-    out = cfg.get("output", {})
-    log_path = args.log or out.get("log")
     if log_path:
         bench.save_log(log_path, result.records)
-    plot_path = out.get("plot")
     if plot_path:
         try:
             write_svg(plot_path, [rec.kkt_residual for rec in result.records])
@@ -230,12 +227,11 @@ def _load_point(P, path: str):
 
 def cmd_certify(args) -> int:
     cfg = load_config(args.config)
-    block = cfg.get("certify", {})
-    with _fields_of("certify"):
-        rho = float(block.get("rho", 10.0))
-        stat_tol = float(block.get("stationarity_tol", 1e-6))
-        if not (math.isfinite(rho) and rho > 0 and math.isfinite(stat_tol) and stat_tol >= 0):
-            raise ValueError(f"need finite rho > 0 and stationarity_tol >= 0, got {rho}, {stat_tol}")
+    get = _reader("certify", cfg.get("certify", {}))
+    rho, stat_tol = get("rho", float, 10.0), get("stationarity_tol", float, 1e-6)
+    if not (rho > 0 and stat_tol >= 0):
+        raise ConfigError(f"bad 'certify' block: need rho > 0 and stationarity_tol >= 0, "
+                          f"got {rho}, {stat_tol}")
     P, _, _ = build_problem(cfg, args.seed)
     try:
         X = _load_point(P, args.point)
@@ -284,8 +280,8 @@ def cmd_rate(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     cfg = load_config(args.config)
-    P, X0, _ = build_problem(cfg, args.seed)
-    seed = args.seed if args.seed is not None else cfg.get("output", {}).get("seed", 0)
+    seed = _seed(cfg, args.seed)
+    P, X0, _ = build_problem(cfg, seed)
     gerr = oracles.gradient_check(P, samples=args.samples, seed=seed)
     herr = oracles.hessian_check(P, samples=args.samples, seed=seed)
     report = {"grad_max_rel_err": gerr, "hess_max_rel_err": herr}

@@ -11,6 +11,7 @@ can be added later.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -47,8 +48,8 @@ class L1Norm:
     """theta(z) = mu * sum |z_ij| with mu > 0."""
 
     def __init__(self, mu: float = 1.0):
-        if mu <= 0:
-            raise ConvexError(f"weight must be positive, got {mu}")
+        if not 0 < mu < math.inf:
+            raise ConvexError(f"weight must be positive and finite, got {mu}")
         self.mu = float(mu)
 
     def __repr__(self) -> str:

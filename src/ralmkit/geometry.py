@@ -287,8 +287,8 @@ class FixedRank(Manifold):
             err = np.max(np.abs(F.T @ F - np.eye(self.r)))
             if not err <= ORTHO_TOL:  # these tests are written so that a NaN fails
                 raise GeometryError(f"{lbl} not orthonormal to tolerance ({err:.3e})")
-        if not (np.all(s > 0) and np.all(np.diff(s) <= 0)):
-            raise GeometryError("singular values must be positive and nonincreasing")
+        if not (np.all((s > 0) & (s < np.inf)) and np.all(np.diff(s) <= 0)):
+            raise GeometryError("singular values must be positive, finite and nonincreasing")
         X = (U * s) @ V.T
         return ManifoldPoint(self, _readonly(X), factors=(_readonly(U), _readonly(s), _readonly(V)))
 

@@ -59,6 +59,12 @@ class TestHamiltonian:
         with pytest.raises(BenchError):
             build_cm(4, 2, -1.0, 1.0)
 
+    @pytest.mark.parametrize("mu, length", [(math.nan, 2.0), (math.inf, 2.0), (0.8, math.nan),
+                                            (0.8, math.inf)])
+    def test_non_finite_parameters(self, mu, length):
+        with pytest.raises(BenchError):
+            build_cm(4, 2, mu, length)
+
 
 class TestStencil:
     @pytest.mark.parametrize("n", [3, 4, 7, 200])
@@ -177,6 +183,17 @@ class TestBuilders:
         X2 = bench.cm_initial_point(10, 3, seed=5)
         np.testing.assert_array_equal(X1.X, X2.X)
         X1.manifold.check_point(X1)
+
+    def test_cm_initial_point_draw(self):
+        # the Q factor of a seeded Gaussian draw: the start points of the
+        # acceptance runs and of the benchmark depend on these bits
+        Q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((200, 5)))
+        assert bench.cm_initial_point(200, 5, seed=3).X.tobytes() == Q.tobytes()
+
+    @pytest.mark.parametrize("magnitude", [math.nan, math.inf])
+    def test_rmc_outliers_non_finite_magnitude(self, magnitude):
+        with pytest.raises(BenchError):
+            bench.rmc_random_outliers(3, 3, 0.5, magnitude, 0)
 
 
 class TestFileFormats:

@@ -1,5 +1,6 @@
 import dataclasses
 import importlib.metadata
+import importlib.util
 import json
 import math
 import os
@@ -40,6 +41,18 @@ def write_config(tmp_path, name="cfg.json", **overrides):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
     return str(path)
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    """The benchmark's ``perfbench/workloads.py``, imported from its file."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up by name
+    spec.loader.exec_module(module)
+    yield module
+    del sys.modules[spec.name]
 
 
 def parse_report(text):
@@ -147,6 +160,16 @@ class TestSolve:
         assert code == EXIT_OK
         records = bench.load_log(str(tmp_path / "run.csv"))
         assert records[-1].kkt_residual <= 1e-7
+
+    @pytest.mark.parametrize("m, n, r, seed", [(200, 300, 5, 0), (200, 300, 5, 1),
+                                               (200, 300, 5, 2), (60, 80, 3, 0)])
+    def test_rmc_generator_draws_the_benchmark_data(self, workloads, m, n, r, seed):
+        # the benchmark's completion workload copies the generator's draws
+        cfg = {"problem": {"kind": "rmc", "m": m, "n": n, "r": r,
+                           "density": workloads.RMC_DENSITY, "magnitude": workloads.RMC_MAGNITUDE}}
+        P, _, _ = build_problem(cfg, seed)
+        _, A = workloads.rmc_data(m, n, r, seed)
+        np.testing.assert_array_equal(-P.g_value(np.zeros((m, n))), A)
 
 
 class TestCertify:
@@ -381,20 +404,55 @@ MALFORMED_CONFIGS = {
     "NaN newton grad_tol": ("solve", {"solver": {"newton": {"grad_tol": math.nan}}}),
 }
 
+# Fields of the wrong JSON type or non-finite, each with the block and field
+# its error names.  Every field goes through one conversion: ints are
+# integers, numbers finite, paths strings, and a bool is none of them.
+ILL_TYPED_FIELDS = {
+    "fractional n": ("solve", {"problem": {"n": 4.9}}, "problem", "n"),
+    "string n": ("solve", {"problem": {"n": "4"}}, "problem", "n"),
+    "boolean r": ("solve", {"problem": {"r": True}}, "problem", "r"),
+    "string mu": ("solve", {"problem": {"mu": "0.8"}}, "problem", "mu"),
+    "NaN mu": ("solve", {"problem": {"mu": math.nan}}, "problem", "mu"),
+    "NaN mu at certify": ("certify", {"problem": {"mu": math.nan}}, "problem", "mu"),
+    "NaN len at certify": ("certify", {"problem": {"len": math.nan}}, "problem", "len"),
+    "NaN rmc magnitude": ("solve", {"problem": {"kind": "rmc", "m": 6, "n": 5, "r": 2,
+                                                "density": 0.1, "magnitude": math.nan}},
+                          "problem", "magnitude"),
+    "non-string log": ("solve", {"output": {"log": 5}}, "output", "log"),
+    "non-string plot": ("solve", {"output": {"plot": 7}}, "output", "plot"),
+    "string solver float": ("solve", {"solver": {"rho0": "1.0"}}, "solver", "rho0"),
+    "boolean schema_version": ("solve", {"schema_version": True}, "config", "schema_version"),
+}
+MALFORMED_CONFIGS.update({key: case[:2] for key, case in ILL_TYPED_FIELDS.items()})
+
+
+def malformed_argv(tmp_path, command, overrides):
+    """``command``'s argv for a config with ``overrides``, at the CM-4 pair
+    for ``certify``."""
+    argv = [command, "--config", write_config(tmp_path, **overrides)]
+    if command == "certify":
+        _, Xbar, ybar = bench.cm_analytic_pair()
+        point, mult = str(tmp_path / "point.csv"), str(tmp_path / "mult.csv")
+        bench.save_dense(point, Xbar.X)
+        bench.save_dense(mult, ybar)
+        argv += ["--point", point, "--multiplier", mult]
+    return argv
+
 
 class TestRobustness:
     @pytest.mark.parametrize("command, overrides", MALFORMED_CONFIGS.values(),
                              ids=MALFORMED_CONFIGS.keys())
     def test_malformed_config_exits_with_error(self, tmp_path, capsys, command, overrides):
-        argv = [command, "--config", write_config(tmp_path, **overrides)]
-        if command == "certify":
-            _, Xbar, ybar = bench.cm_analytic_pair()
-            point, mult = str(tmp_path / "point.csv"), str(tmp_path / "mult.csv")
-            bench.save_dense(point, Xbar.X)
-            bench.save_dense(mult, ybar)
-            argv += ["--point", point, "--multiplier", mult]
-        assert main(argv) == EXIT_ERROR
+        assert main(malformed_argv(tmp_path, command, overrides)) == EXIT_ERROR
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("command, overrides, block, key", ILL_TYPED_FIELDS.values(),
+                             ids=ILL_TYPED_FIELDS.keys())
+    def test_ill_typed_field_is_named(self, tmp_path, capsys, command, overrides, block, key):
+        assert main(malformed_argv(tmp_path, command, overrides)) == EXIT_ERROR
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith(f"error: bad '{block}' block: field '{key}': ")
 
     def test_negative_size_in_coordinate_file(self, tmp_path, capsys):
         data = tmp_path / "neg.mtx"

@@ -48,6 +48,11 @@ class TestProx:
         with pytest.raises(ConvexError):
             L1Norm(0.0)
 
+    @pytest.mark.parametrize("mu", [np.nan, np.inf])
+    def test_non_finite_weight(self, mu):
+        with pytest.raises(ConvexError):
+            L1Norm(mu)
+
 
 class TestMoreau:
     def test_grid_oracle(self):

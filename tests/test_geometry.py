@@ -458,6 +458,11 @@ class TestStructuralInvariants:
         with pytest.raises(GeometryError):
             man.point_from_factors(np.eye(3)[:, :2], np.array([2.0, np.nan]), np.eye(3)[:, :2])
 
+    def test_fixed_rank_infinite_singular_value_rejected(self):
+        man = FixedRank(3, 3, 2)
+        with pytest.raises(GeometryError):
+            man.point_from_factors(np.eye(3)[:, :2], np.array([np.inf, 1.0]), np.eye(3)[:, :2])
+
     def test_point_invariant_enforcement(self):
         with pytest.raises(GeometryError):
             Stiefel(3, 2).point(np.ones((3, 2)))

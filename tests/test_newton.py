@@ -223,6 +223,25 @@ class TestSsnMinimize:
         ev, stats = ssn_minimize(P, 50.0, y, X0, NewtonConfig(grad_tol=1e-8, max_iter=60))
         assert np.all(np.isfinite(ev.X.X))
 
+    def test_rank_drop_retry_backtracks(self, rmc_fixture, monkeypatch):
+        # the first trial point of the line search falls off the rank chart
+        fx = rmc_fixture
+        X0 = geometry.retract(fx.X_bar, 0.1 * geometry.random_tangent(fx.X_bar, 3))
+        retract, steps = geometry.FixedRank.retract, []
+
+        def rank_drop_once(self, X, c):
+            steps.append(c.copy())
+            if len(steps) == 1:
+                raise geometry.RankDropError("rank below r")
+            return retract(self, X, c)
+
+        monkeypatch.setattr(geometry.FixedRank, "retract", rank_drop_once)
+        ev, stats = ssn_minimize(fx.problem, 10.0, fx.y_bar, X0,
+                                 NewtonConfig(grad_tol=1e-9, max_iter=50))
+        assert stats.rank_drop_retries == 1
+        np.testing.assert_array_equal(steps[1], newton.DELTA * steps[0])
+        assert stats.stop_reason == "grad_tol" and stats.final_grad_norm <= 1e-9
+
 
 def rounding_level_start(request, pair):
     """A stationary pair of a fixture, whose subproblem gradient at rho = 1 is
