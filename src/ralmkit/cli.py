@@ -101,8 +101,12 @@ def _reader(name: str, block: dict):
 
 
 def _seed(cfg: dict, seed: Optional[int]) -> int:
-    """``seed`` when given, else the output block's seed (default 0)."""
-    return seed if seed is not None else _reader("output", cfg.get("output", {}))("seed", int, 0)
+    """``seed`` when given, else the output block's seed (default 0); never negative."""
+    if seed is None:
+        seed = _reader("output", cfg.get("output", {}))("seed", int, 0)
+    if seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {seed}")
+    return seed
 
 
 def build_problem(cfg: dict, seed: Optional[int]):
@@ -233,11 +237,7 @@ def cmd_certify(args) -> int:
         raise ConfigError(f"bad 'certify' block: need rho > 0 and stationarity_tol >= 0, "
                           f"got {rho}, {stat_tol}")
     P, _, _ = build_problem(cfg, args.seed)
-    try:
-        X = _load_point(P, args.point)
-    except geometry.GeometryError as exc:
-        print(f"point invariant violation: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    X = _load_point(P, args.point)
     y = bench.load_dense(args.multiplier)
     g = P.g_value(X.X)
     if y.shape != g.shape:

@@ -426,11 +426,10 @@ def retract(point: ManifoldPoint, xi: np.ndarray) -> ManifoldPoint:
 
 def random_tangent(point: ManifoldPoint, seed: int) -> np.ndarray:
     """Unit-norm tangent vector at ``point``, deterministic per seed."""
-    rng = np.random.default_rng(seed)
-    for _ in range(16):
-        G = rng.standard_normal(point.manifold.ambient_shape)
-        xi = point.manifold.project(point, G)
-        nrm = float(np.linalg.norm(xi))
-        if nrm > 1e-12:
-            return (1.0 / nrm) * xi
-    raise GeometryError("failed to draw a nonzero tangent vector")
+    G = np.random.default_rng(seed).standard_normal(point.manifold.ambient_shape)
+    xi = point.manifold.project(point, G)
+    nrm = float(np.linalg.norm(xi))
+    # A projected Gaussian vanishes only on a zero-dimensional tangent space.
+    if nrm <= 1e-12:
+        raise GeometryError("no nonzero tangent vector: the tangent space is zero-dimensional")
+    return (1.0 / nrm) * xi

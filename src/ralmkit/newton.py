@@ -90,7 +90,6 @@ class NewtonStats:
     fallbacks: int = 0
     rank_drop_retries: int = 0
     stop_reason: str = "max_iter"
-    final_grad_norm: float = float("nan")
     objective_trace: List[float] = field(default_factory=list)
 
     @property
@@ -182,7 +181,6 @@ def ssn_minimize(
     for k in range(cfg.max_iter + 1):
         grad = ev.rgrad
         gnorm = float(np.linalg.norm(grad))
-        stats.final_grad_norm = gnorm
         if not math.isfinite(gnorm) or not math.isfinite(ev.value):
             raise NewtonError(f"non-finite subproblem state at iteration {k}")
         if stop is not None and stop(ev):

@@ -79,7 +79,7 @@ def _stable_sample(
             masks.append(jac.mask)
         if ok and all(np.array_equal(masks[0], m) for m in masks[1:]):
             return X, y, xi
-    raise RuntimeError("could not sample a kink-free configuration")
+    raise OracleError(f"could not sample a kink-free configuration in {MAX_TRIES} draws")
 
 
 def gradient_check(P: ProblemSpec, samples: int = 20, seed: int = 0) -> float:

@@ -93,10 +93,10 @@ class IterateRecord:
     def as_row(self) -> list:
         return [getattr(self, f) for f in self.FIELDS]
 
-    def check_finite(self) -> None:
+    def __post_init__(self):
         for f in self.FIELDS:
             v = getattr(self, f)
-            if not math.isfinite(float(v)):
+            if not isinstance(v, int) and not math.isfinite(v):  # an int may not fit a float
                 raise RalmError(f"non-finite telemetry at outer iteration {self.k}: {f} = {v}")
 
 
@@ -142,7 +142,8 @@ def ralm_solve(
     y0: np.ndarray,
 ) -> RalmResult:
     """Run the outer loop from ``(X0, y0)`` until the KKT residual drops
-    below ``cfg.kkt_tol`` or ``cfg.max_outer`` iterations elapse."""
+    below ``cfg.kkt_tol`` or ``cfg.max_outer`` iterations elapse.  Record
+    ``k`` describes the pair after ``k`` inner solves, record 0 the start."""
     y = np.asarray(y0, dtype=float)
     g_shape = np.shape(P.g_value(X0.X))
     if y.shape != g_shape:
@@ -151,34 +152,28 @@ def ralm_solve(
     if np.max(np.abs(y), initial=0.0) > box:
         log.warning("initial multiplier leaves the |.|_inf <= %g box", box)
 
-    X = X0
-    rho = cfg.rho0
-    R_prev = lagrangian.kkt_residual(P, X, y)
+    X, rho, R_prev = X0, cfg.rho0, math.inf
+    R = lagrangian.kkt_residual(P, X, y)
     ev = lagrangian.evaluate(P, rho, X, y)
-    records = [
-        IterateRecord(
-            k=0,
-            rho=rho,
-            rho_tilde=rho - cfg.rho_bar,
-            inner_iters=0,
-            grad_norm=float(np.linalg.norm(ev.rgrad)),
-            kkt_residual=R_prev,
-            dual_step_norm=0.0,
-            auglag=ev.value,
-        )
-    ]
-    records[0].check_finite()
-    result = RalmResult(X=X, y=y, records=records, converged=R_prev <= cfg.kkt_tol)
-    if result.converged:
-        return result
-
-    for k in range(1, cfg.max_outer + 1):
-        rho_tilde = rho - cfg.rho_bar
+    inner_iters, dual_step_norm = 0, 0.0
+    result = RalmResult(X=X, y=y, records=[], converged=False)
+    for k in range(cfg.max_outer + 1):
+        grad_norm = float(np.linalg.norm(ev.rgrad))
+        result.records.append(IterateRecord(k, rho, rho - cfg.rho_bar, inner_iters, grad_norm, R,
+                                            dual_step_norm, ev.value))
+        log.info("outer %d: rho=%.3g inner=%d |grad|=%.3e R=%.3e",
+                 k, rho, inner_iters, grad_norm, R)
+        result.converged = R <= cfg.kkt_tol
+        if result.converged or k == cfg.max_outer:
+            break
+        if R > 0.5 * R_prev:
+            rho = min(cfg.gamma * rho, cfg.rho_max)
+        R_prev, rho_tilde = R, rho - cfg.rho_bar
         # The floor stops eps_k from decaying below eps_min, which bounds the
         # criterion 'a' threshold below; 'b'/'c' scale it by the dual step,
         # which can still push it under rounding.  eps_min = 0 gives the pure
         # summable schedule.
-        eps_k = max(cfg.eps0 * cfg.kappa ** (k - 1), cfg.eps_min)
+        eps_k = max(cfg.eps0 * cfg.kappa ** k, cfg.eps_min)
 
         def stop(ev):
             gnorm = np.linalg.norm(ev.rgrad)
@@ -197,35 +192,10 @@ def ralm_solve(
         result.inner_stats.append(nstats)
         if not nstats.stopped:
             log.warning("outer %d: inner solver exited before meeting its criterion: %s",
-                        k, nstats.stop_reason)
-
+                        k + 1, nstats.stop_reason)
         y_new = ev.multiplier_update(rho_tilde)
         dual_step_norm = float(np.linalg.norm(y_new - y))
-        R_new = lagrangian.kkt_residual(P, X, y_new)
-        rec = IterateRecord(
-            k=k,
-            rho=rho,
-            rho_tilde=rho_tilde,
-            inner_iters=nstats.iterations,
-            grad_norm=nstats.final_grad_norm,
-            kkt_residual=R_new,
-            dual_step_norm=dual_step_norm,
-            auglag=nstats.objective_trace[-1],
-        )
-        rec.check_finite()
-        records.append(rec)
-        y = y_new
+        y, inner_iters = y_new, nstats.iterations
+        R = lagrangian.kkt_residual(P, X, y)
         result.X, result.y = X, y
-        log.info(
-            "outer %d: rho=%.3g inner=%d |grad|=%.3e R=%.3e",
-            k, rho, nstats.iterations, nstats.final_grad_norm, R_new,
-        )
-
-        if R_new <= cfg.kkt_tol:
-            result.converged = True
-            return result
-        if R_new > 0.5 * R_prev:
-            rho = min(cfg.gamma * rho, cfg.rho_max)
-        R_prev = R_new
-
     return result

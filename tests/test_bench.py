@@ -127,6 +127,13 @@ class TestBuilders:
             with pytest.raises(ValueError, match="samples"):
                 oracles.hessian_check(P, samples=samples)
 
+    def test_unsampleable_problem_raises_oracle_error(self, monkeypatch):
+        monkeypatch.setattr(oracles, "MAX_TRIES", 0)
+        P = build_cm(4, 2, 0.8, 2.0)
+        for check in (oracles.gradient_check, oracles.hessian_check):
+            with pytest.raises(oracles.OracleError, match="kink-free"):
+                check(P, samples=1)
+
     def test_rmc_derivative_checks(self, rmc_fixture):
         assert oracles.gradient_check(rmc_fixture.problem, samples=5, seed=1) <= 1e-6
 

@@ -254,7 +254,8 @@ class TestCertify:
         point, mult = self._dump_pair(tmp_path, np.ones((4, 2)), np.zeros((4, 2)))
         code = main(["certify", "--config", cfg, "--point", point, "--multiplier", mult])
         assert code == EXIT_ERROR
-        assert "orthonormal" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "orthonormal" in err
 
     @pytest.mark.parametrize("which", ["point", "multiplier"])
     def test_nan_in_pair_rejected(self, tmp_path, capsys, cm_pair, which):
@@ -363,6 +364,16 @@ class TestRateAndGradcheck:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and "samples" in captured.err
 
+    def test_gradcheck_without_a_kink_free_sample(self, tmp_path, capsys, monkeypatch):
+        from ralmkit import oracles
+
+        monkeypatch.setattr(oracles, "MAX_TRIES", 0)
+        code = main(["gradcheck", "--config", write_config(tmp_path), "--samples", "2"])
+        assert code == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: could not sample a kink-free configuration")
+
     @pytest.mark.parametrize("seed", [2, 5])
     def test_gradcheck_rmc_above_rounding_noise(self, tmp_path, capsys, seed):
         # A two-point gradient stencil at h = 1e-6 read 1.4e-5 (seed 2) and
@@ -453,6 +464,18 @@ class TestRobustness:
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err.startswith(f"error: bad '{block}' block: field '{key}': ")
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("command", ["solve", "certify", "gradcheck"])
+    def test_negative_seed_rejected(self, tmp_path, capsys, command, source):
+        if source == "flag":
+            argv = malformed_argv(tmp_path, command, {}) + ["--seed", "-2"]
+        else:
+            argv = malformed_argv(tmp_path, command, {"output": {"seed": -1}})
+        assert main(argv) == EXIT_ERROR
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: seed must be nonnegative, got -")
 
     def test_negative_size_in_coordinate_file(self, tmp_path, capsys):
         data = tmp_path / "neg.mtx"

@@ -420,6 +420,11 @@ class TestInnerNormRandom:
         assert abs(np.linalg.norm(a) - 1.0) <= 1e-12
         np.testing.assert_array_equal(a, b)
 
+    def test_random_tangent_rejects_a_zero_dimensional_tangent_space(self):
+        X = Stiefel(1, 1).random_point(np.random.default_rng(8))
+        with pytest.raises(GeometryError, match="zero-dimensional"):
+            random_tangent(X, 77)
+
 
 class TestStructuralInvariants:
     def test_stiefel_tangent_skew(self):

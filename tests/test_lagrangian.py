@@ -9,9 +9,11 @@ from conftest import (
     callback_ghess_operator,
     euclidean_l1_problem,
     euclidean_quadratic_problem,
+    reference_cone_basis,
     weight_ghess_operator,
 )
 from ralmkit import bench, geometry, lagrangian, oracles
+from ralmkit.certify import critical_cone_basis
 from ralmkit.convex import L1Norm
 from ralmkit.lagrangian import (
     LagrangianError,
@@ -27,6 +29,7 @@ from ralmkit.lagrangian import (
     lagrangian_egrad,
     lagrangian_hess_operator,
 )
+from ralmkit.ralm import RalmConfig, ralm_solve
 
 
 def auglag_grid_oracle(x, y, rho, mu=1.0, lo=-8.0, hi=8.0, step=1e-4):
@@ -492,6 +495,32 @@ class TestEnvelopeRoutes:
             c = X.manifold.coords(X, geometry.random_tangent(X, 950 + seed))
             assert H(c).tobytes() == ref(c).tobytes()
         assert len(calls) == 4
+
+    def test_image_shape_other_than_ambient_takes_the_callbacks(self):
+        # g(X) = B X - c maps St(6, 2) into 4 x 2 arrays, so Dg(X) is not
+        # tested for a diagonal; the pair is a RALM solution of the problem
+        rng = np.random.default_rng(74)
+        B, c = rng.standard_normal((4, 6)), rng.standard_normal((4, 2))
+        P = ProblemSpec(
+            manifold=geometry.Stiefel(6, 2), f_value=lambda X: 0.0, f_egrad=None, f_ehess=None,
+            g_value=lambda X: B @ X - c, g_jvp=lambda X, xi: B @ xi,
+            g_vjp=lambda X, w: B.T @ w, gy_ehess=None, theta=L1Norm(1.0),
+        )
+        assert oracles.gradient_check(P, samples=5) <= 1e-9
+        assert oracles.hessian_check(P, samples=5) <= 1e-8
+        res = ralm_solve(P, RalmConfig(kkt_tol=1e-9, max_outer=60),
+                         P.manifold.random_point(rng), np.zeros((4, 2)))
+        assert res.converged and all(s.stopped for s in res.inner_stats)
+        X, y = res.X, res.y
+        assert jacobian_diagonal(P, X, y) is None
+        H, ref = evaluate(P, 2.0, X, y).ghess_operator(), callback_ghess_operator(P, 2.0, X, y)
+        for seed in range(4):
+            v = X.manifold.coords(X, geometry.random_tangent(X, 970 + seed))
+            assert H(v).tobytes() == ref(v).tobytes()
+        got, want = (np.reshape(b, (len(b), 12)) for b in (critical_cone_basis(P, X, y),
+                                                            reference_cone_basis(P, X, y)))
+        assert 0 < len(got) == len(want) < 9  # a proper subspace of the 9-dim tangent space
+        np.testing.assert_allclose(got.T @ got, want.T @ want, rtol=0, atol=1e-9)
 
     @pytest.mark.parametrize("affine", [True, False], ids=["affine", "curved"])
     def test_an_affine_g_is_tested_once(self, monkeypatch, affine):

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -178,6 +179,46 @@ class TestSolveCm:
         assert res.converged
 
 
+class TestOuterLoop:
+    """Record k holds the pair after k inner solves and the evaluation the
+    k-th inner solve returned; the penalty rule reads consecutive records."""
+
+    def solve(self, cm_pair, cfg):
+        P, Xbar, _ = cm_pair
+        X0 = geometry.retract(Xbar, 0.3 * geometry.random_tangent(Xbar, 7))
+        return ralm_solve(P, cfg, X0, np.zeros((4, 2)))
+
+    def test_records_come_from_the_inner_solves(self, cm_pair):
+        res = self.solve(cm_pair, RalmConfig(kkt_tol=1e-9, max_outer=40))
+        assert res.converged and len(res.records) == len(res.inner_stats) + 1 > 2
+        assert [rec.k for rec in res.records] == list(range(len(res.records)))
+        first = res.records[0]
+        assert (first.inner_iters, first.dual_step_norm) == (0, 0.0)
+        for rec, stats in zip(res.records[1:], res.inner_stats):
+            assert same_bits(rec.auglag, stats.objective_trace[-1])
+            assert rec.inner_iters == stats.iterations
+
+    def test_penalty_grows_only_after_a_residual_that_failed_to_halve(self, cm_pair):
+        cfg = RalmConfig(kkt_tol=1e-9, max_outer=40)
+        res, R_prev, raised = self.solve(cm_pair, cfg), math.inf, 0
+        for rec, nxt in zip(res.records, res.records[1:]):
+            grow = rec.kkt_residual > 0.5 * R_prev
+            assert nxt.rho == (min(cfg.gamma * rec.rho, cfg.rho_max) if grow else rec.rho)
+            raised += grow
+            R_prev = rec.kkt_residual
+        assert raised > 0
+
+    def test_zero_budget_records_the_start_only(self, cm_pair):
+        res = self.solve(cm_pair, RalmConfig(kkt_tol=1e-9, max_outer=0))
+        assert len(res.records) == 1 and res.inner_stats == [] and not res.converged
+        assert res.records[0].inner_iters == 0
+
+    def test_exhausted_budget_records_every_outer_step(self, cm_pair):
+        res = self.solve(cm_pair, RalmConfig(kkt_tol=0.0, max_outer=3))
+        assert not res.converged
+        assert len(res.records) == 4 and len(res.inner_stats) == 3
+
+
 class TestOneProxPerPoint:
     # Besides one prox per line-search trial point, each outer step takes one
     # at the start of its inner solve and one in the KKT residual; the first
@@ -299,6 +340,5 @@ class TestRecords:
         )
 
     def test_finite_guard(self):
-        rec = IterateRecord(0, 1.0, 1.0, 0, float("nan"), 1.0, 0.0, 1.0)
         with pytest.raises(RalmError):
-            rec.check_finite()
+            IterateRecord(0, 1.0, 1.0, 0, float("nan"), 1.0, 0.0, 1.0)

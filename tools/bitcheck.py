@@ -60,7 +60,6 @@ def _fields(result) -> dict:
             "newton_counts": np.array([[getattr(s, f) for f in STAT_COUNTS] for s in stats],
                                       dtype=np.int64).reshape(-1, len(STAT_COUNTS)),
             "stop_reasons": np.array([s.stop_reason for s in stats], dtype=str),
-            "final_grad_norms": np.array([s.final_grad_norm for s in stats]),
             "trace_lengths": np.array([len(s.objective_trace) for s in stats], dtype=np.int64),
             "objective_traces": np.array([v for s in stats for v in s.objective_trace]),
         }
