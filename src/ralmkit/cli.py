@@ -215,6 +215,7 @@ def cmd_solve(args) -> int:
                 "cg_iterations": sum(s.cg_iterations for s in stats),
                 "line_search_failures": sum(s.line_search_failed for s in stats),
                 "noise_floor_exits": sum(s.stop_reason == "noise_floor" for s in stats),
+                "rounding_accepts": sum(s.rounding_accepts for s in stats),
             }
         )
     )

@@ -13,6 +13,16 @@ retraction.  The system, the descent test and the line search work in
 tangent coordinates (``Manifold.coords``): on the fixed-rank manifold the
 factors ``[M; Up; Vp]``, not m x n arrays.
 
+Two rules apply only where rounding decides the outcome, and leave every
+other iterate's bits alone.  Where the gradient's ambient array carries a
+normal part (rounding, on Stiefel) larger than the CG tolerance, the system,
+the descent test and the slope use its tangent projection, since H maps into
+the tangent space and CG cannot remove that part.  Where the Armijo decrease
+``MU_LS step slope`` is within ``ARMIJO_ROUNDING_C`` eps of the value's scale,
+a trial that fails the Armijo test is accepted if its gradient norm falls by
+the factor ``1 - MU_LS step`` (the approximate-Wolfe device of Hager & Zhang,
+SIAM J. Optim. 16(1), 2005).
+
 The iteration also ends, with stop reason ``"noise_floor"``, at an iterate
 whose gradient is within ``NOISE_FLOOR_C`` times its own first-order
 rounding error: below that a Newton step cannot be told from rounding.
@@ -42,6 +52,9 @@ class NewtonError(RuntimeError):
 # practice where only their ranges are prescribed.
 NU_BAR = 1.0  # CG shift omega_k = |grad|^NU_BAR, in (0, 1]
 MU_LS = 1e-4  # Armijo constant, in (0, 1/2)
+# The Armijo test is below rounding when |MU_LS step slope| <= ARMIJO_ROUNDING_C
+# * EPS * max(1, |value|); a trial is then judged by its gradient norm.
+ARMIJO_ROUNDING_C = 64.0
 # Exit when |grad| <= NOISE_FLOOR_C * EPS * (|egrad| + rho |p|), the gradient's
 # first-order rounding error: ytilde = rho (p - q) carries ~rho eps |p| per entry.
 NOISE_FLOOR_C = 2.0
@@ -83,12 +96,15 @@ class NewtonStats:
     """Work counts of one inner solve and why it ended: ``stop_reason`` is
     ``"criterion"`` (the stop test held), ``"grad_tol"``, ``"max_iter"``,
     ``"line_search"`` (backtracks exhausted) or ``"noise_floor"`` (the
-    gradient reached its rounding floor)."""
+    gradient reached its rounding floor).  ``rounding_accepts`` counts the
+    steps accepted by the gradient test where the Armijo test is below
+    rounding."""
 
     iterations: int = 0
     cg_iterations: int = 0
     fallbacks: int = 0
     rank_drop_retries: int = 0
+    rounding_accepts: int = 0
     stop_reason: str = "max_iter"
     objective_trace: List[float] = field(default_factory=list)
 
@@ -201,6 +217,10 @@ def ssn_minimize(
         omega = gnorm ** NU_BAR
         eta_cap = min(1.0 / (k + 1.0) ** 2, gnorm ** (1.0 + NU_BAR))
         g = man.coords(ev.X, grad)
+        if g is grad:  # ambient coordinates: they keep grad's rounding-level normal part
+            tangent = man.project(ev.X, grad)
+            if np.linalg.norm(grad - tangent) > eta_cap:
+                g = tangent
         V, cg = cg_solve(ev.ghess_operator(), omega, -g, eta_cap, cfg.cg_max_iter)
         stats.cg_iterations += cg.iterations
 
@@ -212,7 +232,7 @@ def ssn_minimize(
             log.debug("iter %d: gradient fallback (cg indefinite=%s)", k, cg.indefinite)
 
         slope = np.vdot(g, V)
-        accepted = False
+        rounding = ARMIJO_ROUNDING_C * EPS * max(1.0, abs(ev.value))
         for m in range(M_MAX + 1):
             step = DELTA ** m
             try:
@@ -220,10 +240,14 @@ def ssn_minimize(
             except RankDropError:
                 stats.rank_drop_retries += 1
                 continue
-            if trial.value <= ev.value + MU_LS * step * slope:
-                accepted = True
+            decrease = MU_LS * step * slope
+            if trial.value <= ev.value + decrease:
                 break
-        if not accepted:
+            if (abs(decrease) <= rounding
+                    and np.linalg.norm(trial.rgrad) <= (1.0 - MU_LS * step) * gnorm):
+                stats.rounding_accepts += 1
+                break
+        else:
             stats.stop_reason = "line_search"
             log.warning("iter %d: %d backtracks exhausted, returning best iterate", k, M_MAX)
             return ev, stats

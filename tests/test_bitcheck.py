@@ -47,6 +47,21 @@ def test_key_in_one_file_only_exits_1(tmp_path):
     assert "extra: only in" in out.stdout
 
 
+def test_differing_records_name_their_first_differing_row(tmp_path):
+    # rows are outer steps; X differs first, yet the row is still reported
+    records = np.arange(12.0).reshape(4, 3)
+    a = dict(BASE, **{"w/op/records": records})
+    later = records.copy()
+    later[2, 1] = np.nextafter(later[2, 1], 0.0)
+    out = compare(tmp_path, a, dict(a, **{"w/op/X": BASE["w/op/X"] + 1.0, "w/op/records": later}))
+    assert out.returncode == 1
+    assert out.stdout.startswith("w/op: X:")
+    assert out.stdout.rstrip().endswith("; records differ from row 2")
+    # a solve that stops earlier on the same path differs from the row it lacks
+    out = compare(tmp_path, a, dict(a, **{"w/op/records": records[:3]}))
+    assert out.stdout.strip() == "w/op: records: float64[4, 3] vs float64[3, 3]; records differ from row 3"
+
+
 def load_bitcheck():
     spec = importlib.util.spec_from_file_location("bitcheck", BITCHECK)
     module = importlib.util.module_from_spec(spec)

@@ -95,8 +95,10 @@ class TestSolve:
         assert out["cg_iterations"] == sum(st.cg_iterations for st in stats) > 0
         assert out["line_search_failures"] == sum(st.line_search_failed for st in stats) == 0
         assert out["noise_floor_exits"] == sum(st.stop_reason == "noise_floor" for st in stats)
+        assert out["rounding_accepts"] == sum(st.rounding_accepts for st in stats)
         assert all(type(out[key]) is int for key in
-                   ("newton_steps", "cg_iterations", "line_search_failures", "noise_floor_exits"))
+                   ("newton_steps", "cg_iterations", "line_search_failures", "noise_floor_exits",
+                    "rounding_accepts"))
 
     def test_deterministic_bytes(self, tmp_path):
         cfg = write_config(tmp_path)

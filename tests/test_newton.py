@@ -10,7 +10,9 @@ import pytest
 
 from conftest import euclidean_quadratic_problem
 from ralmkit import bench, geometry, lagrangian, newton
+from ralmkit.convex import L1Norm
 from ralmkit.newton import NewtonConfig, NewtonError, cg_solve, ssn_minimize
+from ralmkit.ralm import RalmConfig, ralm_solve
 
 
 def make_operator(A):
@@ -283,16 +285,73 @@ class TestStopReasons:
         assert np.linalg.norm(ev.X.X - Xbar.X) <= 1e-12
 
     def test_exhausted_line_search(self):
-        # a value that never decreases: no Armijo step exists
+        # neither the value nor the gradient ever decreases: no step passes
+        # the Armijo test or, below rounding, the gradient test
+        rng = np.random.default_rng(4)
+        M = rng.standard_normal((4, 4))
+        a = rng.standard_normal(4)
+        P = dataclasses.replace(euclidean_quadratic_problem(M @ M.T + np.eye(4), a),
+                                f_value=lambda X: 0.0, f_egrad=lambda X: a.copy())
+        X0 = P.manifold.point(np.zeros(4))
+        ev, stats = ssn_minimize(P, 1.0, np.zeros(4), X0, NewtonConfig(max_iter=5))
+        assert stats.stop_reason == "line_search" and stats.line_search_failed
+        assert stats.iterations == 0 and ev.X is X0
+        assert stats.rounding_accepts == 0
+
+
+class TestRoundingRegime:
+    def test_a_falling_gradient_is_accepted_below_rounding(self):
+        # a value that never decreases with a quadratic's gradient: once the
+        # Armijo decrease is below rounding, each step is taken because its
+        # gradient falls by the factor 1 - MU_LS step
         rng = np.random.default_rng(4)
         M = rng.standard_normal((4, 4))
         P = dataclasses.replace(
             euclidean_quadratic_problem(M @ M.T + np.eye(4), rng.standard_normal(4)),
             f_value=lambda X: 0.0)
         X0 = P.manifold.point(np.zeros(4))
-        ev, stats = ssn_minimize(P, 1.0, np.zeros(4), X0, NewtonConfig(max_iter=5))
-        assert stats.stop_reason == "line_search" and stats.line_search_failed
-        assert stats.iterations == 0 and ev.X is X0
+        grads = []
+        _, stats = ssn_minimize(P, 1.0, np.zeros(4), X0, NewtonConfig(max_iter=5),
+                                stop=lambda ev: grads.append(np.linalg.norm(ev.rgrad)))
+        assert stats.stop_reason == "max_iter"
+        assert stats.iterations == stats.rounding_accepts == 5
+        assert all(b < a for a, b in zip(grads, grads[1:]))
+
+    @pytest.mark.parametrize("seed", [71, 72, 73, 74, 75])
+    def test_small_stiefel_family_converges(self, seed):
+        # f = <X, (M + M^T) X> / 2 and g = B X - c on St(6, 2), theta = |.|_1:
+        # its inner solves used to stall at |grad| ~ 1e-8, where the Armijo
+        # test asks for a decrease below the value's rounding, and seeds 72,
+        # 73 and 75 did not converge in 60 outer steps
+        rng = np.random.default_rng(seed)
+        B, c, M = (rng.standard_normal(shape) for shape in ((4, 6), (4, 2), (6, 6)))
+        A = M + M.T
+        man = geometry.Stiefel(6, 2)
+        P = lagrangian.ProblemSpec(
+            manifold=man, f_value=lambda X: 0.5 * float(np.vdot(X, A @ X)),
+            f_egrad=lambda X: A @ X, f_ehess=lambda X, xi: A @ xi,
+            g_value=lambda X: B @ X - c, g_jvp=lambda X, xi: B @ xi,
+            g_vjp=lambda X, w: B.T @ w, gy_ehess=None, theta=L1Norm(1.0))
+        res = ralm_solve(P, RalmConfig(kkt_tol=1e-10, max_outer=60), man.random_point(rng),
+                         np.zeros((4, 2)))
+        assert res.converged
+        assert not any(s.line_search_failed for s in res.inner_stats)
+        assert sum(s.cg_iterations for s in res.inner_stats) <= 1000
+
+    @pytest.mark.parametrize("rho, criterion", [(16.0, "b"), (64.0, "b"), (64.0, "a")])
+    def test_cm4_at_a_fixed_penalty_converges(self, cm_pair, rho, criterion):
+        # each of these solves used to exhaust line searches near convergence
+        # (27, 27 and 5), and the two criterion-b solves did not converge
+        P, Xbar, _ = cm_pair
+        X0 = geometry.retract(Xbar, 0.1 * geometry.random_tangent(Xbar, 11))
+        cfg = RalmConfig(rho0=rho, rho_max=rho, criterion=criterion, kkt_tol=1e-11,
+                         max_outer=40)
+        res = ralm_solve(P, cfg, X0, np.zeros_like(X0.X))
+        assert res.converged
+        assert not any(s.line_search_failed for s in res.inner_stats)
+        if criterion == "b":
+            R = [rec.kkt_residual for rec in res.records]
+            assert all(b <= 10.0 * a for a, b in zip(R, R[1:]) if a < 1e-6)
 
 
 # Solves the seed-1 instance of the benchmark's fully observed 200 x 300

@@ -18,6 +18,8 @@ saves, per operation, every array a result holds:
 
 ``compare`` prints, per operation, ``IDENTICAL`` or the first field whose
 bytes differ with its max abs difference, and exits 1 on any difference.
+When the ``records`` differ it also prints their first differing row, which
+is the outer step k: the two solves are byte-identical before it.
 """
 
 from __future__ import annotations
@@ -99,6 +101,13 @@ def _difference(a, b) -> str:
     return "values differ"
 
 
+def _first_row(a, b) -> int:
+    """The first row where two row stacks differ; the shorter one's length
+    when it is a prefix of the other."""
+    n = min(len(a), len(b))
+    return next((i for i in range(n) if a[i].tobytes() != b[i].tobytes()), n)
+
+
 def compare(path_a: str, path_b: str) -> int:
     import numpy as np
 
@@ -109,17 +118,20 @@ def compare(path_a: str, path_b: str) -> int:
             ops.setdefault(op, []).append((key, name))
         differ = 0
         for op, keys in ops.items():
-            verdict = "IDENTICAL"
+            gaps, row = [], None
             for key, name in keys:
                 if key not in A.files or key not in B.files:
-                    verdict = f"{name}: only in {path_a if key in A.files else path_b}"
-                else:
-                    gap = _difference(A[key], B[key])
-                    if gap:
-                        verdict = f"{name}: {gap}"
-                if verdict != "IDENTICAL":
-                    differ += 1
-                    break
+                    gaps.append(f"{name}: only in {path_a if key in A.files else path_b}")
+                    continue
+                gap = _difference(A[key], B[key])
+                if gap:
+                    gaps.append(f"{name}: {gap}")
+                    if name == "records":
+                        row = _first_row(A[key], B[key])
+            verdict = gaps[0] if gaps else "IDENTICAL"
+            if row is not None:
+                verdict += f"; records differ from row {row}"
+            differ += bool(gaps)
             print(f"{op}: {verdict}")
     return 1 if differ else 0
 
