@@ -251,6 +251,7 @@ def cmd_certify(args) -> int:
         "mssosc_verdict": None,
         "genhess_min_eig": None,
         "genhess_verdict": None,
+        "genhess_operator_applications": None,
         "rho": rho,
     }
     if residual <= stat_tol:
@@ -263,6 +264,7 @@ def cmd_certify(args) -> int:
                 "mssosc_verdict": msc.verdict + ("-degenerate" if msc.degenerate else ""),
                 "genhess_min_eig": gh.min_eig,
                 "genhess_verdict": gh.verdict,
+                "genhess_operator_applications": gh.operator_applications,
             }
         )
     else:

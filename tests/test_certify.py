@@ -254,6 +254,24 @@ class TestMssosc:
         cert = mssosc_certificate(fx.problem, fx.X_bar, fx.y_bar)
         assert cert.degenerate
         assert cert.verdict == "holds"
+        assert cert.operator_applications == 0
+
+    def test_one_hessian_product_per_cone_direction(self, cm_pair, monkeypatch):
+        P, Xbar, ybar = cm_pair
+        calls = []
+        original = lagrangian.lagrangian_hess_operator
+
+        def counted(*args):
+            op = original(*args)
+
+            def apply(v):
+                calls.append(v)
+                return op(v)
+            return apply
+
+        monkeypatch.setattr(lagrangian, "lagrangian_hess_operator", counted)
+        cert = mssosc_certificate(P, Xbar, ybar)
+        assert cert.operator_applications == len(calls) == cert.subspace_dim == 2
 
     def test_scale_equivariance(self):
         # scaling f and theta by lambda scales the certificate, verdict fixed
@@ -337,6 +355,31 @@ class TestGenHess:
         single = genhess_min_eig(P, rho, X, y, enumerate_elements=False)
         assert single.elements_checked == 1
         assert single.partial
+
+    def test_counts_every_operator_application(self, monkeypatch):
+        # the count is every product with a prepared generalized Hessian,
+        # summed over the enumerated elements: Lanczos's and v0's
+        P = euclidean_l1_problem(shape=(1, 3), mu=1.0)
+        rho = 2.0
+        X = P.manifold.point(np.array([[1.0 / rho, 0.0, 3.0]]))  # one boundary entry
+        y = np.zeros((1, 3))
+        calls = []  # per prepared operator, the vectors it was applied to
+        original = lagrangian.Evaluation.ghess_operator
+
+        def counted(self, jac=None):
+            op, products = original(self, jac), []
+            calls.append(products)
+
+            def apply(c):
+                products.append(c)
+                return op(c)
+            return apply
+
+        monkeypatch.setattr(lagrangian.Evaluation, "ghess_operator", counted)
+        cert = genhess_min_eig(P, rho, X, y, enumerate_elements=True)
+        assert cert.elements_checked == len(calls) == 2
+        assert all(len(p) >= 2 for p in calls)  # v0's product and at least one of Lanczos's
+        assert cert.operator_applications == sum(map(len, calls))
 
     def test_consistency_with_mssosc_at_large_penalty(self):
         # the certificates agree once the penalty clears the instance's
@@ -443,6 +486,7 @@ class TestGenHess:
             cone = mssosc_certificate(P, X, np.array([[1.0]]))
         assert cert.degenerate and cert.subspace_dim == 0
         assert cert.verdict == "holds"
+        assert cert.operator_applications == 0
         assert cone.degenerate and cone.subspace_dim == 0
 
     def test_ambient_size_one_is_the_rayleigh_quotient(self):
@@ -450,7 +494,9 @@ class TestGenHess:
         # threshold 1/rho, so G = 0 and the form is f's curvature 3 alone
         P = euclidean_quadratic_problem(np.array([[3.0]]), np.zeros(1), g_zero=False)
         X = P.manifold.point(np.array([2.0]))
-        assert genhess_min_eig(P, 1.0, X, np.zeros(1)).min_eig == pytest.approx(3.0, abs=1e-14)
+        cert = genhess_min_eig(P, 1.0, X, np.zeros(1))
+        assert cert.min_eig == pytest.approx(3.0, abs=1e-14)
+        assert cert.operator_applications == 1  # v0's product alone
 
 
 class TestGenHessAgainstReference:

@@ -174,6 +174,10 @@ class TestSolve:
         np.testing.assert_array_equal(-P.g_value(np.zeros((m, n))), A)
 
 
+def assert_positive_count(value):
+    assert isinstance(value, int) and not isinstance(value, bool) and value > 0, value
+
+
 class TestCertify:
     def _dump_pair(self, tmp_path, X, y):
         bench.save_dense(str(tmp_path / "point.csv"), X)
@@ -192,6 +196,7 @@ class TestCertify:
         assert abs(report["mssosc_min_eig"] - (8.0 - 0.8 * math.sqrt(2))) <= 1e-8
         assert report["mssosc_verdict"] == "holds"
         assert report["genhess_min_eig"] > 0
+        assert_positive_count(report["genhess_operator_applications"])
 
     def test_large_weight_fails_verdict(self, tmp_path, capsys):
         P, Xbar, ybar = bench.cm_analytic_pair(7.5)
@@ -202,6 +207,7 @@ class TestCertify:
         assert code == EXIT_OK
         report = parse_report(capsys.readouterr().out)
         assert report["mssosc_verdict"] == "fails"
+        assert_positive_count(report["genhess_operator_applications"])
 
     def test_fixed_rank_pair_report(self, tmp_path, capsys, rmc_fixture):
         # the point is read through the FixedRank branch of the point loader
@@ -223,6 +229,7 @@ class TestCertify:
         assert report["rho"] == 10.0
         assert report["genhess_min_eig"] == pytest.approx(8.585786437626899, abs=1e-8)
         assert report["genhess_verdict"] == "holds"
+        assert_positive_count(report["genhess_operator_applications"])
 
     @pytest.mark.parametrize("block", [{"rho": -3}, {"rho": 0}, {"stationarity_tol": -1e-6},
                                        {"stationarity_tol": math.nan},
@@ -281,6 +288,7 @@ class TestCertify:
         assert code == EXIT_OK
         report = parse_report(capsys.readouterr().out)
         assert report["cone_dim"] is None
+        assert report["genhess_operator_applications"] is None
         assert report["stationarity_residual"] > 1e-6
 
 

@@ -14,7 +14,7 @@ saves, per operation, every array a result holds:
   inner objective trace, the ``NewtonStats`` counts and each inner solve's
   ``stop_reason``;
 * a certificate: its fields (``min_eig``, ``subspace_dim``,
-  ``boundary_count``, ...).
+  ``boundary_count``, ``operator_applications``, ...).
 
 ``compare`` prints, per operation, ``IDENTICAL`` or the first field whose
 bytes differ with its max abs difference, and exits 1 on any difference.
