@@ -95,7 +95,7 @@ def build_cm(n: int, r: int, mu: float, length: float) -> ProblemSpec:
         f_egrad=H2,
         f_ehess=lambda X, xi: H2(xi),
         g_value=lambda X: X,
-        g_jvp=lambda X, xi: xi,
+        g_jvp=None,  # Dg is the identity
         g_vjp=lambda X, w: w,
         gy_ehess=None,
         theta=L1Norm(mu),
@@ -138,18 +138,18 @@ def build_rmc(A: np.ndarray, omega: np.ndarray, r: int, mu: float = 1.0) -> Prob
         raise BenchError(f"need 1 <= r <= min(m, n), got r={r}")
     manifold = FixedRank(m, n, r)
     if omega.all():  # g(X) = X - A: multiplying by an all-ones mask is exact
-        g_value, g_jvp = (lambda X: X - A), (lambda X, xi: xi)
+        g_value, g_vjp = (lambda X: X - A), (lambda X, w: w)
     else:
         mask = omega.astype(float)
-        g_value, g_jvp = (lambda X: mask * (X - A)), (lambda X, xi: mask * xi)
+        g_value, g_vjp = (lambda X: mask * (X - A)), (lambda X, w: mask * w)
     return ProblemSpec(
         manifold=manifold,
         f_value=lambda X: 0.0,
         f_egrad=None,
         f_ehess=None,
         g_value=g_value,
-        g_jvp=g_jvp,
-        g_vjp=g_jvp,  # Dg is diagonal, so self-adjoint
+        g_jvp=None,  # Dg is entrywise
+        g_vjp=g_vjp,
         gy_ehess=None,
         theta=L1Norm(mu),
         name=f"robust-completion({m}x{n},r={r})",

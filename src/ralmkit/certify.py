@@ -8,7 +8,7 @@ the generalized augmented Hessian over the full tangent space, and fits
 empirical linear rates to residual histories.
 
 A tangent or critical-cone basis is one ``(k, *ambient_shape)`` array.  The
-critical-cone basis needs no tangent basis when g is diagonal and few ambient
+critical-cone basis needs no tangent basis when g is entrywise and few ambient
 coordinates are free.  Only the second-order certificate forms a dense
 matrix, on that basis; the generalized-Hessian eigensolve is matrix-free.
 """
@@ -76,8 +76,8 @@ def critical_cone_basis(P: ProblemSpec, X: ManifoldPoint, y: np.ndarray) -> np.n
     For the l1 term the affine hull fixes to zero every constraint-space
     entry where ``g(X)`` vanishes and the multiplier is strictly inside
     its box: the subspace is T_X M intersected with ker E_c Dg(X).  When
-    Dg(X) is diagonal (:func:`~ralmkit.lagrangian.jacobian_diagonal`) and at
-    most ``dim T_X M`` ambient unit vectors e_i are free of those entries,
+    Dg(X) is entrywise (``P.g_jvp`` None), with diagonal ``g_vjp(X, 1)``, and
+    at most ``dim T_X M`` ambient unit vectors e_i are free of those entries,
     it is the null space of the normal parts
     ``e_i - project(X, e_i)``, from a thin SVD with the absolute threshold
     ``NULLSPACE_TOL`` (the columns have norm at most 1); otherwise it is
@@ -85,18 +85,20 @@ def critical_cone_basis(P: ProblemSpec, X: ManifoldPoint, y: np.ndarray) -> np.n
     scaled to norm <= 1 by those of E_c Dg(X), with the same threshold.
     Requires ``y`` to be a subgradient at ``g(X)`` up to ``CONE_TOL``.
     """
+    man, shape = X.manifold, X.manifold.ambient_shape
     z = P.g_value(X.X)
+    diagonal = P.g_jvp is None
+    if diagonal and z.shape != shape:
+        raise CertifyError(f"g_jvp=None needs g(X) of the ambient shape {shape}, got {z.shape}")
     if not P.theta.in_subdifferential(z, y, tol=CONE_TOL):
         raise StationarityError(
             "multiplier is not in the subdifferential at g(X); the critical cone is undefined"
         )
     mu = P.theta.mu
     constrained = (np.abs(z) <= CONE_TOL) & (np.abs(y) < mu - CONE_TOL)
-    man, shape = X.manifold, X.manifold.ambient_shape
     if not np.any(constrained):
         return man.tangent_basis(X)
-    c = lagrangian.jacobian_diagonal(P, X, z)
-    diagonal = c is not None
+    c = P.g_vjp(X.X, np.ones(shape)) if diagonal else None
     free = np.flatnonzero(~(constrained & (c != 0))) if diagonal else None
     if diagonal and free.size <= man.dim():
         normal = np.zeros((free.size, X.X.size))
@@ -111,10 +113,11 @@ def critical_cone_basis(P: ProblemSpec, X: ManifoldPoint, y: np.ndarray) -> np.n
         import scipy.linalg  # loaded on first use: it doubles the time of `import ralmkit`
         basis = man.tangent_basis(X)
         # the norms of the rows of E_c Dg(X); a zero row constrains nothing
-        d = np.abs(np.broadcast_to(c, z.shape)[constrained]) if diagonal else np.array([
+        d = np.abs(c[constrained]) if diagonal else np.array([
             np.linalg.norm(P.g_vjp(X.X, np.eye(1, z.size, i).reshape(z.shape)))
             for i in np.flatnonzero(constrained)])
-        C = np.stack([P.g_jvp(X.X, v)[constrained] for v in basis]).T[d > 0] / d[d > 0, None]
+        jvp = P.g_jvp or P.g_vjp
+        C = np.stack([jvp(X.X, v)[constrained] for v in basis]).T[d > 0] / d[d > 0, None]
         _, s, Vt = scipy.linalg.svd(C, full_matrices=C.shape[0] < C.shape[1])  # thin when tall
         T = basis.reshape(len(basis), -1)  # (tangent_dim, ambient_size), a view
         rows = (coef @ T for coef in Vt[np.sum(s > NULLSPACE_TOL):])

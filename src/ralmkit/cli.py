@@ -123,6 +123,9 @@ def build_problem(cfg: dict, seed: Optional[int]):
             raise ConfigError("'problem' block needs a positive rank 'r'")
         if path is None:
             m, n = get("m", int), get("n", int)
+            if not 1 <= r <= min(m, n):  # before the draws, which need it
+                raise ConfigError(f"bad 'problem' block: need 1 <= r <= min(m, n), "
+                                  f"got m={m}, n={n}, r={r}")
             density, magnitude = get("density", float), get("magnitude", float)
             rng = np.random.default_rng(seed)
             U, _ = np.linalg.qr(rng.standard_normal((m, r)))

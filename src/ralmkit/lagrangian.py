@@ -42,7 +42,8 @@ class ProblemSpec:
       the Hessian then skip the term),
     * ``g_value(X)`` -- constraint-space image of X,
     * ``g_jvp(X, xi)`` / ``g_vjp(X, w)`` -- the differential of g and its
-      adjoint,
+      adjoint; ``g_jvp`` is ``None`` when Dg(X) is entrywise: g's image has
+      the ambient shape and ``g_vjp(X, w) = d * w`` is both maps,
     * ``gy_ehess(X, y, xi)`` -- Euclidean Hessian-vector of ``<y, g(.)>``
       at fixed y, or ``None`` when g is affine (the term is then zero).
 
@@ -55,7 +56,7 @@ class ProblemSpec:
     f_egrad: Optional[Callable[[np.ndarray], np.ndarray]]
     f_ehess: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]]
     g_value: Callable[[np.ndarray], np.ndarray]
-    g_jvp: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    g_jvp: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]]
     g_vjp: Callable[[np.ndarray, np.ndarray], np.ndarray]
     gy_ehess: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]]
     theta: L1Norm
@@ -73,16 +74,6 @@ class Subproblem:
         self.P, self.rho, self.y = P, rho, y
         self.shift = y / rho
         self.y_term = float(np.sum(y * y)) / (2.0 * rho)
-        self._affine_diagonal = None  # (d,) once known for an affine g
-
-    def diagonal(self, X: ManifoldPoint, held: np.ndarray):
-        """:func:`jacobian_diagonal` at ``X``.  An affine g (``gy_ehess``
-        None) has the same Dg everywhere, and its answer is kept for every
-        later point."""
-        d = self._affine_diagonal[0] if self._affine_diagonal else jacobian_diagonal(self.P, X, held)
-        if self.P.gy_ehess is None:
-            self._affine_diagonal = (d,)
-        return d
 
     def at(self, X: ManifoldPoint) -> "Evaluation":
         return Evaluation(self, X)
@@ -154,24 +145,23 @@ class Evaluation:
         second-order envelope term ``Dg* G Dg`` with ``G = rho (I - mask)``,
         where ``mask`` is a Clarke-Jacobian element of the prox at ``p``.
         Passing ``jac`` selects the element; the default is the convention
-        element (boundary bit 0).  When Dg(X) is a diagonal ``d``
-        (:func:`jacobian_diagonal`) the envelope term is the weight term
-        ``W * xi`` with ``W = G d^2`` (``G`` for the identity); otherwise it
-        is ``g_vjp(G g_jvp(xi))``, added to the smooth terms.
+        element (boundary bit 0).  When Dg(X) is entrywise (``g_jvp`` None)
+        the envelope term is the weight term ``W * xi`` with
+        ``W = g_vjp(g_vjp(G)) = G d^2`` (``G`` itself for an identity
+        ``g_vjp``); otherwise it is ``g_vjp(G g_jvp(xi))``, added to the
+        smooth terms.
         """
         P, X, rho = self.sub.P, self.X, self.sub.rho
         if jac is None:
             jac = P.theta.prox_jacobian(1.0 / rho, self.p)
         G = np.subtract(1.0, jac.mask)
         G *= rho  # G w equals rho (w - mask w) exactly: mask is 0/1
-        d = self.sub.diagonal(X, self.p)
-        if d is None:
+        if P.g_jvp is not None:
             return _hess_operator(P, X, self.ytilde, self.egrad,
                                   envelope=lambda xi: P.g_vjp(X.X, G * P.g_jvp(X.X, xi)))
-        if isinstance(d, np.ndarray):  # G becomes W
-            G *= d
-            G *= d
-        return _hess_operator(P, X, self.ytilde, self.egrad, weight=G)
+        if G.shape != X.manifold.ambient_shape:
+            raise LagrangianError(f"g_jvp=None needs g(X) of the ambient shape, got {G.shape}")
+        return _hess_operator(P, X, self.ytilde, self.egrad, weight=P.g_vjp(X.X, P.g_vjp(X.X, G)))
 
 
 def evaluate(P: ProblemSpec, rho: float, X: ManifoldPoint, y: np.ndarray) -> Evaluation:
@@ -207,23 +197,6 @@ def auglag_ghess_vec(
     and the benchmark tracer."""
     man = X.manifold
     return man.ambient(X, evaluate(P, rho, X, y).ghess_operator(jac)(man.coords(X, xi)))
-
-
-def jacobian_diagonal(P: ProblemSpec, X: ManifoldPoint, held: np.ndarray):
-    """Dg(X) as the ``d`` with ``g_jvp(X, xi) = g_vjp(X, xi) = d * xi``, or None.
-
-    ``held`` is an array of g's shape (the ambient shape) that the caller
-    already has.  Dg(X) is the identity (``d`` the scalar 1.0) when ``g_vjp``
-    returns ``held`` itself, and diagonal (``d = g_vjp(X, 1)``) when it
-    multiplies a fixed normal probe by that exactly; a map that is neither
-    passes only for probes in a null set."""
-    if held.shape != X.manifold.ambient_shape:
-        return None
-    if P.g_vjp(X.X, held) is held:
-        return 1.0
-    probe = np.random.default_rng(0).standard_normal(held.shape)
-    d = P.g_vjp(X.X, np.ones(held.shape))
-    return d if np.array_equal(P.g_vjp(X.X, probe), d * probe) else None
 
 
 def lagrangian_egrad(P: ProblemSpec, X: ManifoldPoint, y: np.ndarray) -> np.ndarray:

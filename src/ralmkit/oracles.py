@@ -1,4 +1,4 @@
-"""Finite-difference and Taylor-order verification of derivatives.
+"""Finite-difference verification of derivatives.
 
 These checks compare analytic Riemannian gradients and generalized
 Hessian-vector products against central differences taken along
@@ -116,32 +116,3 @@ def hessian_check(P: ProblemSpec, samples: int = 20, seed: int = 0) -> float:
         fd = X.manifold.project(X, (up - dn) / (2.0 * h))
         worst = np.maximum(worst, np.linalg.norm(fd - Hxi) / max(np.linalg.norm(Hxi), 1e-8))
     return float(worst) if np.isfinite(worst) else math.inf
-
-
-def taylor_remainder_slope(
-    value: Callable[[ManifoldPoint], float],
-    grad: np.ndarray,
-    hess_vec: Callable[[np.ndarray], np.ndarray],
-    X: ManifoldPoint,
-    xi: np.ndarray,
-) -> float:
-    """Log-log slope of the second-order Taylor remainder along a
-    retraction curve.
-
-    A slope of about 3 certifies that the retraction is second order and
-    the Hessian model is exact at ``X``.
-    """
-    f0 = value(X)
-    g = np.vdot(grad, xi)
-    H = np.vdot(xi, hess_vec(xi))
-    ts, rems = [], []
-    for t in np.logspace(-2.0, -3.5, 7):
-        model = f0 + t * g + 0.5 * t * t * H
-        rem = abs(value(geometry.retract(X, t * xi)) - model)
-        if rem > 1e-14:  # below this the remainder is rounding noise
-            ts.append(math.log(t))
-            rems.append(math.log(rem))
-    if len(ts) < 4:
-        return math.inf  # remainder vanished to rounding: better than cubic
-    slope, _ = np.polyfit(ts, rems, 1)
-    return float(slope)

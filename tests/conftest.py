@@ -1,8 +1,11 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
 from ralmkit.convex import L1Norm
-from ralmkit.geometry import Euclidean
+from ralmkit.geometry import Euclidean, retract
 from ralmkit.lagrangian import ProblemSpec
 
 
@@ -18,19 +21,37 @@ def callback_ghess_operator(P, rho, X, y):
     """The generalized Hessian at the convention Jacobian element with its
     envelope term through the callbacks, ``g_vjp(G g_jvp(xi))`` with
     ``G = rho (1 - mask)``, summed with the smooth terms: the route
-    ``Evaluation.ghess_operator`` takes when Dg(X) is not diagonal."""
+    ``Evaluation.ghess_operator`` takes when ``P.g_jvp`` is given (``g_vjp``
+    serves as both maps when it is not)."""
     from ralmkit import lagrangian
 
     ev = lagrangian.evaluate(P, rho, X, y)
     G = rho * (1.0 - P.theta.prox_jacobian(1.0 / rho, ev.p).mask)
+    jvp = P.g_jvp or P.g_vjp
     return lagrangian._hess_operator(P, X, ev.ytilde, ev.egrad,
-                                     envelope=lambda xi: P.g_vjp(X.X, G * P.g_jvp(X.X, xi)))
+                                     envelope=lambda xi: P.g_vjp(X.X, G * jvp(X.X, xi)))
+
+
+def counted_ghess_operator(P, rho, X, y, calls):
+    """The prepared generalized Hessian of ``P``, with one entry appended to
+    ``calls`` per g callback its products make (``calls`` is emptied after
+    the preparation, which reads g).  A declared entrywise Dg (``g_jvp``
+    None) stays declared."""
+    from ralmkit import lagrangian
+
+    def counted(fn):
+        return fn and (lambda X, v: calls.append(1) or fn(X, v))
+
+    Q = dataclasses.replace(P, g_jvp=counted(P.g_jvp), g_vjp=counted(P.g_vjp))
+    H = lagrangian.evaluate(Q, rho, X, y).ghess_operator()
+    calls.clear()
+    return H
 
 
 def weight_ghess_operator(P, rho, X, y):
     """The generalized Hessian at the convention Jacobian element with its
     envelope term as the weight ``G d^2``, ``d = g_vjp(1)``: the route
-    ``Evaluation.ghess_operator`` takes when Dg(X) is a diagonal ``d``."""
+    ``Evaluation.ghess_operator`` takes when ``P.g_jvp`` is None."""
     from ralmkit import lagrangian
 
     ev = lagrangian.evaluate(P, rho, X, y)
@@ -48,7 +69,7 @@ def euclidean_l1_problem(shape=(1, 1), mu=1.0):
         f_egrad=lambda X: np.zeros_like(X),
         f_ehess=lambda X, xi: np.zeros_like(xi),
         g_value=lambda X: X,
-        g_jvp=lambda X, xi: xi,
+        g_jvp=None,
         g_vjp=lambda X, w: w,
         gy_ehess=lambda X, y, xi: np.zeros_like(xi),
         theta=L1Norm(mu),
@@ -69,9 +90,6 @@ def euclidean_quadratic_problem(Q, a, mu=1.0, g_zero=True):
     def g_value(X):
         return np.zeros_like(X) if g_zero else X
 
-    def g_jvp(X, xi):
-        return np.zeros_like(xi) if g_zero else xi
-
     def g_vjp(X, w):
         return np.zeros_like(w) if g_zero else w
 
@@ -81,7 +99,7 @@ def euclidean_quadratic_problem(Q, a, mu=1.0, g_zero=True):
         f_egrad=lambda X: (Q @ (X - a).ravel()).reshape(a.shape),
         f_ehess=lambda X, xi: (Q @ xi.ravel()).reshape(a.shape),
         g_value=g_value,
-        g_jvp=g_jvp,
+        g_jvp=None,  # g is 0 or the identity
         g_vjp=g_vjp,
         gy_ehess=lambda X, y, xi: np.zeros_like(xi),
         theta=L1Norm(mu),
@@ -117,7 +135,7 @@ def reference_cone_basis(P, X, y):
     basis = X.manifold.tangent_basis(X)
     if not np.any(constrained):
         return basis
-    C = np.stack([P.g_jvp(X.X, v)[constrained] for v in basis]).T
+    C = np.stack([(P.g_jvp or P.g_vjp)(X.X, v)[constrained] for v in basis]).T
     null = scipy.linalg.null_space(C, rcond=NULLSPACE_TOL)
     T = np.stack([v.ravel() for v in basis])
     return [X.manifold.project(X, (c @ T).reshape(X.manifold.ambient_shape)) for c in null.T]
@@ -147,3 +165,27 @@ def reference_genhess_min_eig(P, rho, X, y, enumerate_elements=False):
         B = T @ np.stack([H(v.reshape(X.manifold.ambient_shape)).ravel() for v in T]).T
         min_eig = min(min_eig, float(scipy.linalg.eigvalsh(0.5 * (B + B.T))[0]))
     return min_eig
+
+
+def taylor_remainder_slope(value, grad, hess_vec, X, xi):
+    """Log-log slope of the second-order Taylor remainder of ``value`` along
+    the retraction curve ``t -> retract(X, t xi)``, with ``grad`` the
+    Riemannian gradient and ``hess_vec`` the Hessian-vector product at ``X``.
+
+    A slope of about 3 certifies that the retraction is second order and
+    the Hessian model is exact at ``X``.
+    """
+    f0 = value(X)
+    g = np.vdot(grad, xi)
+    H = np.vdot(xi, hess_vec(xi))
+    ts, rems = [], []
+    for t in np.logspace(-2.0, -3.5, 7):
+        model = f0 + t * g + 0.5 * t * t * H
+        rem = abs(value(retract(X, t * xi)) - model)
+        if rem > 1e-14:  # below this the remainder is rounding noise
+            ts.append(math.log(t))
+            rems.append(math.log(rem))
+    if len(ts) < 4:
+        return math.inf  # remainder vanished to rounding: better than cubic
+    slope, _ = np.polyfit(ts, rems, 1)
+    return float(slope)

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from ralmkit import bench, lagrangian, oracles
+from conftest import counted_ghess_operator
+from ralmkit import bench, geometry, lagrangian, oracles
 from ralmkit.bench import (
     BenchError,
     ParseError,
@@ -155,10 +156,27 @@ class TestBuilders:
         omega = rng.uniform(size=(4, 6)) < 0.5
         omega[0, 0] = True
         P = build_rmc(A, omega, 2)
-        xi = rng.standard_normal((4, 6))
         w = rng.standard_normal((4, 6))
-        # the observation projector is its own adjoint
-        assert np.vdot(P.g_jvp(A, xi), w) == pytest.approx(np.vdot(xi, P.g_vjp(A, w)))
+        # Dg is the observation mask, declared entrywise: g_vjp is both maps
+        assert P.g_jvp is None
+        assert np.array_equal(P.g_vjp(A, w), omega * w)
+
+    @pytest.mark.parametrize("builder", ["cm", "rmc-full", "rmc-partial"])
+    def test_benchmark_problems_take_the_weight_route(self, builder):
+        # a builder that gave g_jvp would move its benchmark onto the
+        # slower callback route of the envelope term
+        rng = np.random.default_rng(9)
+        A = rng.standard_normal((6, 8))
+        P = {"cm": lambda: build_cm(8, 3, 0.3, 3.0),
+             "rmc-full": lambda: build_rmc(A, np.ones(A.shape, dtype=bool), 2),
+             "rmc-partial": lambda: build_rmc(A, rng.uniform(size=A.shape) < 0.5, 2)}[builder]()
+        assert P.g_jvp is None
+        calls = []
+        X = P.manifold.random_point(rng)
+        H = counted_ghess_operator(P, 2.0, X, rng.uniform(-1.0, 1.0, X.X.shape), calls)
+        for seed in range(3):
+            H(X.manifold.coords(X, geometry.random_tangent(X, seed)))
+        assert calls == []
 
     def test_rmc_fixture_outliers(self, rmc_fixture):
         fx = rmc_fixture

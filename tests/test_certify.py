@@ -80,11 +80,12 @@ class TestCriticalCone:
             critical_cone_basis(P, Xbar, bad)
 
 
-def linear_g_pair(X, R, fixed, mu=1.0):
-    """f = 0 at the Stiefel point ``X`` with the linear, not entrywise
-    g(X) = R @ X - Z0, where Z0 = R @ X on the ``fixed`` entries (so z = 0
-    there) and 0 elsewhere; the multiplier is 0 on ``fixed`` and mu sign(z)
-    off it.  Returns ``(P, X, y)``."""
+def linear_g_pair(X, R, fixed, mu=1.0, entrywise=False):
+    """f = 0 at the Stiefel point ``X`` with the linear g(X) = R @ X - Z0,
+    where Z0 = R @ X on the ``fixed`` entries (so z = 0 there) and 0
+    elsewhere; the multiplier is 0 on ``fixed`` and mu sign(z) off it.
+    ``entrywise`` declares Dg entrywise (``g_jvp`` None), for a diagonal R.
+    Returns ``(P, X, y)``."""
     Z0 = np.where(fixed, R @ X.X, 0.0)
     P = ProblemSpec(
         manifold=X.manifold,
@@ -92,7 +93,7 @@ def linear_g_pair(X, R, fixed, mu=1.0):
         f_egrad=np.zeros_like,
         f_ehess=lambda Z, xi: np.zeros_like(xi),
         g_value=lambda Z: R @ Z - Z0,
-        g_jvp=lambda Z, xi: R @ xi,
+        g_jvp=None if entrywise else (lambda Z, xi: R @ xi),
         g_vjp=lambda Z, w: R.T @ w,
         gy_ehess=lambda Z, y, xi: np.zeros_like(xi),
         theta=L1Norm(mu),
@@ -129,6 +130,18 @@ class TestConeBasisAgainstReference:
         X = P.manifold.point(np.zeros((2, 3)))
         assert self.assert_same_subspace(P, X, 0.5 * np.ones((2, 3))) == 0
 
+    def test_entrywise_g_declared_or_as_callbacks(self, cm_pair, rmc_fixture):
+        # the same g takes the free-coordinate route when declared (g_jvp
+        # None) and the tangent route as callbacks; both give the subspace
+        P = euclidean_l1_problem(shape=(2, 3), mu=1.0)
+        flat = (P, P.manifold.point(np.array([[0.0, 1, 0], [-2, 0, 0]])),
+                np.array([[0.5, 1, -0.25], [-1, 0, 0.75]]))  # two free coordinates
+        rmc = (rmc_fixture.problem, rmc_fixture.X_bar, rmc_fixture.y_bar)
+        for (P, X, y), dim in zip((cm_pair, rmc, flat), (2, 0, 2)):
+            assert P.g_jvp is None
+            for Q in (P, dataclasses.replace(P, g_jvp=P.g_vjp)):
+                assert self.assert_same_subspace(Q, X, y) == dim
+
     def test_diagonal_g_builds_no_tangent_basis(self, cm_pair, monkeypatch):
         import scipy.linalg
 
@@ -150,8 +163,8 @@ class TestConeBasisAgainstReference:
         return calls
 
     def test_many_free_coordinates_take_the_tangent_route(self, monkeypatch):
-        # g = diag(1, 0, ..., 0) @ X - Z0 on St(6, 2) is diagonal, but it
-        # reads row 0 only: 10 free coordinates exceed the 9 tangent
+        # g = diag(1, 0, ..., 0) @ X - Z0 on St(6, 2) is declared entrywise,
+        # but it reads row 0 only: 10 free coordinates exceed the 9 tangent
         # dimensions, so C = E_c Dg(X) T is formed instead (every entry has
         # z = 0 and y = 0; rows 1-5 of Dg(X) vanish, so C keeps 2 x 9)
         rng = np.random.default_rng(5)
@@ -159,7 +172,7 @@ class TestConeBasisAgainstReference:
         R = np.diag([1.0, 0, 0, 0, 0, 0])
         fixed = np.zeros((6, 2), dtype=bool)
         fixed[0] = True
-        P, X, y = linear_g_pair(X, R, fixed)
+        P, X, y = linear_g_pair(X, R, fixed, entrywise=True)
         calls = self.count_decomposition_calls(monkeypatch)
         critical_cone_basis(P, X, y)
         assert calls == [("null_space", (2, 6)), ("svd", (2, 9))]  # X^T for the tangent basis, then C
@@ -189,7 +202,7 @@ class TestConeBasisAgainstReference:
         X = geometry.Stiefel(6, 2).point(np.vstack([Q, 1e-17 * rng.standard_normal((2, 2))]))
         fixed = np.zeros((6, 2), dtype=bool)
         fixed[:4] = True
-        P, X, y = linear_g_pair(X, np.diag([1.0, 1, 1, 1, 0, 0]), fixed)
+        P, X, y = linear_g_pair(X, np.diag([1.0, 1, 1, 1, 0, 0]), fixed, entrywise=True)
         B = as_rows(critical_cone_basis(P, X, y), (6, 2))
         np.testing.assert_allclose(B.T @ B, np.diag((~fixed).ravel().astype(float)),
                                    rtol=0, atol=1e-12)
@@ -452,7 +465,7 @@ class TestGenHess:
             f_egrad=lambda Z: B,
             f_ehess=lambda Z, xi: np.zeros_like(xi),
             g_value=np.zeros_like,
-            g_jvp=lambda Z, xi: np.zeros_like(xi),
+            g_jvp=None,
             g_vjp=lambda Z, w: np.zeros_like(w),
             gy_ehess=None,
             theta=L1Norm(1.0),

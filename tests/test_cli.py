@@ -446,6 +446,17 @@ ILL_TYPED_FIELDS = {
 }
 MALFORMED_CONFIGS.update({key: case[:2] for key, case in ILL_TYPED_FIELDS.items()})
 
+# Generated rmc problems whose rank does not fit their size: rejected before
+# the draws, which would fail on them.
+RMC_BAD_SIZES = {
+    "rmc rank above m": {"m": 2, "n": 30, "r": 3},
+    "negative rmc m": {"m": -3, "n": 4, "r": 2},
+    "zero rmc m": {"m": 0, "n": 4, "r": 1},
+}
+MALFORMED_CONFIGS.update({
+    key: ("solve", {"problem": {"kind": "rmc", "density": 0.05, "magnitude": 0.5, **size}})
+    for key, size in RMC_BAD_SIZES.items()})
+
 
 def malformed_argv(tmp_path, command, overrides):
     """``command``'s argv for a config with ``overrides``, at the CM-4 pair
@@ -474,6 +485,15 @@ class TestRobustness:
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err.startswith(f"error: bad '{block}' block: field '{key}': ")
+
+    @pytest.mark.parametrize("command", ["solve", "gradcheck"])
+    @pytest.mark.parametrize("size", RMC_BAD_SIZES.values(), ids=RMC_BAD_SIZES.keys())
+    def test_rmc_rank_that_does_not_fit_is_named(self, tmp_path, capsys, command, size):
+        problem = {"kind": "rmc", "density": 0.05, "magnitude": 0.5, **size}
+        assert main(malformed_argv(tmp_path, command, {"problem": problem})) == EXIT_ERROR
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: bad 'problem' block: need 1 <= r <= min(m, n)")
 
     @pytest.mark.parametrize("source", ["flag", "config"])
     @pytest.mark.parametrize("command", ["solve", "certify", "gradcheck"])

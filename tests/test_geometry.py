@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import taylor_remainder_slope
 from ralmkit import bench, geometry, oracles
 from ralmkit.geometry import (
     Euclidean,
@@ -336,7 +337,7 @@ class TestGradientsAndHessians:
             egrad = A + X.X
             grad = man.project(X, egrad)
             hv = lambda v: man.ambient(X, man.hess_operator(X, egrad, lambda u: u)(man.coords(X, v)))
-            slope = oracles.taylor_remainder_slope(value, grad, hv, X, xi)
+            slope = taylor_remainder_slope(value, grad, hv, X, xi)
             assert slope >= 2.7
 
 

@@ -7,13 +7,14 @@ import pytest
 from conftest import (
     ambient_operator,
     callback_ghess_operator,
+    counted_ghess_operator,
     euclidean_l1_problem,
     euclidean_quadratic_problem,
     reference_cone_basis,
     weight_ghess_operator,
 )
 from ralmkit import bench, geometry, lagrangian, oracles
-from ralmkit.certify import critical_cone_basis
+from ralmkit.certify import CertifyError, critical_cone_basis
 from ralmkit.convex import L1Norm
 from ralmkit.lagrangian import (
     LagrangianError,
@@ -24,7 +25,6 @@ from ralmkit.lagrangian import (
     auglag_rgrad,
     auglag_value,
     evaluate,
-    jacobian_diagonal,
     kkt_residual,
     lagrangian_egrad,
     lagrangian_hess_operator,
@@ -200,7 +200,7 @@ def reference_ghess(P, rho, X, y, xi):
     p = P.g_value(X.X) + y / rho
     mask = P.theta.prox_jacobian(1.0 / rho, p).mask
     smooth = reference_lagrangian_hess(P, X, P.theta.moreau_grad(rho, p), xi)
-    w = P.g_jvp(X.X, xi)
+    w = (P.g_jvp or P.g_vjp)(X.X, xi)
     return smooth + X.manifold.project(X, P.g_vjp(X.X, rho * (w - mask * w)))
 
 
@@ -232,7 +232,7 @@ def identity_hessian_case():
         f_egrad=lambda X: X,
         f_ehess=lambda X, xi: xi,
         g_value=lambda X: X,
-        g_jvp=lambda X, xi: xi,
+        g_jvp=None,
         g_vjp=lambda X, w: w,
         gy_ehess=None,
         theta=L1Norm(0.5),
@@ -255,18 +255,27 @@ def assert_same(got, want, man):
 
 
 class TestPreparedHessian:
+    @pytest.mark.parametrize("callbacks", [False, True], ids=["declared", "callbacks"])
     @pytest.mark.parametrize("case", hessian_cases(), ids=CASE_IDS)
-    def test_bit_identical_to_unprepared_reference(self, case):
-        # bit-identical on Stiefel and Euclidean space, FIXED_RANK_RTOL on fixed rank
+    def test_bit_identical_to_unprepared_reference(self, case, callbacks):
+        # declared: bit-identical on Stiefel and Euclidean space, FIXED_RANK_RTOL
+        # on fixed rank; the same g as callbacks projects the envelope term
+        # with the smooth terms, so it agrees within rounding
         P, rho, X, y = case
+        Q = dataclasses.replace(P, g_jvp=P.g_vjp) if callbacks else P
         mask = P.theta.prox_jacobian(1.0 / rho, P.g_value(X.X) + y / rho).mask
         assert 0 < mask.sum() < mask.size
-        H = ambient_operator(X, evaluate(P, rho, X, y).ghess_operator())
-        L = ambient_operator(X, lagrangian_hess_operator(P, X, y))
+        H = ambient_operator(X, evaluate(Q, rho, X, y).ghess_operator())
+        declared = ambient_operator(X, evaluate(P, rho, X, y).ghess_operator())
+        L = ambient_operator(X, lagrangian_hess_operator(Q, X, y))
         for seed in range(5):
             xi = geometry.random_tangent(X, 900 + seed)
-            assert_same(H(xi), reference_ghess(P, rho, X, y, xi), X.manifold)
-            assert np.array_equal(auglag_ghess_vec(P, rho, X, y, xi), H(xi))
+            want = reference_ghess(P, rho, X, y, xi)
+            if callbacks:
+                assert np.linalg.norm(H(xi) - declared(xi)) <= 1e-12 * np.linalg.norm(want)
+            else:
+                assert_same(H(xi), want, X.manifold)
+            assert np.array_equal(auglag_ghess_vec(Q, rho, X, y, xi), H(xi))
             assert_same(L(xi), reference_lagrangian_hess(P, X, y, xi), X.manifold)
 
     @pytest.mark.parametrize(
@@ -417,14 +426,6 @@ def envelope_route_cases():
     return cases
 
 
-def count_jvp_calls(P, calls):
-    def g_jvp(X, xi):
-        calls.append(1)
-        return P.g_jvp(X, xi)
-
-    return dataclasses.replace(P, g_jvp=g_jvp)
-
-
 def count_calls(monkeypatch, owner, name):
     """A list that grows by one entry per call of ``owner.name`` until the
     test ends."""
@@ -441,13 +442,11 @@ class TestEnvelopeRoutes:
                                   "euclidean-identity"])
     def test_identity_and_mask_weights_are_bit_identical(self, case):
         P, rho, X, y = case
-        d = jacobian_diagonal(P, X, y)
-        if P.g_vjp(X.X, y) is y:  # the identity: W = G, with no pass over G
-            assert d == 1.0 and isinstance(d, float)
-        else:
-            assert np.array_equal(d, P.g_vjp(X.X, np.ones(y.shape))) and 0 < d.sum() < d.size
+        assert P.g_jvp is None
+        d = P.g_vjp(X.X, np.ones(y.shape))
+        assert P.g_vjp(X.X, y) is y or 0 < d.sum() < d.size  # the identity or a proper mask
         calls = []
-        H = evaluate(count_jvp_calls(P, calls), rho, X, y).ghess_operator()
+        H = counted_ghess_operator(P, rho, X, y, calls)
         ref, callbacks = weight_ghess_operator(P, rho, X, y), callback_ghess_operator(P, rho, X, y)
         for seed in range(4):
             c = X.manifold.coords(X, geometry.random_tangent(X, 940 + seed))
@@ -455,20 +454,19 @@ class TestEnvelopeRoutes:
             assert got.tobytes() == ref(c).tobytes()
             # the callbacks' term is the same one, projected with the smooth terms
             assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
-        assert calls == []  # the weight route calls no g_jvp
+        assert calls == []  # the weight route calls no g callback
 
     def test_general_diagonal_weight_within_rounding(self):
         rng = np.random.default_rng(62)
         A = rng.standard_normal((7, 9))
         D = rng.uniform(0.5, 2.0, A.shape)
         base = bench.build_rmc(A, np.ones(A.shape, dtype=bool), 2)
-        P = dataclasses.replace(base, g_value=lambda X: D * X - A, g_jvp=lambda X, xi: D * xi,
-                                g_vjp=lambda X, w: D * w)
+        P = dataclasses.replace(base, g_value=lambda X: D * X - A, g_vjp=lambda X, w: D * w)
+        assert P.g_jvp is None
         X = P.manifold.random_point(rng)
         y = rng.uniform(-1.0, 1.0, A.shape)
-        assert np.array_equal(jacobian_diagonal(P, X, y), D)
         calls = []
-        H = evaluate(count_jvp_calls(P, calls), 2.0, X, y).ghess_operator()
+        H = counted_ghess_operator(P, 2.0, X, y, calls)
         ref = callback_ghess_operator(P, 2.0, X, y)
         for seed in range(4):
             c = X.manifold.coords(X, geometry.random_tangent(X, 945 + seed))
@@ -487,18 +485,17 @@ class TestEnvelopeRoutes:
         )
         X = P.manifold.random_point(rng)
         y = rng.uniform(-1.0, 1.0, (6, 2))
-        assert jacobian_diagonal(P, X, y) is None
         calls = []
-        H = evaluate(count_jvp_calls(P, calls), 2.0, X, y).ghess_operator()
+        H = counted_ghess_operator(P, 2.0, X, y, calls)
         ref = callback_ghess_operator(P, 2.0, X, y)
         for seed in range(4):
             c = X.manifold.coords(X, geometry.random_tangent(X, 950 + seed))
             assert H(c).tobytes() == ref(c).tobytes()
-        assert len(calls) == 4
+        assert len(calls) == 8  # one g_jvp and one g_vjp per product
 
     def test_image_shape_other_than_ambient_takes_the_callbacks(self):
-        # g(X) = B X - c maps St(6, 2) into 4 x 2 arrays, so Dg(X) is not
-        # tested for a diagonal; the pair is a RALM solution of the problem
+        # g(X) = B X - c maps St(6, 2) into 4 x 2 arrays; the pair is a RALM
+        # solution of the problem
         rng = np.random.default_rng(74)
         B, c = rng.standard_normal((4, 6)), rng.standard_normal((4, 2))
         P = ProblemSpec(
@@ -512,7 +509,6 @@ class TestEnvelopeRoutes:
                          P.manifold.random_point(rng), np.zeros((4, 2)))
         assert res.converged and all(s.stopped for s in res.inner_stats)
         X, y = res.X, res.y
-        assert jacobian_diagonal(P, X, y) is None
         H, ref = evaluate(P, 2.0, X, y).ghess_operator(), callback_ghess_operator(P, 2.0, X, y)
         for seed in range(4):
             v = X.manifold.coords(X, geometry.random_tangent(X, 970 + seed))
@@ -521,32 +517,23 @@ class TestEnvelopeRoutes:
                                                             reference_cone_basis(P, X, y)))
         assert 0 < len(got) == len(want) < 9  # a proper subspace of the 9-dim tangent space
         np.testing.assert_allclose(got.T @ got, want.T @ want, rtol=0, atol=1e-9)
+        # g_jvp None would declare g's image the ambient shape, which it is not
+        declared = dataclasses.replace(P, g_jvp=None)
+        with pytest.raises(LagrangianError, match="shape"):
+            evaluate(declared, 2.0, X, y).ghess_operator()
+        with pytest.raises(CertifyError, match="shape"):
+            critical_cone_basis(declared, X, y)
 
-    @pytest.mark.parametrize("affine", [True, False], ids=["affine", "curved"])
-    def test_an_affine_g_is_tested_once(self, monkeypatch, affine):
-        P, rho, X, y = envelope_route_cases()[2]  # the 0/1 mask: not the identity
-        # a gy_ehess marks g as not affine (here it only reports a zero term)
-        gy_ehess = None if affine else (lambda X, y, xi: np.zeros_like(xi))
-        sub = Subproblem(dataclasses.replace(P, gy_ehess=gy_ehess), rho, y)
-        rng = np.random.default_rng(64)
-        points = [P.manifold.random_point(rng) for _ in range(3)]
-        tested = count_calls(monkeypatch, lagrangian, "jacobian_diagonal")
+    def test_no_random_draws(self, monkeypatch, cm_pair, rmc_fixture):
+        # a declared Dg is read, not probed: neither the envelope term nor the
+        # critical cone draws a random number
+        cases = envelope_route_cases() + hessian_cases()
+        pairs = [cm_pair, (rmc_fixture.problem, rmc_fixture.X_bar, rmc_fixture.y_bar)]
         draws = count_calls(monkeypatch, np.random, "default_rng")
-        ops = [sub.at(pt).ghess_operator() for pt in points]
-        # an affine g's Dg is tested, with one probe, at the first point only
-        assert len(tested) == len(draws) == (1 if affine else 3)
-        for pt, H in zip(points, ops):
-            ref = Subproblem(P, rho, y).at(pt).ghess_operator()
-            c = pt.manifold.coords(pt, geometry.random_tangent(pt, 965))
-            assert H(c).tobytes() == ref(c).tobytes()
-
-    @pytest.mark.parametrize("case", [0, 1, 3], ids=["stiefel", "fixed-rank", "euclidean"])
-    def test_identity_draws_no_probe(self, monkeypatch, case):
-        P, rho, X, y = envelope_route_cases()[case]
-        sub = Subproblem(P, rho, y)
-        draws = count_calls(monkeypatch, np.random, "default_rng")
-        sub.at(X).ghess_operator()
-        assert sub.diagonal(X, y) == 1.0
+        for P, rho, X, y in cases:
+            evaluate(P, rho, X, y).ghess_operator()
+        for P, X, y in pairs:
+            critical_cone_basis(P, X, y)
         assert draws == []
 
 
