@@ -11,7 +11,6 @@ from .geometry import (
     RankDropError,
     Stiefel,
     random_tangent,
-    retract,
 )
 from .lagrangian import ProblemSpec, kkt_residual
 from .newton import NewtonConfig, NewtonStats, cg_solve, ssn_minimize

@@ -60,13 +60,7 @@ class Certificate:
 
     @property
     def verdict(self) -> str:
-        if self.degenerate:
-            return "holds"
-        return "holds" if self.min_eig > CERT_TOL else "fails"
-
-    @property
-    def holds(self) -> bool:
-        return self.verdict == "holds"
+        return "holds" if self.degenerate or self.min_eig > CERT_TOL else "fails"
 
 
 def critical_cone_basis(P: ProblemSpec, X: ManifoldPoint, y: np.ndarray) -> np.ndarray:
@@ -174,7 +168,7 @@ def genhess_min_eig(
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh  # loaded on first use
     if not (math.isfinite(rho) and rho > 0):
         raise CertifyError(f"penalty must be positive and finite, got {rho}")
-    ev = lagrangian.evaluate(P, rho, X, y)
+    ev = lagrangian.Subproblem(P, rho, y).at(X)
     base_jac = P.theta.prox_jacobian(1.0 / rho, ev.p)
     b = base_jac.boundary_count
     partial = False

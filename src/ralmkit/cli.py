@@ -20,6 +20,7 @@ import logging
 import math
 import os
 import sys
+import time
 from typing import Optional, get_type_hints
 
 import numpy as np
@@ -191,13 +192,24 @@ def write_svg(path: str, residuals) -> None:
     bench.atomic_write(path, "\n".join(parts) + "\n")
 
 
+def _blas_threads() -> int:
+    """OpenBLAS's thread count: the first positive integer of OPENBLAS_NUM_THREADS,
+    GOTO_NUM_THREADS and OMP_NUM_THREADS, else (and at most) the usable CPUs."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    names = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+    counts = (os.environ.get(v, "").strip() for v in names)
+    return min(next((int(c) for c in counts if c.isdecimal() and int(c) > 0), cpus), cpus)
+
+
 def cmd_solve(args) -> int:
     cfg = load_config(args.config)
     P, X0, y0 = build_problem(cfg, args.seed)
     scfg = build_solver_config(cfg)
     out = _reader("output", cfg.get("output", {}))
     log_path, plot_path = args.log or out("log", str, None), out("plot", str, None)
+    start = time.perf_counter()
     result = ralm.ralm_solve(P, scfg, X0, y0)
+    wall_seconds = time.perf_counter() - start
     if log_path:
         bench.save_log(log_path, result.records)
     if plot_path:
@@ -219,6 +231,8 @@ def cmd_solve(args) -> int:
                 "line_search_failures": sum(s.line_search_failed for s in stats),
                 "noise_floor_exits": sum(s.stop_reason == "noise_floor" for s in stats),
                 "rounding_accepts": sum(s.rounding_accepts for s in stats),
+                "wall_seconds": wall_seconds,
+                "blas_threads": _blas_threads(),
             }
         )
     )

@@ -6,11 +6,11 @@ assembles the augmented Lagrangian
     l_rho(x, y) = f(x) + env_rho(g(x) + y/rho) - |y|^2 / (2 rho)
 
 (where ``env_rho`` is the Moreau envelope of theta), its Riemannian
-gradient, generalized Hessian-vector products, the multiplier update and
-the KKT residual.  All dual quantities are computed analytically from the
+gradient, its gradient in y, generalized Hessian-vector products and the
+KKT residual.  All dual quantities are computed analytically from the
 envelope, never by differencing.  An :class:`Evaluation` holds them at one
 point, all from one prox, and is the one way to compute them: take one
-from ``Subproblem(P, rho, y).at(X)`` or from :func:`evaluate`.
+from ``Subproblem(P, rho, y).at(X)``.
 """
 
 from __future__ import annotations
@@ -124,18 +124,11 @@ class Evaluation:
 
     @cached_property
     def dual_grad(self) -> np.ndarray:
-        """Gradient in y: (ytilde - y) / rho."""
+        """Gradient in y: (ytilde - y) / rho.  The dual step ``y + rho * dual_grad``
+        gives ``ytilde`` up to rounding."""
         d = self.ytilde - self.sub.y
         d /= self.sub.rho
         return d
-
-    def multiplier_update(self, rho_tilde: float) -> np.ndarray:
-        """Dual ascent step y + rho_tilde * grad_y l_rho(X, y); the full step
-        ``rho_tilde = rho`` gives ``ytilde`` up to rounding."""
-        rho = self.sub.rho
-        if not 0 < rho_tilde <= rho:
-            raise LagrangianError(f"need 0 < rho_tilde <= rho, got {rho_tilde} vs {rho}")
-        return self.sub.y + rho_tilde * self.dual_grad
 
     def ghess_operator(self, jac: Optional[ProxJacobian] = None) -> Callable:
         """A generalized Hessian of ``l_rho(., y)`` at ``X``, prepared once:
@@ -164,39 +157,28 @@ class Evaluation:
         return _hess_operator(P, X, self.ytilde, self.egrad, weight=P.g_vjp(X.X, P.g_vjp(X.X, G)))
 
 
-def evaluate(P: ProblemSpec, rho: float, X: ManifoldPoint, y: np.ndarray) -> Evaluation:
-    """``l_rho(., y)`` at ``X``, for a single evaluation."""
-    return Subproblem(P, rho, y).at(X)
-
-
 def auglag_value(P: ProblemSpec, rho: float, X: ManifoldPoint, y: np.ndarray) -> float:
-    """``evaluate(P, rho, X, y).value``; kept for ``oracles`` and the benchmark tracer."""
-    return evaluate(P, rho, X, y).value
+    """``Subproblem(P, rho, y).at(X).value``; kept only for the benchmark's tracer."""
+    return Subproblem(P, rho, y).at(X).value
 
 
 def auglag_rgrad(P: ProblemSpec, rho: float, X: ManifoldPoint, y: np.ndarray) -> np.ndarray:
-    """``evaluate(P, rho, X, y).rgrad``; kept for ``oracles`` and the benchmark tracer."""
-    return evaluate(P, rho, X, y).rgrad
+    """``Subproblem(P, rho, y).at(X).rgrad``; kept only for the benchmark's tracer."""
+    return Subproblem(P, rho, y).at(X).rgrad
 
 
 def auglag_dual_grad(P: ProblemSpec, rho: float, X: ManifoldPoint, y: np.ndarray) -> np.ndarray:
-    """``evaluate(P, rho, X, y).dual_grad``; kept for the benchmark tracer."""
-    return evaluate(P, rho, X, y).dual_grad
+    """``Subproblem(P, rho, y).at(X).dual_grad``; kept only for the benchmark's tracer."""
+    return Subproblem(P, rho, y).at(X).dual_grad
 
 
-def auglag_ghess_vec(
-    P: ProblemSpec,
-    rho: float,
-    X: ManifoldPoint,
-    y: np.ndarray,
-    xi: np.ndarray,
-    jac: Optional[ProxJacobian] = None,
-) -> np.ndarray:
-    """The generalized HVP ``evaluate(P, rho, X, y).ghess_operator(jac)`` of
-    the ambient tangent vector ``xi``, in ambient form; kept for ``oracles``
-    and the benchmark tracer."""
+def auglag_ghess_vec(P: ProblemSpec, rho: float, X: ManifoldPoint, y: np.ndarray, xi: np.ndarray,
+                     jac: Optional[ProxJacobian] = None) -> np.ndarray:
+    """The generalized HVP ``Subproblem(P, rho, y).at(X).ghess_operator(jac)``
+    of the ambient tangent vector ``xi``, in ambient form; kept only for the
+    benchmark's tracer, which wraps it and the three above by name."""
     man = X.manifold
-    return man.ambient(X, evaluate(P, rho, X, y).ghess_operator(jac)(man.coords(X, xi)))
+    return man.ambient(X, Subproblem(P, rho, y).at(X).ghess_operator(jac)(man.coords(X, xi)))
 
 
 def lagrangian_egrad(P: ProblemSpec, X: ManifoldPoint, y: np.ndarray) -> np.ndarray:

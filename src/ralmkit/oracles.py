@@ -14,9 +14,9 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-from . import geometry, lagrangian
+from . import geometry
 from .geometry import ManifoldPoint
-from .lagrangian import ProblemSpec
+from .lagrangian import ProblemSpec, Subproblem
 
 
 class OracleError(ValueError):
@@ -67,18 +67,17 @@ def _stable_sample(
         X = P.manifold.random_point(rng)
         y = theta.mu * rng.uniform(-1.0, 1.0, size=P.g_value(X.X).shape)
         xi = geometry.random_tangent(X, int(rng.integers(0, 2 ** 31)))
+        sub = Subproblem(P, CHECK_RHO, y)
         masks = []
-        ok = True
         for t in (-2.0 * h, -h, 0.0, h, 2.0 * h):
-            Xt = geometry.retract(X, t * xi) if t else X
-            p = lagrangian.evaluate(P, CHECK_RHO, Xt, y).p
+            p = sub.at(geometry.retract(X, t * xi) if t else X).p
             jac = theta.prox_jacobian(1.0 / CHECK_RHO, p)
             if jac.boundary_count:
-                ok = False
                 break
             masks.append(jac.mask)
-        if ok and all(np.array_equal(masks[0], m) for m in masks[1:]):
-            return X, y, xi
+        else:
+            if all(np.array_equal(masks[0], m) for m in masks[1:]):
+                return X, y, xi
     raise OracleError(f"could not sample a kink-free configuration in {MAX_TRIES} draws")
 
 
@@ -92,9 +91,10 @@ def gradient_check(P: ProblemSpec, samples: int = 20, seed: int = 0) -> float:
     worst = 0.0
     for _ in range(samples):
         X, y, xi = _stable_sample(P, rng, GRAD_STEP)
-        grad = lagrangian.auglag_rgrad(P, rho, X, y)
+        sub = Subproblem(P, rho, y)
+        grad = sub.at(X).rgrad
         exact = np.vdot(grad, xi)
-        approx = directional_derivative(lambda Z: lagrangian.auglag_value(P, rho, Z, y), X, xi)
+        approx = directional_derivative(lambda Z: sub.at(Z).value, X, xi)
         worst = np.maximum(worst, _rel_err(approx, exact, scale=max(np.linalg.norm(grad), 1.0)))
     return float(worst) if np.isfinite(worst) else math.inf
 
@@ -110,9 +110,10 @@ def hessian_check(P: ProblemSpec, samples: int = 20, seed: int = 0) -> float:
     worst = 0.0
     for _ in range(samples):
         X, y, xi = _stable_sample(P, rng, h)
-        Hxi = lagrangian.auglag_ghess_vec(P, rho, X, y, xi)
-        up = lagrangian.auglag_rgrad(P, rho, geometry.retract(X, h * xi), y)
-        dn = lagrangian.auglag_rgrad(P, rho, geometry.retract(X, (-h) * xi), y)
-        fd = X.manifold.project(X, (up - dn) / (2.0 * h))
+        sub, man = Subproblem(P, rho, y), X.manifold
+        Hxi = man.ambient(X, sub.at(X).ghess_operator()(man.coords(X, xi)))
+        up = sub.at(geometry.retract(X, h * xi)).rgrad
+        dn = sub.at(geometry.retract(X, (-h) * xi)).rgrad
+        fd = man.project(X, (up - dn) / (2.0 * h))
         worst = np.maximum(worst, np.linalg.norm(fd - Hxi) / max(np.linalg.norm(Hxi), 1e-8))
     return float(worst) if np.isfinite(worst) else math.inf

@@ -154,7 +154,7 @@ def ralm_solve(
 
     X, rho, R_prev = X0, cfg.rho0, math.inf
     R = lagrangian.kkt_residual(P, X, y)
-    ev = lagrangian.evaluate(P, rho, X, y)
+    ev = lagrangian.Subproblem(P, rho, y).at(X)
     inner_iters, dual_step_norm = 0, 0.0
     result = RalmResult(X=X, y=y, records=[], converged=False)
     for k in range(cfg.max_outer + 1):
@@ -193,7 +193,7 @@ def ralm_solve(
         if not nstats.stopped:
             log.warning("outer %d: inner solver exited before meeting its criterion: %s",
                         k + 1, nstats.stop_reason)
-        y_new = ev.multiplier_update(rho_tilde)
+        y_new = y + rho_tilde * ev.dual_grad
         dual_step_norm = float(np.linalg.norm(y_new - y))
         y, inner_iters = y_new, nstats.iterations
         R = lagrangian.kkt_residual(P, X, y)

@@ -6,7 +6,12 @@ import pytest
 
 from ralmkit.convex import L1Norm
 from ralmkit.geometry import Euclidean, retract
-from ralmkit.lagrangian import ProblemSpec
+from ralmkit.lagrangian import ProblemSpec, Subproblem
+
+
+def evaluate(P, rho, X, y):
+    """``l_rho(., y)`` at ``X``, for a single evaluation."""
+    return Subproblem(P, rho, y).at(X)
 
 
 def ambient_operator(X, H):
@@ -25,7 +30,7 @@ def callback_ghess_operator(P, rho, X, y):
     serves as both maps when it is not)."""
     from ralmkit import lagrangian
 
-    ev = lagrangian.evaluate(P, rho, X, y)
+    ev = evaluate(P, rho, X, y)
     G = rho * (1.0 - P.theta.prox_jacobian(1.0 / rho, ev.p).mask)
     jvp = P.g_jvp or P.g_vjp
     return lagrangian._hess_operator(P, X, ev.ytilde, ev.egrad,
@@ -43,7 +48,7 @@ def counted_ghess_operator(P, rho, X, y, calls):
         return fn and (lambda X, v: calls.append(1) or fn(X, v))
 
     Q = dataclasses.replace(P, g_jvp=counted(P.g_jvp), g_vjp=counted(P.g_vjp))
-    H = lagrangian.evaluate(Q, rho, X, y).ghess_operator()
+    H = evaluate(Q, rho, X, y).ghess_operator()
     calls.clear()
     return H
 
@@ -54,7 +59,7 @@ def weight_ghess_operator(P, rho, X, y):
     ``Evaluation.ghess_operator`` takes when ``P.g_jvp`` is None."""
     from ralmkit import lagrangian
 
-    ev = lagrangian.evaluate(P, rho, X, y)
+    ev = evaluate(P, rho, X, y)
     G = rho * (1.0 - P.theta.prox_jacobian(1.0 / rho, ev.p).mask)
     d = P.g_vjp(X.X, np.ones(y.shape))
     return lagrangian._hess_operator(P, X, ev.ytilde, ev.egrad, weight=G * d * d)
@@ -152,7 +157,7 @@ def reference_genhess_min_eig(P, rho, X, y, enumerate_elements=False):
     from ralmkit import lagrangian
     from ralmkit.convex import ENUM_CAP
 
-    ev = lagrangian.evaluate(P, rho, X, y)
+    ev = evaluate(P, rho, X, y)
     jac = P.theta.prox_jacobian(1.0 / rho, ev.p)
     if enumerate_elements and jac.boundary_count <= ENUM_CAP:
         jacs = P.theta.extreme_prox_jacobians(1.0 / rho, ev.p)

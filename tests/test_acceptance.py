@@ -13,9 +13,8 @@ import time
 import numpy as np
 import pytest
 
-from conftest import taylor_remainder_slope
+from conftest import evaluate
 from ralmkit import bench, certify, geometry, lagrangian, oracles
-from ralmkit.geometry import FixedRank, Stiefel
 from ralmkit.newton import NewtonConfig, ssn_minimize
 from ralmkit.ralm import RalmConfig, ralm_solve
 
@@ -93,7 +92,7 @@ class TestCriterion2VerdictFlip:
         verdicts = []
         for mu in (0.4, 4.0, 7.0, 7.2):
             P, Xbar, ybar = bench.cm_analytic_pair(mu)
-            verdicts.append(certify.mssosc_certificate(P, Xbar, ybar).holds)
+            verdicts.append(certify.mssosc_certificate(P, Xbar, ybar).verdict == "holds")
         elapsed = time.perf_counter() - t0
         # exactly one holds -> fails transition across the sweep, located at
         # the measured threshold 4*sqrt(2) ~ 5.657 (between 4.0 and 7.0)
@@ -101,9 +100,9 @@ class TestCriterion2VerdictFlip:
         flips = sum(a != b for a, b in zip(verdicts, verdicts[1:]))
         assert flips == 1
         P, Xb, yb = bench.cm_analytic_pair(4 * SQRT2 - 1e-3)
-        assert certify.mssosc_certificate(P, Xb, yb).holds
+        assert certify.mssosc_certificate(P, Xb, yb).verdict == "holds"
         P, Xb, yb = bench.cm_analytic_pair(4 * SQRT2 + 1e-3)
-        assert not certify.mssosc_certificate(P, Xb, yb).holds
+        assert certify.mssosc_certificate(P, Xb, yb).verdict == "fails"
         assert elapsed < 1.0
         report("C2", f"verdicts across mu=(0.4,4,7.0,7.2): {verdicts}; "
                      f"flip bracketed at 4*sqrt2={4*SQRT2:.4f} {elapsed:.2f}s")
@@ -117,7 +116,7 @@ class TestCriterion2VerdictFlip:
         verdicts = []
         for mu in (0.4, 4.0, 7.0, 7.2):
             P, Xbar, ybar = bench.cm_analytic_pair(mu)
-            verdicts.append(certify.mssosc_certificate(P, Xbar, ybar).holds)
+            verdicts.append(certify.mssosc_certificate(P, Xbar, ybar).verdict == "holds")
         assert verdicts == [True, True, True, False]
 
 
@@ -129,7 +128,7 @@ class TestCriterion3HessianBundleConsistency:
         rows = []
         for mu in self.MUS:
             P, Xbar, ybar = bench.cm_analytic_pair(mu)
-            holds = certify.mssosc_certificate(P, Xbar, ybar).holds
+            holds = certify.mssosc_certificate(P, Xbar, ybar).verdict == "holds"
             eig10 = certify.genhess_min_eig(P, 10.0, Xbar, ybar, enumerate_elements=True).min_eig
             eig100 = certify.genhess_min_eig(P, 100.0, Xbar, ybar, enumerate_elements=True).min_eig
             rows.append((mu, holds, eig10, eig100))
@@ -157,7 +156,7 @@ class TestCriterion3HessianBundleConsistency:
     def test_c3_consistency_at_rho_10(self):
         for mu in self.MUS:
             P, Xbar, ybar = bench.cm_analytic_pair(mu)
-            holds = certify.mssosc_certificate(P, Xbar, ybar).holds
+            holds = certify.mssosc_certificate(P, Xbar, ybar).verdict == "holds"
             eig10 = certify.genhess_min_eig(P, 10.0, Xbar, ybar, enumerate_elements=True).min_eig
             assert (eig10 > 1e-9) == holds, mu
 
@@ -265,7 +264,7 @@ class TestMssoscAtScale:
         ref_eig = float(np.linalg.eigvalsh(certify._quadratic_form(hess, ref_coords))[0])
         assert cert.subspace_dim == len(ref)
         assert abs(cert.min_eig - ref_eig) <= 1e-10
-        assert cert.holds
+        assert cert.verdict == "holds"
         report("M-SSOSC at scale", f"cm200 seed 0: dim={cert.subspace_dim} "
                                    f"min_eig={cert.min_eig:.12f} (reference {ref_eig:.12f}) "
                                    f"{elapsed:.3f}s")
@@ -290,26 +289,10 @@ class TestCriterion7DerivativeOracles:
         Pe = euclidean_l1_problem(shape=(3, 3), mu=0.7)
         worst_grad["euclidean"] = oracles.gradient_check(Pe, samples=20, seed=7)
         assert worst_grad["euclidean"] <= 1e-6
-
-        slopes = []
-        rng = np.random.default_rng(41)
-        for man in (Stiefel(6, 2), FixedRank(5, 4, 2)):
-            A = rng.standard_normal(man.ambient_shape)
-            value = lambda Z: float(np.vdot(A, Z.X) + 0.5 * np.vdot(Z.X, Z.X))
-            for trial in range(3):
-                X = man.random_point(rng)
-                xi = geometry.random_tangent(X, 600 + trial)
-                egrad = A + X.X
-                grad = X.manifold.project(X, egrad)
-                hess = X.manifold.hess_operator(X, egrad, lambda u: u)  # ehess is the identity
-                hv = lambda v: X.manifold.ambient(X, hess(X.manifold.coords(X, v)))
-                slope = taylor_remainder_slope(value, grad, hv, X, xi)
-                slopes.append(slope)
-                assert slope >= 2.7
+        # the Taylor slopes of C7 are test_geometry.py's test_second_order_taylor_slope
         elapsed = time.perf_counter() - t0
         assert elapsed < 30.0
-        report("C7", f"grad errs {worst_grad}; hess errs {worst_hess}; "
-                     f"taylor slopes min={min(slopes):.2f} {elapsed:.1f}s")
+        report("C7", f"grad errs {worst_grad}; hess errs {worst_hess}; {elapsed:.1f}s")
 
 
 class TestCriterion8Identities:
@@ -325,9 +308,8 @@ class TestCriterion8Identities:
             X = P.manifold.point(rng.uniform(-3, 3, (3, 2)))
             y = rng.uniform(-1.4, 1.4, (3, 2))
             rho = float(rng.uniform(0.2, 20.0))
-            lhs = y + rho * lagrangian.auglag_dual_grad(P, rho, X, y)
-            rhs = lagrangian.evaluate(P, rho, X, y).ytilde
-            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+            ev = evaluate(P, rho, X, y)
+            worst = max(worst, float(np.max(np.abs(y + rho * ev.dual_grad - ev.ytilde))))
         assert worst <= 1e-12
 
         # multiplier box invariance along the shared full-step run

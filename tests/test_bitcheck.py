@@ -56,10 +56,11 @@ def test_differing_records_name_their_first_differing_row(tmp_path):
     out = compare(tmp_path, a, dict(a, **{"w/op/X": BASE["w/op/X"] + 1.0, "w/op/records": later}))
     assert out.returncode == 1
     assert out.stdout.startswith("w/op: X:")
-    assert out.stdout.rstrip().endswith("; records differ from row 2")
+    assert out.stdout.rstrip().endswith("; records differ from row 2; work counts identical")
     # a solve that stops earlier on the same path differs from the row it lacks
     out = compare(tmp_path, a, dict(a, **{"w/op/records": records[:3]}))
-    assert out.stdout.strip() == "w/op: records: float64[4, 3] vs float64[3, 3]; records differ from row 3"
+    assert out.stdout.strip() == ("w/op: records: float64[4, 3] vs float64[3, 3]; "
+                                  "records differ from row 3; work counts identical")
 
 
 def load_bitcheck():
@@ -104,6 +105,38 @@ def test_a_solve_dump_tells_inner_stop_reasons_apart(tmp_path):
     out = compare(tmp_path, a, b)
     assert out.returncode == 1
     assert out.stdout.startswith("w/op: stop_reasons:")
+
+
+def test_work_counts_are_reported_apart_from_bytes(tmp_path):
+    # a solve whose rounding moved but whose counts held, then one whose
+    # Newton counts moved; a certificate's counts are its int and bool fields
+    from ralmkit.certify import Certificate
+    from ralmkit.newton import NewtonStats
+
+    bitcheck = load_bitcheck()
+
+    def dumped(result, op="op"):
+        return {f"w/{op}/{k}": np.asarray(v) for k, v in bitcheck._fields(result).items()}
+
+    def solve(X, iterations):
+        stats = [NewtonStats(iterations=iterations, stop_reason="criterion")]
+        return types.SimpleNamespace(X=types.SimpleNamespace(X=X), y=np.zeros(2), records=[],
+                                     converged=True, inner_stats=stats)
+
+    a = dumped(solve(np.eye(2), 3))
+    out = compare(tmp_path, a, dumped(solve(np.eye(2) + 1e-16, 3)))
+    assert out.returncode == 1
+    assert out.stdout.strip().endswith("; work counts identical")
+    out = compare(tmp_path, a, dumped(solve(np.eye(2) + 1e-16, 4)))
+    assert out.stdout.strip().endswith("; work counts differ (newton_counts)")
+
+    cert = Certificate(kind="genhess", min_eig=0.5, subspace_dim=3, operator_applications=41)
+    a = dumped(cert)
+    out = compare(tmp_path, a, dumped(dataclasses.replace(cert, min_eig=0.5 + 1e-16)))
+    assert out.stdout.strip() == "w/op: min_eig: max abs difference 1.110e-16; work counts identical"
+    moved = dataclasses.replace(cert, min_eig=0.4, operator_applications=42, partial=True)
+    out = compare(tmp_path, a, dumped(moved))
+    assert out.stdout.strip().endswith("; work counts differ (partial, operator_applications)")
 
 
 def test_dump_runs_only_the_named_workloads(tmp_path, monkeypatch):

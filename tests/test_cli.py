@@ -100,6 +100,33 @@ class TestSolve:
                    ("newton_steps", "cg_iterations", "line_search_failures", "noise_floor_exits",
                     "rounding_accepts"))
 
+    @pytest.mark.parametrize("env, threads", [
+        ({"OPENBLAS_NUM_THREADS": "3", "GOTO_NUM_THREADS": "5", "OMP_NUM_THREADS": "2"}, 3),
+        ({"OPENBLAS_NUM_THREADS": "0", "GOTO_NUM_THREADS": "5", "OMP_NUM_THREADS": "2"}, 5),
+        ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "2"}, 2),
+        ({"OMP_NUM_THREADS": " 4 "}, 4),
+        ({"OPENBLAS_NUM_THREADS": "16"}, 8),
+        ({"OPENBLAS_NUM_THREADS": "many", "OMP_NUM_THREADS": "\u00b2"}, 8),
+        ({}, 8),
+    ], ids=["openblas", "goto", "omp", "omp-spaces", "capped", "not-a-count", "unset"])
+    def test_summary_says_how_it_ran(self, tmp_path, capsys, monkeypatch, env, threads):
+        # OpenBLAS takes the first positive count, else one thread per CPU it
+        # may run on (8 here); the log does not depend on it
+        for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        cfg = write_config(tmp_path)
+        assert main(["solve", "--config", cfg]) == EXIT_OK
+        plain = (tmp_path / "run.csv").read_bytes()
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        capsys.readouterr()
+        assert main(["solve", "--config", cfg]) == EXIT_OK
+        out = parse_report(capsys.readouterr().out)
+        assert out["blas_threads"] == threads
+        assert type(out["wall_seconds"]) is float and out["wall_seconds"] > 0
+        assert (tmp_path / "run.csv").read_bytes() == plain
+
     def test_deterministic_bytes(self, tmp_path):
         cfg = write_config(tmp_path)
         main(["solve", "--config", cfg])

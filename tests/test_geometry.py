@@ -269,6 +269,13 @@ class TestRetract:
             with pytest.raises(GeometryError):
                 geometry.retract(X, xi)
 
+    @pytest.mark.parametrize("man", MANIFOLDS, ids=lambda m: m.name + str(m.ambient_shape))
+    def test_directional_derivative_rejects_wrongly_shaped_tangent(self, man):
+        X = man.random_point(np.random.default_rng(4))
+        for xi in (np.ones(man.ambient_shape[:-1] + (1,)), np.float64(1.0)):
+            with pytest.raises(GeometryError):
+                oracles.directional_derivative(lambda Z: float(np.sum(Z.X)), X, xi)
+
 
 class TestGradientsAndHessians:
     @pytest.mark.parametrize("man", MANIFOLDS, ids=lambda m: m.name + str(m.ambient_shape))
@@ -320,8 +327,8 @@ class TestGradientsAndHessians:
             Heta = hess(eta)
             assert abs(np.vdot(eta, Hxi) - np.vdot(xi, Heta)) <= 1e-10 * (1 + abs(np.vdot(eta, Hxi)))
 
-    @pytest.mark.parametrize("man", [Stiefel(5, 2), FixedRank(5, 4, 2)],
-                             ids=lambda m: m.name)
+    @pytest.mark.parametrize("man", [Stiefel(5, 2), FixedRank(5, 4, 2), Stiefel(6, 2)],
+                             ids=["stiefel", "fixed-rank", "stiefel(6, 2)"])
     def test_second_order_taylor_slope(self, man):
         # cubic remainder of the quadratic model certifies second-order
         # retractions together with the Hessian formulas

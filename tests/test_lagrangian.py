@@ -10,10 +10,11 @@ from conftest import (
     counted_ghess_operator,
     euclidean_l1_problem,
     euclidean_quadratic_problem,
+    evaluate,
     reference_cone_basis,
     weight_ghess_operator,
 )
-from ralmkit import bench, geometry, lagrangian, oracles
+from ralmkit import bench, geometry, oracles
 from ralmkit.certify import CertifyError, critical_cone_basis
 from ralmkit.convex import L1Norm
 from ralmkit.lagrangian import (
@@ -24,7 +25,6 @@ from ralmkit.lagrangian import (
     auglag_ghess_vec,
     auglag_rgrad,
     auglag_value,
-    evaluate,
     kkt_residual,
     lagrangian_egrad,
     lagrangian_hess_operator,
@@ -51,7 +51,7 @@ class TestAuglagValue:
     def test_scalar_grid_oracle(self):
         P = euclidean_l1_problem()
         X = P.manifold.point(np.array([[2.0]]))
-        got = auglag_value(P, 1.0, X, np.zeros((1, 1)))
+        got = evaluate(P, 1.0, X, np.zeros((1, 1))).value
         assert abs(got - 1.5) <= 1e-12
         assert abs(got - auglag_grid_oracle(2.0, 0.0, 1.0)) <= 1e-6
 
@@ -62,7 +62,7 @@ class TestAuglagValue:
             x, y = rng.uniform(-3, 3), rng.uniform(-1, 1)
             rho = float(rng.uniform(0.3, 4.0))
             X = P.manifold.point(np.array([[x]]))
-            got = auglag_value(P, rho, X, np.array([[y]]))
+            got = evaluate(P, rho, X, np.array([[y]])).value
             assert abs(got - auglag_grid_oracle(x, y, rho)) <= 1e-6
 
     def test_constant_when_g_and_y_vanish(self, cm_pair):
@@ -72,7 +72,7 @@ class TestAuglagValue:
         P = euclidean_quadratic_problem(np.eye(2), np.zeros(2), g_zero=True)
         X = P.manifold.point(np.array([1.0, -2.0]))
         for rho in (0.5, 1.0, 10.0):
-            assert abs(auglag_value(P, rho, X, np.zeros(2)) - P.f_value(X.X)) <= 1e-14
+            assert abs(evaluate(P, rho, X, np.zeros(2)).value - P.f_value(X.X)) <= 1e-14
 
     def test_increases_to_composite_value(self):
         # as rho grows the value approaches f + theta(g) from below
@@ -82,7 +82,7 @@ class TestAuglagValue:
             x = rng.uniform(-2, 2, (2, 2))
             X = P.manifold.point(x)
             target = P.theta.value(x)
-            vals = [auglag_value(P, rho, X, np.zeros((2, 2))) for rho in (1, 10, 1e3, 1e6)]
+            vals = [evaluate(P, rho, X, np.zeros((2, 2))).value for rho in (1, 10, 1e3, 1e6)]
             assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
             assert all(v <= target + 1e-12 for v in vals)
             assert abs(vals[-1] - target) <= 1e-4
@@ -91,7 +91,7 @@ class TestAuglagValue:
         P = euclidean_l1_problem()
         X = P.manifold.point(np.zeros((1, 1)))
         with pytest.raises(Exception):
-            auglag_value(P, 0.0, X, np.zeros((1, 1)))
+            evaluate(P, 0.0, X, np.zeros((1, 1))).value
 
     @pytest.mark.parametrize("rho", [math.nan, math.inf, -math.inf, 0.0, -1.0])
     def test_subproblem_rejects_penalty_not_positive_and_finite(self, rho):
@@ -104,7 +104,7 @@ class TestAuglagGradient:
     def test_zero_at_analytic_pair_for_all_rho(self, cm_pair):
         P, Xbar, ybar = cm_pair
         for rho in (0.5, 1.0, 10.0, 100.0):
-            assert np.linalg.norm(auglag_rgrad(P, rho, Xbar, ybar)) <= 1e-10
+            assert np.linalg.norm(evaluate(P, rho, Xbar, ybar).rgrad) <= 1e-10
 
     def test_matches_finite_differences(self, rmc_fixture):
         Pcm = bench.build_cm(6, 2, 0.5, 3.0)
@@ -125,15 +125,15 @@ class TestAuglagGradient:
 
         P_big = euclidean_quadratic_problem(Q, a, mu=1e9, g_zero=False)
         X = P_big.manifold.point(X_data)
-        g = auglag_rgrad(P_big, rho, X, np.zeros(3))
+        g = evaluate(P_big, rho, X, np.zeros(3)).rgrad
         expect = P_big.f_egrad(X.X) + rho * X.X  # d/dx [f + rho/2 |x|^2]
         assert np.max(np.abs(g - expect)) <= 1e-8
-        val = auglag_value(P_big, rho, X, np.zeros(3))
+        val = evaluate(P_big, rho, X, np.zeros(3)).value
         assert abs(val - (P_big.f_value(X.X) + 0.5 * rho * np.sum(X.X ** 2))) <= 1e-10
 
         P_tiny = euclidean_quadratic_problem(Q, a, mu=1e-9, g_zero=False)
         X = P_tiny.manifold.point(X_data)
-        g = auglag_rgrad(P_tiny, rho, X, np.zeros(3))
+        g = evaluate(P_tiny, rho, X, np.zeros(3)).rgrad
         assert np.max(np.abs(g - P_tiny.f_egrad(X.X))) <= 1e-8
 
 
@@ -141,17 +141,17 @@ class TestAuglagHessian:
     def test_zero_direction(self, cm_pair):
         P, Xbar, ybar = cm_pair
         zero = np.zeros(Xbar.manifold.ambient_shape)
-        out = auglag_ghess_vec(P, 10.0, Xbar, ybar, zero)
+        out = ambient_operator(Xbar, evaluate(P, 10.0, Xbar, ybar).ghess_operator())(zero)
         assert np.linalg.norm(out) <= 1e-14
 
     def test_symmetry(self, cm_pair, rmc_fixture):
         for (P, X, y) in (cm_pair, (rmc_fixture.problem, rmc_fixture.X_bar, rmc_fixture.y_bar)):
             rng = np.random.default_rng(4)
+            H = ambient_operator(X, evaluate(P, 7.0, X, y).ghess_operator())
             for trial in range(10):
                 xi = geometry.random_tangent(X, 700 + trial)
                 eta = geometry.random_tangent(X, 800 + trial)
-                Hxi = auglag_ghess_vec(P, 7.0, X, y, xi)
-                Heta = auglag_ghess_vec(P, 7.0, X, y, eta)
+                Hxi, Heta = H(xi), H(eta)
                 a = np.vdot(eta, Hxi)
                 b = np.vdot(xi, Heta)
                 assert abs(a - b) <= 1e-10 * (1.0 + abs(a))
@@ -275,7 +275,8 @@ class TestPreparedHessian:
                 assert np.linalg.norm(H(xi) - declared(xi)) <= 1e-12 * np.linalg.norm(want)
             else:
                 assert_same(H(xi), want, X.manifold)
-            assert np.array_equal(auglag_ghess_vec(Q, rho, X, y, xi), H(xi))
+            fresh = ambient_operator(X, evaluate(Q, rho, X, y).ghess_operator())
+            assert np.array_equal(fresh(xi), H(xi))
             assert_same(L(xi), reference_lagrangian_hess(P, X, y, xi), X.manifold)
 
     @pytest.mark.parametrize(
@@ -555,24 +556,29 @@ class TestSingleEvaluations:
                               ambient_operator(X, ev.ghess_operator())(xi))
 
 
+def dual_step(P, rho, X, y, rho_tilde):
+    """The dual ascent step of ``ralm_solve``: ``y + rho_tilde * dual_grad``."""
+    return y + rho_tilde * evaluate(P, rho, X, y).dual_grad
+
+
 class TestMultiplierUpdate:
     def test_scalar_soft_threshold_arithmetic(self):
         # mu=1, rho=rho_tilde=1, y=0, g=2: the envelope gradient at 2 is 1
         P = euclidean_l1_problem()
         X = P.manifold.point(np.array([[2.0]]))
-        y1 = evaluate(P, 1.0, X, np.zeros((1, 1))).multiplier_update(1.0)
+        y1 = dual_step(P, 1.0, X, np.zeros((1, 1)), 1.0)
         assert abs(y1[0, 0] - 1.0) <= 1e-14
 
     def test_zero_fixed_point(self):
         P = euclidean_l1_problem()
         X = P.manifold.point(np.zeros((1, 1)))
-        y1 = evaluate(P, 2.0, X, np.zeros((1, 1))).multiplier_update(2.0)
+        y1 = dual_step(P, 2.0, X, np.zeros((1, 1)), 2.0)
         assert np.all(y1 == 0.0)
 
     def test_fixed_point_at_analytic_pair(self, cm_pair):
         P, Xbar, ybar = cm_pair
         for rho, rho_tilde in ((1.0, 1.0), (10.0, 10.0), (10.0, 3.0), (100.0, 50.0)):
-            y1 = evaluate(P, rho, Xbar, ybar).multiplier_update(rho_tilde)
+            y1 = dual_step(P, rho, Xbar, ybar, rho_tilde)
             assert np.max(np.abs(y1 - ybar)) <= 1e-12
 
     def test_envelope_identity(self):
@@ -584,9 +590,8 @@ class TestMultiplierUpdate:
             y = rng.uniform(-1.4, 1.4, (3, 2))
             rho = float(rng.uniform(0.2, 20.0))
             X = P.manifold.point(x)
-            lhs = y + rho * auglag_dual_grad(P, rho, X, y)
-            rhs = evaluate(P, rho, X, y).ytilde
-            assert np.max(np.abs(lhs - rhs)) <= 1e-12
+            ev = evaluate(P, rho, X, y)
+            assert np.max(np.abs(y + rho * ev.dual_grad - ev.ytilde)) <= 1e-12
 
     def test_full_step_stays_in_box(self):
         P = euclidean_l1_problem(shape=(2, 2), mu=0.6)
@@ -595,16 +600,8 @@ class TestMultiplierUpdate:
             X = P.manifold.point(rng.uniform(-4, 4, (2, 2)))
             y = rng.uniform(-0.6, 0.6, (2, 2))
             rho = float(rng.uniform(0.5, 10.0))
-            y1 = evaluate(P, rho, X, y).multiplier_update(rho)
+            y1 = dual_step(P, rho, X, y, rho)
             assert np.max(np.abs(y1)) <= 0.6 + 1e-14
-
-    def test_step_size_validation(self):
-        P = euclidean_l1_problem()
-        X = P.manifold.point(np.zeros((1, 1)))
-        with pytest.raises(LagrangianError):
-            evaluate(P, 1.0, X, np.zeros((1, 1))).multiplier_update(2.0)
-        with pytest.raises(LagrangianError):
-            evaluate(P, 1.0, X, np.zeros((1, 1))).multiplier_update(0.0)
 
 
 class TestKktResidual:
@@ -631,8 +628,8 @@ class TestKktResidual:
         P, Xbar, ybar = cm_pair
         assert kkt_residual(P, Xbar, ybar) <= 1e-12
         for rho in (0.5, 1.0, 10.0, 100.0):
-            assert np.linalg.norm(auglag_rgrad(P, rho, Xbar, ybar)) <= 1e-10
-            y1 = evaluate(P, rho, Xbar, ybar).multiplier_update(rho)
+            assert np.linalg.norm(evaluate(P, rho, Xbar, ybar).rgrad) <= 1e-10
+            y1 = dual_step(P, rho, Xbar, ybar, rho)
             assert np.max(np.abs(y1 - ybar)) <= 1e-12
 
 
@@ -644,8 +641,8 @@ class TestStructure:
             y1 = rng.uniform(-1, 1, (4, 2))
             y2 = rng.uniform(-1, 1, (4, 2))
             rho = float(rng.uniform(0.3, 5.0))
-            mid = auglag_value(P, rho, Xbar, 0.5 * (y1 + y2))
-            avg = 0.5 * (auglag_value(P, rho, Xbar, y1) + auglag_value(P, rho, Xbar, y2))
+            mid = evaluate(P, rho, Xbar, 0.5 * (y1 + y2)).value
+            avg = 0.5 * (evaluate(P, rho, Xbar, y1).value + evaluate(P, rho, Xbar, y2).value)
             assert mid >= avg - 1e-10
 
     def test_envelope_telescoping(self, cm_pair):
@@ -653,7 +650,7 @@ class TestStructure:
         for rho in (0.5, 2.0, 30.0):
             p = P.g_value(Xbar.X) + ybar / rho
             expect = P.f_value(Xbar.X) + P.theta.moreau(rho, p) - np.sum(ybar ** 2) / (2 * rho)
-            assert auglag_value(P, rho, Xbar, ybar) == expect
+            assert evaluate(P, rho, Xbar, ybar).value == expect
 
     def test_lagrangian_gradient_at_pair(self, cm_pair):
         P, Xbar, ybar = cm_pair

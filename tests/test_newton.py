@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import euclidean_quadratic_problem
+from conftest import euclidean_quadratic_problem, evaluate
 from ralmkit import bench, geometry, lagrangian, newton
 from ralmkit.convex import L1Norm
 from ralmkit.newton import NewtonConfig, NewtonError, cg_solve, ssn_minimize
@@ -168,7 +168,7 @@ class TestSsnMinimize:
         # quadratic contraction of the distance to the subproblem minimizer,
         # which at this pair is the stationary frame itself for every rho
         P, Xbar, ybar = cm_pair
-        assert np.linalg.norm(lagrangian.auglag_rgrad(P, 10.0, Xbar, ybar)) <= 1e-12
+        assert np.linalg.norm(evaluate(P, 10.0, Xbar, ybar).rgrad) <= 1e-12
         X0 = geometry.retract(Xbar, 0.05 * geometry.random_tangent(Xbar, 5))
         cfg = NewtonConfig(grad_tol=1e-10, max_iter=50)
         points = []  # every iterate: the stop test sees each one and never stops

@@ -19,7 +19,11 @@ saves, per operation, every array a result holds:
 ``compare`` prints, per operation, ``IDENTICAL`` or the first field whose
 bytes differ with its max abs difference, and exits 1 on any difference.
 When the ``records`` differ it also prints their first differing row, which
-is the outer step k: the two solves are byte-identical before it.
+is the outer step k: the two solves are byte-identical before it.  When any
+bytes differ it adds whether the work counts held: the integer, bool and
+string fields (``newton_counts``, ``stop_reasons``, ``trace_lengths``,
+``converged``, a certificate's counts), so a change that only moves rounding
+shows as ``work counts identical``.
 """
 
 from __future__ import annotations
@@ -33,6 +37,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 STAT_COUNTS = ("iterations", "cg_iterations", "fallbacks", "rank_drop_retries",
                "line_search_failed", "stopped")
+# dtype kinds of the work-count fields: integer, bool and string arrays
+WORK_KINDS = "iubU"
 
 
 def _import(root: Path):
@@ -118,19 +124,27 @@ def compare(path_a: str, path_b: str) -> int:
             ops.setdefault(op, []).append((key, name))
         differ = 0
         for op, keys in ops.items():
-            gaps, row = [], None
+            gaps, row, counts = [], None, {}
             for key, name in keys:
                 if key not in A.files or key not in B.files:
-                    gaps.append(f"{name}: only in {path_a if key in A.files else path_b}")
-                    continue
-                gap = _difference(A[key], B[key])
+                    gap = f"only in {path_a if key in A.files else path_b}"
+                    kind = (A if key in A.files else B)[key].dtype.kind
+                else:
+                    a, b = A[key], B[key]
+                    gap, kind = _difference(a, b), a.dtype.kind
+                    if gap and name == "records":
+                        row = _first_row(a, b)
                 if gap:
                     gaps.append(f"{name}: {gap}")
-                    if name == "records":
-                        row = _first_row(A[key], B[key])
+                if kind in WORK_KINDS:
+                    counts[name] = gap
             verdict = gaps[0] if gaps else "IDENTICAL"
             if row is not None:
                 verdict += f"; records differ from row {row}"
+            if gaps and counts:
+                moved = [name for name, gap in counts.items() if gap]
+                verdict += (f"; work counts differ ({', '.join(moved)})" if moved
+                            else "; work counts identical")
             differ += bool(gaps)
             print(f"{op}: {verdict}")
     return 1 if differ else 0
