@@ -3,7 +3,7 @@
 Supports three geometries with the metric inherited from the ambient
 Frobenius inner product:
 
-* ``Euclidean(shape)`` -- a plain matrix space,
+* ``Euclidean(*shape)`` -- a plain matrix space,
 * ``Stiefel(n, r)``    -- n x r matrices with orthonormal columns,
 * ``FixedRank(m, n, r)`` -- m x n matrices of exact rank r, stored in
   factored SVD form ``(U, s, V)`` with ``s`` positive and nonincreasing.
@@ -142,8 +142,6 @@ class Euclidean(Manifold):
     name = "euclidean"
 
     def __init__(self, *shape: int):
-        if len(shape) == 1 and isinstance(shape[0], tuple):
-            shape = shape[0]
         self.ambient_shape = tuple(int(s) for s in shape)
 
     def dim(self) -> int:

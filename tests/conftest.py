@@ -9,6 +9,15 @@ from ralmkit.geometry import Euclidean, retract
 from ralmkit.lagrangian import ProblemSpec, Subproblem
 
 
+def pytest_collection_modifyitems(config, items):
+    """Refuse a test id that holds an object address: it changes on every
+    run, so two runs' test lists cannot be compared by name."""
+    unstable = [item.nodeid for item in items if " at 0x" in item.nodeid]
+    if unstable:
+        raise pytest.UsageError("test ids hold an object address; give them explicit ids:\n"
+                                + "\n".join(unstable))
+
+
 def evaluate(P, rho, X, y):
     """``l_rho(., y)`` at ``X``, for a single evaluation."""
     return Subproblem(P, rho, y).at(X)

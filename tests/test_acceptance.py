@@ -68,6 +68,7 @@ class TestCriterion1Cm4Certificates:
         # on 8 - 0.8*sqrt(2); see the xfail twin for the reference constant
         expected = 8.0 - 0.8 * SQRT2
         assert abs(cert.min_eig - expected) <= 1e-8
+        assert cert.subspace_dim == 2
         assert cert.verdict == "holds"
         assert elapsed < 1.0
         report("C1", f"residual={residual:.2e} cone_dim=2 "
@@ -336,6 +337,8 @@ class TestCriterion9LocalSuperlinearity:
     def test_c9_quadratic_tail(self):
         t0 = time.perf_counter()
         P, Xbar, ybar = bench.cm_analytic_pair(0.8)
+        # the subproblem minimizer is the stationary frame itself
+        assert np.linalg.norm(evaluate(P, 10.0, Xbar, ybar).rgrad) <= 1e-12
         X0 = geometry.retract(Xbar, 0.05 * geometry.random_tangent(Xbar, 5))
         cfg = NewtonConfig(grad_tol=1e-10, max_iter=50)
         points = []  # every iterate: the stop test sees each one and never stops

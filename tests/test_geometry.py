@@ -353,8 +353,9 @@ class TestTangentCoordinates:
     the argument itself elsewhere."""
 
     FIXED_RANK = [FixedRank(5, 4, 2), FixedRank(7, 9, 3), FixedRank(20, 30, 2)]
+    FIXED_RANK_IDS = [f"fixed-rank{man.m}x{man.n}r{man.r}" for man in FIXED_RANK]
 
-    @pytest.mark.parametrize("man", FIXED_RANK, ids=str)
+    @pytest.mark.parametrize("man", FIXED_RANK, ids=FIXED_RANK_IDS)
     def test_fixed_rank_round_trip_is_the_projection(self, man):
         rng = np.random.default_rng(51)
         for _ in range(10):
@@ -365,7 +366,7 @@ class TestTangentCoordinates:
             P = man.project(X, Y)
             assert np.linalg.norm(man.ambient(X, c) - P) <= 1e-14 * np.linalg.norm(P)
 
-    @pytest.mark.parametrize("man", FIXED_RANK, ids=str)
+    @pytest.mark.parametrize("man", FIXED_RANK, ids=FIXED_RANK_IDS)
     def test_fixed_rank_vdot_of_coordinates_is_the_metric(self, man):
         rng = np.random.default_rng(52)
         for trial in range(10):
@@ -374,7 +375,7 @@ class TestTangentCoordinates:
             assert abs(np.vdot(man.coords(X, a), man.coords(X, b)) - np.vdot(a, b)) <= 1e-14
             assert abs(np.vdot(man.coords(X, a), man.coords(X, a)) - 1.0) <= 1e-14
 
-    @pytest.mark.parametrize("man", FIXED_RANK, ids=str)
+    @pytest.mark.parametrize("man", FIXED_RANK, ids=FIXED_RANK_IDS)
     def test_fixed_rank_coordinate_operator_is_symmetric(self, man):
         rng = np.random.default_rng(53)
         A = rng.standard_normal(man.ambient_shape)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import euclidean_quadratic_problem, evaluate
+from conftest import euclidean_quadratic_problem
 from ralmkit import bench, geometry, lagrangian, newton
 from ralmkit.convex import L1Norm
 from ralmkit.newton import NewtonConfig, NewtonError, cg_solve, ssn_minimize
@@ -163,22 +163,6 @@ class TestSsnMinimize:
         assert stats.iterations == 0
         assert stats.stop_reason == "grad_tol" and stats.stopped
         assert ev.X is Xbar
-
-    def test_local_superlinear_tail(self, cm_pair):
-        # quadratic contraction of the distance to the subproblem minimizer,
-        # which at this pair is the stationary frame itself for every rho
-        P, Xbar, ybar = cm_pair
-        assert np.linalg.norm(evaluate(P, 10.0, Xbar, ybar).rgrad) <= 1e-12
-        X0 = geometry.retract(Xbar, 0.05 * geometry.random_tangent(Xbar, 5))
-        cfg = NewtonConfig(grad_tol=1e-10, max_iter=50)
-        points = []  # every iterate: the stop test sees each one and never stops
-        _, stats = ssn_minimize(P, 10.0, ybar, X0, cfg, stop=lambda ev: points.append(ev.X))
-        dists = [np.linalg.norm(pt.X - Xbar.X) for pt in points]
-        assert dists[-1] <= 1e-8
-        pairs = [(d0, d1) for d0, d1 in zip(dists[:-1], dists[1:]) if d0 > 1e-13][-3:]
-        assert len(pairs) >= 2
-        for d0, d1 in pairs:
-            assert d1 <= 100.0 * d0 ** 2
 
     def test_monotone_descent(self, cm_pair):
         P, Xbar, ybar = cm_pair
