@@ -68,6 +68,11 @@ class TestCriticalCone:
         basis = critical_cone_basis(P, X, y)
         assert isinstance(basis, np.ndarray) and basis.shape == (0, 2, 3)
 
+    def test_rmc_fixture_dimension_zero(self, rmc_fixture):
+        fx = rmc_fixture
+        basis = critical_cone_basis(fx.problem, fx.X_bar, fx.y_bar)
+        assert len(basis) == 0
+
     def test_rejects_nonstationary_pair(self, cm_pair):
         P, Xbar, ybar = cm_pair
         bad = ybar.copy()
@@ -219,6 +224,13 @@ class TestConeBasisAgainstReference:
 
 
 class TestMssosc:
+    def test_cm_value_and_verdict(self, cm_pair):
+        P, Xbar, ybar = cm_pair
+        cert = mssosc_certificate(P, Xbar, ybar)
+        assert cert.subspace_dim == 2
+        assert abs(cert.min_eig - cm_min_eig(0.8)) <= 1e-8
+        assert cert.verdict == "holds"
+
     def test_pullback_oracle_confirms_value(self, cm_pair):
         # independent check: second difference of t -> L(retract(t xi), y)
         P, Xbar, ybar = cm_pair
@@ -371,6 +383,22 @@ class TestGenHess:
         assert cert.elements_checked == len(calls) == 2
         assert all(len(p) >= 2 for p in calls)  # v0's product and at least one of Lanczos's
         assert cert.operator_applications == sum(map(len, calls))
+
+    def test_consistency_with_mssosc_at_large_penalty(self):
+        # the certificates agree once the penalty clears the instance's
+        # threshold level; at any penalty, positivity implies the
+        # second-order condition
+        for mu in (0.4, 0.8, 4.0, 7.1):
+            P, Xbar, ybar = bench.cm_analytic_pair(mu)
+            msc = mssosc_certificate(P, Xbar, ybar)
+            gh100 = genhess_min_eig(P, 100.0, Xbar, ybar, enumerate_elements=True)
+            assert (gh100.min_eig > 1e-9) == (msc.verdict == "holds"), mu
+            for rho in (10.0, 100.0):
+                gh = genhess_min_eig(P, rho, Xbar, ybar, enumerate_elements=True)
+                if gh.min_eig > 1e-9:
+                    assert msc.verdict == "holds"
+                if msc.verdict != "holds":
+                    assert gh.min_eig <= 1e-9
 
     def test_beyond_dense_scale_builds_no_tangent_basis(self, monkeypatch):
         man = geometry.Stiefel(1000, 5)  # tangent dimension 4985

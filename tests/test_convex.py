@@ -18,6 +18,12 @@ class TestProx:
         th = L1Norm(1.0)
         assert th.prox(1.0, np.array(0.5)) == 0.0
 
+    def test_grid_oracle(self):
+        th = L1Norm(1.0)
+        u, _ = grid_min(lambda u: np.abs(u) + 0.5 * (u - 2.0) ** 2)
+        assert abs(th.prox(1.0, np.array(2.0)) - u) <= 1e-4
+        assert abs(th.prox(1.0, np.array(2.0)) - 1.0) <= 1e-12
+
     def test_zero_input(self):
         th = L1Norm(3.0)
         for t in (0.1, 1.0, 7.0):
@@ -49,6 +55,11 @@ class TestProx:
 
 
 class TestMoreau:
+    def test_grid_oracle(self):
+        th = L1Norm(1.0)
+        assert abs(th.moreau(1.0, np.array(2.0)) - 1.5) <= 1e-6
+        assert abs(th.moreau_grad(1.0, np.array(2.0)) - 1.0) <= 1e-12
+
     def test_zero_point(self):
         th = L1Norm(2.0)
         assert th.moreau(3.0, np.zeros((2, 2))) == 0.0

@@ -106,6 +106,11 @@ class TestAuglagGradient:
         for rho in (0.5, 1.0, 10.0, 100.0):
             assert np.linalg.norm(evaluate(P, rho, Xbar, ybar).rgrad) <= 1e-10
 
+    def test_matches_finite_differences(self, rmc_fixture):
+        Pcm = bench.build_cm(6, 2, 0.5, 3.0)
+        for P in (Pcm, rmc_fixture.problem):
+            assert oracles.gradient_check(P, samples=20, seed=3) <= 1e-6
+
     def test_weight_limits_of_the_envelope_term(self):
         # With y = 0: a huge weight collapses the prox to 0, so the value
         # becomes the quadratic penalty f + rho/2 |g|^2 and the gradient
@@ -150,6 +155,11 @@ class TestAuglagHessian:
                 a = np.vdot(eta, Hxi)
                 b = np.vdot(xi, Heta)
                 assert abs(a - b) <= 1e-10 * (1.0 + abs(a))
+
+    def test_matches_differenced_gradients(self, rmc_fixture):
+        Pcm = bench.build_cm(6, 2, 0.5, 3.0)
+        for P in (Pcm, rmc_fixture.problem):
+            assert oracles.hessian_check(P, samples=20, seed=5) <= 1e-4
 
 
 class TestNonlinearG:
@@ -603,6 +613,14 @@ class TestMultiplierUpdate:
 
 
 class TestKktResidual:
+    def test_zero_at_cm_pair(self, cm_pair):
+        P, Xbar, ybar = cm_pair
+        assert kkt_residual(P, Xbar, ybar) <= 1e-10
+
+    def test_zero_at_rmc_pair(self, rmc_fixture):
+        fx = rmc_fixture
+        assert kkt_residual(fx.problem, fx.X_bar, fx.y_bar) <= 1e-10
+
     def test_single_entry_perturbation(self, cm_pair):
         P, Xbar, ybar = cm_pair
         mu = P.theta.mu

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from ralmkit import bench, geometry
+from ralmkit import bench, certify, geometry
 from ralmkit.convex import L1Norm
 from ralmkit.newton import NewtonConfig
 from ralmkit.ralm import IterateRecord, RalmConfig, RalmError, inner_threshold, ralm_solve
@@ -142,6 +142,16 @@ class TestSolveCm:
             assert rec.dual_step_norm <= 1e-12
         assert np.max(np.abs(res.X.X - Xbar.X)) <= 1e-12
         assert np.max(np.abs(res.y - ybar)) <= 1e-12
+
+    def test_r_linear_envelope(self, cm_pair):
+        P, Xbar, _ = cm_pair
+        X0 = geometry.retract(Xbar, 0.1 * geometry.random_tangent(Xbar, 11))
+        cfg = RalmConfig(rho0=1.0, gamma=4.0, criterion="b", kkt_tol=1e-9, max_outer=50)
+        res = ralm_solve(P, cfg, X0, np.zeros((4, 2)))
+        resids = [rec.kkt_residual for rec in res.records]
+        rate, quality = certify.fit_linear_rate(resids, 0.5)
+        assert rate < 1.0
+        assert quality >= 0.9
 
     def test_criterion_variants_all_converge(self, cm_pair):
         P, Xbar, _ = cm_pair
