@@ -71,10 +71,11 @@ def _stencil_product(n: int, r: int, diag: float, off: float) -> Callable:
 
     def apply(X):
         # mode="clip" (the indices are in range) lets take write into t
-        # directly; sum over the leading axis adds (t[0] + t[1]) + t[2].
-        np.take(X, cols, axis=0, out=t, mode="clip")
+        # directly; the reduction over the leading axis adds (t[0] + t[1]) + t[2].
+        # The method and ufunc calls skip the np.take / ndarray.sum wrappers.
+        X.take(cols, axis=0, out=t, mode="clip")
         np.multiply(t, coef, out=t)
-        return t.sum(axis=0)
+        return np.add.reduce(t, axis=0)
 
     return apply
 
