@@ -231,6 +231,7 @@ def cmd_solve(args) -> int:
                 "line_search_failures": sum(s.line_search_failed for s in stats),
                 "noise_floor_exits": sum(s.stop_reason == "noise_floor" for s in stats),
                 "rounding_accepts": sum(s.rounding_accepts for s in stats),
+                "dual_jumps": result.dual_jumps,
                 "wall_seconds": wall_seconds,
                 "blas_threads": _blas_threads(),
             }

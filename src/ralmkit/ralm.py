@@ -2,8 +2,9 @@
 
 Alternates an inexact inner minimization (semismooth Newton, accepted by a
 gradient-based criterion) with the dual ascent step, growing the penalty
-whenever the KKT residual fails to halve.  Emits one telemetry record per
-outer iteration.
+whenever the KKT residual fails to halve.  At the largest penalty, a dual
+step that repeats with little progress is extrapolated to the box of the
+conjugate's domain.  Emits one telemetry record per outer iteration.
 """
 
 from __future__ import annotations
@@ -23,6 +24,13 @@ from .newton import NewtonConfig, NewtonStats, ssn_minimize
 log = logging.getLogger("ralmkit.ralm")
 
 CRITERIA = ("a", "b", "c")
+# The dual jump at rho_max: successive dual steps with cosine at least
+# 1 - JUMP_COLLINEAR, with a KKT residual that fell but stayed above
+# JUMP_PROGRESS times the last, move y along the step to the box face that
+# the entries of the step above JUMP_SUPPORT times its largest one reach first.
+JUMP_COLLINEAR = 1e-6
+JUMP_PROGRESS = 0.9
+JUMP_SUPPORT = 1e-3
 
 
 class RalmError(RuntimeError):
@@ -110,6 +118,7 @@ class RalmResult:
     records: List[IterateRecord]
     converged: bool
     inner_stats: List[NewtonStats] = field(default_factory=list)
+    dual_jumps: int = 0
 
 
 def inner_threshold(variant: str, eps_k: float, rho_tilde: float, dual_step_norm: float) -> float:
@@ -135,6 +144,29 @@ def inner_threshold(variant: str, eps_k: float, rho_tilde: float, dual_step_norm
     return rhs / math.sqrt(rho_tilde)
 
 
+def dual_jump(y: np.ndarray, d: np.ndarray, d_prev: Optional[np.ndarray], armed: bool,
+              R: float, R_prev: float, bound: float) -> Tuple[Optional[float], np.ndarray]:
+    """Extrapolate the dual step ``d`` that produced ``y`` when it repeats.
+
+    The rule applies when ``armed`` (the penalty is at its largest and the
+    step is not the last), the KKT residual fell, but not below the
+    JUMP_PROGRESS factor (``JUMP_PROGRESS * R_prev < R <= R_prev``), and
+    ``d`` is collinear with ``d_prev``.  It then returns the step length
+    ``t`` to the first face of the box ``|.|_inf <= bound`` over ``d``'s
+    support, with ``clip(y + t d)`` when ``t > 1`` and ``y`` else.
+    Otherwise it returns ``(None, y)``.
+    """
+    if not (armed and JUMP_PROGRESS * R_prev < R <= R_prev) or d_prev is None:
+        return None, y
+    scale = float(np.linalg.norm(d) * np.linalg.norm(d_prev))
+    if not scale > 0 or float(np.vdot(d, d_prev)) < (1.0 - JUMP_COLLINEAR) * scale:
+        return None, y
+    size = np.abs(d)
+    on = size > JUMP_SUPPORT * size.max()
+    t = float(np.min((np.copysign(bound, d[on]) - y[on]) / d[on]))
+    return t, (np.clip(y + t * d, -bound, bound) if t > 1 else y)
+
+
 def ralm_solve(
     P: ProblemSpec,
     cfg: RalmConfig,
@@ -155,7 +187,7 @@ def ralm_solve(
     X, rho, R_prev = X0, cfg.rho0, math.inf
     R = lagrangian.kkt_residual(P, X, y)
     ev = lagrangian.Subproblem(P, rho, y).at(X)
-    inner_iters, dual_step_norm = 0, 0.0
+    inner_iters, dual_step_norm, d_prev, stall_logged = 0, 0.0, None, False
     result = RalmResult(X=X, y=y, records=[], converged=False)
     for k in range(cfg.max_outer + 1):
         grad_norm = float(np.linalg.norm(ev.rgrad))
@@ -187,6 +219,8 @@ def ralm_solve(
             return ok
 
         del ev  # free the previous evaluation's arrays during the inner solve
+        if rho < cfg.rho_max:  # and the last dual step, which only a step at rho_max reads
+            d_prev = d = None
         ev, nstats = ssn_minimize(P, rho, y, X, cfg.newton, stop)
         X = ev.X
         result.inner_stats.append(nstats)
@@ -194,8 +228,19 @@ def ralm_solve(
             log.warning("outer %d: inner solver exited before meeting its criterion: %s",
                         k + 1, nstats.stop_reason)
         y_new = y + rho_tilde * ev.dual_grad
-        dual_step_norm = float(np.linalg.norm(y_new - y))
+        d = y_new - y
+        dual_step_norm = float(np.linalg.norm(d))
         y, inner_iters = y_new, nstats.iterations
         R = lagrangian.kkt_residual(P, X, y)
+        # No jump on a final step: the last record's R must describe result.y.
+        final = R <= cfg.kkt_tol or k + 1 == cfg.max_outer
+        t, y = dual_jump(y, d, d_prev, rho == cfg.rho_max and not final, R, R_prev, box)
+        if t is not None and t > 1:
+            result.dual_jumps += 1
+        elif t is not None and not stall_logged:
+            log.warning("outer %d: the dual step repeats at rho_max with R %.3e -> %.3e, "
+                        "but the box allows no jump (t = %.3g)", k + 1, R_prev, R, t)
+            stall_logged = True
+        d_prev = d
         result.X, result.y = X, y
     return result

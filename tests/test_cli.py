@@ -91,14 +91,16 @@ class TestSolve:
         assert out["newton_steps"] == sum(rec.inner_iters for rec in records) > 0
         config = load_config(cfg)
         P, X0, y0 = build_problem(config, None)
-        stats = ralm_solve(P, build_solver_config(config), X0, y0).inner_stats
+        res = ralm_solve(P, build_solver_config(config), X0, y0)
+        stats = res.inner_stats
         assert out["cg_iterations"] == sum(st.cg_iterations for st in stats) > 0
         assert out["line_search_failures"] == sum(st.line_search_failed for st in stats) == 0
         assert out["noise_floor_exits"] == sum(st.stop_reason == "noise_floor" for st in stats)
         assert out["rounding_accepts"] == sum(st.rounding_accepts for st in stats)
+        assert out["dual_jumps"] == res.dual_jumps
         assert all(type(out[key]) is int for key in
                    ("newton_steps", "cg_iterations", "line_search_failures", "noise_floor_exits",
-                    "rounding_accepts"))
+                    "rounding_accepts", "dual_jumps"))
 
     @pytest.mark.parametrize("env, threads", [
         ({"OPENBLAS_NUM_THREADS": "3", "GOTO_NUM_THREADS": "5", "OMP_NUM_THREADS": "2"}, 3),

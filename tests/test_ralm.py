@@ -4,10 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from ralmkit import bench, certify, geometry
+from ralmkit import bench, certify, geometry, lagrangian, ralm
 from ralmkit.convex import L1Norm
 from ralmkit.newton import NewtonConfig
-from ralmkit.ralm import IterateRecord, RalmConfig, RalmError, inner_threshold, ralm_solve
+from ralmkit.ralm import (
+    IterateRecord, RalmConfig, RalmError, dual_jump, inner_threshold, ralm_solve,
+)
 
 
 class TestInnerThreshold:
@@ -342,3 +344,125 @@ class TestRecords:
     def test_finite_guard(self):
         with pytest.raises(RalmError):
             IterateRecord(0, 1.0, 1.0, 0, float("nan"), 1.0, 0.0, 1.0)
+
+
+class TestDualJumpRule:
+    """``dual_jump`` on small arrays.  Over the support of D (entries above
+    1e-3 |D|_inf = 1e-5) the first face is entry 0's, at t = 0.2 / 0.01 = 20;
+    entry 2 (5e-6, off the support) would stop it at t = 0.02, and y + 20 D
+    puts it outside the box, where the clip brings it back."""
+
+    Y = np.array([0.1, -0.05, 0.2999999])
+    D = np.array([0.01, -0.005, 5e-6])
+    BOUND = 0.3
+
+    def jump(self, y=Y, d_prev=D, armed=True, R=0.95, R_prev=1.0):
+        return dual_jump(y, self.D, d_prev, armed, R, R_prev, self.BOUND)
+
+    def test_jumps_to_the_first_face_and_clips_to_the_box(self):
+        t, y = self.jump(d_prev=2.0 * self.D)
+        assert t == pytest.approx(20.0, rel=1e-12)
+        assert same_bits(y, np.clip(self.Y + t * self.D, -self.BOUND, self.BOUND))
+        assert y[0] == pytest.approx(self.BOUND, rel=1e-12)
+        assert self.Y[2] + t * self.D[2] > self.BOUND and y[2] == self.BOUND
+        assert y[1] == pytest.approx(-0.15, rel=1e-12)
+        # a residual that fell by less than 10%, or not at all, is slow progress too
+        assert self.jump(R=0.9001)[0] == self.jump(R=1.0)[0] == t
+
+    def test_no_jump_below_the_largest_penalty(self):
+        t, y = self.jump(armed=False)
+        assert t is None and y is self.Y
+
+    @pytest.mark.parametrize("R", [0.9, 0.5, 1.01, 15.0], ids=["fell10pct", "halved", "rose",
+                                                                  "rose15x"])
+    def test_no_jump_unless_the_residual_fell_by_less_than_ten_percent(self, R):
+        t, y = self.jump(R=R)
+        assert t is None and y is self.Y
+
+    @pytest.mark.parametrize("eps, fires", [(1e-3, True), (2e-3, False)])
+    def test_needs_collinear_steps(self, eps, fires):
+        # cos(D, D + eps |D| e) = 1 / sqrt(1 + eps^2) for a unit e orthogonal to D:
+        # 1 - 5.0e-7 and 1 - 2.0e-6, on either side of 1 - JUMP_COLLINEAR
+        e = np.array([self.D[1], -self.D[0], 0.0]) / np.hypot(self.D[0], self.D[1])
+        t, y = self.jump(d_prev=self.D + eps * np.linalg.norm(self.D) * e)
+        assert (t is not None) == fires
+        if not fires:
+            assert y is self.Y
+
+    @pytest.mark.parametrize("d_prev", [-D, None, np.zeros(3)], ids=["reversed", "none", "zero"])
+    def test_no_jump_without_a_previous_step_along_d(self, d_prev):
+        t, y = self.jump(d_prev=d_prev)
+        assert t is None and y is self.Y
+
+    def test_no_jump_when_the_face_is_within_one_step(self):
+        y0 = np.array([0.295, -0.05, 0.0])  # entry 0 reaches the face at t = 0.5
+        t, y = self.jump(y=y0)
+        assert t == pytest.approx(0.5, rel=1e-12) and y is y0
+
+
+class TestDualJumpInSolve:
+    CM200_CONFIG = RalmConfig(  # the C5/C6 configuration of the CM-200 benchmark runs
+        rho0=1.0, gamma=4.0, rho_max=256.0, criterion="b", kkt_tol=1e-9, max_outer=100,
+        newton=NewtonConfig(max_iter=150, cg_max_iter=400))
+
+    def test_cm200_start_seed_7_converges_to_a_certified_pair(self):
+        # without the jump this start walks y along one direction at rho = 256
+        # and stops after 100 outer steps at KKT residual 2.467e-8
+        P = bench.build_cm(200, 5, 0.3, 50.0)
+        res = ralm_solve(P, self.CM200_CONFIG, bench.cm_initial_point(200, 5, 7),
+                         np.zeros((200, 5)))
+        assert res.converged and res.dual_jumps >= 1
+        # no jump on the converging step: the last record describes result.y
+        assert same_bits(lagrangian.kkt_residual(P, res.X, res.y), res.records[-1].kkt_residual)
+        cert = certify.mssosc_certificate(P, res.X, res.y)
+        assert cert.verdict == "holds" and cert.min_eig > 0.05
+
+    @pytest.fixture
+    def fixed_penalty_solve(self, cm_pair):
+        # rho0 = rho_max arms the rule from the first step; its dual steps
+        # never repeat (the largest cosine of successive steps is 0.985)
+        P, Xbar, _ = cm_pair
+        X0 = geometry.retract(Xbar, 0.1 * geometry.random_tangent(Xbar, 11))
+        cfg = RalmConfig(rho0=64.0, rho_max=64.0, criterion="b", kkt_tol=1e-11, max_outer=40)
+        return lambda: ralm_solve(P, cfg, X0, np.zeros_like(X0.X))
+
+    def test_solves_without_a_repeated_step_keep_their_bits(self, fixed_penalty_solve,
+                                                             monkeypatch):
+        res = fixed_penalty_solve()
+        monkeypatch.setattr(ralm, "JUMP_COLLINEAR", -1.0)  # no two steps are collinear
+        ref = fixed_penalty_solve()
+        assert res.converged and res.dual_jumps == ref.dual_jumps == 0
+        assert same_bits(res.X.X, ref.X.X) and same_bits(res.y, ref.y)
+        assert len(res.records) == len(ref.records)
+        for a, b in zip(res.records, ref.records):
+            assert same_bits(a.as_row(), b.as_row())
+
+    def test_no_jump_on_a_final_step(self, cm_pair, monkeypatch):
+        P, Xbar, _ = cm_pair
+        X0 = geometry.retract(Xbar, 0.1 * geometry.random_tangent(Xbar, 11))
+        armed = []
+
+        def spy(y, d, d_prev, arm, *args):
+            armed.append(arm)
+            return None, y
+
+        monkeypatch.setattr(ralm, "dual_jump", spy)
+        cfg = RalmConfig(rho0=64.0, rho_max=64.0, kkt_tol=0.0, max_outer=3)
+        ralm_solve(P, cfg, X0, np.zeros_like(X0.X))
+        assert armed == [True, True, False]  # the budget's last step
+        armed.clear()
+        res = ralm_solve(P, dataclasses.replace(cfg, kkt_tol=1e-11, max_outer=40), X0,
+                         np.zeros_like(X0.X))
+        assert res.converged and armed[-1] is False and all(armed[:-1])
+        armed.clear()
+        ralm_solve(P, dataclasses.replace(cfg, rho0=16.0), X0, np.zeros_like(X0.X))
+        assert armed == [False, False, False]  # rho stays below rho_max
+
+    def test_a_blocked_jump_is_logged_once(self, fixed_penalty_solve, monkeypatch, caplog):
+        monkeypatch.setattr(ralm, "dual_jump", lambda y, d, d_prev, armed, *args:
+                            (0.5 if armed else None, y))
+        with caplog.at_level("WARNING", logger="ralmkit.ralm"):
+            res = fixed_penalty_solve()
+        blocked = [r.getMessage() for r in caplog.records if "allows no jump" in r.getMessage()]
+        assert len(res.records) > 3 and res.dual_jumps == 0
+        assert len(blocked) == 1 and blocked[0].endswith("(t = 0.5)")
