@@ -100,7 +100,6 @@ def build_cm(n: int, r: int, mu: float, length: float) -> ProblemSpec:
         g_vjp=lambda X, w: w,
         gy_ehess=None,
         theta=L1Norm(mu),
-        name=f"sparse-modes(n={n},r={r},mu={mu})",
     )
 
 
@@ -153,7 +152,6 @@ def build_rmc(A: np.ndarray, omega: np.ndarray, r: int, mu: float = 1.0) -> Prob
         g_vjp=g_vjp,
         gy_ehess=None,
         theta=L1Norm(mu),
-        name=f"robust-completion({m}x{n},r={r})",
     )
 
 
@@ -167,17 +165,15 @@ class RmcFixture:
     y_bar: np.ndarray
 
 
-def rmc_toy_fixture(seed: int = 7, magnitude: float = 0.5) -> RmcFixture:
+def rmc_toy_fixture() -> RmcFixture:
     """Fully observed 5x5 rank-3 completion instance with outliers.
 
     The ground truth has zero rows and columns in positions 4 and 5, so
     the lower-right 2x2 block spans the normal space at it; outliers are
-    planted there with magnitudes in ``[0.1, magnitude]``.  The returned
-    multiplier is the subgradient sign pattern of the residual at the
-    ground truth, which certifies it as a KKT point.
+    planted there with magnitudes in ``[0.1, 0.5]``, drawn from seed 7.
+    The returned multiplier is the subgradient sign pattern of the
+    residual at the ground truth, which certifies it as a KKT point.
     """
-    if not 0.1 <= magnitude <= 0.5:
-        raise BenchError("outlier magnitude must lie in [0.1, 0.5]")
     s2 = math.sqrt(2.0) / 2.0
     U = np.array(
         [[1.0, 0.0, 0.0], [0.0, -s2, s2], [0.0, s2, s2], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
@@ -188,8 +184,8 @@ def rmc_toy_fixture(seed: int = 7, magnitude: float = 0.5) -> RmcFixture:
     S = np.diag([1.0, 2.0, 3.0])
     A_exact = U @ S @ V.T
 
-    rng = np.random.default_rng(seed)
-    block = rng.uniform(0.1, magnitude, size=(2, 2)) * rng.choice([-1.0, 1.0], size=(2, 2))
+    rng = np.random.default_rng(7)
+    block = rng.uniform(0.1, 0.5, size=(2, 2)) * rng.choice([-1.0, 1.0], size=(2, 2))
     E_out = np.zeros((5, 5))
     E_out[3:, 3:] = block
     A = A_exact + E_out
@@ -218,13 +214,6 @@ def rmc_random_outliers(
 
 # ---------------------------------------------------------------------------
 # File ingestion: CSV and Matrix Market coordinate format.
-
-def save_dense(path: str, M: np.ndarray) -> None:
-    """Write a dense matrix as CSV with 17 significant digits."""
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    payload = "\n".join(",".join(f"{v:.17g}" for v in row) for row in M) + "\n"
-    atomic_write(path, payload)
-
 
 def _finite(text: str) -> float:
     """``float(text)``, raising ValueError for ``nan`` and ``inf``."""

@@ -60,7 +60,6 @@ class ProblemSpec:
     g_vjp: Callable[[np.ndarray, np.ndarray], np.ndarray]
     gy_ehess: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]]
     theta: L1Norm
-    name: str = "problem"
 
 
 class Subproblem:

@@ -85,13 +85,6 @@ class NewtonConfig:
 
 
 @dataclass
-class CgInfo:
-    iterations: int = 0
-    converged: bool = False
-    indefinite: bool = False
-
-
-@dataclass
 class NewtonStats:
     """Work counts of one inner solve and why it ended: ``stop_reason`` is
     ``"criterion"`` (the stop test held), ``"grad_tol"``, ``"max_iter"``,
@@ -128,18 +121,18 @@ def cg_solve(
     """Conjugate gradients for ``(H + omega I) v = b`` on a tangent space.
 
     Vectors are tangent coordinates, with the inner product ``np.vdot``;
-    ``apply_H`` must be self-adjoint.  Exits early with the current
-    iterate flagged when nonpositive curvature is detected.  Never writes
-    into ``b`` or into an array that ``apply_H`` returns.
+    ``apply_H`` must be self-adjoint.  Returns ``(x, iterations, reason)``
+    with ``reason`` ``"converged"`` (residual norm at most ``tol``),
+    ``"curvature"`` (nonpositive curvature along a direction: ``x`` is the
+    iterate before it) or ``"max_iter"``.  Never writes into ``b`` or into
+    an array that ``apply_H`` returns.
     """
     if omega < 0:
         raise ValueError("shift must be nonnegative")
-    info = CgInfo()
     x = 0.0 * b
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
-        info.converged = True
-        return x, info
+        return x, 0, "converged"
     r, d, Hd, t = b.astype(float), b.astype(float), np.empty(b.shape), np.empty(b.shape)
     rr = np.vdot(r, r)
     for it in range(max_iter):
@@ -151,21 +144,17 @@ def cg_solve(
             raise NewtonError("operator returned non-finite values")
         dd = np.vdot(d, d)
         if dHd <= 1e-14 * dd:
-            info.indefinite = True
-            info.iterations = it
-            return x, info
+            return x, it, "curvature"
         alpha = rr / dHd
         x += np.multiply(alpha, d, out=t)
         r -= np.multiply(alpha, Hd, out=t)
         rr_new = np.vdot(r, r)
-        info.iterations = it + 1
         if math.sqrt(rr_new) <= tol:
-            info.converged = True
-            return x, info
+            return x, it + 1, "converged"
         d *= rr_new / rr
         d += r
         rr = rr_new
-    return x, info
+    return x, max_iter, "max_iter"
 
 
 def ssn_minimize(
@@ -221,15 +210,15 @@ def ssn_minimize(
             tangent = man.project(ev.X, grad)
             if np.linalg.norm(grad - tangent) > eta_cap:
                 g = tangent
-        V, cg = cg_solve(ev.ghess_operator(), omega, -g, eta_cap, cfg.cg_max_iter)
-        stats.cg_iterations += cg.iterations
+        V, cg_iters, cg_reason = cg_solve(ev.ghess_operator(), omega, -g, eta_cap, cfg.cg_max_iter)
+        stats.cg_iterations += cg_iters
 
         vnorm = float(np.linalg.norm(V))
         descent = np.vdot(-g, V)
         if vnorm == 0.0 or descent < min(BETA0, BETA1 * vnorm ** DESCENT_POWER) * vnorm ** 2:
             V = -g
             stats.fallbacks += 1
-            log.debug("iter %d: gradient fallback (cg indefinite=%s)", k, cg.indefinite)
+            log.debug("iter %d: gradient fallback (cg %s)", k, cg_reason)
 
         slope = np.vdot(g, V)
         rounding = ARMIJO_ROUNDING_C * EPS * max(1.0, abs(ev.value))

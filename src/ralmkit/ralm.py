@@ -228,10 +228,10 @@ def ralm_solve(
             log.warning("outer %d: inner solver exited before meeting its criterion: %s",
                         k + 1, nstats.stop_reason)
         y_new = y + rho_tilde * ev.dual_grad
+        dual_step_norm = float(np.linalg.norm(y_new - y))
+        R = lagrangian.kkt_residual(P, X, y_new)
         d = y_new - y
-        dual_step_norm = float(np.linalg.norm(d))
         y, inner_iters = y_new, nstats.iterations
-        R = lagrangian.kkt_residual(P, X, y)
         # No jump on a final step: the last record's R must describe result.y.
         final = R <= cfg.kkt_tol or k + 1 == cfg.max_outer
         t, y = dual_jump(y, d, d_prev, rho == cfg.rho_max and not final, R, R_prev, box)

@@ -87,7 +87,6 @@ def euclidean_l1_problem(shape=(1, 1), mu=1.0):
         g_vjp=lambda X, w: w,
         gy_ehess=lambda X, y, xi: np.zeros_like(xi),
         theta=L1Norm(mu),
-        name="euclidean-l1",
     )
 
 
@@ -117,7 +116,6 @@ def euclidean_quadratic_problem(Q, a, mu=1.0, g_zero=True):
         g_vjp=g_vjp,
         gy_ehess=lambda X, y, xi: np.zeros_like(xi),
         theta=L1Norm(mu),
-        name="euclidean-quadratic",
     )
 
 
@@ -132,7 +130,7 @@ def cm_pair():
 def rmc_fixture():
     from ralmkit.bench import rmc_toy_fixture
 
-    return rmc_toy_fixture(seed=7)
+    return rmc_toy_fixture()
 
 
 def reference_cone_basis(P, X, y):

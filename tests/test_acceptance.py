@@ -165,7 +165,7 @@ class TestCriterion3HessianBundleConsistency:
 class TestCriterion4RmcFixture:
     def test_c4_kkt_cone_and_recovery(self):
         t0 = time.perf_counter()
-        fx = bench.rmc_toy_fixture(seed=7)
+        fx = bench.rmc_toy_fixture()
         residual = lagrangian.kkt_residual(fx.problem, fx.X_bar, fx.y_bar)
         assert residual <= 1e-10
         cone = certify.critical_cone_basis(fx.problem, fx.X_bar, fx.y_bar)
@@ -276,7 +276,7 @@ class TestCriterion7DerivativeOracles:
         t0 = time.perf_counter()
         problems = {
             "stiefel": bench.build_cm(6, 2, 0.5, 3.0),
-            "fixed-rank": bench.rmc_toy_fixture(seed=7).problem,
+            "fixed-rank": bench.rmc_toy_fixture().problem,
         }
         worst_grad, worst_hess = {}, {}
         for label, P in problems.items():

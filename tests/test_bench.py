@@ -15,7 +15,6 @@ from ralmkit.bench import (
     load_coordinate,
     load_dense,
     load_log,
-    save_dense,
     save_log,
 )
 from ralmkit.ralm import IterateRecord
@@ -192,7 +191,7 @@ class TestBuilders:
 
     def test_rmc_fixture_zero_outliers_plain_truth(self):
         # with no outliers, the truth with the zero multiplier is stationary
-        fx = bench.rmc_toy_fixture(seed=7)
+        fx = bench.rmc_toy_fixture()
         P0 = build_rmc(fx.A_exact, np.ones((5, 5), dtype=bool), 3)
         X = P0.manifold.point_from_ambient(fx.A_exact)
         assert lagrangian.kkt_residual(P0, X, np.zeros((5, 5))) <= 1e-12
@@ -232,7 +231,7 @@ class TestFileFormats:
         rng = np.random.default_rng(6)
         M = rng.standard_normal((5, 7)) * np.exp(rng.uniform(-12, 12, (5, 7)))
         path = str(tmp_path / "m.csv")
-        save_dense(path, M)
+        np.savetxt(path, M, delimiter=",", fmt="%.17g")
         back = load_dense(path)
         np.testing.assert_allclose(back, M, rtol=1e-15, atol=0)
 
@@ -338,3 +337,37 @@ class TestFileFormats:
         assert header == "k,rho,rho_tilde,inner_iters,grad_norm,kkt_residual,dual_step_norm,auglag"
         back = load_log(path)
         assert back == records
+
+    def test_log_wrong_header(self, tmp_path):
+        path = str(tmp_path / "log.csv")
+        save_log(path, [IterateRecord(0, 1.0, 1.0, 0, 0.5, 1.25, 0.0, -3.5)])
+        with open(path) as fh:
+            lines = fh.readlines()
+        lines[0] = lines[0].replace("auglag", "objective")
+        with open(path, "w") as fh:
+            fh.writelines(lines)
+        with pytest.raises(ParseError, match="unexpected log header"):
+            load_log(path)
+
+    @pytest.mark.parametrize("row", ["1,4,4,7,1e-07,0.5,0.125",
+                                     "1,4,4,7,1e-07,0.5,0.125,-3.75,0"])
+    def test_log_wrong_column_count(self, tmp_path, row):
+        path = str(tmp_path / "log.csv")
+        save_log(path, [IterateRecord(0, 1.0, 1.0, 0, 0.5, 1.25, 0.0, -3.5)])
+        with open(path, "a") as fh:
+            fh.write(row + "\n")
+        with pytest.raises(ParseError, match="line 3: wrong number of columns"):
+            load_log(path)
+
+    def test_atomic_write_failure_keeps_target(self, tmp_path, monkeypatch):
+        target = tmp_path / "out.csv"
+        target.write_text("old\n")
+
+        def failing_replace(src, dst):
+            raise OSError("replace refused")
+
+        monkeypatch.setattr(bench.os, "replace", failing_replace)
+        with pytest.raises(OSError, match="replace refused"):
+            bench.atomic_write(str(target), "new\n")
+        assert target.read_text() == "old\n"
+        assert list(tmp_path.glob("*.tmp")) == []

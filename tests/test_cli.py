@@ -9,6 +9,7 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ import pytest
 from ralmkit import bench, lagrangian
 from ralmkit.cli import (
     EXIT_ERROR, EXIT_MAXITER, EXIT_OK, build_problem, build_solver_config, load_config, main,
+    write_svg,
 )
 from ralmkit.ralm import IterateRecord, ralm_solve
 
@@ -171,6 +173,18 @@ class TestSolve:
         svg = plot.read_text()
         assert svg.startswith("<svg") and "polyline" in svg
 
+    def test_svg_constant_history(self, tmp_path):
+        # hi == lo: the plot spans one decade above the value, so every point
+        # sits on the bottom axis instead of dividing by zero
+        plot = tmp_path / "flat.svg"
+        write_svg(str(plot), [0.5, 0.5, 0.5])
+        root = ElementTree.parse(plot).getroot()
+        ns = {"svg": "http://www.w3.org/2000/svg"}
+        points = root.find("svg:polyline", ns).get("points").split()
+        assert len(points) == 3
+        assert {float(p.split(",")[1]) for p in points} == {360.0}
+        assert "[-0.30, 0.70], 3 iterations" in root.find("svg:text", ns).text
+
     def test_rmc_from_coordinate_file(self, tmp_path, rmc_fixture):
         fx = rmc_fixture
         data = tmp_path / "obs.mtx"
@@ -209,8 +223,8 @@ def assert_positive_count(value):
 
 class TestCertify:
     def _dump_pair(self, tmp_path, X, y):
-        bench.save_dense(str(tmp_path / "point.csv"), X)
-        bench.save_dense(str(tmp_path / "mult.csv"), y)
+        np.savetxt(str(tmp_path / "point.csv"), X, delimiter=",", fmt="%.17g")
+        np.savetxt(str(tmp_path / "mult.csv"), y, delimiter=",", fmt="%.17g")
         return str(tmp_path / "point.csv"), str(tmp_path / "mult.csv")
 
     def test_cm_pair_report(self, tmp_path, capsys, cm_pair):
@@ -242,7 +256,7 @@ class TestCertify:
         # the point is read through the FixedRank branch of the point loader
         fx = rmc_fixture
         data = tmp_path / "A.csv"
-        bench.save_dense(str(data), fx.A)
+        np.savetxt(str(data), fx.A, delimiter=",", fmt="%.17g")
         # mu overrides the cm default merged into the problem block; the
         # fixture's multiplier certifies the pair at mu = 1
         cfg = write_config(tmp_path, problem={"kind": "rmc", "data": str(data), "r": 3,
@@ -389,7 +403,7 @@ class TestRateAndGradcheck:
     def test_gradcheck_rmc(self, tmp_path, capsys, rmc_fixture):
         fx = rmc_fixture
         data = tmp_path / "A.csv"
-        bench.save_dense(str(data), fx.A)
+        np.savetxt(str(data), fx.A, delimiter=",", fmt="%.17g")
         cfg = write_config(tmp_path, problem={"kind": "rmc", "data": str(data), "r": 3})
         code = main(["gradcheck", "--config", cfg, "--samples", "5"])
         assert code == EXIT_OK
@@ -494,8 +508,8 @@ def malformed_argv(tmp_path, command, overrides):
     if command == "certify":
         _, Xbar, ybar = bench.cm_analytic_pair()
         point, mult = str(tmp_path / "point.csv"), str(tmp_path / "mult.csv")
-        bench.save_dense(point, Xbar.X)
-        bench.save_dense(mult, ybar)
+        np.savetxt(point, Xbar.X, delimiter=",", fmt="%.17g")
+        np.savetxt(mult, ybar, delimiter=",", fmt="%.17g")
         argv += ["--point", point, "--multiplier", mult]
     return argv
 

@@ -229,7 +229,7 @@ def hessian_cases():
     the prox Jacobian has both 0 and 1 entries."""
     rng = np.random.default_rng(11)
     cm = bench.build_cm(8, 3, 0.3, 3.0)
-    rmc = bench.rmc_toy_fixture(seed=7).problem
+    rmc = bench.rmc_toy_fixture().problem
     Q = rng.standard_normal((6, 6))
     flat = euclidean_quadratic_problem(Q @ Q.T, rng.standard_normal((3, 2)), mu=2.0, g_zero=False)
     cases = []

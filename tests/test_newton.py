@@ -27,8 +27,8 @@ def make_operator(A):
 class TestCg:
     def test_identity_one_iteration(self):
         b = np.arange(1.0, 6.0).reshape(5, 1)
-        x, info = cg_solve(make_operator(np.eye(5)), 0.0, b, 1e-12, 10)
-        assert info.converged and info.iterations == 1
+        x, iterations, reason = cg_solve(make_operator(np.eye(5)), 0.0, b, 1e-12, 10)
+        assert (iterations, reason) == (1, "converged")
         np.testing.assert_allclose(x, b, atol=1e-12)
 
     def test_spd_matches_dense_solve(self):
@@ -37,8 +37,8 @@ class TestCg:
         A = M @ M.T + 5 * np.eye(5)
         b_vec = rng.standard_normal(5)
         b = b_vec.reshape(5, 1)
-        x, info = cg_solve(make_operator(A), 0.0, b, 1e-12, 50)
-        assert info.converged
+        x, _, reason = cg_solve(make_operator(A), 0.0, b, 1e-12, 50)
+        assert reason == "converged"
         np.testing.assert_allclose(x.ravel(), np.linalg.solve(A, b_vec), atol=1e-10)
 
     def test_shift_is_applied(self):
@@ -48,23 +48,32 @@ class TestCg:
         omega = 2.5
         b_vec = rng.standard_normal(5)
         b = b_vec.reshape(5, 1)
-        x, info = cg_solve(make_operator(A), omega, b, 1e-12, 100)
-        assert info.converged
+        x, _, reason = cg_solve(make_operator(A), omega, b, 1e-12, 100)
+        assert reason == "converged"
         np.testing.assert_allclose(
             x.ravel(), np.linalg.solve(A + omega * np.eye(5), b_vec), atol=1e-9
         )
 
     def test_zero_rhs(self):
         b = np.zeros((5, 1))
-        x, info = cg_solve(make_operator(np.eye(5)), 0.0, b, 1e-12, 10)
-        assert info.converged and info.iterations == 0
+        x, iterations, reason = cg_solve(make_operator(np.eye(5)), 0.0, b, 1e-12, 10)
+        assert (iterations, reason) == (0, "converged")
         assert np.linalg.norm(x) == 0.0
 
     def test_indefinite_flagged(self):
         A = -np.eye(5)
         b = np.ones((5, 1))
-        x, info = cg_solve(make_operator(A), 0.0, b, 1e-12, 10)
-        assert info.indefinite and not info.converged
+        x, iterations, reason = cg_solve(make_operator(A), 0.0, b, 1e-12, 10)
+        assert (iterations, reason) == (0, "curvature")
+        assert np.linalg.norm(x) == 0.0
+
+    def test_budget_exit(self):
+        # Distinct eigenvalues: exact CG needs all five steps, so two stop at the budget.
+        A = np.diag([1.0, 2.0, 3.0, 4.0, 5.0])
+        b = np.ones((5, 1))
+        x, iterations, reason = cg_solve(make_operator(A), 0.0, b, 1e-12, 2)
+        assert (iterations, reason) == (2, "max_iter")
+        assert np.linalg.norm(A @ x - b) > 1e-12
 
     def test_nonfinite_operator(self):
         def bad(v):
@@ -93,8 +102,8 @@ class TestCg:
         # the direction itself, so writing into its result would corrupt d.
         b = np.random.default_rng(3).standard_normal((6, 2))
         b_before = b.copy()
-        x, info = cg_solve(lambda v: v, 1.0, b, 1e-12, 10)
-        assert info.converged and info.iterations == 1
+        x, iterations, reason = cg_solve(lambda v: v, 1.0, b, 1e-12, 10)
+        assert (iterations, reason) == (1, "converged")
         assert np.array_equal(x, b / 2)
         assert np.array_equal(b, b_before)
 
@@ -131,9 +140,9 @@ class TestFactoredNewtonSystem:
         shapes = []
 
         def recording_cg(apply_H, omega_k, b, tol, max_iter):
-            x, info = cg_solve(apply_H, omega_k, b, tol, max_iter)
+            x, iterations, reason = cg_solve(apply_H, omega_k, b, tol, max_iter)
             shapes.append((b.shape, x.shape))
-            return x, info
+            return x, iterations, reason
 
         monkeypatch.setattr(newton, "cg_solve", recording_cg)
         ev, stats = ssn_minimize(P, 10.0, np.zeros((m, n)), X0, NewtonConfig(max_iter=8))

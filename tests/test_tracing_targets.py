@@ -22,8 +22,9 @@ def test_every_traced_name_exists():
 SRC = Path(__file__).resolve().parents[1] / "src" / "ralmkit"
 # Kept in src/ only for the tracer above: no ralmkit module may use them.
 TRACER_ONLY = {"auglag_value", "auglag_rgrad", "auglag_dual_grad", "auglag_ghess_vec"}
-# Mirrors of the Evaluation and Certificate APIs that are gone.
-DELETED = {"evaluate", "multiplier_update", "holds"}
+# Mirrors of the Evaluation and Certificate APIs, CG's flag record and the
+# dense CSV writer, all gone.
+DELETED = {"evaluate", "multiplier_update", "holds", "CgInfo", "save_dense"}
 
 
 def uses_and_definitions(tree):
@@ -58,7 +59,8 @@ f = auglag_dual_grad
 def evaluate(P, rho, X, y): ...
 class C:
     def holds(self): ...
+class CgInfo: ...
 """
     uses, defined = uses_and_definitions(ast.parse(source))
     assert uses == {"auglag_value", "auglag_rgrad", "auglag_dual_grad"}
-    assert defined == {"evaluate", "holds"}
+    assert defined == {"evaluate", "holds", "CgInfo"}
