@@ -4,8 +4,9 @@ Ships the weighted l1 norm ``theta = mu * ||.||_1`` together with its
 proximal map, Moreau envelope (in the ``rho``-parametrisation
 ``env(p) = min_u theta(u) + rho/2 ||p - u||^2``), envelope gradient,
 Clarke generalized Jacobians of the prox, and a subgradient membership
-test.  The interface is duck-typed so that other separable convex terms
-can be added later.
+test.  It is the one convex term ``lagrangian.ProblemSpec.theta`` takes;
+``mu`` is also the sup-norm radius of dom theta*, the box the multipliers
+live in.
 """
 
 from __future__ import annotations
@@ -128,8 +129,4 @@ class L1Norm:
             return False
         active = ~(np.abs(z) <= tol)
         return bool(np.all(np.abs(y[active] - self.mu * np.sign(z[active])) <= tol))
-
-    def conjugate_bound(self) -> float:
-        """sup-norm radius of dom theta*; multipliers live in this box."""
-        return self.mu
 

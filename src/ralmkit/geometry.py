@@ -52,8 +52,11 @@ class RankDropError(GeometryError):
     """
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(np.asarray(a, dtype=float))
+def _readonly(a: np.ndarray, copy: bool = False) -> np.ndarray:
+    """``a`` as a read-only C-contiguous float array.  Pass ``copy=True`` for
+    a caller's array, which a point must neither alias nor freeze; without
+    it, an array the constructor computed itself is copied only if it must be."""
+    a = np.array(a, dtype=float, order="C", copy=copy or None)
     a.flags.writeable = False
     return a
 
@@ -148,7 +151,7 @@ class Euclidean(Manifold):
         return int(np.prod(self.ambient_shape))
 
     def point(self, X: np.ndarray) -> ManifoldPoint:
-        return ManifoldPoint(self, _readonly(self._check_ambient(X)))
+        return ManifoldPoint(self, _readonly(self._check_ambient(X), copy=True))
 
     def check_point(self, point: ManifoldPoint) -> None:
         self._check_ambient(point.X)
@@ -157,7 +160,7 @@ class Euclidean(Manifold):
         return self._check_ambient(Y)
 
     def retract(self, point: ManifoldPoint, xi: np.ndarray) -> ManifoldPoint:
-        return self.point(point.X + xi)
+        return ManifoldPoint(self, _readonly(self._check_ambient(point.X + xi)))
 
     def hess_operator(self, point, egrad, ehess=None, weight=None) -> Callable:
         def apply(xi):
@@ -200,8 +203,7 @@ class Stiefel(Manifold):
         return self.n * self.r - self.r * (self.r + 1) // 2
 
     def point(self, X: np.ndarray) -> ManifoldPoint:
-        X = self._check_ambient(X)
-        pt = ManifoldPoint(self, _readonly(X))
+        pt = ManifoldPoint(self, _readonly(self._check_ambient(X), copy=True))
         self.check_point(pt)
         return pt
 
@@ -287,8 +289,9 @@ class FixedRank(Manifold):
                 raise GeometryError(f"{lbl} not orthonormal to tolerance ({err:.3e})")
         if not (np.all((s > 0) & (s < np.inf)) and np.all(np.diff(s) <= 0)):
             raise GeometryError("singular values must be positive, finite and nonincreasing")
-        X = (U * s) @ V.T
-        return ManifoldPoint(self, _readonly(X), factors=(_readonly(U), _readonly(s), _readonly(V)))
+        X = (U * s) @ V.T  # from the caller's layout, which the copies below may not keep
+        factors = tuple(_readonly(F, copy=True) for F in (U, s, V))
+        return ManifoldPoint(self, _readonly(X), factors=factors)
 
     def point_from_ambient(self, Z: np.ndarray) -> ManifoldPoint:
         Z = self._check_ambient(Z)

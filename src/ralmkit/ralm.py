@@ -31,6 +31,11 @@ CRITERIA = ("a", "b", "c")
 JUMP_COLLINEAR = 1e-6
 JUMP_PROGRESS = 0.9
 JUMP_SUPPORT = 1e-3
+# The inner-acceptance error schedule eps_k = max(EPS0 * KAPPA^k, EPS_MIN) is
+# summable down to the floor, which bounds the criterion 'a' threshold below.
+EPS0 = 0.5
+KAPPA = 0.5
+EPS_MIN = 1e-12
 
 
 class RalmError(RuntimeError):
@@ -44,17 +49,14 @@ class RalmConfig:
     ``rho_bar`` is the base level of the dual step: when positive, the
     dual step size is ``rho_k - rho_bar``; the default 0 takes the
     classical full step ``rho_tilde = rho``.  The inner-acceptance error
-    schedule is ``eps_k = eps0 * kappa^k`` (summable), and ``criterion``
-    selects which gradient-based acceptance rule scales it.
+    schedule is ``eps_k = max(EPS0 * KAPPA^k, EPS_MIN)``, module constants,
+    and ``criterion`` selects which gradient-based acceptance rule scales it.
     """
 
     rho0: float = 1.0
     rho_bar: float = 0.0
     gamma: float = 4.0
     rho_max: float = 1e8
-    eps0: float = 0.5
-    kappa: float = 0.5
-    eps_min: float = 1e-12
     criterion: str = "b"
     exact_c: Optional[float] = None
     kkt_tol: float = 1e-8
@@ -70,10 +72,6 @@ class RalmConfig:
             raise ValueError("need rho0 > 0, gamma >= 1, rho_max >= rho0")
         if not 0 <= self.rho_bar < self.rho0:
             raise ValueError("base level must satisfy 0 <= rho_bar < rho0")
-        if not 0 < self.eps0 < 1 or not 0 < self.kappa < 1:
-            raise ValueError("error schedule needs eps0, kappa in (0, 1)")
-        if not 0 <= self.eps_min < 1:
-            raise ValueError("error floor must lie in [0, 1)")
         if self.criterion not in CRITERIA:
             raise ValueError(f"criterion must be one of {CRITERIA}")
         if self.exact_c is not None and self.exact_c <= 0:
@@ -180,7 +178,7 @@ def ralm_solve(
     g_shape = np.shape(P.g_value(X0.X))
     if y.shape != g_shape:
         raise RalmError(f"multiplier shape {y.shape} does not match g(X0) {g_shape}")
-    box = P.theta.conjugate_bound()
+    box = P.theta.mu
     if np.max(np.abs(y), initial=0.0) > box:
         log.warning("initial multiplier leaves the |.|_inf <= %g box", box)
 
@@ -201,11 +199,9 @@ def ralm_solve(
         if R > 0.5 * R_prev:
             rho = min(cfg.gamma * rho, cfg.rho_max)
         R_prev, rho_tilde = R, rho - cfg.rho_bar
-        # The floor stops eps_k from decaying below eps_min, which bounds the
-        # criterion 'a' threshold below; 'b'/'c' scale it by the dual step,
-        # which can still push it under rounding.  eps_min = 0 gives the pure
-        # summable schedule.
-        eps_k = max(cfg.eps0 * cfg.kappa ** k, cfg.eps_min)
+        # 'b'/'c' scale eps_k by the dual step, which can still push their
+        # threshold under rounding.
+        eps_k = max(EPS0 * KAPPA ** k, EPS_MIN)
 
         def stop(ev):
             gnorm = np.linalg.norm(ev.rgrad)

@@ -19,7 +19,7 @@ from ralmkit.cli import (
     EXIT_ERROR, EXIT_MAXITER, EXIT_OK, build_problem, build_solver_config, load_config, main,
     write_svg,
 )
-from ralmkit.ralm import IterateRecord, ralm_solve
+from ralmkit.ralm import IterateRecord, RalmConfig, ralm_solve
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -164,6 +164,13 @@ class TestSolve:
         code = main(["solve", "--config", cfg])
         assert code == EXIT_ERROR
         assert "solver" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["eps0", "kappa", "eps_min"])
+    def test_error_schedule_is_not_a_solver_field(self, tmp_path, capsys, name):
+        # the schedule is ralm's EPS0/KAPPA/EPS_MIN; a config naming it is refused, not ignored
+        cfg = write_config(tmp_path, solver={name: 0.5})
+        assert main(["solve", "--config", cfg]) == EXIT_ERROR
+        assert "error: bad 'solver' block" in capsys.readouterr().err
 
     def test_svg_plot_written(self, tmp_path):
         plot = tmp_path / "run.svg"
@@ -624,3 +631,12 @@ class TestRobustness:
         assert exe is not None
         out = subprocess.run([exe, "--help"], capture_output=True, text=True)
         check_help(out)
+
+
+def test_readme_lists_the_solver_fields():
+    readme = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
+    sentence = r"The `solver` block takes the fields of `ralm\.RalmConfig` \(([^)]*)\)"
+    match = re.search(sentence, readme)
+    assert match, "README no longer describes the solver block"
+    listed = re.findall(r"`(\w+)`", match.group(1))
+    assert listed == [f.name for f in dataclasses.fields(RalmConfig) if f.name != "newton"]

@@ -483,3 +483,41 @@ class TestStructuralInvariants:
         man = FixedRank(3, 3, 2)
         with pytest.raises(GeometryError):
             man.point_from_factors(np.eye(3)[:, :2], np.array([1.0, 2.0]), np.eye(3)[:, :2])
+
+
+def _orthonormal(rows, cols, seed):
+    return np.linalg.qr(np.random.default_rng(seed).standard_normal((rows, cols)))[0]
+
+
+# Each constructor takes slices [0] of stacked caller arrays, which numpy
+# hands over as contiguous views: a point that kept them would alias the stack.
+CONSTRUCTORS = {
+    "euclidean": (lambda E: Euclidean(2, 3).point(E),
+                  lambda: [np.arange(6.0).reshape(2, 3)]),
+    "stiefel": (lambda Q: Stiefel(6, 2).point(Q), lambda: [_orthonormal(6, 2, 0)]),
+    "fixed-rank": (lambda U, s, V: FixedRank(5, 4, 2).point_from_factors(U, s, V),
+                   lambda: [_orthonormal(5, 2, 1), np.array([2.0, 1.0]), _orthonormal(4, 2, 2)]),
+}
+
+
+@pytest.mark.parametrize("kind", CONSTRUCTORS)
+class TestPointsOwnTheirData:
+    def build(self, kind):
+        make, args = CONSTRUCTORS[kind]
+        bases = [np.stack([a, a]) for a in args()]
+        passed = [b[0] for b in bases]
+        return make(*passed), passed, bases
+
+    def test_caller_array_stays_writable(self, kind):
+        _, passed, _ = self.build(kind)
+        assert all(a.flags.writeable for a in passed)
+
+    def test_writing_the_caller_array_leaves_the_point(self, kind):
+        point, _, bases = self.build(kind)
+        before = [point.X.copy()] + [F.copy() for F in point.factors or ()]
+        for b in bases:
+            b *= 2
+        after = [point.X] + list(point.factors or ())
+        for old, new in zip(before, after):
+            np.testing.assert_array_equal(new, old)
+        point.manifold.check_point(point)
