@@ -52,11 +52,8 @@ class RankDropError(GeometryError):
     """
 
 
-def _readonly(a: np.ndarray, copy: bool = False) -> np.ndarray:
-    """``a`` as a read-only C-contiguous float array.  Pass ``copy=True`` for
-    a caller's array, which a point must neither alias nor freeze; without
-    it, an array the constructor computed itself is copied only if it must be."""
-    a = np.array(a, dtype=float, order="C", copy=copy or None)
+def _readonly(a: np.ndarray) -> np.ndarray:
+    a = np.ascontiguousarray(np.asarray(a, dtype=float))
     a.flags.writeable = False
     return a
 
@@ -151,7 +148,7 @@ class Euclidean(Manifold):
         return int(np.prod(self.ambient_shape))
 
     def point(self, X: np.ndarray) -> ManifoldPoint:
-        return ManifoldPoint(self, _readonly(self._check_ambient(X), copy=True))
+        return ManifoldPoint(self, _readonly(np.array(self._check_ambient(X), order="C")))
 
     def check_point(self, point: ManifoldPoint) -> None:
         self._check_ambient(point.X)
@@ -203,7 +200,7 @@ class Stiefel(Manifold):
         return self.n * self.r - self.r * (self.r + 1) // 2
 
     def point(self, X: np.ndarray) -> ManifoldPoint:
-        pt = ManifoldPoint(self, _readonly(self._check_ambient(X), copy=True))
+        pt = ManifoldPoint(self, _readonly(np.array(self._check_ambient(X), order="C")))
         self.check_point(pt)
         return pt
 
@@ -279,6 +276,11 @@ class FixedRank(Manifold):
         return self.r * (self.m + self.n - self.r)
 
     def point_from_factors(self, U: np.ndarray, s: np.ndarray, V: np.ndarray) -> ManifoldPoint:
+        """The point ``U diag(s) V^T``; it holds copies of the caller's factors."""
+        return self._from_factors(*(np.array(F, dtype=float) for F in (U, s, V)))
+
+    def _from_factors(self, U: np.ndarray, s: np.ndarray, V: np.ndarray) -> ManifoldPoint:
+        """``point_from_factors`` without the copies, for factors computed here."""
         U, V = np.asarray(U, float), np.asarray(V, float)
         s = np.asarray(s, float).ravel()
         if U.shape != (self.m, self.r) or V.shape != (self.n, self.r) or s.shape != (self.r,):
@@ -289,13 +291,12 @@ class FixedRank(Manifold):
                 raise GeometryError(f"{lbl} not orthonormal to tolerance ({err:.3e})")
         if not (np.all((s > 0) & (s < np.inf)) and np.all(np.diff(s) <= 0)):
             raise GeometryError("singular values must be positive, finite and nonincreasing")
-        X = (U * s) @ V.T  # from the caller's layout, which the copies below may not keep
-        factors = tuple(_readonly(F, copy=True) for F in (U, s, V))
-        return ManifoldPoint(self, _readonly(X), factors=factors)
+        X = (U * s) @ V.T
+        return ManifoldPoint(self, _readonly(X), factors=(_readonly(U), _readonly(s), _readonly(V)))
 
     def point_from_ambient(self, Z: np.ndarray) -> ManifoldPoint:
         Z = self._check_ambient(Z)
-        return self.point_from_factors(*self._truncate(*np.linalg.svd(Z, full_matrices=False)))
+        return self._from_factors(*self._truncate(*np.linalg.svd(Z, full_matrices=False)))
 
     def _truncate(self, W, s, Vt) -> tuple:
         """Factors ``(U, s, V)`` of the rank-r truncation of the SVD ``W diag(s) Vt``."""
@@ -309,7 +310,7 @@ class FixedRank(Manifold):
         if point.factors is None:
             raise GeometryError("fixed-rank point must carry (U, s, V) factors")
         U, s, V = point.factors
-        self.point_from_factors(U, s, V)
+        self._from_factors(U, s, V)
 
     def _split(self, c: np.ndarray) -> tuple:
         """Views ``(M, Up, Vp)`` of packed coordinates."""
@@ -354,7 +355,7 @@ class FixedRank(Manifold):
         Qv, Rv = np.linalg.qr(np.hstack([V, Vp]))
         core = Ru @ C @ Rv.T
         Uc, sc, Vc = self._truncate(*np.linalg.svd(core))
-        return self.point_from_factors(Qu @ Uc, sc, Qv @ Vc)
+        return self._from_factors(Qu @ Uc, sc, Qv @ Vc)
 
     def hess_operator(self, point, egrad, ehess=None, weight=None) -> Callable:
         # The projected Euclidean terms plus the sigma-weighted curvature
@@ -407,7 +408,7 @@ class FixedRank(Manifold):
         U, _ = np.linalg.qr(rng.standard_normal((self.m, self.r)))
         V, _ = np.linalg.qr(rng.standard_normal((self.n, self.r)))
         s = np.sort(rng.uniform(0.5, 2.0, self.r))[::-1]
-        return self.point_from_factors(U, s, V)
+        return self._from_factors(U, s, V)
 
 
 # ---------------------------------------------------------------------------
