@@ -63,10 +63,27 @@ def load_config(path: str) -> dict:
     for name in ("problem", "solver", "output", "certify"):
         if not isinstance(cfg.get(name, {}), dict):
             raise ConfigError(f"'{name}' block must be a JSON object")
+    _known_fields("config", cfg, _FIELDS["config"])
+    for name in ("output", "certify"):
+        _known_fields(name, cfg.get(name, {}), _FIELDS[name])
     version = _reader("config", cfg)("schema_version", int, 1)
     if version != 1:
         raise ConfigError(f"unsupported schema_version {version}")
     return cfg
+
+
+# The fields each block accepts, the problem block's by its kind; the solver
+# block's are the fields of its dataclasses.
+_FIELDS = {"config": {"schema_version", "problem", "solver", "output", "certify"},
+           "output": {"log", "plot", "seed"}, "certify": {"rho", "stationarity_tol"},
+           "cm": {"kind", "n", "r", "mu", "len"},
+           "rmc": {"kind", "r", "mu", "data", "m", "n", "density", "magnitude"}}
+
+
+def _known_fields(name: str, block: dict, allowed: set) -> None:
+    unknown = sorted(set(block) - allowed)
+    if unknown:
+        raise ConfigError(f"bad '{name}' block: unknown field {unknown[0]!r}")
 
 
 def _expect(ok: bool, v, what: str):
@@ -114,34 +131,35 @@ def build_problem(cfg: dict, seed: Optional[int]):
     """Instantiate (problem, X0, y0) from the config's problem block."""
     get, seed = _reader("problem", cfg["problem"]), _seed(cfg, seed)
     kind = get("kind", str)
+    if kind not in ("cm", "rmc"):
+        raise ConfigError(f"unknown problem kind {kind!r}")
+    _known_fields("problem", cfg["problem"], _FIELDS[kind])
     if kind == "cm":
         n, r = get("n", int), get("r", int)
         P = bench.build_cm(n, r, get("mu", float), get("len", float))
         return P, bench.cm_initial_point(n, r, seed), np.zeros((n, r))
-    if kind == "rmc":
-        r, mu, path = get("r", int, 0), get("mu", float, 1.0), get("data", str, None)
-        if r < 1:
-            raise ConfigError("'problem' block needs a positive rank 'r'")
-        if path is None:
-            m, n = get("m", int), get("n", int)
-            if not 1 <= r <= min(m, n):  # before the draws, which need it
-                raise ConfigError(f"bad 'problem' block: need 1 <= r <= min(m, n), "
-                                  f"got m={m}, n={n}, r={r}")
-            density, magnitude = get("density", float), get("magnitude", float)
-            rng = np.random.default_rng(seed)
-            U, _ = np.linalg.qr(rng.standard_normal((m, r)))
-            V, _ = np.linalg.qr(rng.standard_normal((n, r)))
-            s = np.sort(rng.uniform(1.0, 3.0, r))[::-1]
-            A = (U * s) @ V.T + bench.rmc_random_outliers(m, n, density, magnitude, seed + 1)
-            omega = np.ones((m, n), dtype=bool)
-        elif path.endswith((".mtx", ".mm")):
-            A, omega = bench.load_coordinate(path)
-        else:
-            A = bench.load_dense(path)
-            omega = np.ones_like(A, dtype=bool)
-        P = bench.build_rmc(A, omega, r, mu)
-        return P, P.manifold.point_from_ambient(A), np.zeros_like(A)
-    raise ConfigError(f"unknown problem kind {kind!r}")
+    r, mu, path = get("r", int, 0), get("mu", float, 1.0), get("data", str, None)
+    if r < 1:
+        raise ConfigError("'problem' block needs a positive rank 'r'")
+    if path is None:
+        m, n = get("m", int), get("n", int)
+        if not 1 <= r <= min(m, n):  # before the draws, which need it
+            raise ConfigError(f"bad 'problem' block: need 1 <= r <= min(m, n), "
+                              f"got m={m}, n={n}, r={r}")
+        density, magnitude = get("density", float), get("magnitude", float)
+        rng = np.random.default_rng(seed)
+        U, _ = np.linalg.qr(rng.standard_normal((m, r)))
+        V, _ = np.linalg.qr(rng.standard_normal((n, r)))
+        s = np.sort(rng.uniform(1.0, 3.0, r))[::-1]
+        A = (U * s) @ V.T + bench.rmc_random_outliers(m, n, density, magnitude, seed + 1)
+        omega = np.ones((m, n), dtype=bool)
+    elif path.endswith((".mtx", ".mm")):
+        A, omega = bench.load_coordinate(path)
+    else:
+        A = bench.load_dense(path)
+        omega = np.ones_like(A, dtype=bool)
+    P = bench.build_rmc(A, omega, r, mu)
+    return P, P.manifold.point_from_ambient(A), np.zeros_like(A)
 
 
 def _typed(cls, block: dict, **nested):
@@ -270,6 +288,9 @@ def cmd_certify(args) -> int:
         "genhess_min_eig": None,
         "genhess_verdict": None,
         "genhess_operator_applications": None,
+        "genhess_boundary_count": None,
+        "genhess_elements_checked": None,
+        "genhess_partial": None,
         "rho": rho,
     }
     if residual <= stat_tol:
@@ -283,6 +304,9 @@ def cmd_certify(args) -> int:
                 "genhess_min_eig": gh.min_eig,
                 "genhess_verdict": gh.verdict,
                 "genhess_operator_applications": gh.operator_applications,
+                "genhess_boundary_count": gh.boundary_count,
+                "genhess_elements_checked": gh.elements_checked,
+                "genhess_partial": gh.partial,
             }
         )
     else:

@@ -1,10 +1,10 @@
 """Finite-difference verification of derivatives.
 
 These checks compare analytic Riemannian gradients and generalized
-Hessian-vector products against central differences taken along
-retraction curves.  The envelope term is only twice differentiable away
-from the prox threshold, so sampling rejects draws where the active set
-changes inside the differencing stencil.
+Hessian-vector products against four-point central differences, of the
+value and of the gradient, taken along retraction curves.  The envelope term
+is only twice differentiable away from the prox threshold, so sampling
+rejects draws where the active set changes inside the differencing stencil.
 """
 
 from __future__ import annotations
@@ -25,13 +25,11 @@ class OracleError(ValueError):
 
 # Penalty at which the derivative checks run.
 CHECK_RHO = 1.0
-# Step of the four-point gradient stencil, whose error is O(h^4) truncation
-# plus O(eps / h) rounding.  A two-point stencil at h = 1e-6 read rounding
-# noise of 1.4e-5 to 1.7e-5 on 200 x 300 completion problems, above the
-# 1e-5 gate of `ralmkit gradcheck`.
-GRAD_STEP = 1e-3
-# Step of the two-point stencil that differences gradients.
-HESS_STEP = 1e-5
+# Step of the four-point stencil, whose error is O(h^4) truncation plus
+# O(eps / h) rounding.  A two-point stencil at h = 1e-6 read rounding noise of
+# 1.4e-5 to 1.7e-5 on 200 x 300 completion problems, above the 1e-5 gate of
+# `ralmkit gradcheck`.
+STEP = 1e-3
 MAX_TRIES = 50
 
 
@@ -46,8 +44,9 @@ def directional_derivative(
     X: ManifoldPoint,
     xi: np.ndarray,
 ) -> float:
-    """Four-point central difference of ``t -> value(retract(X, t xi))`` at 0."""
-    h = GRAD_STEP
+    """Four-point central difference of ``t -> value(retract(X, t xi))`` at 0;
+    an array-valued ``value`` is differenced entrywise."""
+    h = STEP
 
     def f(t):
         return value(geometry.retract(X, t * xi))
@@ -55,14 +54,11 @@ def directional_derivative(
     return (8.0 * (f(h) - f(-h)) - (f(2.0 * h) - f(-2.0 * h))) / (12.0 * h)
 
 
-def _stable_sample(
-    P: ProblemSpec,
-    rng: np.random.Generator,
-    h: float,
-) -> Tuple[ManifoldPoint, np.ndarray, np.ndarray]:
-    """Draw (X, y, xi) whose prox active set is the same at the five
+def _stable_sample(P: ProblemSpec, rng: np.random.Generator
+                   ) -> Tuple[Subproblem, ManifoldPoint, np.ndarray]:
+    """Draw (sub, X, xi) whose prox active set is the same at the five
     stencil points ``t = 0, +-h, +-2h``."""
-    theta = P.theta
+    theta, h = P.theta, STEP
     for _ in range(MAX_TRIES):
         X = P.manifold.random_point(rng)
         y = theta.mu * rng.uniform(-1.0, 1.0, size=P.g_value(X.X).shape)
@@ -77,43 +73,41 @@ def _stable_sample(
             masks.append(jac.mask)
         else:
             if all(np.array_equal(masks[0], m) for m in masks[1:]):
-                return X, y, xi
+                return sub, X, xi
     raise OracleError(f"could not sample a kink-free configuration in {MAX_TRIES} draws")
+
+
+def _worst_error(P: ProblemSpec, samples: int, seed: int,
+                 error: Callable[[Subproblem, ManifoldPoint, np.ndarray], float]) -> float:
+    """Max of ``error(sub, X, xi)`` over kink-free draws; inf if one is NaN."""
+    if samples < 1:
+        raise OracleError(f"need samples >= 1, got {samples}")
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(samples):
+        worst = np.maximum(worst, error(*_stable_sample(P, rng)))
+    return float(worst) if np.isfinite(worst) else math.inf
 
 
 def gradient_check(P: ProblemSpec, samples: int = 20, seed: int = 0) -> float:
     """Max relative error of the augmented-Lagrangian gradient against central
     differences of its value along retraction curves; inf if an error is NaN."""
-    if samples < 1:
-        raise OracleError(f"need samples >= 1, got {samples}")
-    rho = CHECK_RHO
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(samples):
-        X, y, xi = _stable_sample(P, rng, GRAD_STEP)
-        sub = Subproblem(P, rho, y)
+    def error(sub, X, xi):
         grad = sub.at(X).rgrad
-        exact = np.vdot(grad, xi)
         approx = directional_derivative(lambda Z: sub.at(Z).value, X, xi)
-        worst = np.maximum(worst, _rel_err(approx, exact, scale=max(np.linalg.norm(grad), 1.0)))
-    return float(worst) if np.isfinite(worst) else math.inf
+        return _rel_err(approx, np.vdot(grad, xi), scale=max(np.linalg.norm(grad), 1.0))
+
+    return _worst_error(P, samples, seed, error)
 
 
 def hessian_check(P: ProblemSpec, samples: int = 20, seed: int = 0) -> float:
     """Max relative error of generalized Hessian-vector products against
-    differenced gradients along retraction curves (kink-free samples); inf if
-    an error is NaN."""
-    if samples < 1:
-        raise OracleError(f"need samples >= 1, got {samples}")
-    rho, h = CHECK_RHO, HESS_STEP
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(samples):
-        X, y, xi = _stable_sample(P, rng, h)
-        sub, man = Subproblem(P, rho, y), X.manifold
+    central differences of the gradient along retraction curves (kink-free
+    samples); inf if an error is NaN."""
+    def error(sub, X, xi):
+        man = X.manifold
         Hxi = man.ambient(X, sub.at(X).ghess_operator()(man.coords(X, xi)))
-        up = sub.at(geometry.retract(X, h * xi)).rgrad
-        dn = sub.at(geometry.retract(X, (-h) * xi)).rgrad
-        fd = man.project(X, (up - dn) / (2.0 * h))
-        worst = np.maximum(worst, np.linalg.norm(fd - Hxi) / max(np.linalg.norm(Hxi), 1e-8))
-    return float(worst) if np.isfinite(worst) else math.inf
+        fd = man.project(X, directional_derivative(lambda Z: sub.at(Z).rgrad, X, xi))
+        return np.linalg.norm(fd - Hxi) / max(np.linalg.norm(Hxi), 1e-8)
+
+    return _worst_error(P, samples, seed, error)

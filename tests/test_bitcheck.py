@@ -88,14 +88,15 @@ def test_a_solve_dump_tells_inner_stop_reasons_apart(tmp_path):
     # a noise_floor exit and a max_iter exit have the same counts: neither
     # stopped nor failed its line search
     from ralmkit.newton import NewtonStats
+    from ralmkit.ralm import RalmResult
 
     bitcheck = load_bitcheck()
 
     def dumped(reason):
         stats = [NewtonStats(iterations=2, stop_reason="criterion"),
                  NewtonStats(iterations=5, stop_reason=reason)]
-        result = types.SimpleNamespace(X=types.SimpleNamespace(X=np.eye(2)), y=np.zeros(2),
-                                       records=[], converged=False, inner_stats=stats)
+        result = RalmResult(X=types.SimpleNamespace(X=np.eye(2)), y=np.zeros(2),
+                            records=[], converged=False, inner_stats=stats)
         return {f"w/op/{k}": v for k, v in bitcheck._fields(result).items()}
 
     a, b = dumped("max_iter"), dumped("noise_floor")
@@ -107,27 +108,46 @@ def test_a_solve_dump_tells_inner_stop_reasons_apart(tmp_path):
     assert out.stdout.startswith("w/op: stop_reasons:")
 
 
+def fake_solve(X, dual_jumps=0, **counts):
+    from ralmkit.newton import NewtonStats
+    from ralmkit.ralm import RalmResult
+
+    return RalmResult(X=types.SimpleNamespace(X=X), y=np.zeros(2), records=[], converged=True,
+                      inner_stats=[NewtonStats(stop_reason="criterion", **counts)],
+                      dual_jumps=dual_jumps)
+
+
+@pytest.mark.parametrize("moved, field", [({"rounding_accepts": 1}, "newton_counts"),
+                                          ({"dual_jumps": 1}, "dual_jumps")],
+                         ids=["rounding_accepts", "dual_jumps"])
+def test_every_solve_count_is_a_work_count(tmp_path, moved, field):
+    # solves that differ only in one count, with every float byte-identical
+    bitcheck = load_bitcheck()
+
+    def dumped(result):
+        return {f"w/op/{k}": np.asarray(v) for k, v in bitcheck._fields(result).items()}
+
+    out = compare(tmp_path, dumped(fake_solve(np.eye(2), iterations=3)),
+                  dumped(fake_solve(np.eye(2), iterations=3, **moved)))
+    assert out.returncode == 1
+    assert out.stdout.strip().endswith(f"; work counts differ ({field})")
+
+
 def test_work_counts_are_reported_apart_from_bytes(tmp_path):
     # a solve whose rounding moved but whose counts held, then one whose
     # Newton counts moved; a certificate's counts are its int and bool fields
     from ralmkit.certify import Certificate
-    from ralmkit.newton import NewtonStats
 
     bitcheck = load_bitcheck()
 
     def dumped(result, op="op"):
         return {f"w/{op}/{k}": np.asarray(v) for k, v in bitcheck._fields(result).items()}
 
-    def solve(X, iterations):
-        stats = [NewtonStats(iterations=iterations, stop_reason="criterion")]
-        return types.SimpleNamespace(X=types.SimpleNamespace(X=X), y=np.zeros(2), records=[],
-                                     converged=True, inner_stats=stats)
-
-    a = dumped(solve(np.eye(2), 3))
-    out = compare(tmp_path, a, dumped(solve(np.eye(2) + 1e-16, 3)))
+    a = dumped(fake_solve(np.eye(2), iterations=3))
+    out = compare(tmp_path, a, dumped(fake_solve(np.eye(2) + 1e-16, iterations=3)))
     assert out.returncode == 1
     assert out.stdout.strip().endswith("; work counts identical")
-    out = compare(tmp_path, a, dumped(solve(np.eye(2) + 1e-16, 4)))
+    out = compare(tmp_path, a, dumped(fake_solve(np.eye(2) + 1e-16, iterations=4)))
     assert out.stdout.strip().endswith("; work counts differ (newton_counts)")
 
     cert = Certificate(kind="genhess", min_eig=0.5, subspace_dim=3, operator_applications=41)

@@ -14,11 +14,12 @@ from xml.etree import ElementTree
 import numpy as np
 import pytest
 
-from ralmkit import bench, lagrangian
+from ralmkit import bench, certify, lagrangian
 from ralmkit.cli import (
     EXIT_ERROR, EXIT_MAXITER, EXIT_OK, build_problem, build_solver_config, load_config, main,
     write_svg,
 )
+from ralmkit.convex import ENUM_CAP
 from ralmkit.ralm import IterateRecord, RalmConfig, ralm_solve
 
 
@@ -36,7 +37,10 @@ def write_config(tmp_path, name="cfg.json", **overrides):
         "output": {"log": str(tmp_path / "run.csv"), "seed": 0},
     }
     for key, val in overrides.items():
-        if isinstance(val, dict) and key in cfg:
+        # An override of another problem kind replaces the cm block, since
+        # each kind rejects the other's fields.
+        rmc = key == "problem" and val.get("kind", "cm") != "cm"
+        if isinstance(val, dict) and key in cfg and not rmc:
             cfg[key].update(val)
         else:
             cfg[key] = val
@@ -247,6 +251,25 @@ class TestCertify:
         assert report["mssosc_verdict"] == "holds"
         assert report["genhess_min_eig"] > 0
         assert_positive_count(report["genhess_operator_applications"])
+        assert (report["genhess_boundary_count"], report["genhess_elements_checked"],
+                report["genhess_partial"]) == (0, 1, False)
+
+    def test_partial_genhess_certificate_is_reported(self, tmp_path, capsys, cm_pair,
+                                                     monkeypatch):
+        # a pair with more than ENUM_CAP prox ties is checked at one element
+        P, Xbar, ybar = cm_pair
+        partial = certify.Certificate("generalized-hessian", 1.0, 5, boundary_count=ENUM_CAP + 1,
+                                      elements_checked=1, partial=True, operator_applications=9)
+        monkeypatch.setattr(certify, "genhess_min_eig", lambda *args, **kwargs: partial)
+        point, mult = self._dump_pair(tmp_path, Xbar.X, ybar)
+        code = main(["certify", "--config", write_config(tmp_path), "--point", point,
+                     "--multiplier", mult])
+        assert code == EXIT_OK
+        report = parse_report(capsys.readouterr().out)
+        assert report["genhess_verdict"] == "holds"
+        assert report["genhess_boundary_count"] == ENUM_CAP + 1
+        assert report["genhess_elements_checked"] == 1
+        assert report["genhess_partial"] is True
 
     def test_large_weight_fails_verdict(self, tmp_path, capsys):
         P, Xbar, ybar = bench.cm_analytic_pair(7.5)
@@ -264,8 +287,7 @@ class TestCertify:
         fx = rmc_fixture
         data = tmp_path / "A.csv"
         np.savetxt(str(data), fx.A, delimiter=",", fmt="%.17g")
-        # mu overrides the cm default merged into the problem block; the
-        # fixture's multiplier certifies the pair at mu = 1
+        # the fixture's multiplier certifies the pair at mu = 1
         cfg = write_config(tmp_path, problem={"kind": "rmc", "data": str(data), "r": 3,
                                               "mu": 1.0})
         point, mult = self._dump_pair(tmp_path, fx.X_bar.X, fx.y_bar)
@@ -338,7 +360,9 @@ class TestCertify:
         assert code == EXIT_OK
         report = parse_report(capsys.readouterr().out)
         assert report["cone_dim"] is None
-        assert report["genhess_operator_applications"] is None
+        for key in ("genhess_operator_applications", "genhess_boundary_count",
+                    "genhess_elements_checked", "genhess_partial"):
+            assert report[key] is None
         assert report["stationarity_residual"] > 1e-6
 
 
@@ -475,6 +499,20 @@ MALFORMED_CONFIGS = {
     "NaN newton grad_tol": ("solve", {"solver": {"newton": {"grad_tol": math.nan}}}),
 }
 
+# Misspelled or misplaced keys, each with the block its error names.
+UNKNOWN_FIELDS = {
+    "misspelled output log": ("solve", {"output": {"lgo": "x.csv"}}, "output", "lgo"),
+    "misspelled solver block": ("solve", {"solvr": {"max_outer": 1}}, "config", "solvr"),
+    "misspelled certify tol": ("certify", {"certify": {"stationarty_tol": -1}},
+                               "certify", "stationarty_tol"),
+    "cm field in rmc problem": ("gradcheck", {"problem": {"kind": "rmc", "m": 6, "n": 5, "r": 2,
+                                                          "density": 0.1, "magnitude": 0.5,
+                                                          "len": 2.0}}, "problem", "len"),
+    "rmc field in cm problem": ("solve", {"problem": {"density": 0.1}}, "problem", "density"),
+    "misspelled cm field": ("certify", {"problem": {"lne": 2.0}}, "problem", "lne"),
+}
+MALFORMED_CONFIGS.update({key: case[:2] for key, case in UNKNOWN_FIELDS.items()})
+
 # Fields of the wrong JSON type or non-finite, each with the block and field
 # its error names.  Every field goes through one conversion: ints are
 # integers, numbers finite, paths strings, and a bool is none of them.
@@ -535,6 +573,14 @@ class TestRobustness:
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err.startswith(f"error: bad '{block}' block: field '{key}': ")
+
+    @pytest.mark.parametrize("command, overrides, block, key", UNKNOWN_FIELDS.values(),
+                             ids=UNKNOWN_FIELDS.keys())
+    def test_unknown_field_is_named(self, tmp_path, capsys, command, overrides, block, key):
+        assert main(malformed_argv(tmp_path, command, overrides)) == EXIT_ERROR
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: bad '{block}' block: unknown field '{key}'\n"
 
     @pytest.mark.parametrize("command", ["solve", "gradcheck"])
     @pytest.mark.parametrize("size", RMC_BAD_SIZES.values(), ids=RMC_BAD_SIZES.keys())

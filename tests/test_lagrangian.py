@@ -161,6 +161,30 @@ class TestAuglagHessian:
         for P in (Pcm, rmc_fixture.problem):
             assert oracles.hessian_check(P, samples=20, seed=5) <= 1e-4
 
+    def test_four_point_stencil_on_the_analytic_pair(self, cm_pair):
+        # a two-point stencil at h = 1e-5 read 1.4e-10 here
+        assert oracles.hessian_check(cm_pair[0], samples=5, seed=5) <= 1e-10
+
+    @pytest.mark.parametrize("observed", [1.0, 0.5], ids=["toy", "half-observed"])
+    def test_oracle_catches_missing_fixed_rank_curvature(self, rmc_fixture, monkeypatch,
+                                                         observed):
+        # a tangent gradient has no normal part N, so the curvature terms
+        # N Vp / s and N^T Up / s drop out of the fixed-rank Hessian
+        if observed == 1.0:
+            P = rmc_fixture.problem
+        else:
+            rng = np.random.default_rng(0)
+            A = rng.standard_normal((40, 5)) @ rng.standard_normal((5, 50))
+            P = bench.build_rmc(A, rng.uniform(size=A.shape) < observed, 5)
+        assert oracles.hessian_check(P, samples=5, seed=5) <= 1e-10
+        full = geometry.FixedRank.hess_operator
+
+        def flat(self, point, egrad, ehess=None, weight=None):
+            return full(self, point, self.project(point, egrad), ehess, weight)
+
+        monkeypatch.setattr(geometry.FixedRank, "hess_operator", flat)
+        assert oracles.hessian_check(P, samples=5, seed=5) > 1e-2
+
 
 class TestNonlinearG:
     @pytest.mark.parametrize("entrywise", [False, True], ids=["jvp", "entrywise"])

@@ -11,8 +11,9 @@ checkout that holds this file; nothing there is written).  Each
 saves, per operation, every array a result holds:
 
 * a solve: the final ``X`` and ``y``, every ``IterateRecord`` row, every
-  inner objective trace, the ``NewtonStats`` counts and each inner solve's
-  ``stop_reason``;
+  inner objective trace, the ``NewtonStats`` counts (its integer fields,
+  ``line_search_failed`` and ``stopped``), each inner solve's
+  ``stop_reason`` and the ``dual_jumps`` count;
 * a certificate: its fields (``min_eig``, ``subspace_dim``,
   ``boundary_count``, ``operator_applications``, ...).
 
@@ -22,7 +23,7 @@ When the ``records`` differ it also prints their first differing row, which
 is the outer step k: the two solves are byte-identical before it.  When any
 bytes differ it adds whether the work counts held: the integer, bool and
 string fields (``newton_counts``, ``stop_reasons``, ``trace_lengths``,
-``converged``, a certificate's counts), so a change that only moves rounding
+``dual_jumps``, ``converged``, a certificate's counts), so a change that only moves rounding
 shows as ``work counts identical``.
 """
 
@@ -35,8 +36,6 @@ from pathlib import Path
 
 # NumPy is imported inside the functions: `dump` must pin BLAS threads first.
 ROOT = Path(__file__).resolve().parent.parent
-STAT_COUNTS = ("iterations", "cg_iterations", "fallbacks", "rank_drop_retries",
-               "line_search_failed", "stopped")
 # dtype kinds of the work-count fields: integer, bool and string arrays
 WORK_KINDS = "iubU"
 
@@ -59,17 +58,22 @@ def _fields(result) -> dict:
     import numpy as np
 
     if hasattr(result, "inner_stats"):  # a RalmResult
+        from ralmkit.newton import NewtonStats
+
         stats = result.inner_stats
+        counts = [f.name for f in dataclasses.fields(NewtonStats) if isinstance(f.default, int)]
+        counts += ["line_search_failed", "stopped"]
         return {
             "X": result.X.X,
             "y": result.y,
             "records": np.array([rec.as_row() for rec in result.records], dtype=float),
             "converged": np.array(result.converged),
-            "newton_counts": np.array([[getattr(s, f) for f in STAT_COUNTS] for s in stats],
-                                      dtype=np.int64).reshape(-1, len(STAT_COUNTS)),
+            "newton_counts": np.array([[getattr(s, f) for f in counts] for s in stats],
+                                      dtype=np.int64).reshape(-1, len(counts)),
             "stop_reasons": np.array([s.stop_reason for s in stats], dtype=str),
             "trace_lengths": np.array([len(s.objective_trace) for s in stats], dtype=np.int64),
             "objective_traces": np.array([v for s in stats for v in s.objective_trace]),
+            "dual_jumps": np.array(result.dual_jumps),
         }
     return {f.name: np.array(getattr(result, f.name)) for f in dataclasses.fields(result)}
 
