@@ -212,6 +212,16 @@ def rmc_random_outliers(
     return E
 
 
+def rmc_random_data(m: int, n: int, r: int, density: float, magnitude: float,
+                    seed: int) -> Tuple[np.ndarray, np.ndarray]:
+    """A rank-r truth L and the data L + rmc_random_outliers(..., seed + 1)."""
+    rng = np.random.default_rng(seed)
+    U, _ = np.linalg.qr(rng.standard_normal((m, r)))
+    V, _ = np.linalg.qr(rng.standard_normal((n, r)))
+    L = (U * np.sort(rng.uniform(1.0, 3.0, r))[::-1]) @ V.T
+    return L, L + rmc_random_outliers(m, n, density, magnitude, seed + 1)
+
+
 # ---------------------------------------------------------------------------
 # File ingestion: CSV and Matrix Market coordinate format.
 

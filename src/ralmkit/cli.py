@@ -1,12 +1,14 @@
 """Command-line front end: solve, certify, rate and gradcheck.
 
-Runs are described by a single JSON config with three blocks::
+Runs are described by a single JSON config with four blocks, every one of
+them read and checked before a command does any work::
 
     {
       "schema_version": 1,
       "problem": {"kind": "cm", "n": 4, "r": 2, "mu": 0.8, "len": 2.0},
       "solver":  {"rho0": 1.0, "gamma": 4.0, "criterion": "b", ...},
-      "output":  {"log": "run.csv", "plot": "run.svg", "seed": 0}
+      "output":  {"log": "run.csv", "plot": "run.svg", "seed": 0},
+      "certify": {"rho": 10.0, "stationarity_tol": 1e-6}
     }
 
 Exit codes: 0 success/converged, 1 error, 2 iteration budget exhausted.
@@ -21,6 +23,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import fields
 from typing import Optional, get_type_hints
 
 import numpy as np
@@ -49,6 +52,7 @@ def _setup_logging() -> None:
 
 
 def load_config(path: str) -> dict:
+    """The config at ``path``, read and checked whole by :func:`_read_config`."""
     try:
         with open(path) as fh:
             cfg = json.load(fh)
@@ -56,34 +60,7 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"cannot read config: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
-    if not isinstance(cfg, dict):
-        raise ConfigError("config must be a JSON object")
-    if "problem" not in cfg:
-        raise ConfigError("missing 'problem' block")
-    for name in ("problem", "solver", "output", "certify"):
-        if not isinstance(cfg.get(name, {}), dict):
-            raise ConfigError(f"'{name}' block must be a JSON object")
-    _known_fields("config", cfg, _FIELDS["config"])
-    for name in ("output", "certify"):
-        _known_fields(name, cfg.get(name, {}), _FIELDS[name])
-    version = _reader("config", cfg)("schema_version", int, 1)
-    if version != 1:
-        raise ConfigError(f"unsupported schema_version {version}")
-    return cfg
-
-
-# The fields each block accepts, the problem block's by its kind; the solver
-# block's are the fields of its dataclasses.
-_FIELDS = {"config": {"schema_version", "problem", "solver", "output", "certify"},
-           "output": {"log", "plot", "seed"}, "certify": {"rho", "stationarity_tol"},
-           "cm": {"kind", "n", "r", "mu", "len"},
-           "rmc": {"kind", "r", "mu", "data", "m", "n", "density", "magnitude"}}
-
-
-def _known_fields(name: str, block: dict, allowed: set) -> None:
-    unknown = sorted(set(block) - allowed)
-    if unknown:
-        raise ConfigError(f"bad '{name}' block: unknown field {unknown[0]!r}")
+    return _read_config(cfg)
 
 
 def _expect(ok: bool, v, what: str):
@@ -92,93 +69,126 @@ def _expect(ok: bool, v, what: str):
     return v
 
 
-# Conversion of a JSON value to the annotated type of a config field: an int
-# is an integer, a float a finite number and a str a string, never a bool.
+# Conversion of a JSON value to the type of a config field: an int is an
+# integer, a float a finite number, a str a string and a dict an object,
+# never a bool.
 _CONVERT = {
     int: lambda v: _expect(isinstance(v, int), v, "an integer"),
     float: lambda v: float(_expect(isinstance(v, (int, float)) and math.isfinite(v), v,
                                    "a finite number")),
     str: lambda v: _expect(isinstance(v, str), v, "a string"),
+    dict: lambda v: _expect(isinstance(v, dict), v, "a JSON object"),
     Optional[float]: lambda v: None if v is None else _CONVERT[float](v),
 }
 
 
-def _reader(name: str, block: dict):
-    """``get(key, kind[, default])``: field ``key`` of config block ``name``
-    converted by ``_CONVERT[kind]`` (returned as is for any other ``kind``)."""
-    def get(key: str, kind, *default):
-        if key not in block:
-            if not default:
-                raise ConfigError(f"'{name}' block missing field {key!r}")
-            return default[0]
-        try:
-            return _CONVERT.get(kind, lambda v: v)(block[key])
-        except (ValueError, OverflowError) as exc:  # OverflowError: an int beyond float
-            raise ConfigError(f"bad '{name}' block: field {key!r}: {exc}") from None
-    return get
+def _dataclass_fields(cls) -> dict:
+    return {f.name: (get_type_hints(cls)[f.name], None) for f in fields(cls)}
+
+
+# Each block's fields as {key: (type[, default])}: a field without a default
+# must be given, and one whose default is None is left out when absent.  The
+# problem block takes the fields of its kind, an rmc problem those of its form
+# (a data file, or the generator's draws); the solver block and its newton
+# block take the fields of RalmConfig and NewtonConfig, which hold the defaults.
+_FIELDS = {
+    "config": {"schema_version": (int, 1), "problem": (dict,), "solver": (dict, {}),
+               "output": (dict, {}), "certify": (dict, {})},
+    "output": {"log": (str, None), "plot": (str, None), "seed": (int, 0)},
+    "certify": {"rho": (float, 10.0), "stationarity_tol": (float, 1e-6)},
+    "cm": {"kind": (str,), "n": (int,), "r": (int,), "mu": (float,), "len": (float,)},
+    "rmc data": {"kind": (str,), "data": (str,), "r": (int,), "mu": (float, 1.0)},
+    "rmc": {"kind": (str,), "m": (int,), "n": (int,), "r": (int,), "mu": (float, 1.0),
+            "density": (float,), "magnitude": (float,)},
+    "solver": {**_dataclass_fields(ralm.RalmConfig), "newton": (dict, {})},
+    "newton": _dataclass_fields(newton.NewtonConfig),
+}
+
+
+def _read(name: str, block: dict, form: Optional[str] = None) -> dict:
+    """The values of config block ``name`` by its fields ``_FIELDS[form or name]``."""
+    table = _FIELDS[form or name]
+    unknown = sorted(set(block) - set(table))
+    if unknown:
+        raise ConfigError(f"bad '{name}' block: unknown field {unknown[0]!r}")
+    values = {}
+    for key, (kind, *default) in table.items():
+        if key in block:
+            try:
+                values[key] = _CONVERT[kind](block[key])
+            except (ValueError, OverflowError) as exc:  # OverflowError: an int beyond float
+                raise ConfigError(f"bad '{name}' block: field {key!r}: {exc}") from None
+        elif not default:
+            raise ConfigError(f"bad '{name}' block: missing field {key!r}")
+        elif default[0] is not None:
+            values[key] = default[0]
+    return values
+
+
+def _read_config(cfg) -> dict:
+    """The values of every block of the config ``cfg``, range-checked, with their
+    defaults and in the same layout (so they read back unchanged)."""
+    if not isinstance(cfg, dict):
+        raise ConfigError("config must be a JSON object")
+    values = _read("config", cfg)
+    if values["schema_version"] != 1:
+        raise ConfigError(f"unsupported schema_version {values['schema_version']}")
+    kind = values["problem"].get("kind")
+    if kind not in ("cm", "rmc"):
+        raise ConfigError(f"bad 'problem' block: unknown kind {kind!r}")
+    form = "rmc data" if kind == "rmc" and "data" in values["problem"] else kind
+    p = values["problem"] = _read("problem", values["problem"], form)
+    if form == "rmc" and not 1 <= p["r"] <= min(p["m"], p["n"]):  # before the draws
+        raise ConfigError(f"bad 'problem' block: need 1 <= r <= min(m, n), "
+                          f"got m={p['m']}, n={p['n']}, r={p['r']}")
+    for name in ("solver", "output", "certify"):
+        values[name] = _read(name, values[name])
+    values["solver"]["newton"] = _read("solver", values["solver"]["newton"], "newton")
+    _solver_config(values["solver"])
+    rho, stat_tol = values["certify"]["rho"], values["certify"]["stationarity_tol"]
+    if not (rho > 0 and stat_tol >= 0):
+        raise ConfigError(f"bad 'certify' block: need rho > 0 and stationarity_tol >= 0, "
+                          f"got {rho}, {stat_tol}")
+    return values
+
+
+def _solver_config(solver: dict) -> ralm.RalmConfig:
+    try:
+        return ralm.RalmConfig(**{**solver, "newton": newton.NewtonConfig(**solver["newton"])})
+    except ValueError as exc:
+        raise ConfigError(f"bad 'solver' block: {exc}") from None
 
 
 def _seed(cfg: dict, seed: Optional[int]) -> int:
-    """``seed`` when given, else the output block's seed (default 0); never negative."""
-    if seed is None:
-        seed = _reader("output", cfg.get("output", {}))("seed", int, 0)
+    """``seed`` when given, else the read config's seed; never negative."""
+    seed = cfg["output"]["seed"] if seed is None else seed
     if seed < 0:
         raise ConfigError(f"seed must be nonnegative, got {seed}")
     return seed
 
 
 def build_problem(cfg: dict, seed: Optional[int]):
-    """Instantiate (problem, X0, y0) from the config's problem block."""
-    get, seed = _reader("problem", cfg["problem"]), _seed(cfg, seed)
-    kind = get("kind", str)
-    if kind not in ("cm", "rmc"):
-        raise ConfigError(f"unknown problem kind {kind!r}")
-    _known_fields("problem", cfg["problem"], _FIELDS[kind])
-    if kind == "cm":
-        n, r = get("n", int), get("r", int)
-        P = bench.build_cm(n, r, get("mu", float), get("len", float))
+    """Instantiate (problem, X0, y0) from the config ``cfg`` (as JSON or as
+    :func:`load_config` returns it); ``seed`` overrides its seed."""
+    cfg = _read_config(cfg)
+    p, seed = cfg["problem"], _seed(cfg, seed)
+    if p["kind"] == "cm":
+        n, r = p["n"], p["r"]
+        P = bench.build_cm(n, r, p["mu"], p["len"])
         return P, bench.cm_initial_point(n, r, seed), np.zeros((n, r))
-    r, mu, path = get("r", int, 0), get("mu", float, 1.0), get("data", str, None)
-    if r < 1:
-        raise ConfigError("'problem' block needs a positive rank 'r'")
-    if path is None:
-        m, n = get("m", int), get("n", int)
-        if not 1 <= r <= min(m, n):  # before the draws, which need it
-            raise ConfigError(f"bad 'problem' block: need 1 <= r <= min(m, n), "
-                              f"got m={m}, n={n}, r={r}")
-        density, magnitude = get("density", float), get("magnitude", float)
-        rng = np.random.default_rng(seed)
-        U, _ = np.linalg.qr(rng.standard_normal((m, r)))
-        V, _ = np.linalg.qr(rng.standard_normal((n, r)))
-        s = np.sort(rng.uniform(1.0, 3.0, r))[::-1]
-        A = (U * s) @ V.T + bench.rmc_random_outliers(m, n, density, magnitude, seed + 1)
-        omega = np.ones((m, n), dtype=bool)
-    elif path.endswith((".mtx", ".mm")):
+    path = p.get("data")
+    if path is not None and path.endswith((".mtx", ".mm")):
         A, omega = bench.load_coordinate(path)
     else:
-        A = bench.load_dense(path)
+        A = bench.load_dense(path) if path is not None else bench.rmc_random_data(
+            p["m"], p["n"], p["r"], p["density"], p["magnitude"], seed)[1]
         omega = np.ones_like(A, dtype=bool)
-    P = bench.build_rmc(A, omega, r, mu)
+    P = bench.build_rmc(A, omega, p["r"], p["mu"])
     return P, P.manifold.point_from_ambient(A), np.zeros_like(A)
 
 
-def _typed(cls, block: dict, **nested):
-    """``cls(**block, **nested)`` with each value of the solver block ``block``
-    converted by its field's annotation; ``cls`` rejects an unknown field."""
-    get, hints = _reader("solver", block), get_type_hints(cls)
-    kwargs = {key: get(key, hints.get(key)) for key in block}
-    try:
-        return cls(**kwargs, **nested)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad 'solver' block: {exc}") from None
-
-
 def build_solver_config(cfg: dict) -> ralm.RalmConfig:
-    block = dict(cfg.get("solver", {}))
-    newton_block = block.pop("newton", {})
-    if not isinstance(newton_block, dict):
-        raise ConfigError("'solver' block field 'newton' must be a JSON object")
-    return _typed(ralm.RalmConfig, block, newton=_typed(newton.NewtonConfig, newton_block))
+    return _solver_config(_read_config(cfg)["solver"])
 
 
 def write_svg(path: str, residuals) -> None:
@@ -223,8 +233,7 @@ def cmd_solve(args) -> int:
     cfg = load_config(args.config)
     P, X0, y0 = build_problem(cfg, args.seed)
     scfg = build_solver_config(cfg)
-    out = _reader("output", cfg.get("output", {}))
-    log_path, plot_path = args.log or out("log", str, None), out("plot", str, None)
+    log_path, plot_path = args.log or cfg["output"].get("log"), cfg["output"].get("plot")
     start = time.perf_counter()
     result = ralm.ralm_solve(P, scfg, X0, y0)
     wall_seconds = time.perf_counter() - start
@@ -237,24 +246,20 @@ def cmd_solve(args) -> int:
             log.error("plot not written: %s", exc)
     final = result.records[-1]
     stats = result.inner_stats
-    print(
-        json.dumps(
-            {
-                "converged": result.converged,
-                "outer_iterations": final.k,
-                "kkt_residual": final.kkt_residual,
-                "rho_final": final.rho,
-                "newton_steps": sum(s.iterations for s in stats),
-                "cg_iterations": sum(s.cg_iterations for s in stats),
-                "line_search_failures": sum(s.line_search_failed for s in stats),
-                "noise_floor_exits": sum(s.stop_reason == "noise_floor" for s in stats),
-                "rounding_accepts": sum(s.rounding_accepts for s in stats),
-                "dual_jumps": result.dual_jumps,
-                "wall_seconds": wall_seconds,
-                "blas_threads": _blas_threads(),
-            }
-        )
-    )
+    print(json.dumps({
+        "converged": result.converged,
+        "outer_iterations": final.k,
+        "kkt_residual": final.kkt_residual,
+        "rho_final": final.rho,
+        "newton_steps": sum(s.iterations for s in stats),
+        "cg_iterations": sum(s.cg_iterations for s in stats),
+        "line_search_failures": sum(s.line_search_failed for s in stats),
+        "noise_floor_exits": sum(s.stop_reason == "noise_floor" for s in stats),
+        "rounding_accepts": sum(s.rounding_accepts for s in stats),
+        "dual_jumps": result.dual_jumps,
+        "wall_seconds": wall_seconds,
+        "blas_threads": _blas_threads(),
+    }))
     return EXIT_OK if result.converged else EXIT_MAXITER
 
 
@@ -268,11 +273,7 @@ def _load_point(P, path: str):
 
 def cmd_certify(args) -> int:
     cfg = load_config(args.config)
-    get = _reader("certify", cfg.get("certify", {}))
-    rho, stat_tol = get("rho", float, 10.0), get("stationarity_tol", float, 1e-6)
-    if not (rho > 0 and stat_tol >= 0):
-        raise ConfigError(f"bad 'certify' block: need rho > 0 and stationarity_tol >= 0, "
-                          f"got {rho}, {stat_tol}")
+    rho, stat_tol = cfg["certify"]["rho"], cfg["certify"]["stationarity_tol"]
     P, _, _ = build_problem(cfg, args.seed)
     X = _load_point(P, args.point)
     y = bench.load_dense(args.multiplier)
@@ -280,35 +281,24 @@ def cmd_certify(args) -> int:
     if y.shape != g.shape:
         raise certify.CertifyError(f"multiplier shape {y.shape} does not match g(X) {g.shape}")
     residual = lagrangian.kkt_residual(P, X, y)
-    report = {
-        "stationarity_residual": residual,
-        "cone_dim": None,
-        "mssosc_min_eig": None,
-        "mssosc_verdict": None,
-        "genhess_min_eig": None,
-        "genhess_verdict": None,
-        "genhess_operator_applications": None,
-        "genhess_boundary_count": None,
-        "genhess_elements_checked": None,
-        "genhess_partial": None,
-        "rho": rho,
-    }
+    cone = ("cone_dim", "mssosc_min_eig", "mssosc_verdict", "genhess_min_eig", "genhess_verdict",
+            "genhess_operator_applications", "genhess_boundary_count",
+            "genhess_elements_checked", "genhess_partial")  # null at a non-stationary pair
+    report = {"stationarity_residual": residual, **dict.fromkeys(cone), "rho": rho}
     if residual <= stat_tol:
         msc = certify.mssosc_certificate(P, X, y)
         gh = certify.genhess_min_eig(P, rho, X, y, enumerate_elements=True)
-        report.update(
-            {
-                "cone_dim": msc.subspace_dim,
-                "mssosc_min_eig": None if math.isinf(msc.min_eig) else msc.min_eig,
-                "mssosc_verdict": msc.verdict + ("-degenerate" if msc.degenerate else ""),
-                "genhess_min_eig": gh.min_eig,
-                "genhess_verdict": gh.verdict,
-                "genhess_operator_applications": gh.operator_applications,
-                "genhess_boundary_count": gh.boundary_count,
-                "genhess_elements_checked": gh.elements_checked,
-                "genhess_partial": gh.partial,
-            }
-        )
+        report.update({
+            "cone_dim": msc.subspace_dim,
+            "mssosc_min_eig": None if math.isinf(msc.min_eig) else msc.min_eig,
+            "mssosc_verdict": msc.verdict + ("-degenerate" if msc.degenerate else ""),
+            "genhess_min_eig": gh.min_eig,
+            "genhess_verdict": gh.verdict,
+            "genhess_operator_applications": gh.operator_applications,
+            "genhess_boundary_count": gh.boundary_count,
+            "genhess_elements_checked": gh.elements_checked,
+            "genhess_partial": gh.partial,
+        })
     else:
         report["note"] = f"pair is not stationary to {stat_tol:g}; cone fields omitted"
     print(json.dumps(report))

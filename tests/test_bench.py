@@ -149,6 +149,12 @@ class TestBuilders:
         with pytest.raises(BenchError):
             build_rmc(np.eye(3), np.zeros((3, 3), dtype=bool), 1)
 
+    def test_rmc_random_data_is_a_low_rank_truth_plus_outliers(self):
+        L, A = bench.rmc_random_data(12, 9, 3, 0.2, 0.5, 4)
+        s = np.linalg.svd(L, compute_uv=False)
+        assert np.all((1.0 <= s[:3]) & (s[:3] <= 3.0)) and s[3] <= 1e-14
+        np.testing.assert_array_equal(A, L + bench.rmc_random_outliers(12, 9, 0.2, 0.5, 5))
+
     def test_rmc_partial_mask_adjoint(self):
         rng = np.random.default_rng(2)
         A = rng.standard_normal((4, 6))

@@ -14,7 +14,7 @@ from xml.etree import ElementTree
 import numpy as np
 import pytest
 
-from ralmkit import bench, certify, lagrangian
+from ralmkit import bench, certify, cli, lagrangian
 from ralmkit.cli import (
     EXIT_ERROR, EXIT_MAXITER, EXIT_OK, build_problem, build_solver_config, load_config, main,
     write_svg,
@@ -474,29 +474,29 @@ class TestRateAndGradcheck:
 
 
 MALFORMED_CONFIGS = {
-    "non-numeric field": ("solve", {"problem": {"n": "abc"}}),
-    "null field": ("solve", {"problem": {"mu": None}}),
-    "non-numeric rmc rank": ("solve", {"problem": {"kind": "rmc", "m": 6, "n": 5, "r": "x",
-                                                   "density": 0.1, "magnitude": 0.5}}),
-    "missing data file": ("solve", {"problem": {"kind": "rmc", "data": "missing.csv", "r": 3}}),
-    "non-string data path": ("solve", {"problem": {"kind": "rmc", "data": 5, "r": 3}}),
-    "non-numeric seed": ("solve", {"output": {"seed": "x"}}),
-    "output not an object": ("solve", {"output": [1]}),
-    "solver not an object": ("solve", {"solver": [1]}),
-    "non-numeric certify field": ("certify", {"certify": {"rho": "x"}}),
-    "NaN certify rho": ("certify", {"certify": {"rho": math.nan}}),
-    "infinite certify rho": ("certify", {"certify": {"rho": math.inf}}),
-    "fractional max_outer": ("solve", {"solver": {"max_outer": 2.5}}),
-    "null kkt_tol": ("solve", {"solver": {"kkt_tol": None}}),
-    "fractional newton max_iter": ("solve", {"solver": {"newton": {"max_iter": 2.5}}}),
-    "fractional newton cg_max_iter": ("solve", {"solver": {"newton": {"cg_max_iter": 3.5}}}),
-    "non-numeric newton grad_tol": ("solve", {"solver": {"newton": {"grad_tol": "x"}}}),
-    "removed newton eta": ("solve", {"solver": {"newton": {"eta": 0.1}}}),
-    "zero rmc weight": ("solve", {"problem": {"kind": "rmc", "m": 10, "n": 12, "r": 2,
-                                              "density": 0.1, "magnitude": 0.5, "mu": 0}}),
-    "NaN kkt_tol": ("solve", {"solver": {"kkt_tol": math.nan}}),
-    "infinite rho_max": ("solve", {"solver": {"rho_max": math.inf, "gamma": math.inf}}),
-    "NaN newton grad_tol": ("solve", {"solver": {"newton": {"grad_tol": math.nan}}}),
+    "non-numeric field": {"problem": {"n": "abc"}},
+    "null field": {"problem": {"mu": None}},
+    "non-numeric rmc rank": {"problem": {"kind": "rmc", "m": 6, "n": 5, "r": "x",
+                                         "density": 0.1, "magnitude": 0.5}},
+    "missing data file": {"problem": {"kind": "rmc", "data": "missing.csv", "r": 3}},
+    "non-string data path": {"problem": {"kind": "rmc", "data": 5, "r": 3}},
+    "non-numeric seed": {"output": {"seed": "x"}},
+    "output not an object": {"output": [1]},
+    "solver not an object": {"solver": [1]},
+    "non-numeric certify field": {"certify": {"rho": "x"}},
+    "NaN certify rho": {"certify": {"rho": math.nan}},
+    "infinite certify rho": {"certify": {"rho": math.inf}},
+    "fractional max_outer": {"solver": {"max_outer": 2.5}},
+    "null kkt_tol": {"solver": {"kkt_tol": None}},
+    "fractional newton max_iter": {"solver": {"newton": {"max_iter": 2.5}}},
+    "fractional newton cg_max_iter": {"solver": {"newton": {"cg_max_iter": 3.5}}},
+    "non-numeric newton grad_tol": {"solver": {"newton": {"grad_tol": "x"}}},
+    "removed newton eta": {"solver": {"newton": {"eta": 0.1}}},
+    "zero rmc weight": {"problem": {"kind": "rmc", "m": 10, "n": 12, "r": 2,
+                                    "density": 0.1, "magnitude": 0.5, "mu": 0}},
+    "NaN kkt_tol": {"solver": {"kkt_tol": math.nan}},
+    "infinite rho_max": {"solver": {"rho_max": math.inf, "gamma": math.inf}},
+    "NaN newton grad_tol": {"solver": {"newton": {"grad_tol": math.nan}}},
 }
 
 # Misspelled or misplaced keys, each with the block its error names.
@@ -510,8 +510,23 @@ UNKNOWN_FIELDS = {
                                                           "len": 2.0}}, "problem", "len"),
     "rmc field in cm problem": ("solve", {"problem": {"density": 0.1}}, "problem", "density"),
     "misspelled cm field": ("certify", {"problem": {"lne": 2.0}}, "problem", "lne"),
+    "misspelled solver field at gradcheck": ("gradcheck", {"solver": {"max_outr": 1}},
+                                             "solver", "max_outr"),
+    "misspelled solver field at certify": ("certify", {"solver": {"max_outr": 1}},
+                                           "solver", "max_outr"),
+    "removed newton eta at gradcheck": ("gradcheck", {"solver": {"newton": {"eta": 3}}},
+                                        "solver", "eta"),
+    "removed newton eta at certify": ("certify", {"solver": {"newton": {"eta": 3}}},
+                                      "solver", "eta"),
+    # the data path is missing: the field is named before any file is read
+    "generator m with rmc data": ("gradcheck", {"problem": {"kind": "rmc", "data": "missing.csv",
+                                                            "r": 2, "m": 7}}, "problem", "m"),
+    "generator density with rmc data": ("solve", {"problem": {"kind": "rmc",
+                                                              "data": "missing.csv", "r": 2,
+                                                              "density": 0.3}},
+                                        "problem", "density"),
 }
-MALFORMED_CONFIGS.update({key: case[:2] for key, case in UNKNOWN_FIELDS.items()})
+MALFORMED_CONFIGS.update({key: case[1] for key, case in UNKNOWN_FIELDS.items()})
 
 # Fields of the wrong JSON type or non-finite, each with the block and field
 # its error names.  Every field goes through one conversion: ints are
@@ -532,7 +547,7 @@ ILL_TYPED_FIELDS = {
     "string solver float": ("solve", {"solver": {"rho0": "1.0"}}, "solver", "rho0"),
     "boolean schema_version": ("solve", {"schema_version": True}, "config", "schema_version"),
 }
-MALFORMED_CONFIGS.update({key: case[:2] for key, case in ILL_TYPED_FIELDS.items()})
+MALFORMED_CONFIGS.update({key: case[1] for key, case in ILL_TYPED_FIELDS.items()})
 
 # Generated rmc problems whose rank does not fit their size: rejected before
 # the draws, which would fail on them.
@@ -542,7 +557,7 @@ RMC_BAD_SIZES = {
     "zero rmc m": {"m": 0, "n": 4, "r": 1},
 }
 MALFORMED_CONFIGS.update({
-    key: ("solve", {"problem": {"kind": "rmc", "density": 0.05, "magnitude": 0.5, **size}})
+    key: {"problem": {"kind": "rmc", "density": 0.05, "magnitude": 0.5, **size}}
     for key, size in RMC_BAD_SIZES.items()})
 
 
@@ -560,8 +575,8 @@ def malformed_argv(tmp_path, command, overrides):
 
 
 class TestRobustness:
-    @pytest.mark.parametrize("command, overrides", MALFORMED_CONFIGS.values(),
-                             ids=MALFORMED_CONFIGS.keys())
+    @pytest.mark.parametrize("command", ["solve", "certify", "gradcheck"])
+    @pytest.mark.parametrize("overrides", MALFORMED_CONFIGS.values(), ids=MALFORMED_CONFIGS.keys())
     def test_malformed_config_exits_with_error(self, tmp_path, capsys, command, overrides):
         assert main(malformed_argv(tmp_path, command, overrides)) == EXIT_ERROR
         assert capsys.readouterr().err.startswith("error:")
@@ -686,3 +701,13 @@ def test_readme_lists_the_solver_fields():
     assert match, "README no longer describes the solver block"
     listed = re.findall(r"`(\w+)`", match.group(1))
     assert listed == [f.name for f in dataclasses.fields(RalmConfig) if f.name != "newton"]
+
+
+@pytest.mark.parametrize("form, label", [("cm", "a `cm` problem"),
+                                         ("rmc data", "an `rmc` problem with a data file"),
+                                         ("rmc", "an `rmc` problem from the generator")])
+def test_readme_lists_each_problem_forms_fields(form, label):
+    readme = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
+    match = re.search(rf"{re.escape(label)} takes \(([^)]*)\)", readme)
+    assert match, f"README no longer lists the fields of {label}"
+    assert re.findall(r"`(\w+)`", match.group(1)) == list(cli._FIELDS[form])

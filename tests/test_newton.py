@@ -355,14 +355,11 @@ class TestRoundingRegime:
 SEED1_COMPLETION = """
 import json
 import numpy as np
-from ralmkit import cli, ralm
+from ralmkit import bench, cli, ralm
 m, n, r, seed = 200, 300, 5, 1
 cfg = {"problem": {"kind": "rmc", "m": m, "n": n, "r": r, "density": 0.05, "magnitude": 0.5}}
 P, X0, y0 = cli.build_problem(cfg, seed)
-rng = np.random.default_rng(seed)  # the low-rank truth, drawn as build_problem draws it
-U, _ = np.linalg.qr(rng.standard_normal((m, r)))
-V, _ = np.linalg.qr(rng.standard_normal((n, r)))
-L = (U * np.sort(rng.uniform(1.0, 3.0, r))[::-1]) @ V.T
+L, _ = bench.rmc_random_data(m, n, r, 0.05, 0.5, seed)  # the truth build_problem drew
 res = ralm.ralm_solve(P, ralm.RalmConfig(), X0, y0)
 print(json.dumps({
     "converged": res.converged,
