@@ -31,10 +31,13 @@ NULLSPACE_TOL = 1e-10
 CERT_TOL = 1e-9
 # Subgradient and activity tolerance of the critical cone.
 CONE_TOL = 1e-8
-# Lanczos basis size of the generalized-Hessian eigensolve.  ARPACK's
-# default of 20 for one eigenvalue restarts often across the operator's two
-# clusters (small eigenvalues on the free coordinates, ~rho elsewhere).
+# Lanczos of the generalized-Hessian eigensolve: the basis size (20 vectors
+# restart often across the operator's two clusters, small eigenvalues on the
+# free coordinates and ~rho elsewhere), the Ritz residual tolerance relative to
+# max(1, |eigenvalue|), and the cap on operator applications.
 LANCZOS_VECTORS = 40
+LANCZOS_TOL = 1e-12
+LANCZOS_MAX_APPLICATIONS = 100_000
 
 
 class CertifyError(ValueError):
@@ -104,7 +107,6 @@ def critical_cone_basis(P: ProblemSpec, X: ManifoldPoint, y: np.ndarray) -> np.n
         K[free] = Vt[s <= NULLSPACE_TOL].T
         rows = K.T
     else:
-        import scipy.linalg  # loaded on first use: it doubles the time of `import ralmkit`
         basis = man.tangent_basis(X)
         # the norms of the rows of E_c Dg(X); a zero row constrains nothing
         d = np.abs(c[constrained]) if diagonal else np.array([
@@ -112,7 +114,7 @@ def critical_cone_basis(P: ProblemSpec, X: ManifoldPoint, y: np.ndarray) -> np.n
             for i in np.flatnonzero(constrained)])
         jvp = P.g_jvp or P.g_vjp
         C = np.stack([jvp(X.X, v)[constrained] for v in basis]).T[d > 0] / d[d > 0, None]
-        _, s, Vt = scipy.linalg.svd(C, full_matrices=C.shape[0] < C.shape[1])  # thin when tall
+        _, s, Vt = np.linalg.svd(C, full_matrices=C.shape[0] < C.shape[1])  # thin when tall
         T = basis.reshape(len(basis), -1)  # (tangent_dim, ambient_size), a view
         rows = (coef @ T for coef in Vt[np.sum(s > NULLSPACE_TOL):])
     return np.reshape([man.project(X, v.reshape(shape)) for v in rows], (-1, *shape))
@@ -129,15 +131,48 @@ def mssosc_certificate(P: ProblemSpec, X: ManifoldPoint, y: np.ndarray) -> Certi
     """Minimum eigenvalue of the Lagrangian Hessian on the critical-cone
     affine hull; positive means the second-order sufficient condition
     holds at ``(X, y)``."""
-    import scipy.linalg
     basis = critical_cone_basis(P, X, y)
     if not len(basis):
         return Certificate("mssosc", math.inf, 0, degenerate=True)
     # np.vdot of coordinates is the metric, so the form is the same in them
     B = _quadratic_form(lagrangian.lagrangian_hess_operator(P, X, y),
                         [X.manifold.coords(X, v) for v in basis])
-    w = scipy.linalg.eigvalsh(B)
+    w = np.linalg.eigvalsh(B)
     return Certificate("mssosc", float(w[0]), len(basis), operator_applications=len(basis))
+
+
+def _lanczos_min(H, project, v0: np.ndarray, m: int) -> Tuple[float, int]:
+    """Smallest eigenvalue of the symmetric operator ``H`` on the tangent
+    space, and the products with ``H`` it took: thick-restart Lanczos (Wu &
+    Simon, 2000) from the tangent ``v0`` on an ``m``-vector basis.  Each new
+    vector is orthogonalized twice against the basis, then projected onto the
+    tangent space, so rounding-level normal parts never grow.  A full basis
+    restarts from its ``m // 2`` smallest Ritz vectors and the residual."""
+    V, T = np.empty((m + 1, v0.size)), np.zeros((m, m))
+    V[0] = v0.ravel() / np.linalg.norm(v0)
+    k = applications = 0
+    while True:
+        for j in range(k, m):
+            if applications == LANCZOS_MAX_APPLICATIONS:
+                raise CertifyError(f"Lanczos found no eigenvalue in {applications} "
+                                   "operator applications")
+            w = H(V[j].reshape(v0.shape)).ravel()
+            applications += 1
+            scale, c1 = np.linalg.norm(w), V[:j + 1] @ w
+            w -= c1 @ V[:j + 1]
+            c2 = V[:j + 1] @ w
+            w -= c2 @ V[:j + 1]
+            T[:j + 1, j] = T[j, :j + 1] = c1 + c2  # column j of V^T H V
+            w = project(w.reshape(v0.shape)).ravel()
+            beta = np.linalg.norm(w)
+            if beta <= 1e-12 * scale:  # an invariant Krylov space: T's spectrum is exact
+                return float(np.linalg.eigvalsh(T[:j + 1, :j + 1])[0]), applications
+            V[j + 1] = w / beta
+        theta, S = np.linalg.eigh(T)
+        if beta * abs(S[-1, 0]) <= LANCZOS_TOL * max(1.0, abs(theta[0])):
+            return float(theta[0]), applications
+        k = m // 2  # the next sweep overwrites every other entry of T
+        V[:k], V[k], T[:k, :k] = S[:, :k].T @ V[:m], V[m], np.diag(theta[:k])
 
 
 def genhess_min_eig(
@@ -157,15 +192,11 @@ def genhess_min_eig(
     On a zero-dimensional tangent space the certificate is degenerate, as
     :func:`mssosc_certificate`'s on an empty critical cone.
 
-    Matrix-free: Lanczos for the smallest eigenvalue of ``v -> H(Pv) +
-    sigma (v - Pv)``, P the tangent projector, from a seeded tangent v0 whose
-    Rayleigh quotient q lies at or above H's tangent minimum, so the normal
-    eigenvalue sigma = q + max(1, |q|) lies above it whatever H's inertia.
-    The Lanczos basis holds ``min(size, LANCZOS_VECTORS)`` vectors.
-    ``operator_applications`` counts every product with H: Lanczos's and
-    v0's, summed over the elements checked.
+    Matrix-free: Lanczos on the tangent space itself (:func:`_lanczos_min`)
+    from a seeded tangent start, with ``min(dim, LANCZOS_VECTORS)`` basis
+    vectors.  ``operator_applications`` counts every product with H, summed
+    over the elements checked.
     """
-    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh  # loaded on first use
     if not (math.isfinite(rho) and rho > 0):
         raise CertifyError(f"penalty must be positive and finite, got {rho}")
     ev = lagrangian.Subproblem(P, rho, y).at(X)
@@ -178,33 +209,14 @@ def genhess_min_eig(
         jacs = [base_jac]
         partial = b > 0
     man = X.manifold
-    shape, project, size = man.ambient_shape, man.project, X.X.size
-    v0 = project(X, np.random.default_rng(0).standard_normal(shape))
+    v0 = man.project(X, np.random.default_rng(0).standard_normal(man.ambient_shape))
     dim = man.dim()
     min_eig, applications = math.inf, 0
     for jac in jacs if dim else []:  # a zero tangent space has no eigenvalue
         Hc = ev.ghess_operator(jac)
-
-        def H(t):  # the ambient form of the operator on coordinates
-            nonlocal applications
-            applications += 1
-            return man.ambient(X, Hc(man.coords(X, t)))
-
-        q = float(np.vdot(v0, H(v0)) / np.vdot(v0, v0))
-        sigma = q + max(1.0, abs(q))
-
-        def shifted(v):
-            t = project(X, v.reshape(shape))
-            return (H(t) + sigma * (v.reshape(shape) - t)).ravel()
-
-        try:  # eigsh needs k < size; a 1x1 form is its Rayleigh quotient
-            w = [q] if size == 1 else eigsh(LinearOperator((size, size), shifted, dtype=float), k=1,
-                                             which="SA", v0=v0.ravel(),
-                                             ncv=min(size, LANCZOS_VECTORS),
-                                             return_eigenvectors=False)
-        except ArpackNoConvergence as exc:
-            raise CertifyError(f"Lanczos found no eigenvalue: {exc}") from exc
-        min_eig = min(min_eig, float(w[0]))
+        w, n = _lanczos_min(lambda t: man.ambient(X, Hc(man.coords(X, t))),
+                            lambda v: man.project(X, v), v0, min(dim, LANCZOS_VECTORS))
+        min_eig, applications = min(min_eig, w), applications + n
     return Certificate(
         "generalized-hessian",
         min_eig,

@@ -143,6 +143,8 @@ def _read_config(cfg) -> dict:
                           f"got m={p['m']}, n={p['n']}, r={p['r']}")
     for name in ("solver", "output", "certify"):
         values[name] = _read(name, values[name])
+    if values["output"]["seed"] < 0:  # refused even where --seed overrides it
+        raise ConfigError(f"seed must be nonnegative, got {values['output']['seed']}")
     values["solver"]["newton"] = _read("solver", values["solver"]["newton"], "newton")
     _solver_config(values["solver"])
     rho, stat_tol = values["certify"]["rho"], values["certify"]["stationarity_tol"]

@@ -246,15 +246,15 @@ class Stiefel(Manifold):
         return apply
 
     def tangent_basis(self, point: ManifoldPoint) -> np.ndarray:
-        import scipy.linalg  # loaded on first use: it doubles the time of `import ralmkit`
         # xi = X A + X_perp B with A skew; both families are orthonormal in
         # the Frobenius metric because X and X_perp have orthonormal columns.
         X, I = point.X, np.eye(self.r)
+        Xp = np.linalg.svd(X, full_matrices=True)[0][:, self.r:]  # trailing left singular vectors
         # X A for A = (e_i e_j^T - e_j e_i^T) / sqrt(2), i < j, from E[a, b] = X[:, a] e_b^T
         E = _outer(X, I).reshape(self.r, self.r, self.n, self.r)
         i, j = np.triu_indices(self.r, 1)
         skew = (E[i, j] - E[j, i]) * (1.0 / np.sqrt(2.0))
-        return np.concatenate((skew, _outer(scipy.linalg.null_space(X.T), I)))
+        return np.concatenate((skew, _outer(Xp, I)))
 
     def random_point(self, rng: np.random.Generator) -> ManifoldPoint:
         Q, _ = np.linalg.qr(rng.standard_normal((self.n, self.r)))
@@ -398,9 +398,9 @@ class FixedRank(Manifold):
         return apply
 
     def tangent_basis(self, point: ManifoldPoint) -> np.ndarray:
-        import scipy.linalg
         U, _, V = point.factors
-        Upx, Vpx = scipy.linalg.null_space(U.T), scipy.linalg.null_space(V.T)
+        # orthonormal complements of U and V: their trailing left singular vectors
+        Upx, Vpx = (np.linalg.svd(Q, full_matrices=True)[0][:, self.r:] for Q in (U, V))
         # U M V^T, Up V^T and U Vp^T for unit M, Upx^T Up or Vpx^T Vp, in packed order
         return np.concatenate((_outer(U, V), _outer(Upx, V), _outer(Vpx, U).swapaxes(1, 2)))
 

@@ -13,7 +13,7 @@ from conftest import (
     reference_cone_basis,
     reference_genhess_min_eig,
 )
-from ralmkit import bench, geometry, lagrangian
+from ralmkit import bench, certify, geometry, lagrangian
 from ralmkit.convex import L1Norm
 from ralmkit.lagrangian import ProblemSpec
 from ralmkit.certify import (
@@ -144,23 +144,20 @@ class TestConeBasisAgainstReference:
                 assert self.assert_same_subspace(Q, X, y) == dim
 
     def test_diagonal_g_builds_no_tangent_basis(self, cm_pair, monkeypatch):
-        import scipy.linalg
-
         def refuse(*args, **kwargs):
             raise AssertionError("tangent-basis route taken for 4 free coordinates")
 
-        monkeypatch.setattr(scipy.linalg, "null_space", refuse)
         monkeypatch.setattr(geometry.Stiefel, "tangent_basis", refuse)
+        calls = self.count_decomposition_calls(monkeypatch)
         assert len(critical_cone_basis(*cm_pair)) == 2
+        assert calls == [(8, 4)]  # the normal parts of the 4 free unit vectors, and no X
 
     def count_decomposition_calls(self, monkeypatch):
-        import scipy.linalg
-
+        """The shapes of the matrices ``np.linalg.svd`` is called on, in order."""
         calls = []
-        for name in ("null_space", "svd"):
-            original = getattr(scipy.linalg, name)
-            monkeypatch.setattr(scipy.linalg, name, lambda *a, _name=name, _f=original, **k:
-                                calls.append((_name, a[0].shape)) or _f(*a, **k))
+        original = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kwargs:
+                            calls.append(a.shape) or original(a, *args, **kwargs))
         return calls
 
     def test_many_free_coordinates_take_the_tangent_route(self, monkeypatch):
@@ -176,7 +173,7 @@ class TestConeBasisAgainstReference:
         P, X, y = linear_g_pair(X, R, fixed, entrywise=True)
         calls = self.count_decomposition_calls(monkeypatch)
         critical_cone_basis(P, X, y)
-        assert calls == [("null_space", (2, 6)), ("svd", (2, 9))]  # X^T for the tangent basis, then C
+        assert calls == [(6, 2), (2, 9)]  # X for the tangent basis, then C
         assert self.assert_same_subspace(P, X, y) == 7
 
     def test_linear_non_entrywise_g(self, monkeypatch):
@@ -188,8 +185,8 @@ class TestConeBasisAgainstReference:
         P, X, y = linear_g_pair(X, R, fixed)
         calls = self.count_decomposition_calls(monkeypatch)
         critical_cone_basis(P, X, y)
-        # X^T for the tangent basis, then C: a row per fixed entry, a column per tangent direction
-        assert calls == [("null_space", (2, 6)), ("svd", (4, 9))]
+        # X for the tangent basis, then C: a row per fixed entry, a column per tangent direction
+        assert calls == [(6, 2), (4, 9)]
         # ker D has dimension 12 - 4, T_X M 12 - 3: they meet in 5 dimensions
         assert self.assert_same_subspace(P, X, y) == 5
 
@@ -361,7 +358,7 @@ class TestGenHess:
 
     def test_counts_every_operator_application(self, monkeypatch):
         # the count is every product with a prepared generalized Hessian,
-        # summed over the enumerated elements: Lanczos's and v0's
+        # summed over the enumerated elements
         P = euclidean_l1_problem(shape=(1, 3), mu=1.0)
         rho = 2.0
         X = P.manifold.point(np.array([[1.0 / rho, 0.0, 3.0]]))  # one boundary entry
@@ -381,7 +378,7 @@ class TestGenHess:
         monkeypatch.setattr(lagrangian.Evaluation, "ghess_operator", counted)
         cert = genhess_min_eig(P, rho, X, y, enumerate_elements=True)
         assert cert.elements_checked == len(calls) == 2
-        assert all(len(p) >= 2 for p in calls)  # v0's product and at least one of Lanczos's
+        assert all(len(p) >= 2 for p in calls)  # each form has two distinct eigenvalues
         assert cert.operator_applications == sum(map(len, calls))
 
     def test_consistency_with_mssosc_at_large_penalty(self):
@@ -430,9 +427,8 @@ class TestGenHess:
 
     def test_start_on_the_tangent_minimum(self):
         # f = <B, x> on the sphere St(5, 1) with B = -3x and g = 0: the
-        # Hessian is -(x^T B) = 3 times the identity on T_x, so v0's Rayleigh
-        # quotient is already the minimum and the normal eigenvalue sigma
-        # must lie strictly above it
+        # Hessian is -(x^T B) = 3 times the identity on T_x, so the start is
+        # already an eigenvector: its Krylov space closes after one product
         X = geometry.Stiefel(5, 1).random_point(np.random.default_rng(2))
         B = -3.0 * X.X
         P = ProblemSpec(
@@ -449,18 +445,30 @@ class TestGenHess:
         cert = genhess_min_eig(P, 1.0, X, np.zeros((5, 1)))
         assert cert.subspace_dim == 4
         assert cert.min_eig == pytest.approx(3.0, abs=1e-12)
+        assert cert.operator_applications == 1
+
+    def test_repeated_eigenvalues_close_the_krylov_space(self):
+        # H = Q diag(2, 2, ..., 5, ..., 9) Q^T on a flat 120-dimensional space
+        # has 3 distinct eigenvalues, so the Krylov space of any start has
+        # dimension 3: Lanczos stops on it, without a restart, with T's
+        # exact minimum
+        rng = np.random.default_rng(8)
+        Q, _ = np.linalg.qr(rng.standard_normal((120, 120)))
+        lam = np.repeat([2.0, 5.0, 9.0], [50, 30, 40])
+        P = euclidean_quadratic_problem((Q * lam) @ Q.T, np.zeros(120))
+        X = P.manifold.point(np.zeros(120))
+        cert = genhess_min_eig(P, 1.0, X, np.zeros(120))
+        assert cert.min_eig == pytest.approx(2.0, abs=1e-12)
+        assert cert.operator_applications <= 3 + 1
 
     def test_lanczos_without_convergence_is_a_certify_error(self, monkeypatch):
-        import scipy.sparse.linalg
-
-        original = scipy.sparse.linalg.eigsh
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh",
-                            lambda *a, **k: original(*a, **{**k, "maxiter": 1}))
+        # one 40-vector sweep does not resolve a random 100 x 100 form
+        monkeypatch.setattr(certify, "LANCZOS_MAX_APPLICATIONS", 50)
         rng = np.random.default_rng(3)
         M = rng.standard_normal((100, 100))
         P = euclidean_quadratic_problem(M @ M.T, np.zeros(100), g_zero=False)
         X = P.manifold.point(np.zeros(100))
-        with pytest.raises(CertifyError, match=r"\d+ iterations"):
+        with pytest.raises(CertifyError, match="no eigenvalue in 50 operator applications"):
             genhess_min_eig(P, 1.0, X, np.zeros(100))
 
     def test_zero_dimensional_tangent_space_is_degenerate(self):
@@ -479,13 +487,13 @@ class TestGenHess:
         assert cone.degenerate and cone.subspace_dim == 0
 
     def test_ambient_size_one_is_the_rayleigh_quotient(self):
-        # eigsh refuses k = 1 at size 1.  g = x at 2 lies beyond the prox
-        # threshold 1/rho, so G = 0 and the form is f's curvature 3 alone
+        # g = x at 2 lies beyond the prox threshold 1/rho, so G = 0 and the
+        # form is f's curvature 3 alone
         P = euclidean_quadratic_problem(np.array([[3.0]]), np.zeros(1), g_zero=False)
         X = P.manifold.point(np.array([2.0]))
         cert = genhess_min_eig(P, 1.0, X, np.zeros(1))
         assert cert.min_eig == pytest.approx(3.0, abs=1e-14)
-        assert cert.operator_applications == 1  # v0's product alone
+        assert cert.operator_applications == 1  # the one Lanczos product
 
 
 class TestGenHessAgainstReference:

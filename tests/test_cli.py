@@ -254,6 +254,32 @@ class TestCertify:
         assert (report["genhess_boundary_count"], report["genhess_elements_checked"],
                 report["genhess_partial"]) == (0, 1, False)
 
+    @pytest.mark.parametrize("form", ["cm", "rmc"])
+    def test_certify_loads_no_scipy(self, tmp_path, cm_pair, rmc_fixture, form):
+        """The certificates need NumPy alone: after `ralmkit certify` on the
+        CM-4 pair or on the rmc pair, in a fresh process, no SciPy module is loaded."""
+        import ralmkit
+
+        if form == "cm":
+            _, X, y = cm_pair
+            cfg = write_config(tmp_path)
+        else:
+            X, y, data = rmc_fixture.X_bar, rmc_fixture.y_bar, str(tmp_path / "A.csv")
+            np.savetxt(data, rmc_fixture.A, delimiter=",", fmt="%.17g")
+            cfg = write_config(tmp_path, problem={"kind": "rmc", "data": data, "r": 3})
+        point, mult = self._dump_pair(tmp_path, X.X, y)
+        probe = ("import sys; sys.argv[0] = 'ralmkit'; from ralmkit.cli import main; "
+                 "code = main(); "
+                 "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        package_root = str(Path(ralmkit.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=package_root)
+        out = subprocess.run([sys.executable, "-c", probe, "certify", "--config", cfg,
+                              "--point", point, "--multiplier", mult],
+                             capture_output=True, text=True, env=env, check=True)
+        report, probed = out.stdout.strip().rsplit("\n", 1)
+        assert parse_report(report)["genhess_verdict"] == "holds"
+        assert probed == f"{EXIT_OK} []"
+
     def test_partial_genhess_certificate_is_reported(self, tmp_path, capsys, cm_pair,
                                                      monkeypatch):
         # a pair with more than ENUM_CAP prox ties is checked at one element
@@ -606,13 +632,14 @@ class TestRobustness:
         assert out.out == ""
         assert out.err.startswith("error: bad 'problem' block: need 1 <= r <= min(m, n)")
 
-    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("source", ["flag", "config", "config under a flag"])
     @pytest.mark.parametrize("command", ["solve", "certify", "gradcheck"])
     def test_negative_seed_rejected(self, tmp_path, capsys, command, source):
         if source == "flag":
             argv = malformed_argv(tmp_path, command, {}) + ["--seed", "-2"]
-        else:
+        else:  # a config's seed is refused also where a valid --seed overrides it
             argv = malformed_argv(tmp_path, command, {"output": {"seed": -1}})
+            argv += ["--seed", "3"] if source == "config under a flag" else []
         assert main(argv) == EXIT_ERROR
         out = capsys.readouterr()
         assert out.out == ""
@@ -670,20 +697,6 @@ class TestRobustness:
         out = subprocess.run([sys.executable, "-c", launcher, "--help"],
                              capture_output=True, text=True, env=env)
         check_help(out)
-
-    def test_import_leaves_scipy_linalg_unloaded(self):
-        """scipy.linalg costs about half of the import; only certificates and
-        tangent bases load it, on first use.  scipy.sparse.linalg (the
-        generalized-Hessian eigensolve) likewise."""
-        import ralmkit
-
-        probe = ("import sys, ralmkit, ralmkit.cli; "
-                 "print([m in sys.modules for m in ('scipy.linalg', 'scipy.sparse.linalg')])")
-        package_root = str(Path(ralmkit.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=package_root)
-        out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                             env=env, check=True)
-        assert out.stdout.strip() == "[False, False]"
 
     @pytest.mark.skipif(shutil.which("ralmkit") is None,
                         reason="ralmkit console script not installed")

@@ -105,13 +105,12 @@ class TestTangentProject:
 
     def test_stiefel_basis_matches_outer_product_loop(self):
         # the X_perp family is built by one broadcast product; it must equal,
-        # bit for bit and in order, the np.outer loop it replaced
-        import scipy.linalg
-
+        # bit for bit and in order, the np.outer loop it replaced, on the
+        # trailing left singular vectors of X
         man = Stiefel(7, 3)
         X = man.random_point(np.random.default_rng(2))
         basis = man.tangent_basis(X)
-        Xp = scipy.linalg.null_space(X.X.T)
+        Xp = np.linalg.svd(X.X, full_matrices=True)[0][:, 3:]
         loop = [np.outer(Xp[:, a], np.eye(3)[b]) for a in range(4) for b in range(3)]
         assert len(basis) == 3 + len(loop)
         assert all(np.array_equal(v, w) for v, w in zip(basis[3:], loop))
@@ -126,14 +125,14 @@ class TestTangentProject:
 
     def test_fixed_rank_basis_matches_packed_unit_loop(self):
         # each basis vector is ambient() of one packed unit direction: a unit
-        # entry of M, or Up = Upx[:, a] e_j^T, or Vp = Vpx[:, a] e_j^T, in order
-        import scipy.linalg
-
+        # entry of M, or Up = Upx[:, a] e_j^T, or Vp = Vpx[:, a] e_j^T, in order,
+        # Upx and Vpx the trailing left singular vectors of U and V
         man = FixedRank(6, 5, 2)
         X = man.random_point(np.random.default_rng(4))
         U, _, V = X.factors
         I, loop = np.eye(2), []
-        for block, cols in enumerate((I, scipy.linalg.null_space(U.T), scipy.linalg.null_space(V.T))):
+        complements = (np.linalg.svd(Q, full_matrices=True)[0][:, 2:] for Q in (U, V))
+        for block, cols in enumerate((I, *complements)):
             for a in range(cols.shape[1]):
                 for j in range(2):
                     parts = [np.zeros((2, 2)), np.zeros((6, 2)), np.zeros((5, 2))]
