@@ -263,7 +263,7 @@ def load_coordinate(path: str) -> Tuple[np.ndarray, np.ndarray]:
         lines = fh.readlines()
     idx = 0
     if idx < len(lines) and lines[idx].startswith("%%MatrixMarket"):
-        header = lines[idx].split()
+        header = lines[idx].lower().split()  # keywords are case-insensitive
         # A symmetric file lists one triangle; reading it as general would
         # leave the mirrored entries unobserved.
         if len(header) < 5 or header[2] != "coordinate" or header[4] != "general":

@@ -126,8 +126,8 @@ def _read(name: str, block: dict, form: Optional[str] = None) -> dict:
 
 
 def _read_config(cfg) -> dict:
-    """The values of every block of the config ``cfg``, range-checked, with their
-    defaults and in the same layout (so they read back unchanged)."""
+    """The values of every block of the config ``cfg``, range-checked and with
+    their defaults; the solver block's as a :class:`ralm.RalmConfig`."""
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
     values = _read("config", cfg)
@@ -145,20 +145,17 @@ def _read_config(cfg) -> dict:
         values[name] = _read(name, values[name])
     if values["output"]["seed"] < 0:  # refused even where --seed overrides it
         raise ConfigError(f"seed must be nonnegative, got {values['output']['seed']}")
-    values["solver"]["newton"] = _read("solver", values["solver"]["newton"], "newton")
-    _solver_config(values["solver"])
+    newton_values = _read("solver", values["solver"].pop("newton"), "newton")
+    try:
+        values["solver"] = ralm.RalmConfig(**values["solver"],
+                                           newton=newton.NewtonConfig(**newton_values))
+    except ValueError as exc:
+        raise ConfigError(f"bad 'solver' block: {exc}") from None
     rho, stat_tol = values["certify"]["rho"], values["certify"]["stationarity_tol"]
     if not (rho > 0 and stat_tol >= 0):
         raise ConfigError(f"bad 'certify' block: need rho > 0 and stationarity_tol >= 0, "
                           f"got {rho}, {stat_tol}")
     return values
-
-
-def _solver_config(solver: dict) -> ralm.RalmConfig:
-    try:
-        return ralm.RalmConfig(**{**solver, "newton": newton.NewtonConfig(**solver["newton"])})
-    except ValueError as exc:
-        raise ConfigError(f"bad 'solver' block: {exc}") from None
 
 
 def _seed(cfg: dict, seed: Optional[int]) -> int:
@@ -170,9 +167,8 @@ def _seed(cfg: dict, seed: Optional[int]) -> int:
 
 
 def build_problem(cfg: dict, seed: Optional[int]):
-    """Instantiate (problem, X0, y0) from the config ``cfg`` (as JSON or as
-    :func:`load_config` returns it); ``seed`` overrides its seed."""
-    cfg = _read_config(cfg)
+    """Instantiate (problem, X0, y0) from the config ``cfg`` as :func:`load_config`
+    returns it; ``seed`` overrides its seed."""
     p, seed = cfg["problem"], _seed(cfg, seed)
     if p["kind"] == "cm":
         n, r = p["n"], p["r"]
@@ -187,10 +183,6 @@ def build_problem(cfg: dict, seed: Optional[int]):
         omega = np.ones_like(A, dtype=bool)
     P = bench.build_rmc(A, omega, p["r"], p["mu"])
     return P, P.manifold.point_from_ambient(A), np.zeros_like(A)
-
-
-def build_solver_config(cfg: dict) -> ralm.RalmConfig:
-    return _solver_config(_read_config(cfg)["solver"])
 
 
 def write_svg(path: str, residuals) -> None:
@@ -231,13 +223,18 @@ def _blas_threads() -> int:
     return min(next((int(c) for c in counts if c.isdecimal() and int(c) > 0), cpus), cpus)
 
 
+def _print_report(report: dict) -> None:
+    """Print ``report`` as strict JSON, with a non-finite number as null."""
+    print(json.dumps({k: None if isinstance(v, float) and not math.isfinite(v) else v
+                      for k, v in report.items()}, allow_nan=False))
+
+
 def cmd_solve(args) -> int:
     cfg = load_config(args.config)
     P, X0, y0 = build_problem(cfg, args.seed)
-    scfg = build_solver_config(cfg)
     log_path, plot_path = args.log or cfg["output"].get("log"), cfg["output"].get("plot")
     start = time.perf_counter()
-    result = ralm.ralm_solve(P, scfg, X0, y0)
+    result = ralm.ralm_solve(P, cfg["solver"], X0, y0)
     wall_seconds = time.perf_counter() - start
     if log_path:
         bench.save_log(log_path, result.records)
@@ -248,7 +245,7 @@ def cmd_solve(args) -> int:
             log.error("plot not written: %s", exc)
     final = result.records[-1]
     stats = result.inner_stats
-    print(json.dumps({
+    _print_report({
         "converged": result.converged,
         "outer_iterations": final.k,
         "kkt_residual": final.kkt_residual,
@@ -261,7 +258,7 @@ def cmd_solve(args) -> int:
         "dual_jumps": result.dual_jumps,
         "wall_seconds": wall_seconds,
         "blas_threads": _blas_threads(),
-    }))
+    })
     return EXIT_OK if result.converged else EXIT_MAXITER
 
 
@@ -292,7 +289,7 @@ def cmd_certify(args) -> int:
         gh = certify.genhess_min_eig(P, rho, X, y, enumerate_elements=True)
         report.update({
             "cone_dim": msc.subspace_dim,
-            "mssosc_min_eig": None if math.isinf(msc.min_eig) else msc.min_eig,
+            "mssosc_min_eig": msc.min_eig,
             "mssosc_verdict": msc.verdict + ("-degenerate" if msc.degenerate else ""),
             "genhess_min_eig": gh.min_eig,
             "genhess_verdict": gh.verdict,
@@ -303,7 +300,7 @@ def cmd_certify(args) -> int:
         })
     else:
         report["note"] = f"pair is not stationary to {stat_tol:g}; cone fields omitted"
-    print(json.dumps(report))
+    _print_report(report)
     return EXIT_OK
 
 
@@ -311,7 +308,7 @@ def cmd_rate(args) -> int:
     records = bench.load_log(args.log)
     residuals = [rec.kkt_residual for rec in records]
     rate, quality = certify.fit_linear_rate(residuals, args.tail)
-    print(json.dumps({"rate": rate, "fit_quality": quality, "points": len(residuals)}))
+    _print_report({"rate": rate, "fit_quality": quality, "points": len(residuals)})
     return EXIT_OK
 
 
@@ -321,8 +318,7 @@ def cmd_gradcheck(args) -> int:
     P, X0, _ = build_problem(cfg, seed)
     gerr = oracles.gradient_check(P, samples=args.samples, seed=seed)
     herr = oracles.hessian_check(P, samples=args.samples, seed=seed)
-    report = {"grad_max_rel_err": gerr, "hess_max_rel_err": herr}
-    print(json.dumps({k: None if math.isinf(v) else v for k, v in report.items()}))
+    _print_report({"grad_max_rel_err": gerr, "hess_max_rel_err": herr})
     return EXIT_OK if gerr <= 1e-5 and herr <= 1e-3 else EXIT_ERROR
 
 

@@ -276,13 +276,9 @@ class FixedRank(Manifold):
         return self.r * (self.m + self.n - self.r)
 
     def point_from_factors(self, U: np.ndarray, s: np.ndarray, V: np.ndarray) -> ManifoldPoint:
-        """The point ``U diag(s) V^T``; it holds copies of the caller's factors."""
-        return self._from_factors(*(np.array(F, dtype=float) for F in (U, s, V)))
-
-    def _from_factors(self, U: np.ndarray, s: np.ndarray, V: np.ndarray) -> ManifoldPoint:
-        """``point_from_factors`` without the copies, for factors computed here."""
-        U, V = np.asarray(U, float), np.asarray(V, float)
-        s = np.asarray(s, float).ravel()
+        """The point ``U diag(s) V^T``; it holds copies of the factors."""
+        U, s, V = (np.array(F, dtype=float) for F in (U, s, V))
+        s = s.ravel()
         if U.shape != (self.m, self.r) or V.shape != (self.n, self.r) or s.shape != (self.r,):
             raise GeometryError("factor shapes inconsistent with manifold")
         for F, lbl in ((U, "U"), (V, "V")):
@@ -296,7 +292,7 @@ class FixedRank(Manifold):
 
     def point_from_ambient(self, Z: np.ndarray) -> ManifoldPoint:
         Z = self._check_ambient(Z)
-        return self._from_factors(*self._truncate(*np.linalg.svd(Z, full_matrices=False)))
+        return self.point_from_factors(*self._truncate(*np.linalg.svd(Z, full_matrices=False)))
 
     def _truncate(self, W, s, Vt) -> tuple:
         """Factors ``(U, s, V)`` of the rank-r truncation of the SVD ``W diag(s) Vt``."""
@@ -310,7 +306,7 @@ class FixedRank(Manifold):
         if point.factors is None:
             raise GeometryError("fixed-rank point must carry (U, s, V) factors")
         U, s, V = point.factors
-        self._from_factors(U, s, V)
+        self.point_from_factors(U, s, V)
 
     def _split(self, c: np.ndarray) -> tuple:
         """Views ``(M, Up, Vp)`` of packed coordinates."""
@@ -355,7 +351,7 @@ class FixedRank(Manifold):
         Qv, Rv = np.linalg.qr(np.hstack([V, Vp]))
         core = Ru @ C @ Rv.T
         Uc, sc, Vc = self._truncate(*np.linalg.svd(core))
-        return self._from_factors(Qu @ Uc, sc, Qv @ Vc)
+        return self.point_from_factors(Qu @ Uc, sc, Qv @ Vc)
 
     def hess_operator(self, point, egrad, ehess=None, weight=None) -> Callable:
         # The projected Euclidean terms plus the sigma-weighted curvature
@@ -408,7 +404,7 @@ class FixedRank(Manifold):
         U, _ = np.linalg.qr(rng.standard_normal((self.m, self.r)))
         V, _ = np.linalg.qr(rng.standard_normal((self.n, self.r)))
         s = np.sort(rng.uniform(0.5, 2.0, self.r))[::-1]
-        return self._from_factors(U, s, V)
+        return self.point_from_factors(U, s, V)
 
 
 # ---------------------------------------------------------------------------

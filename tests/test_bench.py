@@ -276,7 +276,16 @@ class TestFileFormats:
         assert M[0, 0] == 2.5 and M[1, 2] == -1.0 and M[2, 3] == 0.125
         assert np.count_nonzero(M) == 3
 
-    @pytest.mark.parametrize("symmetry", ["symmetric", "skew-symmetric", "hermitian", ""])
+    def test_coordinate_banner_keywords_are_case_insensitive(self, tmp_path):
+        body = "3 4 2\n1 1 2.5\n3 4 0.125\n"
+        lower, mixed = tmp_path / "lower.mtx", tmp_path / "mixed.mtx"
+        lower.write_text("%%MatrixMarket matrix coordinate real general\n" + body)
+        mixed.write_text("%%MatrixMarket Matrix Coordinate Real General\n" + body)
+        for got, want in zip(load_coordinate(str(mixed)), load_coordinate(str(lower))):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("symmetry", ["symmetric", "Symmetric", "skew-symmetric",
+                                          "hermitian", ""])
     def test_coordinate_rejects_non_general_symmetry(self, tmp_path, symmetry):
         path = str(tmp_path / "sym.mtx")
         with open(path, "w") as fh:

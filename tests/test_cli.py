@@ -16,10 +16,10 @@ import pytest
 
 from ralmkit import bench, certify, cli, lagrangian
 from ralmkit.cli import (
-    EXIT_ERROR, EXIT_MAXITER, EXIT_OK, build_problem, build_solver_config, load_config, main,
-    write_svg,
+    EXIT_ERROR, EXIT_MAXITER, EXIT_OK, build_problem, load_config, main, write_svg,
 )
 from ralmkit.convex import ENUM_CAP
+from ralmkit.newton import NewtonConfig
 from ralmkit.ralm import IterateRecord, RalmConfig, ralm_solve
 
 
@@ -97,7 +97,7 @@ class TestSolve:
         assert out["newton_steps"] == sum(rec.inner_iters for rec in records) > 0
         config = load_config(cfg)
         P, X0, y0 = build_problem(config, None)
-        res = ralm_solve(P, build_solver_config(config), X0, y0)
+        res = ralm_solve(P, config["solver"], X0, y0)
         stats = res.inner_stats
         assert out["cg_iterations"] == sum(st.cg_iterations for st in stats) > 0
         assert out["line_search_failures"] == sum(st.line_search_failed for st in stats) == 0
@@ -223,7 +223,7 @@ class TestSolve:
         # the benchmark's completion workload copies the generator's draws
         cfg = {"problem": {"kind": "rmc", "m": m, "n": n, "r": r,
                            "density": workloads.RMC_DENSITY, "magnitude": workloads.RMC_MAGNITUDE}}
-        P, _, _ = build_problem(cfg, seed)
+        P, _, _ = build_problem(cli._read_config(cfg), seed)
         _, A = workloads.rmc_data(m, n, r, seed)
         np.testing.assert_array_equal(-P.g_value(np.zeros((m, n))), A)
 
@@ -390,6 +390,23 @@ class TestCertify:
                     "genhess_elements_checked", "genhess_partial"):
             assert report[key] is None
         assert report["stationarity_residual"] > 1e-6
+
+
+    @pytest.mark.parametrize("magnitude", [1e200, 1e308])
+    def test_overflowing_residual_is_reported_as_null(self, tmp_path, capsys, cm_pair,
+                                                      magnitude):
+        # the multiplier is finite, but the stationarity residual overflows
+        # (to inf at 1e200, to NaN at 1e308)
+        _, Xbar, _ = cm_pair
+        point, mult = self._dump_pair(tmp_path, Xbar.X, np.full((4, 2), magnitude))
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["certify", "--config", write_config(tmp_path), "--point", point,
+                         "--multiplier", mult])
+        assert code == EXIT_OK
+        report = parse_report(capsys.readouterr().out)
+        assert report["stationarity_residual"] is None
+        assert report["cone_dim"] is None
+        assert "note" in report
 
 
 class TestRateAndGradcheck:
@@ -644,6 +661,25 @@ class TestRobustness:
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err.startswith("error: seed must be nonnegative, got -")
+
+    @pytest.mark.parametrize("command", ["solve", "certify", "gradcheck"])
+    def test_each_command_reads_its_config_once(self, tmp_path, capsys, monkeypatch, command):
+        reads, builds = [], []
+        read, post_init = cli._read_config, RalmConfig.__post_init__
+        monkeypatch.setattr(cli, "_read_config", lambda cfg: reads.append(cfg) or read(cfg))
+        monkeypatch.setattr(RalmConfig, "__post_init__",
+                            lambda self: builds.append(self) or post_init(self))
+        assert main(malformed_argv(tmp_path, command, {})) == EXIT_OK
+        capsys.readouterr()
+        assert (len(reads), len(builds)) == (1, 1)
+
+    def test_solver_block_is_read_into_a_ralm_config(self, tmp_path):
+        newton_block = {"max_iter": 17, "cg_max_iter": 99}
+        solver = load_config(write_config(tmp_path, solver={"newton": newton_block}))["solver"]
+        assert type(solver) is RalmConfig and type(solver.newton) is NewtonConfig
+        assert (solver.rho0, solver.gamma, solver.criterion) == (1.0, 4.0, "b")
+        assert (solver.kkt_tol, solver.max_outer) == (1e-8, 50)
+        assert (solver.newton.max_iter, solver.newton.cg_max_iter) == (17, 99)
 
     def test_negative_size_in_coordinate_file(self, tmp_path, capsys):
         data = tmp_path / "neg.mtx"

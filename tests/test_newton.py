@@ -358,7 +358,7 @@ import numpy as np
 from ralmkit import bench, cli, ralm
 m, n, r, seed = 200, 300, 5, 1
 cfg = {"problem": {"kind": "rmc", "m": m, "n": n, "r": r, "density": 0.05, "magnitude": 0.5}}
-P, X0, y0 = cli.build_problem(cfg, seed)
+P, X0, y0 = cli.build_problem(cli._read_config(cfg), seed)
 L, _ = bench.rmc_random_data(m, n, r, 0.05, 0.5, seed)  # the truth build_problem drew
 res = ralm.ralm_solve(P, ralm.RalmConfig(), X0, y0)
 print(json.dumps({

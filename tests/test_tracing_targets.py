@@ -23,8 +23,10 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "ralmkit"
 # Kept in src/ only for the tracer above: no ralmkit module may use them.
 TRACER_ONLY = {"auglag_value", "auglag_rgrad", "auglag_dual_grad", "auglag_ghess_vec"}
 # Mirrors of the Evaluation and Certificate APIs, CG's flag record, the
-# dense CSV writer and L1Norm's second name for mu, all gone.
-DELETED = {"evaluate", "multiplier_update", "holds", "CgInfo", "save_dense", "conjugate_bound"}
+# dense CSV writer, L1Norm's second name for mu, the CLI's second solver
+# config readers and FixedRank's copy-free point constructor, all gone.
+DELETED = {"evaluate", "multiplier_update", "holds", "CgInfo", "save_dense", "conjugate_bound",
+           "build_solver_config", "_solver_config", "_from_factors"}
 
 
 def uses_and_definitions(tree):
