@@ -76,10 +76,9 @@ def critical_cone_basis(P: ProblemSpec, X: ManifoldPoint, y: np.ndarray) -> np.n
     Dg(X) is entrywise (``P.g_jvp`` None), with diagonal ``g_vjp(X, 1)``, and
     at most ``dim T_X M`` ambient unit vectors e_i are free of those entries,
     it is the null space of the normal parts
-    ``e_i - project(X, e_i)``, from a thin SVD with the absolute threshold
-    ``NULLSPACE_TOL`` (the columns have norm at most 1); otherwise it is
-    the null space of C = E_c Dg(X) T in tangent-basis coordinates, its rows
-    scaled to norm <= 1 by those of E_c Dg(X), with the same threshold.
+    ``e_i - project(X, e_i)`` (the columns have norm at most 1); otherwise it
+    is the null space of C = E_c Dg(X) T in tangent-basis coordinates, its
+    rows scaled to norm <= 1 by those of E_c Dg(X); both by :func:`_null_rows`.
     Requires ``y`` to be a subgradient at ``g(X)`` up to ``CONE_TOL``.
     """
     man, shape = X.manifold, X.manifold.ambient_shape
@@ -102,10 +101,10 @@ def critical_cone_basis(P: ProblemSpec, X: ManifoldPoint, y: np.ndarray) -> np.n
         normal[np.arange(free.size), free] = 1.0
         for e in normal:
             e -= man.project(X, e.reshape(shape)).ravel()
-        _, s, Vt = np.linalg.svd(normal.T, full_matrices=False)
-        K = np.zeros((X.X.size, int(np.sum(s <= NULLSPACE_TOL))))
-        K[free] = Vt[s <= NULLSPACE_TOL].T
-        rows = K.T
+        null = _null_rows(normal.T)
+        del normal  # before the directions take its place
+        rows = np.zeros((len(null), *shape))
+        rows.reshape(len(null), X.X.size)[:, free] = null
     else:
         basis = man.tangent_basis(X)
         # the norms of the rows of E_c Dg(X); a zero row constrains nothing
@@ -114,16 +113,28 @@ def critical_cone_basis(P: ProblemSpec, X: ManifoldPoint, y: np.ndarray) -> np.n
             for i in np.flatnonzero(constrained)])
         jvp = P.g_jvp or P.g_vjp
         C = np.stack([jvp(X.X, v)[constrained] for v in basis]).T[d > 0] / d[d > 0, None]
-        _, s, Vt = np.linalg.svd(C, full_matrices=C.shape[0] < C.shape[1])  # thin when tall
-        T = basis.reshape(len(basis), -1)  # (tangent_dim, ambient_size), a view
-        rows = (coef @ T for coef in Vt[np.sum(s > NULLSPACE_TOL):])
-    return np.reshape([man.project(X, v.reshape(shape)) for v in rows], (-1, *shape))
+        rows = (_null_rows(C) @ basis.reshape(len(basis), -1)).reshape(-1, *shape)
+    for v in rows:
+        v[...] = man.project(X, v)
+    return rows
 
 
-def _quadratic_form(apply_op, basis) -> np.ndarray:
-    """Symmetric part of ``V H V^T``; V's rows are the flattened ``basis`` vectors."""
-    k = len(basis)
-    B = np.reshape(basis, (k, -1)) @ np.reshape([apply_op(v) for v in basis], (k, -1)).T
+def _null_rows(A: np.ndarray) -> np.ndarray:
+    """Orthonormal rows spanning the null space of ``A``: its right singular
+    vectors of singular value at most ``NULLSPACE_TOL``."""
+    if A.shape[0] > A.shape[1]:  # R has A's singular values and right vectors (Chan, 1982)
+        A = np.linalg.qr(A, mode="r")
+    _, s, Vt = np.linalg.svd(A)
+    return Vt[np.sum(s > NULLSPACE_TOL):]
+
+
+def _quadratic_form(apply_op, coords) -> np.ndarray:
+    """Symmetric part of ``V H V^T``; V's rows are the flattened ``coords``."""
+    V = np.reshape(coords, (len(coords), -1))
+    HV = np.empty_like(V)
+    for c, h in zip(coords, HV):
+        h[:] = apply_op(c).ravel()
+    B = V @ HV.T
     return 0.5 * (B + B.T)
 
 
@@ -135,10 +146,11 @@ def mssosc_certificate(P: ProblemSpec, X: ManifoldPoint, y: np.ndarray) -> Certi
     if not len(basis):
         return Certificate("mssosc", math.inf, 0, degenerate=True)
     # np.vdot of coordinates is the metric, so the form is the same in them
-    B = _quadratic_form(lagrangian.lagrangian_hess_operator(P, X, y),
-                        [X.manifold.coords(X, v) for v in basis])
+    coords = np.stack([X.manifold.coords(X, v) for v in basis])
+    del basis  # before the Hessian products take its place
+    B = _quadratic_form(lagrangian.lagrangian_hess_operator(P, X, y), coords)
     w = np.linalg.eigvalsh(B)
-    return Certificate("mssosc", float(w[0]), len(basis), operator_applications=len(basis))
+    return Certificate("mssosc", float(w[0]), len(B), operator_applications=len(B))
 
 
 def _lanczos_min(H, project, v0: np.ndarray, m: int) -> Tuple[float, int]:

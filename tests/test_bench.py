@@ -149,6 +149,15 @@ class TestBuilders:
         with pytest.raises(BenchError):
             build_rmc(np.eye(3), np.zeros((3, 3), dtype=bool), 1)
 
+    def test_rmc_mask_of_another_shape(self):
+        with pytest.raises(BenchError, match=r"mask shape \(3, 2\) does not match data \(3, 3\)"):
+            build_rmc(np.eye(3), np.ones((3, 2), dtype=bool), 1)
+
+    @pytest.mark.parametrize("r", [0, 4])
+    def test_rmc_rank_out_of_range(self, r):
+        with pytest.raises(BenchError, match=r"need 1 <= r <= min\(m, n\)"):
+            build_rmc(np.eye(3), np.ones((3, 3), dtype=bool), r)
+
     def test_rmc_random_data_is_a_low_rank_truth_plus_outliers(self):
         L, A = bench.rmc_random_data(12, 9, 3, 0.2, 0.5, 4)
         s = np.linalg.svd(L, compute_uv=False)
@@ -313,6 +322,22 @@ class TestFileFormats:
             fh.write("%%MatrixMarket matrix coordinate real general\n% c\n-2 3 0\n")
         with pytest.raises(ParseError, match="line 3: negative matrix size"):
             load_coordinate(path)
+
+    @pytest.mark.parametrize("text, message", [
+        ("%%MatrixMarket matrix coordinate real general\n% only comments\n",
+         "missing size line"),
+        ("%%MatrixMarket matrix coordinate real general\n2 2\n1 1 1.0\n",
+         "line 2: malformed size line"),
+        ("%%MatrixMarket matrix coordinate real general\n2 x 1\n1 1 1.0\n",
+         "line 2: malformed size line"),
+        ("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1\n",
+         "line 3: expected 'i j value'"),
+    ], ids=["no size line", "two-token size line", "non-integer size", "two-token entry"])
+    def test_coordinate_malformed_lines(self, tmp_path, text, message):
+        path = tmp_path / "bad.mtx"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=message):
+            load_coordinate(str(path))
 
     def test_coordinate_repeated_entry(self, tmp_path):
         # scipy.io.mmread would sum the two values; a completion mask has one

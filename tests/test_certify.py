@@ -148,17 +148,34 @@ class TestConeBasisAgainstReference:
             raise AssertionError("tangent-basis route taken for 4 free coordinates")
 
         monkeypatch.setattr(geometry.Stiefel, "tangent_basis", refuse)
+        qr_calls = self.count_decomposition_calls(monkeypatch, "qr")
         calls = self.count_decomposition_calls(monkeypatch)
         assert len(critical_cone_basis(*cm_pair)) == 2
-        assert calls == [(8, 4)]  # the normal parts of the 4 free unit vectors, and no X
+        # the QR of the normal parts of the 4 free unit vectors (8 x 4), then
+        # the SVD of its 4 x 4 R factor, and no SVD of X for a tangent basis
+        assert qr_calls == [(8, 4)]
+        assert calls == [(4, 4)]
 
-    def count_decomposition_calls(self, monkeypatch):
-        """The shapes of the matrices ``np.linalg.svd`` is called on, in order."""
+    def count_decomposition_calls(self, monkeypatch, name="svd"):
+        """The shapes of the matrices ``np.linalg.<name>`` is called on, in order."""
         calls = []
-        original = np.linalg.svd
-        monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kwargs:
+        original = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda a, *args, **kwargs:
                             calls.append(a.shape) or original(a, *args, **kwargs))
         return calls
+
+    def test_free_route_to_an_empty_cone(self, monkeypatch):
+        # On the circle St(2, 1) at X = e_0 with g = X - Z0 fixing row 1, the
+        # one free unit vector e_0 is normal: the cone is {0}, and the free
+        # route finds no null vector (its QR and SVD see 2 x 1 and 1 x 1)
+        X = geometry.Stiefel(2, 1).point(np.array([[1.0], [0.0]]))
+        P, X, y = linear_g_pair(X, np.eye(2), np.array([[False], [True]]), entrywise=True)
+        qr_calls = self.count_decomposition_calls(monkeypatch, "qr")
+        calls = self.count_decomposition_calls(monkeypatch)
+        assert critical_cone_basis(P, X, y).shape == (0, 2, 1)
+        assert (qr_calls, calls) == ([(2, 1)], [(1, 1)])
+        assert self.assert_same_subspace(P, X, y) == 0
+        assert mssosc_certificate(P, X, y).degenerate
 
     def test_many_free_coordinates_take_the_tangent_route(self, monkeypatch):
         # g = diag(1, 0, ..., 0) @ X - Z0 on St(6, 2) is declared entrywise,

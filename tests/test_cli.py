@@ -604,6 +604,19 @@ MALFORMED_CONFIGS.update({
     for key, size in RMC_BAD_SIZES.items()})
 
 
+# Configs refused whole, before any block is read, each with its error line's
+# start: the file's text (None: no file at that path) or overrides of the
+# CM-4 config.
+REFUSED_CONFIGS = {
+    "unreadable path": (None, "error: cannot read config: "),
+    "invalid JSON": ('{"schema_version": 1,', "error: config is not valid JSON: "),
+    "JSON array": ("[1, 2]", "error: config must be a JSON object\n"),
+    "schema_version 2": ({"schema_version": 2}, "error: unsupported schema_version 2\n"),
+    "unknown problem kind": ({"problem": {"kind": "pca"}},
+                             "error: bad 'problem' block: unknown kind 'pca'\n"),
+}
+
+
 def malformed_argv(tmp_path, command, overrides):
     """``command``'s argv for a config with ``overrides``, at the CM-4 pair
     for ``certify``."""
@@ -623,6 +636,21 @@ class TestRobustness:
     def test_malformed_config_exits_with_error(self, tmp_path, capsys, command, overrides):
         assert main(malformed_argv(tmp_path, command, overrides)) == EXIT_ERROR
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("command", ["solve", "certify", "gradcheck"])
+    @pytest.mark.parametrize("content, message", REFUSED_CONFIGS.values(),
+                             ids=REFUSED_CONFIGS.keys())
+    def test_refused_config_is_named(self, tmp_path, capsys, command, content, message):
+        argv = malformed_argv(tmp_path, command, content if isinstance(content, dict) else {})
+        config = Path(argv[2])
+        if content is None:
+            config.unlink()
+        elif isinstance(content, str):
+            config.write_text(content)
+        assert main(argv) == EXIT_ERROR
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith(message)
 
     @pytest.mark.parametrize("command, overrides, block, key", ILL_TYPED_FIELDS.values(),
                              ids=ILL_TYPED_FIELDS.keys())

@@ -116,6 +116,10 @@ class TestMoreau:
         with pytest.raises(ConvexError):
             L1Norm(1.0).moreau(-1.0, np.array(1.0))
 
+    def test_gradient_at_zero_rho(self):
+        with pytest.raises(ConvexError, match="envelope parameter must be positive"):
+            L1Norm(1.0).moreau_grad(0.0, np.array([1.0, -2.0]))
+
 
 class TestClarkeJacobian:
     def test_threshold_rule(self):
@@ -132,6 +136,10 @@ class TestClarkeJacobian:
         assert jac0.boundary_count == 2
         masks = [jac.mask for jac in th.extreme_prox_jacobians(1.0, p)]
         assert any(np.array_equal(m, [1.0, 1.0, 0.0]) for m in masks)
+
+    def test_zero_t(self):
+        with pytest.raises(ConvexError, match="prox parameter must be positive"):
+            L1Norm(1.0).prox_jacobian(0.0, np.array([0.5, 2.0]))
 
     def test_directional_derivative_away_from_kinks(self):
         th = L1Norm(0.8)
@@ -225,6 +233,10 @@ class TestSubdifferentialMembership:
     def test_box_violation(self):
         th = L1Norm(1.0)
         assert not th.in_subdifferential(np.zeros(2), np.array([0.0, 1.5]))
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ConvexError, match="shape mismatch"):
+            L1Norm(1.0).in_subdifferential(np.zeros((2, 3)), np.zeros((3, 2)))
 
     def test_nan_fails(self):
         th = L1Norm(1.0)

@@ -483,6 +483,33 @@ class TestStructuralInvariants:
         with pytest.raises(GeometryError):
             man.point_from_factors(np.eye(3)[:, :2], np.array([1.0, 2.0]), np.eye(3)[:, :2])
 
+    @pytest.mark.parametrize("U, V, message", [
+        (np.ones((3, 2)), np.eye(3)[:, :2], "U not orthonormal"),
+        (np.eye(3)[:, :2], 2 * np.eye(3)[:, :2], "V not orthonormal"),
+        (np.eye(3)[:, :1], np.eye(3)[:, :2], "factor shapes inconsistent"),
+        (np.eye(3)[:, :2], np.eye(2), "factor shapes inconsistent"),
+    ], ids=["non-orthonormal U", "non-orthonormal V", "narrow U", "short V"])
+    def test_fixed_rank_bad_factors_rejected(self, U, V, message):
+        with pytest.raises(GeometryError, match=message):
+            FixedRank(3, 3, 2).point_from_factors(U, np.array([2.0, 1.0]), V)
+
+    def test_fixed_rank_point_without_factors_rejected(self):
+        man = FixedRank(3, 3, 2)
+        with pytest.raises(GeometryError, match="must carry"):
+            man.check_point(ManifoldPoint(man, np.diag([2.0, 1.0, 0.0])))
+
+    def test_fixed_rank_hessian_refused_below_the_rank_tolerance(self):
+        man = FixedRank(3, 3, 2)
+        X = man.point_from_factors(np.eye(3)[:, :2], np.array([1.0, 1e-13]), np.eye(3)[:, :2])
+        with pytest.raises(GeometryError, match="ill-conditioned"):
+            man.hess_operator(X, np.ones((3, 3)))
+
+    @pytest.mark.parametrize("build", [lambda: Stiefel(3, 4), lambda: FixedRank(2, 3, 3)],
+                             ids=["stiefel r > n", "fixed-rank r > min(m, n)"])
+    def test_rank_above_the_size_rejected(self, build):
+        with pytest.raises(GeometryError, match="need 1 <= r"):
+            build()
+
 
 def _orthonormal(rows, cols, seed):
     return np.linalg.qr(np.random.default_rng(seed).standard_normal((rows, cols)))[0]

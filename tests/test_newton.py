@@ -75,6 +75,10 @@ class TestCg:
         assert (iterations, reason) == (2, "max_iter")
         assert np.linalg.norm(A @ x - b) > 1e-12
 
+    def test_negative_shift(self):
+        with pytest.raises(ValueError, match="shift must be nonnegative"):
+            cg_solve(make_operator(np.eye(5)), -1e-3, np.ones((5, 1)), 1e-12, 10)
+
     def test_nonfinite_operator(self):
         def bad(v):
             return np.full((5, 1), np.nan)

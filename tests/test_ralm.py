@@ -31,6 +31,8 @@ class TestInnerThreshold:
             inner_threshold("b", 0.1, 0.0, 1.0)
         with pytest.raises(RalmError):
             inner_threshold("z", 0.1, 1.0, 1.0)
+        with pytest.raises(RalmError, match="nonnegative"):
+            inner_threshold("a", -0.1, 1.0, 1.0)
 
 
 class TestConfigValidation:
@@ -43,6 +45,10 @@ class TestConfigValidation:
             RalmConfig(rho_bar=2.0, rho0=1.0)
         with pytest.raises(ValueError):
             RalmConfig(criterion="d")
+        with pytest.raises(ValueError, match="exact-mode constant must be positive"):
+            RalmConfig(exact_c=0.0)
+        with pytest.raises(ValueError, match="max_outer must be nonnegative"):
+            RalmConfig(max_outer=-1)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
     @pytest.mark.parametrize("name", ["rho0", "rho_bar", "gamma", "rho_max", "exact_c", "kkt_tol"])
