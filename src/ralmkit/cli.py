@@ -265,9 +265,14 @@ def cmd_solve(args) -> int:
 def _load_point(P, path: str):
     M = bench.load_dense(path)
     manifold = P.manifold
-    if isinstance(manifold, geometry.FixedRank):
-        return manifold.point_from_ambient(M)
-    return manifold.point(M)
+    if not isinstance(manifold, geometry.FixedRank):
+        return manifold.point(M)
+    X, r = manifold.point_from_ambient(M), manifold.r  # refuses a rank below r
+    s = np.linalg.svd(M, compute_uv=False)
+    if r < len(s) and s[r] > geometry.RANK_TOL * s[0]:  # X would be its truncation
+        raise geometry.GeometryError(f"point has rank above r = {r}: sigma_{r + 1} = {s[r]:.3e}"
+                                     f" > RANK_TOL * sigma_1 = {geometry.RANK_TOL * s[0]:.3e}")
+    return X
 
 
 def cmd_certify(args) -> int:

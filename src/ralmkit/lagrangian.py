@@ -79,39 +79,52 @@ class Subproblem:
 
 
 class Evaluation:
-    """``l_rho(., y)`` at one point ``X``; each quantity is computed on
-    first use and kept.
+    """``l_rho(., y)`` at one point ``X``, the one cache of its quantities.
 
-    The value needs the envelope point ``p = g(X) + y/rho`` and
-    ``q = prox(p)``, one prox; the derivatives reuse them: the shifted
-    multiplier ``ytilde``, the Euclidean and Riemannian gradients, the dual
-    gradient and the generalized Hessian.  The Newton solver evaluates every
-    line-search trial point and reads the derivatives only at accepted ones.
+    The value needs the envelope point ``p = g(X) + y/rho`` and its prox
+    ``q``; one prox gives both the value and the shifted multiplier
+    ``ytilde``, and ``q`` is not kept.  The derivatives reuse them: the
+    Euclidean and Riemannian gradients, the dual gradient and the
+    generalized Hessian.  Each is computed on first use and kept until
+    :meth:`drop` frees it.  The Newton solver evaluates every line-search
+    trial point and reads the derivatives only at accepted ones.
     """
 
     def __init__(self, sub: Subproblem, X: ManifoldPoint):
         self.sub, self.X = sub, X
+
+    def drop(self, *names: str) -> None:
+        """Free the kept quantities ``names`` (``p``, ``value``, ``ytilde``,
+        ``egrad``, ``rgrad``, ``dual_grad``).  Each is a pure function of
+        ``(X, y, rho)``, so a later read recomputes it with the same bits."""
+        for name in names:
+            if not isinstance(getattr(Evaluation, name, None), cached_property):
+                raise AttributeError(f"{name!r} is not a kept quantity")
+            self.__dict__.pop(name, None)
 
     @cached_property
     def p(self) -> np.ndarray:
         """The envelope argument g(X) + y/rho."""
         return self.sub.P.g_value(self.X.X) + self.sub.shift
 
-    @cached_property
-    def q(self) -> np.ndarray:
-        return self.sub.P.theta.prox(1.0 / self.sub.rho, self.p)
+    def _envelope(self, name: str):
+        """Set ``value`` and ``ytilde`` from one prox and return ``name``."""
+        P, rho, p = self.sub.P, self.sub.rho, self.p
+        q = P.theta.prox(1.0 / rho, p)
+        self.__dict__["value"] = P.f_value(self.X.X) + P.theta.moreau(rho, p, q) - self.sub.y_term
+        self.__dict__["ytilde"] = P.theta.moreau_grad(rho, p, q)
+        return self.__dict__[name]
 
     @cached_property
     def value(self) -> float:
-        P = self.sub.P
-        return P.f_value(self.X.X) + P.theta.moreau(self.sub.rho, self.p, self.q) - self.sub.y_term
+        return self._envelope("value")
 
     @cached_property
     def ytilde(self) -> np.ndarray:
         """Gradient of the Moreau envelope at g(X) + y/rho: the multiplier
         the augmented Lagrangian "sees", since its gradient in x equals the
         Lagrangian gradient at (x, ytilde)."""
-        return self.sub.P.theta.moreau_grad(self.sub.rho, self.p, self.q)
+        return self._envelope("ytilde")
 
     @cached_property
     def egrad(self) -> np.ndarray:
@@ -144,9 +157,9 @@ class Evaluation:
         smooth terms.
         """
         P, X, rho = self.sub.P, self.X, self.sub.rho
-        if jac is None:
-            jac = P.theta.prox_jacobian(1.0 / rho, self.p)
-        G = np.subtract(1.0, jac.mask)
+        mine = jac is None  # G is then written over the mask of the Jacobian built here
+        mask = (P.theta.prox_jacobian(1.0 / rho, self.p) if mine else jac).mask
+        G = np.subtract(1.0, mask, out=mask if mine else None)
         G *= rho  # G w equals rho (w - mask w) exactly: mask is 0/1
         if P.g_jvp is not None:
             return _hess_operator(P, X, self.ytilde, self.egrad,
@@ -211,5 +224,5 @@ def kkt_residual(P: ProblemSpec, X: ManifoldPoint, y: np.ndarray) -> float:
     stationary pairs."""
     g = P.g_value(X.X)
     grad_part = float(np.linalg.norm(X.manifold.project(X, lagrangian_egrad(P, X, y))))
-    prox_part = float(np.linalg.norm(g - P.theta.prox(1.0, g + y)))
-    return grad_part + prox_part
+    r = P.theta.prox(1.0, g + y)  # a fresh array; g may be X itself
+    return grad_part + float(np.linalg.norm(np.subtract(g, r, out=r)))

@@ -210,7 +210,12 @@ def ssn_minimize(
             tangent = man.project(ev.X, grad)
             if np.linalg.norm(grad - tangent) > eta_cap:
                 g = tangent
-        V, cg_iters, cg_reason = cg_solve(ev.ghess_operator(), omega, -g, eta_cap, cfg.cg_max_iter)
+        del grad  # each array goes after its last read here; a later read recomputes it
+        ev.drop("rgrad", "dual_grad")
+        apply_H = ev.ghess_operator()
+        ev.drop("p", "ytilde", "egrad")
+        V, cg_iters, cg_reason = cg_solve(apply_H, omega, -g, eta_cap, cfg.cg_max_iter)
+        del apply_H
         stats.cg_iterations += cg_iters
 
         vnorm = float(np.linalg.norm(V))
@@ -236,6 +241,7 @@ def ssn_minimize(
                     and np.linalg.norm(trial.rgrad) <= (1.0 - MU_LS * step) * gnorm):
                 stats.rounding_accepts += 1
                 break
+            del trial  # rejected: freed before the next retraction
         else:
             stats.stop_reason = "line_search"
             log.warning("iter %d: %d backtracks exhausted, returning best iterate", k, M_MAX)

@@ -185,12 +185,13 @@ def ralm_solve(
     X, rho, R_prev = X0, cfg.rho0, math.inf
     R = lagrangian.kkt_residual(P, X, y)
     ev = lagrangian.Subproblem(P, rho, y).at(X)
+    grad_norm, value = float(np.linalg.norm(ev.rgrad)), ev.value
+    del ev
     inner_iters, dual_step_norm, d_prev, stall_logged = 0, 0.0, None, False
     result = RalmResult(X=X, y=y, records=[], converged=False)
     for k in range(cfg.max_outer + 1):
-        grad_norm = float(np.linalg.norm(ev.rgrad))
         result.records.append(IterateRecord(k, rho, rho - cfg.rho_bar, inner_iters, grad_norm, R,
-                                            dual_step_norm, ev.value))
+                                            dual_step_norm, value))
         log.info("outer %d: rho=%.3g inner=%d |grad|=%.3e R=%.3e",
                  k, rho, inner_iters, grad_norm, R)
         result.converged = R <= cfg.kkt_tol
@@ -214,16 +215,17 @@ def ralm_solve(
                 ok = ok and gnorm <= cfg.exact_c * dual_step
             return ok
 
-        del ev  # free the previous evaluation's arrays during the inner solve
-        if rho < cfg.rho_max:  # and the last dual step, which only a step at rho_max reads
+        if rho < cfg.rho_max:  # free the last dual step, which only a step at rho_max reads
             d_prev = d = None
         ev, nstats = ssn_minimize(P, rho, y, X, cfg.newton, stop)
-        X = ev.X
+        # the next record's fields and the dual step; then the arrays go
+        X, grad_norm, value = ev.X, float(np.linalg.norm(ev.rgrad)), ev.value
+        y_new = y + rho_tilde * ev.dual_grad
+        del ev
         result.inner_stats.append(nstats)
         if not nstats.stopped:
             log.warning("outer %d: inner solver exited before meeting its criterion: %s",
                         k + 1, nstats.stop_reason)
-        y_new = y + rho_tilde * ev.dual_grad
         dual_step_norm = float(np.linalg.norm(y_new - y))
         R = lagrangian.kkt_residual(P, X, y_new)
         d = y_new - y

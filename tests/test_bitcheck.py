@@ -3,6 +3,7 @@ keys with the same bytes; ``dump --workload NAME`` runs only the named workloads
 
 import dataclasses
 import importlib.util
+import re
 import subprocess
 import sys
 import types
@@ -170,3 +171,29 @@ def test_dump_runs_only_the_named_workloads(tmp_path, monkeypatch):
     with pytest.raises(SystemExit, match="unknown workload x; known: a, b, c"):
         bitcheck.main(["dump", str(out), "--workload", "x"])
     assert ran == ["a", "c"]
+
+
+def test_dump_prints_each_peak_and_saves_none(tmp_path, monkeypatch, capsys):
+    # the solve holds four 50 x 40 arrays at once; the certificate's line has
+    # no ambient size
+    from ralmkit.certify import Certificate
+
+    def solve():
+        held = [np.ones((50, 40)) for _ in range(3)]
+        return fake_solve(np.full((50, 40), float(len(held))))
+
+    bitcheck = load_bitcheck()
+    ops = [types.SimpleNamespace(name="solve", call=solve),
+           types.SimpleNamespace(name="cert", call=lambda: Certificate("genhess", 0.5, 3))]
+    monkeypatch.setattr(bitcheck, "_import",
+                        lambda root: types.SimpleNamespace(SETUPS={"w": lambda seed: ops}))
+    out = tmp_path / "o.npz"
+    assert bitcheck.main(["dump", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    solve_line = re.fullmatch(r"w/solve: dumped; peak (\S+) MiB = (\S+) ambient arrays", lines[0])
+    assert solve_line and 4.0 <= float(solve_line[2]) < 4.2
+    assert float(solve_line[1]) == pytest.approx(float(solve_line[2]) * 16000 / 2 ** 20, abs=2e-3)
+    assert re.fullmatch(r"w/cert: dumped; peak \d+\.\d{3} MiB", lines[1])
+    with np.load(out) as dumped:
+        assert not [key for key in dumped.files if "peak" in key]
+    assert compare(tmp_path, *[dict(np.load(out))] * 2).returncode == 0

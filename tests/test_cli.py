@@ -364,6 +364,25 @@ class TestCertify:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "orthonormal" in err
 
+    @pytest.mark.parametrize("rank", [2, 3], ids=["rank-r", "rank-r+1"])
+    def test_fixed_rank_point_of_another_rank(self, tmp_path, capsys, rank):
+        # an r = 2 point is read as it is; one of rank 3 is refused, not truncated
+        rng = np.random.default_rng(0)
+        data = tmp_path / "A.csv"
+        np.savetxt(str(data), rng.standard_normal((8, 6)), delimiter=",", fmt="%.17g")
+        cfg = write_config(tmp_path, problem={"kind": "rmc", "data": str(data), "r": 2})
+        X = rng.standard_normal((8, rank)) @ rng.standard_normal((rank, 6))
+        point, mult = self._dump_pair(tmp_path, X, np.zeros((8, 6)))
+        code = main(["certify", "--config", cfg, "--point", point, "--multiplier", mult])
+        out = capsys.readouterr()
+        if rank == 2:
+            assert code == EXIT_OK
+            assert parse_report(out.out)["stationarity_residual"] > 0
+        else:
+            assert code == EXIT_ERROR and out.out == ""
+            assert out.err.startswith("error: point has rank above r = 2: sigma_3 = ")
+            assert "RANK_TOL" in out.err
+
     @pytest.mark.parametrize("which", ["point", "multiplier"])
     def test_nan_in_pair_rejected(self, tmp_path, capsys, cm_pair, which):
         P, Xbar, ybar = cm_pair

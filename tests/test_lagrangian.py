@@ -600,6 +600,44 @@ class TestSingleEvaluations:
                               ambient_operator(X, ev.ghess_operator())(xi))
 
 
+class TestDroppedQuantities:
+    """A dropped quantity is recomputed on its next read with the same bits."""
+
+    NAMES = ("value", "ytilde", "egrad", "rgrad", "dual_grad")
+
+    @pytest.mark.parametrize("pair", ["cm_pair", "rmc_fixture"])
+    def test_reads_after_a_drop_repeat_their_bytes(self, request, pair):
+        fx = request.getfixturevalue(pair)
+        P, Xbar, ybar = fx if pair == "cm_pair" else (fx.problem, fx.X_bar, fx.y_bar)
+        X = geometry.retract(Xbar, 0.1 * geometry.random_tangent(Xbar, 21))
+        c = X.manifold.coords(X, geometry.random_tangent(X, 22))
+        ev = evaluate(P, 10.0, X, ybar)
+
+        def read(names):
+            got = {name: np.asarray(getattr(ev, name)) for name in names}
+            return dict(got, hvp=ev.ghess_operator()(c))
+
+        first = read(self.NAMES)  # value first: one prox sets value and ytilde
+        ev.drop("p", *self.NAMES)
+        again = read(self.NAMES[::-1])  # ytilde before value
+        for name, a in first.items():
+            assert a.tobytes() == again[name].tobytes(), name
+            assert name == "value" or again[name] is not a, name
+
+    def test_a_callers_jacobian_is_not_written(self, rmc_fixture):
+        fx = rmc_fixture
+        ev = evaluate(fx.problem, 10.0, fx.X_bar, fx.y_bar)
+        jac = fx.problem.theta.prox_jacobian(0.1, ev.p)
+        mask = jac.mask.copy()
+        ev.ghess_operator(jac)
+        assert np.array_equal(jac.mask, mask)
+
+    def test_only_kept_quantities_are_dropped(self, cm_pair):
+        P, X, y = cm_pair
+        with pytest.raises(AttributeError, match="'q' is not a kept quantity"):
+            evaluate(P, 1.0, X, y).drop("q")
+
+
 def dual_step(P, rho, X, y, rho_tilde):
     """The dual ascent step of ``ralm_solve``: ``y + rho_tilde * dual_grad``."""
     return y + rho_tilde * evaluate(P, rho, X, y).dual_grad

@@ -288,6 +288,26 @@ class TestNoEvaluationHeldAcrossSolves:
         assert live == [before] * len(live)
 
 
+class TestSolveMemory:
+    def test_completion_solve_peak_stays_below_12_ambient_arrays(self):
+        # An ambient array lives only while a later step reads it: the
+        # traced peak above the start stays below 12 arrays of A's size.
+        import tracemalloc
+
+        L, A = bench.rmc_random_data(60, 80, 3, 0.05, 0.5, 0)
+        P = bench.build_rmc(A, np.ones(A.shape, dtype=bool), 3)
+        X0, y0 = P.manifold.point_from_ambient(A), np.zeros_like(A)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            res = ralm_solve(P, RalmConfig(), X0, y0)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert res.converged
+        assert peak < 12 * A.nbytes, f"peak {peak / A.nbytes:.2f} ambient arrays"
+
+
 class TestSolveRmc:
     def test_full_observation_is_bit_identical_to_the_mask(self):
         # A fully observed build_rmc drops the all-ones mask from g and passes

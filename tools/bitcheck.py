@@ -17,6 +17,10 @@ saves, per operation, every array a result holds:
 * a certificate: its fields (``min_eig``, ``subspace_dim``,
   ``boundary_count``, ``operator_applications``, ...).
 
+Its ``dumped`` line for each operation also prints the operation's
+tracemalloc peak above its start, in MiB and, for a solve, in arrays of its
+point's ambient size.  The peak is not saved, so ``compare`` never reads it.
+
 ``compare`` prints, per operation, ``IDENTICAL`` or the first field whose
 bytes differ with its max abs difference, and exits 1 on any difference.
 When the ``records`` differ it also prints their first differing row, which
@@ -32,6 +36,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+import tracemalloc
 from pathlib import Path
 
 # NumPy is imported inside the functions: `dump` must pin BLAS threads first.
@@ -78,6 +83,23 @@ def _fields(result) -> dict:
     return {f.name: np.array(getattr(result, f.name)) for f in dataclasses.fields(result)}
 
 
+def _traced(call):
+    """``call()`` and its tracemalloc peak above its start, in bytes."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def _peak_text(result, peak: int) -> str:
+    text = f"peak {peak / 2 ** 20:.3f} MiB"
+    point = getattr(result, "X", None)  # a solve's point; a certificate has none
+    return text if point is None else f"{text} = {peak / point.X.nbytes:.2f} ambient arrays"
+
+
 def dump(out: str, root: Path, names=None) -> int:
     workloads = _import(root)
     import numpy as np
@@ -91,9 +113,10 @@ def dump(out: str, root: Path, names=None) -> int:
         if names and workload not in names:
             continue
         for op in setup(0):
-            for name, value in _fields(op.call()).items():
+            result, peak = _traced(op.call)
+            for name, value in _fields(result).items():
                 arrays[f"{workload}/{op.name}/{name}"] = np.asarray(value)
-            print(f"{workload}/{op.name}: dumped", flush=True)
+            print(f"{workload}/{op.name}: dumped; {_peak_text(result, peak)}", flush=True)
     np.savez(out, **arrays)
     return 0
 
