@@ -64,14 +64,13 @@ class ProblemSpec:
 
 class Subproblem:
     """``l_rho(., y)`` at a fixed penalty and multiplier: the Newton
-    subproblem.  The terms that depend only on ``(rho, y)`` are computed
-    once; :meth:`at` evaluates it at a point."""
+    subproblem.  It keeps no array but ``y``; :meth:`at` evaluates it at a
+    point."""
 
     def __init__(self, P: ProblemSpec, rho: float, y: np.ndarray):
         if not (math.isfinite(rho) and rho > 0):
             raise LagrangianError(f"penalty must be positive and finite, got {rho}")
         self.P, self.rho, self.y = P, rho, y
-        self.shift = y / rho
         self.y_term = float(np.sum(y * y)) / (2.0 * rho)
 
     def at(self, X: ManifoldPoint) -> "Evaluation":
@@ -86,7 +85,8 @@ class Evaluation:
     ``ytilde``, and ``q`` is not kept.  The derivatives reuse them: the
     Euclidean and Riemannian gradients, the dual gradient and the
     generalized Hessian.  Each is computed on first use and kept until
-    :meth:`drop` frees it.  The Newton solver evaluates every line-search
+    :meth:`drop` frees it, or :meth:`ghess_operator` for those it reads
+    last.  The Newton solver evaluates every line-search
     trial point and reads the derivatives only at accepted ones.
     """
 
@@ -104,8 +104,11 @@ class Evaluation:
 
     @cached_property
     def p(self) -> np.ndarray:
-        """The envelope argument g(X) + y/rho."""
-        return self.sub.P.g_value(self.X.X) + self.sub.shift
+        """The envelope argument g(X) + y/rho, summed as y/rho + g(X) into
+        the quotient's array: addition commutes, bit for bit."""
+        p = np.divide(self.sub.y, self.sub.rho)
+        p += self.sub.P.g_value(self.X.X)
+        return p
 
     def _envelope(self, name: str):
         """Set ``value`` and ``ytilde`` from one prox and return ``name``."""
@@ -155,18 +158,30 @@ class Evaluation:
         ``W = g_vjp(g_vjp(G)) = G d^2`` (``G`` itself for an identity
         ``g_vjp``); otherwise it is ``g_vjp(G g_jvp(xi))``, added to the
         smooth terms.
+
+        Without ``jac`` this is a Newton step's preparation, the last read of
+        ``p``, ``ytilde`` and ``egrad``: it frees them (``p`` once the mask
+        is built; a later read recomputes each).  ``G`` is kept only until
+        ``W``'s second product, and ``ytilde`` only for a ``gy_ehess`` term.
         """
         P, X, rho = self.sub.P, self.X, self.sub.rho
+        egrad = self.egrad
+        y = None if P.gy_ehess is None else self.ytilde
         mine = jac is None  # G is then written over the mask of the Jacobian built here
-        mask = (P.theta.prox_jacobian(1.0 / rho, self.p) if mine else jac).mask
-        G = np.subtract(1.0, mask, out=mask if mine else None)
+        G = (P.theta.prox_jacobian(1.0 / rho, self.p) if mine else jac).mask
+        if mine:
+            self.drop("p", "ytilde", "egrad")
+        G = np.subtract(1.0, G, out=G if mine else None)
         G *= rho  # G w equals rho (w - mask w) exactly: mask is 0/1
         if P.g_jvp is not None:
-            return _hess_operator(P, X, self.ytilde, self.egrad,
+            return _hess_operator(P, X, y, egrad,
                                   envelope=lambda xi: P.g_vjp(X.X, G * P.g_jvp(X.X, xi)))
         if G.shape != X.manifold.ambient_shape:
             raise LagrangianError(f"g_jvp=None needs g(X) of the ambient shape, got {G.shape}")
-        return _hess_operator(P, X, self.ytilde, self.egrad, weight=P.g_vjp(X.X, P.g_vjp(X.X, G)))
+        W = P.g_vjp(X.X, G)
+        del G  # before the second product
+        W = P.g_vjp(X.X, W)
+        return _hess_operator(P, X, y, egrad, weight=W)
 
 
 def auglag_value(P: ProblemSpec, rho: float, X: ManifoldPoint, y: np.ndarray) -> float:

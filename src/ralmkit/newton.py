@@ -165,7 +165,10 @@ def ssn_minimize(
     cfg: Optional[NewtonConfig] = None,
     stop: Optional[Callable[[lagrangian.Evaluation], bool]] = None,
 ) -> tuple:
-    """Run the globalized semismooth Newton iteration from ``X0``.
+    """Run the globalized semismooth Newton iteration from ``X0``, a point
+    or a one-element list holding it, which the solve empties: a caller that
+    keeps no other reference has the start point freed at the first
+    accepted step.
 
     ``stop(ev)`` is evaluated at every iterate, the last one included, with
     the :class:`~ralmkit.lagrangian.Evaluation` there (``ev.X``, the gradient
@@ -179,8 +182,8 @@ def ssn_minimize(
     cfg = cfg or NewtonConfig()
     stats = NewtonStats()
     sub = lagrangian.Subproblem(P, rho, y)
-    man = X0.manifold
-    ev = sub.at(X0)
+    ev = sub.at(X0.pop() if isinstance(X0, list) else X0)
+    man = ev.X.manifold
     stats.objective_trace.append(ev.value)
 
     for k in range(cfg.max_iter + 1):
@@ -212,8 +215,7 @@ def ssn_minimize(
                 g = tangent
         del grad  # each array goes after its last read here; a later read recomputes it
         ev.drop("rgrad", "dual_grad")
-        apply_H = ev.ghess_operator()
-        ev.drop("p", "ytilde", "egrad")
+        apply_H = ev.ghess_operator()  # frees p, ytilde and egrad
         V, cg_iters, cg_reason = cg_solve(apply_H, omega, -g, eta_cap, cfg.cg_max_iter)
         del apply_H
         stats.cg_iterations += cg_iters

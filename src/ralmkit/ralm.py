@@ -188,7 +188,7 @@ def ralm_solve(
     grad_norm, value = float(np.linalg.norm(ev.rgrad)), ev.value
     del ev
     inner_iters, dual_step_norm, d_prev, stall_logged = 0, 0.0, None, False
-    result = RalmResult(X=X, y=y, records=[], converged=False)
+    result = RalmResult(X=X0, y=y0, records=[], converged=False)  # X and y set at the end
     for k in range(cfg.max_outer + 1):
         result.records.append(IterateRecord(k, rho, rho - cfg.rho_bar, inner_iters, grad_norm, R,
                                             dual_step_norm, value))
@@ -217,18 +217,21 @@ def ralm_solve(
 
         if rho < cfg.rho_max:  # free the last dual step, which only a step at rho_max reads
             d_prev = d = None
-        ev, nstats = ssn_minimize(P, rho, y, X, cfg.newton, stop)
-        # the next record's fields and the dual step; then the arrays go
+        start, X = [X], None  # handed over: the solve frees it at its first accepted step
+        ev, nstats = ssn_minimize(P, rho, y, start, cfg.newton, stop)
+        # the next record's fields; then the evaluation goes, and its dual
+        # gradient, no longer held by it, takes y + rho_tilde * dual_grad
         X, grad_norm, value = ev.X, float(np.linalg.norm(ev.rgrad)), ev.value
-        y_new = y + rho_tilde * ev.dual_grad
+        step = ev.dual_grad
         del ev
+        y_new = np.add(y, np.multiply(rho_tilde, step, out=step), out=step)
         result.inner_stats.append(nstats)
         if not nstats.stopped:
             log.warning("outer %d: inner solver exited before meeting its criterion: %s",
                         k + 1, nstats.stop_reason)
-        dual_step_norm = float(np.linalg.norm(y_new - y))
         R = lagrangian.kkt_residual(P, X, y_new)
         d = y_new - y
+        dual_step_norm = float(np.linalg.norm(d))
         y, inner_iters = y_new, nstats.iterations
         # No jump on a final step: the last record's R must describe result.y.
         final = R <= cfg.kkt_tol or k + 1 == cfg.max_outer
@@ -240,5 +243,5 @@ def ralm_solve(
                         "but the box allows no jump (t = %.3g)", k + 1, R_prev, R, t)
             stall_logged = True
         d_prev = d
-        result.X, result.y = X, y
+    result.X, result.y = X, y
     return result

@@ -197,3 +197,46 @@ def test_dump_prints_each_peak_and_saves_none(tmp_path, monkeypatch, capsys):
     with np.load(out) as dumped:
         assert not [key for key in dumped.files if "peak" in key]
     assert compare(tmp_path, *[dict(np.load(out))] * 2).returncode == 0
+
+
+PROBE_TARGET = '''\
+import numpy as np
+from types import SimpleNamespace
+
+
+def solve():
+    a = np.ones((50, 40))
+    b = a + 1.0
+    c = a + b
+    del a, b
+    return SimpleNamespace(X=SimpleNamespace(X=c))
+'''
+
+
+def test_peak_prints_the_src_lines_where_one_operation_peaks(tmp_path, monkeypatch, capsys):
+    # three 50 x 40 arrays are live from `c = a + b` until `del a, b` ends;
+    # the caller's lambda, outside src/, is not reported
+    src = (tmp_path / "src").resolve()
+    src.mkdir()
+    (src / "probe_target.py").write_text(PROBE_TARGET)
+    spec = importlib.util.spec_from_file_location("probe_target", src / "probe_target.py")
+    target = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(target)
+    ops = [types.SimpleNamespace(name="other", call=lambda: pytest.fail("not this one")),
+           types.SimpleNamespace(name="op", call=lambda: target.solve())]
+    bitcheck = load_bitcheck()
+    monkeypatch.setattr(bitcheck, "_import",
+                        lambda root: types.SimpleNamespace(SETUPS={"w": lambda seed: ops}))
+    assert bitcheck.main(["peak", "w/op", "--root", str(src.parent), "--top", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    head = re.fullmatch(r"w/op: peak \S+ MiB = (\S+) ambient arrays", lines[0])
+    assert head and 3.0 <= float(head[1]) < 3.1
+    rows = [re.fullmatch(r" *(\S+) arrays  (\S+)  (.*)", line).groups() for line in lines[1:]]
+    assert [(where, text) for _, where, text in rows] == [
+        ("src/probe_target.py:8", "c = a + b"),
+        ("src/probe_target.py:9", "del a, b"),
+        ("src/probe_target.py:7", "b = a + 1.0"),
+    ]
+    assert [round(float(size)) for size, _, _ in rows] == [3, 3, 2]
+    with pytest.raises(SystemExit, match="no seed-0 operation x"):
+        bitcheck.main(["peak", "x", "--root", str(src.parent)])

@@ -632,6 +632,35 @@ class TestDroppedQuantities:
         ev.ghess_operator(jac)
         assert np.array_equal(jac.mask, mask)
 
+    @pytest.mark.parametrize("pair", ["cm_pair", "rmc_fixture"])
+    def test_the_envelope_argument_is_g_plus_y_over_rho_bytes(self, request, pair):
+        # p sums y / rho + g(X) in the quotient's array; addition commutes
+        fx = request.getfixturevalue(pair)
+        P, Xbar, ybar = fx if pair == "cm_pair" else (fx.problem, fx.X_bar, fx.y_bar)
+        X = geometry.retract(Xbar, 0.1 * geometry.random_tangent(Xbar, 23))
+        signed = ybar.copy()
+        signed.flat[::3] = -0.0
+        for y in (ybar, signed, np.full(ybar.shape, -0.0)):
+            for rho in (1.0, 3.0, 1e8):
+                want = P.g_value(X.X) + y / rho
+                assert evaluate(P, rho, X, y).p.tobytes() == want.tobytes()
+
+    def test_a_subproblem_holds_no_array_but_y(self, rmc_fixture):
+        sub = Subproblem(rmc_fixture.problem, 10.0, rmc_fixture.y_bar)
+        arrays = [name for name, v in vars(sub).items() if isinstance(v, np.ndarray)]
+        assert arrays == ["y"] and sub.y is rmc_fixture.y_bar
+
+    def test_a_newton_preparation_frees_what_it_reads_last(self, rmc_fixture):
+        # p, ytilde and egrad go with the operator built on its own Jacobian;
+        # with a caller's Jacobian they stay, for the next element's operator
+        fx = rmc_fixture
+        ev = evaluate(fx.problem, 10.0, fx.X_bar, fx.y_bar)
+        kept = {name: getattr(ev, name) for name in ("p", "ytilde", "egrad")}
+        ev.ghess_operator(fx.problem.theta.prox_jacobian(0.1, ev.p))
+        assert all(vars(ev)[name] is a for name, a in kept.items())
+        ev.ghess_operator()
+        assert not set(kept) & set(vars(ev))
+
     def test_only_kept_quantities_are_dropped(self, cm_pair):
         P, X, y = cm_pair
         with pytest.raises(AttributeError, match="'q' is not a kept quantity"):

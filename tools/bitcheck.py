@@ -2,6 +2,7 @@
 
     python3 tools/bitcheck.py dump OUT.npz [--root CHECKOUT] [--workload NAME ...]
     python3 tools/bitcheck.py compare A.npz B.npz
+    python3 tools/bitcheck.py peak NAME [--root CHECKOUT] [--top N]
 
 ``dump`` runs every seed-0 operation of ``perfbench/workloads.py``'s
 ``SETUPS`` with BLAS pinned to one thread, importing ``ralmkit`` from
@@ -29,14 +30,27 @@ bytes differ it adds whether the work counts held: the integer, bool and
 string fields (``newton_counts``, ``stop_reasons``, ``trace_lengths``,
 ``dual_jumps``, ``converged``, a certificate's counts), so a change that only moves rounding
 shows as ``work counts identical``.
+
+``peak`` runs the one seed-0 operation named ``NAME`` (``OP`` or
+``WORKLOAD/OP``, as ``dump`` prints it) under a line-level probe: a
+``sys.settrace`` hook that closes each ``CHECKOUT/src`` line with
+``tracemalloc.reset_peak()``, so every line gets the traced peak above the
+operation's start while it ran.  It prints the ``--top`` lines (default 10)
+with the highest peak, in ambient arrays for a solve and in MiB otherwise.
+The operation runs twice and only the second run is measured: the
+interpreter builds its line tables for tracing in the first.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import linecache
+import os
 import sys
 import tracemalloc
+import types
+from array import array
 from pathlib import Path
 
 # NumPy is imported inside the functions: `dump` must pin BLAS threads first.
@@ -98,6 +112,92 @@ def _peak_text(result, peak: int) -> str:
     text = f"peak {peak / 2 ** 20:.3f} MiB"
     point = getattr(result, "X", None)  # a solve's point; a certificate has none
     return text if point is None else f"{text} = {peak / point.X.nbytes:.2f} ambient arrays"
+
+
+def _code_lines(code):
+    """The line numbers of ``code`` and of every code object nested in it."""
+    yield from (line for _, _, line in code.co_lines() if line is not None)
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            yield from _code_lines(const)
+
+
+def _line_peaks(call, src: Path):
+    """``call()`` under a line-level probe, and each line of a ``src`` file
+    that ran with its highest tracemalloc peak above the start while it ran,
+    by ``(file, line)``.
+
+    The peak since the last reset belongs to the line that ran until the
+    next event: a new line, a call (the caller's line so far) or a return
+    (the callee's last line; then the nearest ``src`` caller's line runs
+    again).  Every line of ``src`` has its slot before the start, so the
+    probe keeps no new object while ``call`` runs; a first, unmeasured
+    call makes the interpreter's line tables for tracing."""
+    src = Path(src).resolve()
+    prefix = f"{src}{os.sep}"
+    keys = sorted({(str(path), line) for path in src.rglob("*.py")
+                   for line in _code_lines(compile(path.read_bytes(), str(path), "exec"))})
+    slots = {key: i for i, key in enumerate(keys)}
+    peaks = array("q", [-1]) * len(keys)
+    at, base = None, 0
+
+    def close():
+        if at is not None and tracemalloc.is_tracing():
+            peaks[at] = max(peaks[at], tracemalloc.get_traced_memory()[1] - base)
+        tracemalloc.reset_peak()
+
+    def local(frame, event, arg):
+        nonlocal at
+        close()
+        if event == "line":
+            at = slots.get((frame.f_code.co_filename, frame.f_lineno))
+        elif event == "return":
+            caller = frame.f_back
+            while caller is not None and not caller.f_code.co_filename.startswith(prefix):
+                caller = caller.f_back
+            at = caller and slots.get((caller.f_code.co_filename, caller.f_lineno))
+        return local
+
+    def probe(frame, event, arg):
+        if not frame.f_code.co_filename.startswith(prefix):
+            return None
+        close()
+        return local
+
+    sys.settrace(probe)
+    try:
+        call()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            result = call()
+        finally:
+            tracemalloc.stop()
+    finally:
+        sys.settrace(None)
+    return result, {key: peaks[i] for i, key in enumerate(keys) if peaks[i] >= 0}
+
+
+def peak(name: str, root: Path, top: int = 10) -> int:
+    root = root.resolve()  # the prefix of the imported modules' file names
+    workloads = _import(root)
+    for workload, setup in workloads.SETUPS.items():
+        if "/" in name and not name.startswith(f"{workload}/"):
+            continue
+        op = next((op for op in setup(0) if name in (op.name, f"{workload}/{op.name}")), None)
+        if op is not None:
+            break
+    else:
+        raise SystemExit(f"no seed-0 operation {name}")
+    result, peaks = _line_peaks(op.call, root / "src")
+    point = getattr(result, "X", None)
+    print(f"{workload}/{op.name}: {_peak_text(result, max(peaks.values(), default=0))}")
+    for (path, line), size in sorted(peaks.items(), key=lambda kv: -kv[1])[:top]:
+        amount = (f"{size / 2 ** 20:8.3f} MiB" if point is None
+                  else f"{size / point.X.nbytes:6.2f} arrays")
+        where = f"{os.path.relpath(path, root)}:{line}"
+        print(f"{amount}  {where}  {linecache.getline(path, line).strip()}")
+    return 0
 
 
 def dump(out: str, root: Path, names=None) -> int:
@@ -188,9 +288,15 @@ def main(argv=None) -> int:
     p_cmp = sub.add_parser("compare", help="compare two dumps field by field")
     p_cmp.add_argument("a")
     p_cmp.add_argument("b")
+    p_peak = sub.add_parser("peak", help="print the src lines where one operation peaks")
+    p_peak.add_argument("name", help="a seed-0 operation: OP or WORKLOAD/OP")
+    p_peak.add_argument("--root", type=Path, default=ROOT, help="checkout to run")
+    p_peak.add_argument("--top", type=int, default=10, help="lines to print (default 10)")
     args = parser.parse_args(argv)
     if args.command == "dump":
         return dump(args.out, args.root, args.workload)
+    if args.command == "peak":
+        return peak(args.name, args.root, args.top)
     return compare(args.a, args.b)
 
 
