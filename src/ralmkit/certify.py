@@ -81,8 +81,8 @@ def critical_cone_basis(P: ProblemSpec, X: ManifoldPoint, y: np.ndarray) -> np.n
     rows scaled to norm <= 1 by those of E_c Dg(X); both by :func:`_null_rows`.
     Requires ``y`` to be a subgradient at ``g(X)`` up to ``CONE_TOL``.
     """
-    man, shape = X.manifold, X.manifold.ambient_shape
-    z = P.g_value(X.X)
+    man, shape, A = X.manifold, X.manifold.ambient_shape, X.X
+    z = P.g_value(A)
     diagonal = P.g_jvp is None
     if diagonal and z.shape != shape:
         raise CertifyError(f"g_jvp=None needs g(X) of the ambient shape {shape}, got {z.shape}")
@@ -94,25 +94,25 @@ def critical_cone_basis(P: ProblemSpec, X: ManifoldPoint, y: np.ndarray) -> np.n
     constrained = (np.abs(z) <= CONE_TOL) & (np.abs(y) < mu - CONE_TOL)
     if not np.any(constrained):
         return man.tangent_basis(X)
-    c = P.g_vjp(X.X, np.ones(shape)) if diagonal else None
+    c = P.g_vjp(A, np.ones(shape)) if diagonal else None
     free = np.flatnonzero(~(constrained & (c != 0))) if diagonal else None
     if diagonal and free.size <= man.dim():
-        normal = np.zeros((free.size, X.X.size))
+        normal = np.zeros((free.size, A.size))
         normal[np.arange(free.size), free] = 1.0
         for e in normal:
             e -= man.project(X, e.reshape(shape)).ravel()
         null = _null_rows(normal.T)
         del normal  # before the directions take its place
         rows = np.zeros((len(null), *shape))
-        rows.reshape(len(null), X.X.size)[:, free] = null
+        rows.reshape(len(null), A.size)[:, free] = null
     else:
         basis = man.tangent_basis(X)
         # the norms of the rows of E_c Dg(X); a zero row constrains nothing
         d = np.abs(c[constrained]) if diagonal else np.array([
-            np.linalg.norm(P.g_vjp(X.X, np.eye(1, z.size, i).reshape(z.shape)))
+            np.linalg.norm(P.g_vjp(A, np.eye(1, z.size, i).reshape(z.shape)))
             for i in np.flatnonzero(constrained)])
         jvp = P.g_jvp or P.g_vjp
-        C = np.stack([jvp(X.X, v)[constrained] for v in basis]).T[d > 0] / d[d > 0, None]
+        C = np.stack([jvp(A, v)[constrained] for v in basis]).T[d > 0] / d[d > 0, None]
         rows = (_null_rows(C) @ basis.reshape(len(basis), -1)).reshape(-1, *shape)
     for v in rows:
         v[...] = man.project(X, v)

@@ -24,7 +24,7 @@ basis is one ``(dim, *ambient_shape)`` array of ambient tangent vectors.
 
 Both retractions are second order: the polar retraction on Stiefel and the
 metric-projection (truncated SVD) retraction on the fixed-rank manifold, which
-runs through a 2r x 2r core in O(mnr + (m + n) r^2), never an m x n SVD.
+runs through a 2r x 2r core in O((m + n) r^2), never an m x n SVD.
 """
 
 from __future__ import annotations
@@ -62,14 +62,25 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 class ManifoldPoint:
     """A point on a manifold in its canonical representation.
 
-    ``X`` is the ambient matrix.  For fixed-rank points ``factors`` holds
-    the SVD triple ``(U, s, V)`` and ``X`` is the reconstruction
-    ``U @ diag(s) @ V.T``.
+    ``X`` is the ambient matrix.  Euclidean and Stiefel points store it.  A
+    fixed-rank point is its SVD triple ``factors = (U, s, V)`` and holds no
+    m x n array: each read of ``X`` forms ``(U * s) @ V.T``, a read-only
+    array the point does not keep, so a caller reads it once per use.
     """
 
     manifold: "Manifold"
-    X: np.ndarray
+    _X: Optional[np.ndarray]
     factors: Optional[tuple] = None
+    # V^T in the layout of the V the factors were made from, which X's
+    # product reads: another layout can move X's last bit
+    _Vt: Optional[np.ndarray] = None
+
+    @property
+    def X(self) -> np.ndarray:
+        if self.factors is None:
+            return self._X
+        U, s, _ = self.factors
+        return _readonly((U * s) @ self._Vt)
 
 
 class Manifold:
@@ -276,7 +287,8 @@ class FixedRank(Manifold):
         return self.r * (self.m + self.n - self.r)
 
     def point_from_factors(self, U: np.ndarray, s: np.ndarray, V: np.ndarray) -> ManifoldPoint:
-        """The point ``U diag(s) V^T``; it holds copies of the factors."""
+        """The point ``U diag(s) V^T``; it holds copies of the factors and
+        forms ``X`` only when it is read."""
         U, s, V = (np.array(F, dtype=float) for F in (U, s, V))
         s = s.ravel()
         if U.shape != (self.m, self.r) or V.shape != (self.n, self.r) or s.shape != (self.r,):
@@ -287,8 +299,8 @@ class FixedRank(Manifold):
                 raise GeometryError(f"{lbl} not orthonormal to tolerance ({err:.3e})")
         if not (np.all((s > 0) & (s < np.inf)) and np.all(np.diff(s) <= 0)):
             raise GeometryError("singular values must be positive, finite and nonincreasing")
-        X = (U * s) @ V.T
-        return ManifoldPoint(self, _readonly(X), factors=(_readonly(U), _readonly(s), _readonly(V)))
+        V.flags.writeable = False  # the copy in V's layout, which X's product reads
+        return ManifoldPoint(self, None, (_readonly(U), _readonly(s), _readonly(V)), V.T)
 
     def point_from_ambient(self, Z: np.ndarray) -> ManifoldPoint:
         Z = self._check_ambient(Z)
@@ -338,8 +350,7 @@ class FixedRank(Manifold):
         # Rank-r truncated SVD of X + xi = [U Up] C [V Vp]^T, C = [[S + M, I], [I, 0]],
         # from QR of both m x 2r / n x 2r blocks (not of Up alone, which loses
         # orthogonality to U when tiny) and an SVD of the 2r x 2r core Ru C Rv^T:
-        # O((m + n) r^2) plus O(mnr) for the new point's X, against
-        # O(mn min(m, n)) for a dense SVD.
+        # O((m + n) r^2), against O(mn min(m, n)) for a dense SVD.
         U, s, V = point.factors
         M, Up, Vp = self._split(c)
         r = self.r

@@ -86,35 +86,45 @@ class Evaluation:
     Euclidean and Riemannian gradients, the dual gradient and the
     generalized Hessian.  Each is computed on first use and kept until
     :meth:`drop` frees it, or :meth:`ghess_operator` for those it reads
-    last.  The Newton solver evaluates every line-search
-    trial point and reads the derivatives only at accepted ones.
+    last.  The Newton solver evaluates every line-search trial point and
+    reads the derivatives only at accepted ones.
+
+    The callbacks read the ambient matrix ``dense = X.X``, which a fixed-rank
+    point forms on each read: ``p`` and ``value`` share one, which ``egrad``
+    reads last and frees, and :meth:`ghess_operator` forms it once more.
     """
 
     def __init__(self, sub: Subproblem, X: ManifoldPoint):
         self.sub, self.X = sub, X
 
     def drop(self, *names: str) -> None:
-        """Free the kept quantities ``names`` (``p``, ``value``, ``ytilde``,
-        ``egrad``, ``rgrad``, ``dual_grad``).  Each is a pure function of
-        ``(X, y, rho)``, so a later read recomputes it with the same bits."""
+        """Free the kept quantities ``names`` (``dense``, ``p``, ``value``,
+        ``ytilde``, ``egrad``, ``rgrad``, ``grad_norm``, ``dual_grad``).  Each
+        is a pure function of ``(X, y, rho)``, so a later read recomputes it
+        with the same bits."""
         for name in names:
             if not isinstance(getattr(Evaluation, name, None), cached_property):
                 raise AttributeError(f"{name!r} is not a kept quantity")
             self.__dict__.pop(name, None)
 
     @cached_property
+    def dense(self) -> np.ndarray:
+        """The point's ambient matrix ``X.X``."""
+        return self.X.X
+
+    @cached_property
     def p(self) -> np.ndarray:
         """The envelope argument g(X) + y/rho, summed as y/rho + g(X) into
         the quotient's array: addition commutes, bit for bit."""
         p = np.divide(self.sub.y, self.sub.rho)
-        p += self.sub.P.g_value(self.X.X)
+        p += self.sub.P.g_value(self.dense)
         return p
 
     def _envelope(self, name: str):
         """Set ``value`` and ``ytilde`` from one prox and return ``name``."""
         P, rho, p = self.sub.P, self.sub.rho, self.p
         q = P.theta.prox(1.0 / rho, p)
-        self.__dict__["value"] = P.f_value(self.X.X) + P.theta.moreau(rho, p, q) - self.sub.y_term
+        self.__dict__["value"] = P.f_value(self.dense) + P.theta.moreau(rho, p, q) - self.sub.y_term
         self.__dict__["ytilde"] = P.theta.moreau_grad(rho, p, q)
         return self.__dict__[name]
 
@@ -131,11 +141,18 @@ class Evaluation:
 
     @cached_property
     def egrad(self) -> np.ndarray:
-        return lagrangian_egrad(self.sub.P, self.X, self.ytilde)
+        egrad = lagrangian_egrad(self.sub.P, self.dense, self.ytilde)
+        self.drop("dense")  # its last read before the Hessian's
+        return egrad
 
     @cached_property
     def rgrad(self) -> np.ndarray:
         return self.X.manifold.project(self.X, self.egrad)
+
+    @cached_property
+    def grad_norm(self) -> float:
+        """``|rgrad|``, kept when :meth:`drop` frees ``rgrad``."""
+        return float(np.linalg.norm(self.rgrad))
 
     @cached_property
     def dual_grad(self) -> np.ndarray:
@@ -160,9 +177,10 @@ class Evaluation:
         smooth terms.
 
         Without ``jac`` this is a Newton step's preparation, the last read of
-        ``p``, ``ytilde`` and ``egrad``: it frees them (``p`` once the mask
-        is built; a later read recomputes each).  ``G`` is kept only until
-        ``W``'s second product, and ``ytilde`` only for a ``gy_ehess`` term.
+        ``dense``, ``p``, ``ytilde`` and ``egrad``: it frees them (``p`` once
+        the mask is built; a later read recomputes each).  ``G`` is kept only
+        until ``W``'s second product, ``ytilde`` only for a ``gy_ehess`` term,
+        and ``dense`` only for a term that reads X.
         """
         P, X, rho = self.sub.P, self.X, self.sub.rho
         egrad = self.egrad
@@ -173,15 +191,17 @@ class Evaluation:
             self.drop("p", "ytilde", "egrad")
         G = np.subtract(1.0, G, out=G if mine else None)
         G *= rho  # G w equals rho (w - mask w) exactly: mask is 0/1
-        if P.g_jvp is not None:
-            return _hess_operator(P, X, y, egrad,
-                                  envelope=lambda xi: P.g_vjp(X.X, G * P.g_jvp(X.X, xi)))
-        if G.shape != X.manifold.ambient_shape:
-            raise LagrangianError(f"g_jvp=None needs g(X) of the ambient shape, got {G.shape}")
-        W = P.g_vjp(X.X, G)
-        del G  # before the second product
-        W = P.g_vjp(X.X, W)
-        return _hess_operator(P, X, y, egrad, weight=W)
+        A, W = self.dense, None  # formed again once p and ytilde are gone
+        if mine:
+            self.drop("dense")
+        if P.g_jvp is None:  # the envelope term is the weight term
+            if G.shape != X.manifold.ambient_shape:
+                raise LagrangianError(f"g_jvp=None needs g(X) of the ambient shape, got {G.shape}")
+            W, G = P.g_vjp(A, G), None  # G goes before the second product
+            W = P.g_vjp(A, W)
+        ehess = _ehess(P, A, y, G)
+        del A  # before the preparation; a term that reads X holds its own reference
+        return X.manifold.hess_operator(X, egrad, ehess, W)
 
 
 def auglag_value(P: ProblemSpec, rho: float, X: ManifoldPoint, y: np.ndarray) -> float:
@@ -208,36 +228,37 @@ def auglag_ghess_vec(P: ProblemSpec, rho: float, X: ManifoldPoint, y: np.ndarray
     return man.ambient(X, Subproblem(P, rho, y).at(X).ghess_operator(jac)(man.coords(X, xi)))
 
 
-def lagrangian_egrad(P: ProblemSpec, X: ManifoldPoint, y: np.ndarray) -> np.ndarray:
-    """Euclidean gradient of L(., y) = f + <y, g(.)> at X."""
-    w = P.g_vjp(X.X, y)
-    return w if P.f_egrad is None else P.f_egrad(X.X) + w
+def lagrangian_egrad(P: ProblemSpec, A: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Euclidean gradient of L(., y) = f + <y, g(.)> at the ambient matrix ``A``."""
+    w = P.g_vjp(A, y)
+    return w if P.f_egrad is None else P.f_egrad(A) + w
 
 
-def _hess_operator(P: ProblemSpec, X: ManifoldPoint, y: np.ndarray, egrad: np.ndarray,
-                   weight: Optional[np.ndarray] = None,
-                   envelope: Optional[Callable] = None) -> Callable:
-    """Riemannian Hessian of L(., y), ``egrad`` its Euclidean gradient at X,
-    plus the Euclidean terms ``envelope(xi)``, summed with the smooth terms,
-    and ``weight * xi`` (``Manifold.hess_operator``)."""
-    f, gy = P.f_ehess, P.gy_ehess  # gy is None for an affine g
-    terms = [t for t in (f and (lambda xi: f(X.X, xi)), gy and (lambda xi: gy(X.X, y, xi)),
-                         envelope) if t is not None]
-    ehess = None if not terms else terms[0] if len(terms) == 1 else (
+def _ehess(P: ProblemSpec, A: np.ndarray, y: np.ndarray,
+           G: Optional[np.ndarray] = None) -> Optional[Callable]:
+    """The Euclidean Hessian-vector product of L(., y) at the ambient matrix
+    ``A``, plus the envelope term ``g_vjp(A, G * g_jvp(A, xi))`` when ``G`` is
+    given, as one callable; ``None`` when every term is zero."""
+    f, gy, jvp, vjp = P.f_ehess, P.gy_ehess, P.g_jvp, P.g_vjp  # gy is None for an affine g
+    terms = [t for t in (f and (lambda xi: f(A, xi)), gy and (lambda xi: gy(A, y, xi)),
+                         G is not None and (lambda xi: vjp(A, G * jvp(A, xi)))) if t]
+    return None if not terms else terms[0] if len(terms) == 1 else (
         lambda xi: reduce(np.add, [t(xi) for t in terms]))
-    return X.manifold.hess_operator(X, egrad, ehess, weight)
 
 
 def lagrangian_hess_operator(P: ProblemSpec, X: ManifoldPoint, y: np.ndarray) -> Callable:
     """Riemannian Hessian of L(., y) at fixed y, prepared at ``X``:
     returns ``c -> Hess c`` on tangent coordinates."""
-    return _hess_operator(P, X, y, lagrangian_egrad(P, X, y))
+    A = X.X
+    return X.manifold.hess_operator(X, lagrangian_egrad(P, A, y), _ehess(P, A, y))
 
 
 def kkt_residual(P: ProblemSpec, X: ManifoldPoint, y: np.ndarray) -> float:
     """|grad_x L(x,y)| + |g(x) - prox_theta(g(x) + y)|; zero exactly at
     stationary pairs."""
-    g = P.g_value(X.X)
-    grad_part = float(np.linalg.norm(X.manifold.project(X, lagrangian_egrad(P, X, y))))
+    A = X.X
+    g = P.g_value(A)
+    grad_part = float(np.linalg.norm(X.manifold.project(X, lagrangian_egrad(P, A, y))))
+    del A  # before the prox's arrays
     r = P.theta.prox(1.0, g + y)  # a fresh array; g may be X itself
     return grad_part + float(np.linalg.norm(np.subtract(g, r, out=r)))

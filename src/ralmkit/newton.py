@@ -172,7 +172,8 @@ def ssn_minimize(
 
     ``stop(ev)`` is evaluated at every iterate, the last one included, with
     the :class:`~ralmkit.lagrangian.Evaluation` there (``ev.X``, the gradient
-    ``ev.rgrad``, the shifted multiplier ``ev.ytilde``, ...); when omitted
+    ``ev.rgrad`` and its norm ``ev.grad_norm``, the shifted multiplier
+    ``ev.ytilde``, ...); when omitted
     the solver stops at ``|grad| <= cfg.grad_tol``.  Either ends the solve
     before the rounding floor is tested.  Returns the
     :class:`~ralmkit.lagrangian.Evaluation` at the final iterate (its point
@@ -187,8 +188,7 @@ def ssn_minimize(
     stats.objective_trace.append(ev.value)
 
     for k in range(cfg.max_iter + 1):
-        grad = ev.rgrad
-        gnorm = float(np.linalg.norm(grad))
+        grad, gnorm = ev.rgrad, ev.grad_norm
         if not math.isfinite(gnorm) or not math.isfinite(ev.value):
             raise NewtonError(f"non-finite subproblem state at iteration {k}")
         if stop is not None and stop(ev):
@@ -214,8 +214,8 @@ def ssn_minimize(
             if np.linalg.norm(grad - tangent) > eta_cap:
                 g = tangent
         del grad  # each array goes after its last read here; a later read recomputes it
-        ev.drop("rgrad", "dual_grad")
-        apply_H = ev.ghess_operator()  # frees p, ytilde and egrad
+        ev.drop("rgrad", "dual_grad")  # grad_norm is kept
+        apply_H = ev.ghess_operator()  # frees dense, p, ytilde and egrad
         V, cg_iters, cg_reason = cg_solve(apply_H, omega, -g, eta_cap, cfg.cg_max_iter)
         del apply_H
         stats.cg_iterations += cg_iters
@@ -240,7 +240,7 @@ def ssn_minimize(
             if trial.value <= ev.value + decrease:
                 break
             if (abs(decrease) <= rounding
-                    and np.linalg.norm(trial.rgrad) <= (1.0 - MU_LS * step) * gnorm):
+                    and trial.grad_norm <= (1.0 - MU_LS * step) * gnorm):
                 stats.rounding_accepts += 1
                 break
             del trial  # rejected: freed before the next retraction

@@ -185,7 +185,7 @@ def ralm_solve(
     X, rho, R_prev = X0, cfg.rho0, math.inf
     R = lagrangian.kkt_residual(P, X, y)
     ev = lagrangian.Subproblem(P, rho, y).at(X)
-    grad_norm, value = float(np.linalg.norm(ev.rgrad)), ev.value
+    grad_norm, value = ev.grad_norm, ev.value
     del ev
     inner_iters, dual_step_norm, d_prev, stall_logged = 0, 0.0, None, False
     result = RalmResult(X=X0, y=y0, records=[], converged=False)  # X and y set at the end
@@ -205,7 +205,7 @@ def ralm_solve(
         eps_k = max(EPS0 * KAPPA ** k, EPS_MIN)
 
         def stop(ev):
-            gnorm = np.linalg.norm(ev.rgrad)
+            gnorm = ev.grad_norm
             # Criteria 'b'/'c' depend on the dual step at the current
             # iterate, so the threshold is re-evaluated every inner step.
             dual_step = rho_tilde * float(np.linalg.norm(ev.dual_grad))
@@ -221,7 +221,7 @@ def ralm_solve(
         ev, nstats = ssn_minimize(P, rho, y, start, cfg.newton, stop)
         # the next record's fields; then the evaluation goes, and its dual
         # gradient, no longer held by it, takes y + rho_tilde * dual_grad
-        X, grad_norm, value = ev.X, float(np.linalg.norm(ev.rgrad)), ev.value
+        X, grad_norm, value = ev.X, ev.grad_norm, ev.value
         step = ev.dual_grad
         del ev
         y_new = np.add(y, np.multiply(rho_tilde, step, out=step), out=step)

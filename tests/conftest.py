@@ -41,9 +41,8 @@ def callback_ghess_operator(P, rho, X, y):
 
     ev = evaluate(P, rho, X, y)
     G = rho * (1.0 - P.theta.prox_jacobian(1.0 / rho, ev.p).mask)
-    jvp = P.g_jvp or P.g_vjp
-    return lagrangian._hess_operator(P, X, ev.ytilde, ev.egrad,
-                                     envelope=lambda xi: P.g_vjp(X.X, G * jvp(X.X, xi)))
+    Q = dataclasses.replace(P, g_jvp=P.g_jvp or P.g_vjp)
+    return X.manifold.hess_operator(X, ev.egrad, lagrangian._ehess(Q, X.X, ev.ytilde, G))
 
 
 def counted_ghess_operator(P, rho, X, y, calls):
@@ -71,7 +70,7 @@ def weight_ghess_operator(P, rho, X, y):
     ev = evaluate(P, rho, X, y)
     G = rho * (1.0 - P.theta.prox_jacobian(1.0 / rho, ev.p).mask)
     d = P.g_vjp(X.X, np.ones(y.shape))
-    return lagrangian._hess_operator(P, X, ev.ytilde, ev.egrad, weight=G * d * d)
+    return X.manifold.hess_operator(X, ev.egrad, lagrangian._ehess(P, X.X, ev.ytilde), G * d * d)
 
 
 def euclidean_l1_problem(shape=(1, 1), mu=1.0):

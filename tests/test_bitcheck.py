@@ -110,10 +110,12 @@ def test_a_solve_dump_tells_inner_stop_reasons_apart(tmp_path):
 
 
 def fake_solve(X, dual_jumps=0, **counts):
+    from ralmkit.geometry import Euclidean, ManifoldPoint
     from ralmkit.newton import NewtonStats
     from ralmkit.ralm import RalmResult
 
-    return RalmResult(X=types.SimpleNamespace(X=X), y=np.zeros(2), records=[], converged=True,
+    return RalmResult(X=ManifoldPoint(Euclidean(*X.shape), X), y=np.zeros(2), records=[],
+                      converged=True,
                       inner_stats=[NewtonStats(stop_reason="criterion", **counts)],
                       dual_jumps=dual_jumps)
 
@@ -165,20 +167,24 @@ def test_dump_runs_only_the_named_workloads(tmp_path, monkeypatch):
     monkeypatch.setattr(bitcheck, "_import", lambda root: fake_workloads(ran))
     out = tmp_path / "o.npz"
     assert bitcheck.main(["dump", str(out), "--workload", "c", "--workload", "a"]) == 0
-    assert ran == ["a", "c"]
+    assert ran == ["a", "a", "c", "c"]  # each once untraced, then traced
     with np.load(out) as dumped:
         assert sorted(dumped.files) == ["a/op/value", "c/op/value"]
     with pytest.raises(SystemExit, match="unknown workload x; known: a, b, c"):
         bitcheck.main(["dump", str(out), "--workload", "x"])
-    assert ran == ["a", "c"]
+    assert ran == ["a", "a", "c", "c"]
 
 
 def test_dump_prints_each_peak_and_saves_none(tmp_path, monkeypatch, capsys):
-    # the solve holds four 50 x 40 arrays at once; the certificate's line has
-    # no ambient size
+    # the solve holds four 50 x 40 arrays at once, and five more that its
+    # first run keeps, which the traced run does not make; the certificate's
+    # line has no ambient size
     from ralmkit.certify import Certificate
 
+    kept = []
+
     def solve():
+        kept.extend([] if kept else [np.ones((50, 40)) for _ in range(5)])
         held = [np.ones((50, 40)) for _ in range(3)]
         return fake_solve(np.full((50, 40), float(len(held))))
 
@@ -209,13 +215,14 @@ def solve():
     b = a + 1.0
     c = a + b
     del a, b
-    return SimpleNamespace(X=SimpleNamespace(X=c))
+    return SimpleNamespace(X=SimpleNamespace(manifold=SimpleNamespace(ambient_shape=c.shape)))
 '''
 
 
 def test_peak_prints_the_src_lines_where_one_operation_peaks(tmp_path, monkeypatch, capsys):
     # three 50 x 40 arrays are live from `c = a + b` until `del a, b` ends;
-    # the caller's lambda, outside src/, is not reported
+    # the caller's lambda, outside src/, is not reported; the unit comes from
+    # the manifold's ambient shape, not from an X (which the result lacks)
     src = (tmp_path / "src").resolve()
     src.mkdir()
     (src / "probe_target.py").write_text(PROBE_TARGET)

@@ -237,6 +237,25 @@ class TestConeBasisAgainstReference:
         assert critical_cone_basis(P, X, y).shape == (4, 5, 1)
 
 
+@pytest.mark.parametrize("entrywise", [False, True], ids=["tangent-basis", "free-directions"])
+def test_cone_basis_forms_a_fixed_rank_x_once_at_any_size(entrywise, monkeypatch):
+    # a fixed-rank point forms X on each read: the loops over the basis and
+    # over the constrained entries must not read it
+    form, calls = geometry.ManifoldPoint.X.fget, []
+    counted = property(lambda point: calls.append(1) or form(point))
+    for m, n, r in ((6, 5, 1), (9, 8, 3)):
+        X = geometry.FixedRank(m, n, r).random_point(np.random.default_rng(m))
+        R = np.diag(np.arange(1.0, m + 1)) if entrywise else np.eye(m) + np.ones((m, m))
+        fixed = np.zeros((m, n), dtype=bool)
+        fixed[(slice(1, None) if entrywise else np.s_[:, 0])] = True  # n free entries or m fixed
+        P, X, y = linear_g_pair(X, R, fixed, entrywise=entrywise)
+        monkeypatch.setattr(geometry.ManifoldPoint, "X", counted)
+        basis = critical_cone_basis(P, X, y)
+        monkeypatch.undo()
+        assert len(basis) and len(calls) == 1
+        calls.clear()
+
+
 class TestMssosc:
     def test_cm_value_and_verdict(self, cm_pair):
         P, Xbar, ybar = cm_pair

@@ -547,3 +547,48 @@ class TestPointsOwnTheirData:
         for old, new in zip(before, after):
             np.testing.assert_array_equal(new, old)
         point.manifold.check_point(point)
+
+
+def _held_bytes(point):
+    """The bytes of every array a point references, each owner counted once."""
+    owners, stack = {}, list(vars(point).values())
+    while stack:
+        v = stack.pop()
+        if isinstance(v, tuple):
+            stack.extend(v)
+        elif isinstance(v, np.ndarray):
+            while isinstance(v.base, np.ndarray):
+                v = v.base
+            owners[id(v)] = v.nbytes
+    return sum(owners.values())
+
+
+class TestFixedRankPointsHoldTheirFactors:
+    # A fixed-rank point is its factors: X is formed on each read and never kept.
+    m, n, r = 200, 300, 5
+
+    def points(self):
+        man = FixedRank(self.m, self.n, self.r)
+        Z = np.random.default_rng(5).standard_normal((self.m, self.n))
+        X0 = man.point_from_ambient(Z)  # V arrives F-ordered, as Vt[:r].T
+        return Z, X0, retract(X0, 0.1 * random_tangent(X0, 6))  # V arrives C-ordered
+
+    def test_a_point_references_only_factor_sized_arrays(self):
+        _, X0, X1 = self.points()
+        for point in (X0, X1):
+            # U, s, V and at most one more V in the layout X's product reads
+            assert _held_bytes(point) <= 8 * (self.m + 2 * self.n + 1) * self.r
+
+    def test_x_is_read_only_fresh_and_keeps_the_bits_of_the_passed_layout(self):
+        Z, X0, X1 = self.points()
+        W, s, Vt = np.linalg.svd(Z, full_matrices=False)
+        r = self.r
+        # point_from_ambient: V = Vt[:r].T, so the product reads the C-ordered Vt[:r]
+        expect0 = (W[:, :r] * s[:r]) @ Vt[:r]
+        U, s1, V = X1.factors  # retract: V is C-ordered, read through V.T
+        expect1 = (U * s1) @ V.T
+        for point, expect in ((X0, expect0), (X1, expect1)):
+            X = point.X
+            assert not X.flags.writeable and X.flags.c_contiguous
+            assert X.tobytes() == expect.tobytes()
+            assert point.X is not X

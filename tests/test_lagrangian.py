@@ -372,7 +372,7 @@ class TestPreparedHessian:
         # ehess reads xi, so a weight term written over xi before it shows
         P, _, X, y = case
         man = X.manifold
-        egrad = lagrangian_egrad(P, X, y)
+        egrad = lagrangian_egrad(P, X.X, y)
         rng = np.random.default_rng(31)
         for seed in range(4):
             c = man.coords(X, geometry.random_tangent(X, 980 + seed))
@@ -389,7 +389,7 @@ class TestPreparedHessian:
         rng = np.random.default_rng(32)
         w = rng.standard_normal(man.ambient_shape)
         terms = {}
-        hess = man.hess_operator(X, lagrangian_egrad(P, X, y), lambda xi: terms["e"],
+        hess = man.hess_operator(X, lagrangian_egrad(P, X.X, y), lambda xi: terms["e"],
                                  w if with_weight else None)
         kept = []
         for seed in range(4):
@@ -410,7 +410,7 @@ class TestPreparedHessian:
         # fixed rank, whose skipped projection has no signed zeros to match
         P, _, X, y = case
         man = X.manifold
-        egrad = lagrangian_egrad(P, X, y)
+        egrad = lagrangian_egrad(P, X.X, y)
         zero = np.zeros(man.ambient_shape)
         rng = np.random.default_rng(33)
         for seed in range(4):
@@ -603,7 +603,7 @@ class TestSingleEvaluations:
 class TestDroppedQuantities:
     """A dropped quantity is recomputed on its next read with the same bits."""
 
-    NAMES = ("value", "ytilde", "egrad", "rgrad", "dual_grad")
+    NAMES = ("value", "ytilde", "egrad", "rgrad", "grad_norm", "dual_grad")
 
     @pytest.mark.parametrize("pair", ["cm_pair", "rmc_fixture"])
     def test_reads_after_a_drop_repeat_their_bytes(self, request, pair):
@@ -660,6 +660,29 @@ class TestDroppedQuantities:
         assert all(vars(ev)[name] is a for name, a in kept.items())
         ev.ghess_operator()
         assert not set(kept) & set(vars(ev))
+
+    def test_the_gradient_norm_outlives_the_gradient(self, cm_pair):
+        P, X, y = cm_pair
+        ev = evaluate(P, 10.0, X, y)
+        assert ev.grad_norm == float(np.linalg.norm(ev.rgrad))
+        ev.drop("rgrad")
+        assert "grad_norm" in vars(ev) and "rgrad" not in vars(ev)
+
+    def test_a_fixed_rank_x_is_formed_for_the_value_and_for_the_hessian(self, rmc_fixture,
+                                                                        monkeypatch):
+        # p and value share one X, which egrad reads last and frees; the
+        # Newton preparation forms it once more and keeps none
+        form, calls = geometry.ManifoldPoint.X.fget, []
+        monkeypatch.setattr(geometry.ManifoldPoint, "X",
+                            property(lambda point: calls.append(1) or form(point)))
+        fx = rmc_fixture
+        ev = evaluate(fx.problem, 10.0, fx.X_bar, fx.y_bar)
+        ev.value
+        assert len(calls) == 1 and "dense" in vars(ev)
+        ev.rgrad, ev.dual_grad
+        assert len(calls) == 1 and "dense" not in vars(ev)
+        ev.ghess_operator()
+        assert len(calls) == 2 and "dense" not in vars(ev)
 
     def test_only_kept_quantities_are_dropped(self, cm_pair):
         P, X, y = cm_pair

@@ -20,7 +20,9 @@ saves, per operation, every array a result holds:
 
 Its ``dumped`` line for each operation also prints the operation's
 tracemalloc peak above its start, in MiB and, for a solve, in arrays of its
-point's ambient size.  The peak is not saved, so ``compare`` never reads it.
+manifold's ambient shape.  Each operation runs once untraced before its
+traced run, so the peak does not depend on the operations before it.  The
+peak is not saved, so ``compare`` never reads it.
 
 ``compare`` prints, per operation, ``IDENTICAL`` or the first field whose
 bytes differ with its max abs difference, and exits 1 on any difference.
@@ -46,6 +48,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import linecache
+import math
 import os
 import sys
 import tracemalloc
@@ -108,10 +111,17 @@ def _traced(call):
         tracemalloc.stop()
 
 
+def _array_bytes(result):
+    """The bytes of one float array of a solve's ambient shape; None for a
+    certificate.  It reads no ``X``, which a fixed-rank point forms."""
+    point = getattr(result, "X", None)
+    return None if point is None else 8 * math.prod(point.manifold.ambient_shape)
+
+
 def _peak_text(result, peak: int) -> str:
     text = f"peak {peak / 2 ** 20:.3f} MiB"
-    point = getattr(result, "X", None)  # a solve's point; a certificate has none
-    return text if point is None else f"{text} = {peak / point.X.nbytes:.2f} ambient arrays"
+    unit = _array_bytes(result)
+    return text if unit is None else f"{text} = {peak / unit:.2f} ambient arrays"
 
 
 def _code_lines(code):
@@ -190,11 +200,10 @@ def peak(name: str, root: Path, top: int = 10) -> int:
     else:
         raise SystemExit(f"no seed-0 operation {name}")
     result, peaks = _line_peaks(op.call, root / "src")
-    point = getattr(result, "X", None)
+    unit = _array_bytes(result)
     print(f"{workload}/{op.name}: {_peak_text(result, max(peaks.values(), default=0))}")
     for (path, line), size in sorted(peaks.items(), key=lambda kv: -kv[1])[:top]:
-        amount = (f"{size / 2 ** 20:8.3f} MiB" if point is None
-                  else f"{size / point.X.nbytes:6.2f} arrays")
+        amount = f"{size / 2 ** 20:8.3f} MiB" if unit is None else f"{size / unit:6.2f} arrays"
         where = f"{os.path.relpath(path, root)}:{line}"
         print(f"{amount}  {where}  {linecache.getline(path, line).strip()}")
     return 0
@@ -213,6 +222,7 @@ def dump(out: str, root: Path, names=None) -> int:
         if names and workload not in names:
             continue
         for op in setup(0):
+            op.call()  # untraced, so one-time allocations (imports, caches) fall outside the peak
             result, peak = _traced(op.call)
             for name, value in _fields(result).items():
                 arrays[f"{workload}/{op.name}/{name}"] = np.asarray(value)
