@@ -9,8 +9,12 @@ empirical linear rates to residual histories.
 
 A tangent or critical-cone basis is one ``(k, *ambient_shape)`` array.  The
 critical-cone basis needs no tangent basis when g is entrywise and few ambient
-coordinates are free.  Only the second-order certificate forms a dense
-matrix, on that basis; the generalized-Hessian eigensolve is matrix-free.
+coordinates are free; its null space is then taken in the manifold's normal
+coordinates (``r * r`` numbers per free coordinate on Stiefel).  Only the
+second-order certificate forms a dense matrix, on that basis: where
+coordinates are ambient vectors the basis is its own coordinate array, and
+the Hessian products are held one block at a time.  The generalized-Hessian
+eigensolve is matrix-free.
 """
 
 from __future__ import annotations
@@ -38,6 +42,10 @@ CONE_TOL = 1e-8
 LANCZOS_VECTORS = 40
 LANCZOS_TOL = 1e-12
 LANCZOS_MAX_APPLICATIONS = 100_000
+# Hessian products held at once while the M-SSOSC form is assembled: with 16
+# the CM-200 certificate peaks at 0.97 MiB (1.16 with 40, 1.50 with all 85
+# directions); at CM-800's 285 directions, 4 take twice 16's time.
+FORM_BLOCK = 16
 
 
 class CertifyError(ValueError):
@@ -76,7 +84,8 @@ def critical_cone_basis(P: ProblemSpec, X: ManifoldPoint, y: np.ndarray) -> np.n
     Dg(X) is entrywise (``P.g_jvp`` None), with diagonal ``g_vjp(X, 1)``, and
     at most ``dim T_X M`` ambient unit vectors e_i are free of those entries,
     it is the null space of the normal parts
-    ``e_i - project(X, e_i)`` (the columns have norm at most 1); otherwise it
+    ``e_i - project(X, e_i)`` (the columns have norm at most 1), taken from
+    ``Manifold.normal_rows``, which has their singular values; otherwise it
     is the null space of C = E_c Dg(X) T in tangent-basis coordinates, its
     rows scaled to norm <= 1 by those of E_c Dg(X); both by :func:`_null_rows`.
     Requires ``y`` to be a subgradient at ``g(X)`` up to ``CONE_TOL``.
@@ -97,12 +106,7 @@ def critical_cone_basis(P: ProblemSpec, X: ManifoldPoint, y: np.ndarray) -> np.n
     c = P.g_vjp(A, np.ones(shape)) if diagonal else None
     free = np.flatnonzero(~(constrained & (c != 0))) if diagonal else None
     if diagonal and free.size <= man.dim():
-        normal = np.zeros((free.size, A.size))
-        normal[np.arange(free.size), free] = 1.0
-        for e in normal:
-            e -= man.project(X, e.reshape(shape)).ravel()
-        null = _null_rows(normal.T)
-        del normal  # before the directions take its place
+        null = _null_rows(man.normal_rows(X, free).T)
         rows = np.zeros((len(null), *shape))
         rows.reshape(len(null), A.size)[:, free] = null
     else:
@@ -129,12 +133,17 @@ def _null_rows(A: np.ndarray) -> np.ndarray:
 
 
 def _quadratic_form(apply_op, coords) -> np.ndarray:
-    """Symmetric part of ``V H V^T``; V's rows are the flattened ``coords``."""
+    """Symmetric part of ``V H V^T``; V's rows are the flattened ``coords``.
+    It is built ``FORM_BLOCK`` rows of ``H V^T`` at a time, so only one block
+    of Hessian products is held."""
     V = np.reshape(coords, (len(coords), -1))
-    HV = np.empty_like(V)
-    for c, h in zip(coords, HV):
-        h[:] = apply_op(c).ravel()
-    B = V @ HV.T
+    B = np.empty((len(V), len(V)))
+    HV = np.empty((min(len(V), FORM_BLOCK), V.shape[1]))
+    for j in range(0, len(V), FORM_BLOCK):
+        block = HV[:len(V) - j]
+        for c, h in zip(coords[j:j + FORM_BLOCK], block):
+            h[:] = apply_op(c).ravel()
+        np.matmul(block, V.T, out=B[j:j + len(block)])
     return 0.5 * (B + B.T)
 
 
@@ -145,10 +154,12 @@ def mssosc_certificate(P: ProblemSpec, X: ManifoldPoint, y: np.ndarray) -> Certi
     basis = critical_cone_basis(P, X, y)
     if not len(basis):
         return Certificate("mssosc", math.inf, 0, degenerate=True)
-    # np.vdot of coordinates is the metric, so the form is the same in them
-    coords = np.stack([X.manifold.coords(X, v) for v in basis])
-    del basis  # before the Hessian products take its place
-    B = _quadratic_form(lagrangian.lagrangian_hess_operator(P, X, y), coords)
+    # np.vdot of coordinates is the metric, so the form is the same in them;
+    # where coords returns its argument, the basis is its own coordinate array
+    first = basis[0]
+    if X.manifold.coords(X, first) is not first:
+        basis = np.stack([X.manifold.coords(X, v) for v in basis])
+    B = _quadratic_form(lagrangian.lagrangian_hess_operator(P, X, y), basis)
     w = np.linalg.eigvalsh(B)
     return Certificate("mssosc", float(w[0]), len(B), operator_applications=len(B))
 
@@ -211,6 +222,9 @@ def genhess_min_eig(
     """
     if not (math.isfinite(rho) and rho > 0):
         raise CertifyError(f"penalty must be positive and finite, got {rho}")
+    # a fixed-rank point by its factors, without forming X
+    if not all(np.isfinite(a).all() for a in (y, *(X.factors or (X.X,)))):
+        raise CertifyError("multiplier and point must be finite")
     ev = lagrangian.Subproblem(P, rho, y).at(X)
     base_jac = P.theta.prox_jacobian(1.0 / rho, ev.p)
     b = base_jac.boundary_count
@@ -254,8 +268,8 @@ def fit_linear_rate(residuals: Sequence[float], tail_fraction: float = 0.5) -> T
     tail = r[-n_tail:]
     if len(tail) < 5:
         raise CertifyError("need at least 5 tail residuals for a rate fit")
-    if np.any(tail <= 0):
-        raise CertifyError("residuals must be positive in the fitted tail")
+    if not np.all((tail > 0) & (tail < math.inf)):  # written so that a NaN fails
+        raise CertifyError("residuals must be positive and finite in the fitted tail")
     x = np.arange(len(tail), dtype=float)
     logr = np.log(tail)
     slope, intercept = np.polyfit(x, logr, 1)

@@ -135,6 +135,18 @@ class Manifold:
         """Orthonormal basis of T_X M, a ``(dim, *ambient_shape)`` array."""
         raise NotImplementedError
 
+    def normal_rows(self, point: ManifoldPoint, idx: np.ndarray) -> np.ndarray:
+        """Rows, one per flat ambient index i in ``idx``, whose Gram matrix is
+        that of the normal parts ``e_i - project(point, e_i)``: the same
+        singular values and right singular vectors.  Here the normal parts
+        themselves, a ``(len(idx), size)`` array; a geometry whose normal
+        space has an isometric chart of fewer coordinates returns rows in it."""
+        normal = np.zeros((len(idx), int(np.prod(self.ambient_shape))))
+        normal[np.arange(len(idx)), idx] = 1.0
+        for e in normal:
+            e -= self.project(point, e.reshape(self.ambient_shape)).ravel()
+        return normal
+
     def random_point(self, rng: np.random.Generator) -> ManifoldPoint:
         raise NotImplementedError
 
@@ -266,6 +278,15 @@ class Stiefel(Manifold):
         i, j = np.triu_indices(self.r, 1)
         skew = (E[i, j] - E[j, i]) * (1.0 / np.sqrt(2.0))
         return np.concatenate((skew, _outer(Xp, I)))
+
+    def normal_rows(self, point: ManifoldPoint, idx: np.ndarray) -> np.ndarray:
+        """``sym(X^T e_i)`` flattened, an ``(len(idx), r * r)`` array: the normal
+        part of e_i is ``X sym(X^T e_i)``, and ``|X S|_F = |S|_F``.  For
+        ``e_i = e_a e_b^T``, ``X^T e_i`` has row a of X as its column b."""
+        a, b = np.divmod(idx, self.r)
+        XtE = np.zeros((len(a), self.r, self.r))
+        XtE[np.arange(len(a)), :, b] = point.X[a]
+        return _sym(XtE).reshape(len(a), self.r * self.r)
 
     def random_point(self, rng: np.random.Generator) -> ManifoldPoint:
         Q, _ = np.linalg.qr(rng.standard_normal((self.n, self.r)))

@@ -127,12 +127,13 @@ def inner_threshold(variant: str, eps_k: float, rho_tilde: float, dual_step_norm
     Variant 'a' uses the plain error, 'b' and 'c' scale it by the dual
     step norm and its square (each capped at one).
     """
-    if rho_tilde <= 0:
-        raise RalmError(f"dual step size must be positive, got {rho_tilde}")
+    # these tests are written so that a NaN fails them
+    if not 0 < rho_tilde < math.inf:
+        raise RalmError(f"dual step size must be positive and finite, got {rho_tilde}")
     if variant not in CRITERIA:
         raise RalmError(f"unknown criterion variant {variant!r}")
-    if eps_k < 0 or dual_step_norm < 0:
-        raise RalmError("error parameter and dual step norm must be nonnegative")
+    if not (0 <= eps_k < math.inf and 0 <= dual_step_norm < math.inf):
+        raise RalmError("error parameter and dual step norm must be nonnegative and finite")
     if variant == "a":
         rhs = eps_k
     elif variant == "b":

@@ -270,6 +270,36 @@ class TestMssoscAtScale:
                                    f"min_eig={cert.min_eig:.12f} (reference {ref_eig:.12f}) "
                                    f"{elapsed:.3f}s")
 
+    def test_cm200_blocked_form_equals_the_one_shot_form(self, cm200_runs):
+        P, runs = cm200_runs
+        X, y = runs[0][0].X, runs[0][0].y
+        basis = certify.critical_cone_basis(P, X, y)
+        assert len(basis) == 85 > certify.FORM_BLOCK
+        hess = lagrangian.lagrangian_hess_operator(P, X, y)
+        V = basis.reshape(len(basis), -1)
+        B = V @ np.stack([hess(v).ravel() for v in basis]).T
+        np.testing.assert_allclose(certify._quadratic_form(hess, basis), 0.5 * (B + B.T),
+                                   rtol=0, atol=1e-12)
+
+    def test_cm200_certificate_peak_stays_below_1_1_mib(self, cm200_runs):
+        # the cone basis (85 x 1000 doubles, 0.65 MiB) and one block of
+        # Hessian products, 0.97 MiB in all; a (free x ambient) matrix of
+        # normal parts with its QR, or a (cone x ambient) copy of the basis
+        # or of its Hessian products, would pass the bound
+        import tracemalloc
+
+        P, runs = cm200_runs
+        X, y = runs[0][0].X, runs[0][0].y
+        certify.mssosc_certificate(P, X, y)  # one-time allocations fall outside the peak
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            certify.mssosc_certificate(P, X, y)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * 2 ** 20, f"peak {peak / 2 ** 20:.3f} MiB"
+
 
 class TestCriterion7DerivativeOracles:
     def test_c7_gradients_hessians_taylor(self):

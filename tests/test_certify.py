@@ -151,9 +151,10 @@ class TestConeBasisAgainstReference:
         qr_calls = self.count_decomposition_calls(monkeypatch, "qr")
         calls = self.count_decomposition_calls(monkeypatch)
         assert len(critical_cone_basis(*cm_pair)) == 2
-        # the QR of the normal parts of the 4 free unit vectors (8 x 4), then
-        # the SVD of its 4 x 4 R factor, and no SVD of X for a tangent basis
-        assert qr_calls == [(8, 4)]
+        # on St(4, 2) the normal parts of the 4 free unit vectors are
+        # X sym(X^T e_i): the SVD of their r^2 x 4 = 4 x 4 matrix of sym(X^T e_i),
+        # no QR of the 8 x 4 ambient normal parts, and no SVD of X for a tangent basis
+        assert qr_calls == []
         assert calls == [(4, 4)]
 
     def count_decomposition_calls(self, monkeypatch, name="svd"):
@@ -167,15 +168,33 @@ class TestConeBasisAgainstReference:
     def test_free_route_to_an_empty_cone(self, monkeypatch):
         # On the circle St(2, 1) at X = e_0 with g = X - Z0 fixing row 1, the
         # one free unit vector e_0 is normal: the cone is {0}, and the free
-        # route finds no null vector (its QR and SVD see 2 x 1 and 1 x 1)
+        # route finds no null vector (its SVD sees the 1 x 1 sym(X^T e_0), and
+        # no QR runs)
         X = geometry.Stiefel(2, 1).point(np.array([[1.0], [0.0]]))
         P, X, y = linear_g_pair(X, np.eye(2), np.array([[False], [True]]), entrywise=True)
         qr_calls = self.count_decomposition_calls(monkeypatch, "qr")
         calls = self.count_decomposition_calls(monkeypatch)
         assert critical_cone_basis(P, X, y).shape == (0, 2, 1)
-        assert (qr_calls, calls) == ([(2, 1)], [(1, 1)])
+        assert (qr_calls, calls) == ([], [(1, 1)])
         assert self.assert_same_subspace(P, X, y) == 0
         assert mssosc_certificate(P, X, y).degenerate
+
+    def test_fixed_rank_free_route_keeps_the_ambient_normal_parts(self, monkeypatch):
+        # on Fr(6, 5, 1) with g = diag(1, ..., 6) @ X - Z0 fixing rows 1-5, the
+        # 5 free unit vectors of row 0 are fewer than the 10 tangent
+        # dimensions: the QR of their 30 x 5 ambient normal parts, then the
+        # SVD of its 5 x 5 R factor, and no SVD for a tangent basis
+        X = geometry.FixedRank(6, 5, 1).random_point(np.random.default_rng(6))
+        fixed = np.zeros((6, 5), dtype=bool)
+        fixed[1:] = True
+        P, X, y = linear_g_pair(X, np.diag(np.arange(1.0, 7)), fixed, entrywise=True)
+        qr_calls = self.count_decomposition_calls(monkeypatch, "qr")
+        calls = self.count_decomposition_calls(monkeypatch)
+        critical_cone_basis(P, X, y)
+        assert (qr_calls, calls) == ([(30, 5)], [(5, 5)])
+        monkeypatch.undo()
+        # the tangent vectors e_0 w^T at u v^T are those with w parallel to v
+        assert self.assert_same_subspace(P, X, y) == 1
 
     def test_many_free_coordinates_take_the_tangent_route(self, monkeypatch):
         # g = diag(1, 0, ..., 0) @ X - Z0 on St(6, 2) is declared entrywise,
@@ -352,6 +371,20 @@ class TestMssosc:
 
 
 class TestGenHess:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", ["multiplier", "point"])
+    def test_rejects_a_non_finite_multiplier_or_point(self, cm_pair, where, bad):
+        P, X, y = cm_pair
+        if where == "multiplier":
+            y = y.copy()
+            y[2, 0] = bad
+        else:
+            Z = X.X.copy()
+            Z[1, 1] = bad
+            X = geometry.ManifoldPoint(X.manifold, Z)
+        with pytest.raises(CertifyError, match="finite"):
+            genhess_min_eig(P, 16.0, X, y)
+
     @pytest.mark.parametrize("rho", [math.nan, math.inf, 0.0])
     def test_rejects_penalty_not_positive_and_finite(self, cm_pair, rho):
         P, Xbar, ybar = cm_pair
@@ -584,3 +617,11 @@ class TestRateFit:
             fit_linear_rate([1.0] * 4 + [-1.0] * 4, 1.0)  # nonpositive
         with pytest.raises(CertifyError):
             fit_linear_rate([1.0] * 10, 0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_a_non_finite_tail_residual(self, bad):
+        r = [0.5 ** k for k in range(20)]
+        r[12] = bad
+        with pytest.raises(CertifyError, match="finite"):
+            fit_linear_rate(r, 0.5)
+        assert fit_linear_rate(r, 0.25)[0] == pytest.approx(0.5)  # not in this tail

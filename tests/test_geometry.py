@@ -592,3 +592,40 @@ class TestFixedRankPointsHoldTheirFactors:
             assert not X.flags.writeable and X.flags.c_contiguous
             assert X.tobytes() == expect.tobytes()
             assert point.X is not X
+
+
+def ambient_normal_parts(man, point, idx):
+    """The normal parts ``e_i - project(point, e_i)``, one projection per row."""
+    normal = np.zeros((len(idx), int(np.prod(man.ambient_shape))))
+    normal[np.arange(len(idx)), idx] = 1.0
+    for e in normal:
+        e -= man.project(point, e.reshape(man.ambient_shape)).ravel()
+    return normal
+
+
+class TestNormalRows:
+    @pytest.mark.parametrize("n,r", [(6, 1), (5, 2), (7, 3), (4, 4)])
+    def test_stiefel_rows_have_the_singular_values_of_the_normal_parts(self, n, r):
+        man = Stiefel(n, r)
+        rng = np.random.default_rng(n * 10 + r)
+        X = man.random_point(rng)
+        size = n * r
+        for idx in (np.arange(size), rng.choice(size, size // 2, replace=False),
+                    rng.choice(size, 1), np.arange(0)):
+            rows, normal = man.normal_rows(X, idx), ambient_normal_parts(man, X, idx)
+            assert rows.shape == (len(idx), r * r)
+            np.testing.assert_allclose(rows @ rows.T, normal @ normal.T, rtol=0, atol=1e-12)
+            s, t = (np.linalg.svd(A, compute_uv=False) for A in (rows, normal))
+            k = max(len(s), len(t))  # the ambient rows' extra singular values are zero
+            np.testing.assert_allclose(np.pad(s, (0, k - len(s))), np.pad(t, (0, k - len(t))),
+                                       rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("man", [Euclidean(3, 4), FixedRank(5, 4, 2), Stiefel(5, 2)],
+                             ids=lambda man: man.name)
+    def test_the_base_rows_are_the_projected_unit_vectors_bit_for_bit(self, man):
+        X = man.random_point(np.random.default_rng(7))
+        idx = np.array([0, 3, 4, 9])
+        rows = geometry.Manifold.normal_rows(man, X, idx)
+        assert rows.tobytes() == ambient_normal_parts(man, X, idx).tobytes()
+        if not isinstance(man, Stiefel):
+            assert man.normal_rows(X, idx).tobytes() == rows.tobytes()

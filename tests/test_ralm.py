@@ -34,6 +34,17 @@ class TestInnerThreshold:
         with pytest.raises(RalmError, match="nonnegative"):
             inner_threshold("a", -0.1, 1.0, 1.0)
 
+    @pytest.mark.parametrize("variant", ralm.CRITERIA)
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("arg", range(3))
+    def test_rejects_non_finite_inputs(self, variant, bad, arg):
+        # a NaN must fail every range check: under 'b', min(1.0, nan) is 1.0,
+        # so a NaN dual step would give eps_k itself
+        args = [0.1, 4.0, 0.5]
+        args[arg] = bad
+        with pytest.raises(RalmError, match="finite"):
+            inner_threshold(variant, *args)
+
 
 class TestConfigValidation:
     def test_ranges(self):
