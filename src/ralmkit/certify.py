@@ -228,12 +228,8 @@ def genhess_min_eig(
     ev = lagrangian.Subproblem(P, rho, y).at(X)
     base_jac = P.theta.prox_jacobian(1.0 / rho, ev.p)
     b = base_jac.boundary_count
-    partial = False
-    if enumerate_elements and b <= ENUM_CAP:
-        jacs = P.theta.extreme_prox_jacobians(1.0 / rho, ev.p)
-    else:
-        jacs = [base_jac]
-        partial = b > 0
+    enumerated = enumerate_elements and b <= ENUM_CAP
+    jacs = P.theta.extreme_prox_jacobians(base_jac) if enumerated else [base_jac]
     man = X.manifold
     v0 = man.project(X, np.random.default_rng(0).standard_normal(man.ambient_shape))
     dim = man.dim()
@@ -249,7 +245,7 @@ def genhess_min_eig(
         dim,
         boundary_count=b,
         elements_checked=len(jacs),
-        partial=partial,
+        partial=b > 0 and not enumerated,
         degenerate=dim == 0,
         operator_applications=applications,
     )

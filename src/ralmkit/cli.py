@@ -262,24 +262,11 @@ def cmd_solve(args) -> int:
     return EXIT_OK if result.converged else EXIT_MAXITER
 
 
-def _load_point(P, path: str):
-    M = bench.load_dense(path)
-    manifold = P.manifold
-    if not isinstance(manifold, geometry.FixedRank):
-        return manifold.point(M)
-    X, r = manifold.point_from_ambient(M), manifold.r  # refuses a rank below r
-    s = np.linalg.svd(M, compute_uv=False)
-    if r < len(s) and s[r] > geometry.RANK_TOL * s[0]:  # X would be its truncation
-        raise geometry.GeometryError(f"point has rank above r = {r}: sigma_{r + 1} = {s[r]:.3e}"
-                                     f" > RANK_TOL * sigma_1 = {geometry.RANK_TOL * s[0]:.3e}")
-    return X
-
-
 def cmd_certify(args) -> int:
     cfg = load_config(args.config)
     rho, stat_tol = cfg["certify"]["rho"], cfg["certify"]["stationarity_tol"]
     P, _, _ = build_problem(cfg, args.seed)
-    X = _load_point(P, args.point)
+    X = P.manifold.point(bench.load_dense(args.point))
     y = bench.load_dense(args.multiplier)
     g = P.g_value(X.X)
     if y.shape != g.shape:

@@ -2,8 +2,8 @@
 
 Ships the weighted l1 norm ``theta = mu * ||.||_1`` together with its
 proximal map, Moreau envelope (in the ``rho``-parametrisation
-``env(p) = min_u theta(u) + rho/2 ||p - u||^2``), envelope gradient,
-Clarke generalized Jacobians of the prox, and a subgradient membership
+``env(p) = min_u theta(u) + rho/2 ||p - u||^2``) with its gradient from one
+prox, Clarke generalized Jacobians of the prox, and a subgradient membership
 test.  It is the one convex term ``lagrangian.ProblemSpec.theta`` takes;
 ``mu`` is also the sup-norm radius of dom theta*, the box the multipliers
 live in.
@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Tuple
 
 import numpy as np
 
@@ -78,13 +78,13 @@ class L1Norm:
         mask = np.greater(gap, BOUNDARY_TOL, out=np.empty(p.shape))  # gap > 0 off the boundary
         return ProxJacobian(mask=mask, boundary=np.abs(gap, out=gap) <= BOUNDARY_TOL)
 
-    def extreme_prox_jacobians(self, t: float, p: np.ndarray) -> List[ProxJacobian]:
-        """All extreme B-subdifferential elements of the prox at ``p``.
+    def extreme_prox_jacobians(self, base: ProxJacobian) -> List[ProxJacobian]:
+        """All extreme B-subdifferential elements of the prox whose convention
+        element (:meth:`prox_jacobian`) is ``base``.
 
         One element per 0/1 assignment of the boundary entries, so the
         count is 2^b; refuses to enumerate past ``2**ENUM_CAP`` elements.
         """
-        base = self.prox_jacobian(t, p)
         idx = np.argwhere(base.boundary)
         b = len(idx)
         if b > ENUM_CAP:
@@ -97,27 +97,17 @@ class L1Norm:
             out.append(ProxJacobian(mask=mask, boundary=base.boundary))
         return out
 
-    def moreau(self, rho: float, p: np.ndarray, q: Optional[np.ndarray] = None) -> float:
-        """The envelope at ``p``; pass ``q = prox(1/rho, p)`` when it is known."""
+    def envelope(self, rho: float, p: np.ndarray) -> Tuple[float, np.ndarray]:
+        """The envelope at ``p`` and its gradient ``rho (p - q)`` from one prox
+        ``q = prox(1/rho, p)``, with ``|q|`` and ``(p - q)^2`` written into q."""
         if rho <= 0:
             raise ConvexError(f"envelope parameter must be positive, got {rho}")
         p = np.asarray(p, dtype=float)
-        if q is None:
-            q = self.prox(1.0 / rho, p)
-        r = np.abs(q, out=np.empty(p.shape))
-        value = self.mu * float(np.sum(r))  # self.value(q), in the one temporary
-        np.subtract(p, q, out=r)
-        return value + 0.5 * rho * float(np.sum(np.square(r, out=r)))
-
-    def moreau_grad(self, rho: float, p: np.ndarray, q: Optional[np.ndarray] = None) -> np.ndarray:
-        """The envelope gradient rho (p - q) at ``p``, ``q = prox(1/rho, p)``."""
-        if rho <= 0:
-            raise ConvexError(f"envelope parameter must be positive, got {rho}")
-        p = np.asarray(p, dtype=float)
-        if q is None:
-            q = self.prox(1.0 / rho, p)
-        r = np.subtract(p, q, out=np.empty(p.shape))
-        return np.multiply(rho, r, out=r)
+        q = self.prox(1.0 / rho, p)
+        d = np.subtract(p, q, out=np.empty(p.shape))
+        value = self.mu * float(np.sum(np.abs(q, out=q)))  # self.value(q)
+        value += 0.5 * rho * float(np.sum(np.square(d, out=q)))
+        return value, np.multiply(rho, d, out=d)
 
     def in_subdifferential(self, z: np.ndarray, y: np.ndarray, tol: float = 1e-10) -> bool:
         """Whether ``y`` lies in the subdifferential of theta at ``z``; a NaN fails."""

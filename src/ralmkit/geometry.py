@@ -192,6 +192,9 @@ class Euclidean(Manifold):
     def tangent_basis(self, point: ManifoldPoint) -> np.ndarray:
         return np.eye(self.dim()).reshape(-1, *self.ambient_shape)
 
+    def normal_rows(self, point: ManifoldPoint, idx: np.ndarray) -> np.ndarray:
+        return np.zeros((len(idx), 0))  # empty rows: the normal space is {0}
+
     def random_point(self, rng: np.random.Generator) -> ManifoldPoint:
         return self.point(rng.standard_normal(self.ambient_shape))
 
@@ -326,6 +329,15 @@ class FixedRank(Manifold):
     def point_from_ambient(self, Z: np.ndarray) -> ManifoldPoint:
         Z = self._check_ambient(Z)
         return self.point_from_factors(*self._truncate(*np.linalg.svd(Z, full_matrices=False)))
+
+    def point(self, X: np.ndarray) -> ManifoldPoint:
+        """The point ``X`` from one SVD; refuses a rank below r or above it."""
+        W, s, Vt = np.linalg.svd(self._check_ambient(X), full_matrices=False)
+        pt, r = self.point_from_factors(*self._truncate(W, s, Vt)), self.r
+        if r < len(s) and s[r] > RANK_TOL * s[0]:
+            raise GeometryError(f"point has rank above r = {r}: sigma_{r + 1} = {s[r]:.3e}"
+                                f" > RANK_TOL * sigma_1 = {RANK_TOL * s[0]:.3e}")
+        return pt
 
     def _truncate(self, W, s, Vt) -> tuple:
         """Factors ``(U, s, V)`` of the rank-r truncation of the SVD ``W diag(s) Vt``."""

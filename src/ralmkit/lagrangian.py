@@ -122,10 +122,9 @@ class Evaluation:
 
     def _envelope(self, name: str):
         """Set ``value`` and ``ytilde`` from one prox and return ``name``."""
-        P, rho, p = self.sub.P, self.sub.rho, self.p
-        q = P.theta.prox(1.0 / rho, p)
-        self.__dict__["value"] = P.f_value(self.dense) + P.theta.moreau(rho, p, q) - self.sub.y_term
-        self.__dict__["ytilde"] = P.theta.moreau_grad(rho, p, q)
+        P = self.sub.P
+        env, self.__dict__["ytilde"] = P.theta.envelope(self.sub.rho, self.p)
+        self.__dict__["value"] = P.f_value(self.dense) + env - self.sub.y_term
         return self.__dict__[name]
 
     @cached_property

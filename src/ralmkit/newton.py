@@ -165,10 +165,7 @@ def ssn_minimize(
     cfg: Optional[NewtonConfig] = None,
     stop: Optional[Callable[[lagrangian.Evaluation], bool]] = None,
 ) -> tuple:
-    """Run the globalized semismooth Newton iteration from ``X0``, a point
-    or a one-element list holding it, which the solve empties: a caller that
-    keeps no other reference has the start point freed at the first
-    accepted step.
+    """Run the globalized semismooth Newton iteration from ``X0``.
 
     ``stop(ev)`` is evaluated at every iterate, the last one included, with
     the :class:`~ralmkit.lagrangian.Evaluation` there (``ev.X``, the gradient
@@ -183,7 +180,7 @@ def ssn_minimize(
     cfg = cfg or NewtonConfig()
     stats = NewtonStats()
     sub = lagrangian.Subproblem(P, rho, y)
-    ev = sub.at(X0.pop() if isinstance(X0, list) else X0)
+    ev = sub.at(X0)
     man = ev.X.manifold
     stats.objective_trace.append(ev.value)
 

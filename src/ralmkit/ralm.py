@@ -218,8 +218,7 @@ def ralm_solve(
 
         if rho < cfg.rho_max:  # free the last dual step, which only a step at rho_max reads
             d_prev = d = None
-        start, X = [X], None  # handed over: the solve frees it at its first accepted step
-        ev, nstats = ssn_minimize(P, rho, y, start, cfg.newton, stop)
+        ev, nstats = ssn_minimize(P, rho, y, X, cfg.newton, stop)
         # the next record's fields; then the evaluation goes, and its dual
         # gradient, no longer held by it, takes y + rho_tilde * dual_grad
         X, grad_norm, value = ev.X, ev.grad_norm, ev.value

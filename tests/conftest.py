@@ -166,7 +166,7 @@ def reference_genhess_min_eig(P, rho, X, y, enumerate_elements=False):
     ev = evaluate(P, rho, X, y)
     jac = P.theta.prox_jacobian(1.0 / rho, ev.p)
     if enumerate_elements and jac.boundary_count <= ENUM_CAP:
-        jacs = P.theta.extreme_prox_jacobians(1.0 / rho, ev.p)
+        jacs = P.theta.extreme_prox_jacobians(jac)
     else:
         jacs = [jac]
     T = np.stack([v.ravel() for v in X.manifold.tangent_basis(X)])

@@ -450,6 +450,18 @@ class TestGenHess:
         assert all(len(p) >= 2 for p in calls)  # each form has two distinct eigenvalues
         assert cert.operator_applications == sum(map(len, calls))
 
+    def test_enumeration_builds_one_prox_jacobian(self, monkeypatch):
+        # the extreme elements come from the convention element already built
+        P = euclidean_l1_problem(shape=(1, 3), mu=1.0)
+        rho = 2.0
+        X = P.manifold.point(np.array([[1.0 / rho, 0.0, 3.0]]))  # one boundary entry
+        calls, original = [], L1Norm.prox_jacobian
+        monkeypatch.setattr(L1Norm, "prox_jacobian",
+                            lambda self, t, p: calls.append(t) or original(self, t, p))
+        cert = genhess_min_eig(P, rho, X, np.zeros((1, 3)), enumerate_elements=True)
+        assert cert.elements_checked == 2 and not cert.partial
+        assert calls == [1.0 / rho]
+
     def test_consistency_with_mssosc_at_large_penalty(self):
         # the certificates agree once the penalty clears the instance's
         # threshold level; at any penalty, positivity implies the

@@ -56,14 +56,14 @@ class TestProx:
 
 class TestMoreau:
     def test_grid_oracle(self):
-        th = L1Norm(1.0)
-        assert abs(th.moreau(1.0, np.array(2.0)) - 1.5) <= 1e-6
-        assert abs(th.moreau_grad(1.0, np.array(2.0)) - 1.0) <= 1e-12
+        value, grad = L1Norm(1.0).envelope(1.0, np.array(2.0))
+        assert abs(value - 1.5) <= 1e-6
+        assert abs(grad - 1.0) <= 1e-12
 
     def test_zero_point(self):
-        th = L1Norm(2.0)
-        assert th.moreau(3.0, np.zeros((2, 2))) == 0.0
-        assert np.all(th.moreau_grad(3.0, np.zeros((2, 2))) == 0.0)
+        value, grad = L1Norm(2.0).envelope(3.0, np.zeros((2, 2)))
+        assert value == 0.0
+        assert np.all(grad == 0.0)
 
     def test_grad_matches_finite_differences(self):
         th = L1Norm(1.3)
@@ -72,11 +72,11 @@ class TestMoreau:
         for _ in range(20):
             p = rng.uniform(-3, 3, size=(3, 2))
             rho = float(rng.uniform(0.2, 5.0))
-            g = th.moreau_grad(rho, p)
+            _, g = th.envelope(rho, p)
             for idx in [(0, 0), (1, 1), (2, 0)]:
                 e = np.zeros_like(p)
                 e[idx] = 1.0
-                fd = (th.moreau(rho, p + h * e) - th.moreau(rho, p - h * e)) / (2 * h)
+                fd = (th.envelope(rho, p + h * e)[0] - th.envelope(rho, p - h * e)[0]) / (2 * h)
                 assert abs(fd - g[idx]) <= 1e-6 * max(1.0, abs(g[idx]))
 
     def test_envelope_below_function_and_monotone_in_rho(self):
@@ -85,7 +85,7 @@ class TestMoreau:
         for _ in range(50):
             p = rng.uniform(-2, 2, size=(2, 2))
             rhos = [1.0, 10.0, 1e3, 1e6]
-            vals = [th.moreau(r, p) for r in rhos]
+            vals = [th.envelope(r, p)[0] for r in rhos]
             assert all(v <= th.value(p) + 1e-12 for v in vals)
             assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
 
@@ -96,7 +96,7 @@ class TestMoreau:
             p = rng.uniform(-4, 4, size=3)
             q = rng.uniform(-4, 4, size=3)
             rho = float(rng.uniform(0.1, 10.0))
-            g = th.moreau_grad(rho, p)
+            _, g = th.envelope(rho, p)
             np.testing.assert_array_equal(g, rho * (p - th.prox(1.0 / rho, p)))
             d = np.linalg.norm(th.prox(1.0 / rho, p) - th.prox(1.0 / rho, q))
             assert d <= np.linalg.norm(p - q) + 1e-14
@@ -107,18 +107,25 @@ class TestMoreau:
         for _ in range(100):
             p = rng.uniform(-3, 3, size=(2, 3))
             rho = float(rng.uniform(0.2, 8.0))
-            g = th.moreau_grad(rho, p)
+            _, g = th.envelope(rho, p)
             q = th.prox(1.0 / rho, p)
             assert th.in_subdifferential(q, g, tol=1e-10)
             assert np.max(np.abs(g)) <= th.mu + 1e-12
 
     def test_nonpositive_rho(self):
         with pytest.raises(ConvexError):
-            L1Norm(1.0).moreau(-1.0, np.array(1.0))
+            L1Norm(1.0).envelope(-1.0, np.array(1.0))
 
     def test_gradient_at_zero_rho(self):
         with pytest.raises(ConvexError, match="envelope parameter must be positive"):
-            L1Norm(1.0).moreau_grad(0.0, np.array([1.0, -2.0]))
+            L1Norm(1.0).envelope(0.0, np.array([1.0, -2.0]))
+
+    def test_one_prox_gives_value_and_gradient(self, monkeypatch):
+        th, calls = L1Norm(0.6), []
+        prox = L1Norm.prox
+        monkeypatch.setattr(L1Norm, "prox", lambda self, t, p: calls.append(t) or prox(self, t, p))
+        th.envelope(2.0, np.array([[1.0, -0.1], [0.4, -2.0]]))
+        assert calls == [0.5]
 
 
 class TestClarkeJacobian:
@@ -134,7 +141,7 @@ class TestClarkeJacobian:
         jac0 = th.prox_jacobian(1.0, p)
         np.testing.assert_array_equal(jac0.mask, [0.0, 0.0, 0.0])
         assert jac0.boundary_count == 2
-        masks = [jac.mask for jac in th.extreme_prox_jacobians(1.0, p)]
+        masks = [jac.mask for jac in th.extreme_prox_jacobians(jac0)]
         assert any(np.array_equal(m, [1.0, 1.0, 0.0]) for m in masks)
 
     def test_zero_t(self):
@@ -162,12 +169,12 @@ class TestClarkeJacobian:
     def test_enumeration_counts(self):
         th = L1Norm(1.0)
         p = np.array([1.0, -1.0, 0.2, 5.0])
-        jacs = th.extreme_prox_jacobians(1.0, p)
+        jacs = th.extreme_prox_jacobians(th.prox_jacobian(1.0, p))
         assert len(jacs) == 4  # two boundary entries
         masks = {tuple(j.mask) for j in jacs}
         assert len(masks) == 4
         with pytest.raises(ConvexError):
-            th.extreme_prox_jacobians(1.0, np.ones(13))
+            th.extreme_prox_jacobians(th.prox_jacobian(1.0, np.ones(13)))
 
 
 def special_points(t, mu):
@@ -193,16 +200,17 @@ class TestInPlaceArithmetic:
             q = th.prox(t, p)
             assert q.tobytes() == (np.sign(p) * np.maximum(np.abs(p) - t * mu, 0.0)).tobytes()
             q = th.prox(1.0 / rho, p)
-            assert th.moreau_grad(rho, p, q).tobytes() == (rho * (p - q)).tobytes()
+            value, grad = th.envelope(rho, p)
+            assert grad.tobytes() == (rho * (p - q)).tobytes()
             # a NaN's sign bit from Python float arithmetic depends on the
             # interpreter's code path, so the NaN envelope is compared as NaN
-            assert math.isnan(th.moreau(rho, p, q))
+            assert math.isnan(value)
             finite = np.where(np.isfinite(p), p, 1.0)
             q = th.prox(1.0 / rho, finite)
             env = th.value(q) + 0.5 * rho * float(np.sum((finite - q) ** 2))
-            assert np.float64(th.moreau(rho, finite, q)).tobytes() == np.float64(env).tobytes()
+            assert np.float64(th.envelope(rho, finite)[0]).tobytes() == np.float64(env).tobytes()
             assert np.all(np.isnan(th.prox(t, p)[np.isnan(p)]))
-            assert np.all(np.isnan(th.moreau_grad(rho, p)[~np.isfinite(p)]))
+            assert np.all(np.isnan(grad[~np.isfinite(p)]))
 
     def test_convention_mask_bytes(self, t, mu, rho):
         p = special_points(t, mu)

@@ -594,6 +594,33 @@ class TestFixedRankPointsHoldTheirFactors:
             assert point.X is not X
 
 
+class TestFixedRankPointFromOneSvd:
+    m, n, r = 8, 6, 2
+
+    def matrix(self, rank):
+        rng = np.random.default_rng(rank)
+        return rng.standard_normal((self.m, rank)) @ rng.standard_normal((rank, self.n))
+
+    def test_one_svd_gives_the_bytes_of_the_truncation(self, monkeypatch):
+        man, Z = FixedRank(self.m, self.n, self.r), self.matrix(self.r)
+        want = man.point_from_ambient(Z)
+        calls, svd = [], np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(k) or svd(*a, **k))
+        X = man.point(Z)
+        assert len(calls) == 1
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(X.factors, want.factors))
+        assert X.X.tobytes() == want.X.tobytes()
+
+    def test_a_rank_above_r_is_refused(self):
+        with pytest.raises(GeometryError, match=r"^point has rank above r = 2: sigma_3 = .* "
+                                                r"> RANK_TOL \* sigma_1 = "):
+            FixedRank(self.m, self.n, self.r).point(self.matrix(self.r + 1))
+
+    def test_a_rank_below_r_is_refused(self):
+        with pytest.raises(RankDropError, match=r"^sigma_2 = .* <= 1\.0e-12: rank below r$"):
+            FixedRank(self.m, self.n, self.r).point(self.matrix(self.r - 1))
+
+
 def ambient_normal_parts(man, point, idx):
     """The normal parts ``e_i - project(point, e_i)``, one projection per row."""
     normal = np.zeros((len(idx), int(np.prod(man.ambient_shape))))
@@ -604,24 +631,27 @@ def ambient_normal_parts(man, point, idx):
 
 
 class TestNormalRows:
-    @pytest.mark.parametrize("n,r", [(6, 1), (5, 2), (7, 3), (4, 4)])
-    def test_stiefel_rows_have_the_singular_values_of_the_normal_parts(self, n, r):
-        man = Stiefel(n, r)
+    @pytest.mark.parametrize("man", [Stiefel(6, 1), Stiefel(5, 2), Stiefel(7, 3), Stiefel(4, 4),
+                                     Euclidean(3, 4)],
+                             ids=lambda man: "{}-{}x{}".format(man.name, *man.ambient_shape))
+    def test_the_rows_have_the_singular_values_of_the_normal_parts(self, man):
+        # Stiefel's rows are r x r normal coordinates; Euclidean space's are
+        # empty, as its normal parts are zero
+        n, r = man.ambient_shape
         rng = np.random.default_rng(n * 10 + r)
         X = man.random_point(rng)
         size = n * r
         for idx in (np.arange(size), rng.choice(size, size // 2, replace=False),
                     rng.choice(size, 1), np.arange(0)):
             rows, normal = man.normal_rows(X, idx), ambient_normal_parts(man, X, idx)
-            assert rows.shape == (len(idx), r * r)
+            assert rows.shape == (len(idx), r * r if isinstance(man, Stiefel) else 0)
             np.testing.assert_allclose(rows @ rows.T, normal @ normal.T, rtol=0, atol=1e-12)
             s, t = (np.linalg.svd(A, compute_uv=False) for A in (rows, normal))
             k = max(len(s), len(t))  # the ambient rows' extra singular values are zero
             np.testing.assert_allclose(np.pad(s, (0, k - len(s))), np.pad(t, (0, k - len(t))),
                                        rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("man", [Euclidean(3, 4), FixedRank(5, 4, 2), Stiefel(5, 2)],
-                             ids=lambda man: man.name)
+    @pytest.mark.parametrize("man", [FixedRank(5, 4, 2), Stiefel(5, 2)], ids=lambda man: man.name)
     def test_the_base_rows_are_the_projected_unit_vectors_bit_for_bit(self, man):
         X = man.random_point(np.random.default_rng(7))
         idx = np.array([0, 3, 4, 9])

@@ -243,7 +243,7 @@ def reference_ghess(P, rho, X, y, xi):
     term, then the separately projected envelope term, added last."""
     p = P.g_value(X.X) + y / rho
     mask = P.theta.prox_jacobian(1.0 / rho, p).mask
-    smooth = reference_lagrangian_hess(P, X, P.theta.moreau_grad(rho, p), xi)
+    smooth = reference_lagrangian_hess(P, X, P.theta.envelope(rho, p)[1], xi)
     w = (P.g_jvp or P.g_vjp)(X.X, xi)
     return smooth + X.manifold.project(X, P.g_vjp(X.X, rho * (w - mask * w)))
 
@@ -771,7 +771,7 @@ class TestStructure:
         P, Xbar, ybar = cm_pair
         for rho in (0.5, 2.0, 30.0):
             p = P.g_value(Xbar.X) + ybar / rho
-            expect = P.f_value(Xbar.X) + P.theta.moreau(rho, p) - np.sum(ybar ** 2) / (2 * rho)
+            expect = P.f_value(Xbar.X) + P.theta.envelope(rho, p)[0] - np.sum(ybar ** 2) / (2 * rho)
             assert evaluate(P, rho, Xbar, ybar).value == expect
 
     def test_lagrangian_gradient_at_pair(self, cm_pair):

@@ -209,17 +209,6 @@ class TestSsnMinimize:
         assert stats.stop_reason == ("grad_tol" if cfg.max_iter > 2 else "max_iter")
         assert ev.value == stats.objective_trace[-1]
 
-    def test_a_start_handed_over_in_a_list_is_taken_from_it(self, rmc_fixture):
-        # the list is emptied and the solve keeps every bit of a plain start
-        fx = rmc_fixture
-        X0 = geometry.retract(fx.X_bar, 0.3 * geometry.random_tangent(fx.X_bar, 13))
-        start, cfg = [X0], NewtonConfig(max_iter=6)
-        ev, stats = ssn_minimize(fx.problem, 5.0, fx.y_bar, start, cfg)
-        want, want_stats = ssn_minimize(fx.problem, 5.0, fx.y_bar, X0, cfg)
-        assert start == [] and stats.iterations > 0
-        assert ev.X.X.tobytes() == want.X.X.tobytes()
-        assert stats.objective_trace == want_stats.objective_trace
-
     def test_rank_drop_shrinks_step(self, rmc_fixture):
         # start the fixed-rank subproblem at a point with a tiny singular
         # value so aggressive steps fall off the rank chart and retry

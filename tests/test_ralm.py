@@ -336,34 +336,6 @@ class TestSolveMemory:
         assert len(res.records) == 17
         assert peak < 9.5 * A.nbytes, f"peak {peak / A.nbytes:.2f} ambient arrays"
 
-    def test_an_inner_start_point_is_freed_at_its_first_accepted_step(self, cm_pair,
-                                                                      monkeypatch):
-        # Every inner solve after the first starts from the last one's point;
-        # from its second iterate on, nothing holds that point any more.
-        import weakref
-
-        P, Xbar, _ = cm_pair
-        X0 = geometry.retract(Xbar, 0.1 * geometry.random_tangent(Xbar, 11))
-        solve, freed = ralm.ssn_minimize, []
-
-        def watched(P, rho, y, start, cfg, stop):
-            ref, seen = weakref.ref(start[0]), []
-
-            def watching(ev):
-                seen.append(ref() is None)
-                return stop(ev)
-
-            ev, stats = solve(P, rho, y, start, cfg, watching)
-            freed.append(seen)
-            return ev, stats
-
-        monkeypatch.setattr(ralm, "ssn_minimize", watched)
-        res = ralm_solve(P, RalmConfig(kkt_tol=1e-8, max_outer=50), X0, np.zeros((4, 2)))
-        assert res.converged and len(freed) == len(res.inner_stats) > 1
-        later = freed[1:]
-        assert any(len(seen) > 1 for seen in later)
-        assert all(seen == [False] + [True] * (len(seen) - 1) for seen in later)
-
 
 class TestSolveRmc:
     def test_full_observation_is_bit_identical_to_the_mask(self):

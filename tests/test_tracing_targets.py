@@ -24,9 +24,12 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "ralmkit"
 TRACER_ONLY = {"auglag_value", "auglag_rgrad", "auglag_dual_grad", "auglag_ghess_vec"}
 # Mirrors of the Evaluation and Certificate APIs, CG's flag record, the
 # dense CSV writer, L1Norm's second name for mu, the CLI's second solver
-# config readers and FixedRank's copy-free point constructor, all gone.
+# config readers, FixedRank's copy-free point constructor, the envelope's
+# value and gradient apart (each reran the prox) and the CLI's point loader
+# (FixedRank.point took it over), all gone.
 DELETED = {"evaluate", "multiplier_update", "holds", "CgInfo", "save_dense", "conjugate_bound",
-           "build_solver_config", "_solver_config", "_from_factors"}
+           "build_solver_config", "_solver_config", "_from_factors", "moreau", "moreau_grad",
+           "_load_point"}
 
 
 def uses_and_definitions(tree):
