@@ -10,11 +10,11 @@ empirical linear rates to residual histories.
 A tangent or critical-cone basis is one ``(k, *ambient_shape)`` array.  The
 critical-cone basis needs no tangent basis when g is entrywise and few ambient
 coordinates are free; its null space is then taken in the manifold's normal
-coordinates (``r * r`` numbers per free coordinate on Stiefel).  Only the
-second-order certificate forms a dense matrix, on that basis: where
-coordinates are ambient vectors the basis is its own coordinate array, and
-the Hessian products are held one block at a time.  The generalized-Hessian
-eigensolve is matrix-free.
+coordinates (``r * r`` numbers per free coordinate on Stiefel), and the
+second-order certificate's dense form is built from the coefficients on the
+free coordinates, one direction at a time; otherwise from the basis's
+coordinates, a block of Hessian products at a time.  The generalized-Hessian
+eigensolve is matrix-free and runs on tangent coordinates.
 """
 
 from __future__ import annotations
@@ -42,9 +42,9 @@ CONE_TOL = 1e-8
 LANCZOS_VECTORS = 40
 LANCZOS_TOL = 1e-12
 LANCZOS_MAX_APPLICATIONS = 100_000
-# Hessian products held at once while the M-SSOSC form is assembled: with 16
-# the CM-200 certificate peaks at 0.97 MiB (1.16 with 40, 1.50 with all 85
-# directions); at CM-800's 285 directions, 4 take twice 16's time.
+# Rows of H V^T held at once while the M-SSOSC form is built.  With ambient
+# rows, 16 peaked CM-200's certificate at 0.97 MiB (1.16 with 40, 1.50 with
+# all 85), and at CM-800's 285 directions 4 took twice 16's time.
 FORM_BLOCK = 16
 
 
@@ -90,6 +90,21 @@ def critical_cone_basis(P: ProblemSpec, X: ManifoldPoint, y: np.ndarray) -> np.n
     rows scaled to norm <= 1 by those of E_c Dg(X); both by :func:`_null_rows`.
     Requires ``y`` to be a subgradient at ``g(X)`` up to ``CONE_TOL``.
     """
+    V, free = _cone(P, X, y)
+    if free is None:
+        return V
+    rows = np.zeros((len(V), *X.manifold.ambient_shape))
+    for v, coefficients in zip(rows, V):
+        v.flat[free] = coefficients
+        v[...] = X.manifold.project(X, v)
+    return rows
+
+
+def _cone(P: ProblemSpec, X: ManifoldPoint, y: np.ndarray) -> tuple:
+    """The subspace of :func:`critical_cone_basis` as ``(V, free)``.  On the
+    free-coordinate route V's orthonormal rows are coefficients on the flat
+    ambient indices ``free``, and their projections span it; otherwise
+    ``free`` is None and V is the basis itself."""
     man, shape, A = X.manifold, X.manifold.ambient_shape, X.X
     z = P.g_value(A)
     diagonal = P.g_jvp is None
@@ -102,25 +117,22 @@ def critical_cone_basis(P: ProblemSpec, X: ManifoldPoint, y: np.ndarray) -> np.n
     mu = P.theta.mu
     constrained = (np.abs(z) <= CONE_TOL) & (np.abs(y) < mu - CONE_TOL)
     if not np.any(constrained):
-        return man.tangent_basis(X)
+        return man.tangent_basis(X), None
     c = P.g_vjp(A, np.ones(shape)) if diagonal else None
     free = np.flatnonzero(~(constrained & (c != 0))) if diagonal else None
     if diagonal and free.size <= man.dim():
-        null = _null_rows(man.normal_rows(X, free).T)
-        rows = np.zeros((len(null), *shape))
-        rows.reshape(len(null), A.size)[:, free] = null
-    else:
-        basis = man.tangent_basis(X)
-        # the norms of the rows of E_c Dg(X); a zero row constrains nothing
-        d = np.abs(c[constrained]) if diagonal else np.array([
-            np.linalg.norm(P.g_vjp(A, np.eye(1, z.size, i).reshape(z.shape)))
-            for i in np.flatnonzero(constrained)])
-        jvp = P.g_jvp or P.g_vjp
-        C = np.stack([jvp(A, v)[constrained] for v in basis]).T[d > 0] / d[d > 0, None]
-        rows = (_null_rows(C) @ basis.reshape(len(basis), -1)).reshape(-1, *shape)
+        return _null_rows(man.normal_rows(X, free).T), free
+    basis = man.tangent_basis(X)
+    # the norms of the rows of E_c Dg(X); a zero row constrains nothing
+    d = np.abs(c[constrained]) if diagonal else np.array([
+        np.linalg.norm(P.g_vjp(A, np.eye(1, z.size, i).reshape(z.shape)))
+        for i in np.flatnonzero(constrained)])
+    jvp = P.g_jvp or P.g_vjp
+    C = np.stack([jvp(A, v)[constrained] for v in basis]).T[d > 0] / d[d > 0, None]
+    rows = (_null_rows(C) @ basis.reshape(len(basis), -1)).reshape(-1, *shape)
     for v in rows:
         v[...] = man.project(X, v)
-    return rows
+    return rows, None
 
 
 def _null_rows(A: np.ndarray) -> np.ndarray:
@@ -132,17 +144,16 @@ def _null_rows(A: np.ndarray) -> np.ndarray:
     return Vt[np.sum(s > NULLSPACE_TOL):]
 
 
-def _quadratic_form(apply_op, coords) -> np.ndarray:
-    """Symmetric part of ``V H V^T``; V's rows are the flattened ``coords``.
-    It is built ``FORM_BLOCK`` rows of ``H V^T`` at a time, so only one block
-    of Hessian products is held."""
-    V = np.reshape(coords, (len(coords), -1))
+def _quadratic_form(row, V: np.ndarray) -> np.ndarray:
+    """Symmetric part of ``R V^T`` for the ``(k, n)`` array ``V``, where row
+    i of R is ``row(i)``, n numbers.  It is built ``FORM_BLOCK`` rows of R at
+    a time, so only one block of Hessian products is held."""
     B = np.empty((len(V), len(V)))
-    HV = np.empty((min(len(V), FORM_BLOCK), V.shape[1]))
+    R = np.empty((min(len(V), FORM_BLOCK), V.shape[1]))
     for j in range(0, len(V), FORM_BLOCK):
-        block = HV[:len(V) - j]
-        for c, h in zip(coords[j:j + FORM_BLOCK], block):
-            h[:] = apply_op(c).ravel()
+        block = R[:len(V) - j]
+        for i, h in enumerate(block, j):
+            h[:] = row(i)
         np.matmul(block, V.T, out=B[j:j + len(block)])
     return 0.5 * (B + B.T)
 
@@ -151,25 +162,36 @@ def mssosc_certificate(P: ProblemSpec, X: ManifoldPoint, y: np.ndarray) -> Certi
     """Minimum eigenvalue of the Lagrangian Hessian on the critical-cone
     affine hull; positive means the second-order sufficient condition
     holds at ``(X, y)``."""
-    basis = critical_cone_basis(P, X, y)
-    if not len(basis):
+    V, free = _cone(P, X, y)
+    if not len(V):
         return Certificate("mssosc", math.inf, 0, degenerate=True)
-    # np.vdot of coordinates is the metric, so the form is the same in them;
-    # where coords returns its argument, the basis is its own coordinate array
-    first = basis[0]
-    if X.manifold.coords(X, first) is not first:
-        basis = np.stack([X.manifold.coords(X, v) for v in basis])
-    B = _quadratic_form(lagrangian.lagrangian_hess_operator(P, X, y), basis)
+    man, H = X.manifold, lagrangian.lagrangian_hess_operator(P, X, y)
+    if free is None:
+        # np.vdot of coordinates is the metric, so the form is the same in them;
+        # where coords returns its argument, the basis is its own coordinate array
+        if man.coords(X, first := V[0]) is not first:
+            V = np.stack([man.coords(X, v) for v in V])
+        B = _quadratic_form(lambda i: H(V[i]).ravel(), V.reshape(len(V), -1))
+    else:
+        # <H d_i, d_j> = <ambient(H d_i), s_j> for d_j = project(s_j), s_j = V[j] on
+        # free, as H d_i is tangent: d_i is formed alone, its product kept on free
+        s = np.zeros(man.ambient_shape)
+
+        def row(i):
+            s.flat[free] = V[i]
+            return man.ambient(X, H(man.coords(X, man.project(X, s)))).ravel()[free]
+
+        B = _quadratic_form(row, V)
     w = np.linalg.eigvalsh(B)
     return Certificate("mssosc", float(w[0]), len(B), operator_applications=len(B))
 
 
 def _lanczos_min(H, project, v0: np.ndarray, m: int) -> Tuple[float, int]:
-    """Smallest eigenvalue of the symmetric operator ``H`` on the tangent
-    space, and the products with ``H`` it took: thick-restart Lanczos (Wu &
-    Simon, 2000) from the tangent ``v0`` on an ``m``-vector basis.  Each new
-    vector is orthogonalized twice against the basis, then projected onto the
-    tangent space, so rounding-level normal parts never grow.  A full basis
+    """Smallest eigenvalue of the symmetric operator ``H`` on tangent
+    coordinates, and the products with ``H`` it took: thick-restart Lanczos
+    (Wu & Simon, 2000) from ``v0`` on an ``m``-vector basis.  Each new vector
+    is orthogonalized twice against the basis, then re-projected by
+    ``project``, so rounding-level normal parts never grow.  A full basis
     restarts from its ``m // 2`` smallest Ritz vectors and the residual."""
     V, T = np.empty((m + 1, v0.size)), np.zeros((m, m))
     V[0] = v0.ravel() / np.linalg.norm(v0)
@@ -215,10 +237,11 @@ def genhess_min_eig(
     On a zero-dimensional tangent space the certificate is degenerate, as
     :func:`mssosc_certificate`'s on an empty critical cone.
 
-    Matrix-free: Lanczos on the tangent space itself (:func:`_lanczos_min`)
-    from a seeded tangent start, with ``min(dim, LANCZOS_VECTORS)`` basis
-    vectors.  ``operator_applications`` counts every product with H, summed
-    over the elements checked.
+    Matrix-free: Lanczos on tangent coordinates (:func:`_lanczos_min`) from a
+    seeded tangent start, with ``min(dim, LANCZOS_VECTORS)`` basis vectors of
+    ``r (m + n + r)`` numbers each on Fr(m, n, r), not ``m n``.
+    ``operator_applications`` counts every product with H, summed over the
+    elements checked.
     """
     if not (math.isfinite(rho) and rho > 0):
         raise CertifyError(f"penalty must be positive and finite, got {rho}")
@@ -229,22 +252,22 @@ def genhess_min_eig(
     base_jac = P.theta.prox_jacobian(1.0 / rho, ev.p)
     b = base_jac.boundary_count
     enumerated = enumerate_elements and b <= ENUM_CAP
-    jacs = P.theta.extreme_prox_jacobians(base_jac) if enumerated else [base_jac]
+    jacs = P.theta.extreme_prox_jacobians(base_jac) if enumerated and b else [base_jac]
     man = X.manifold
     v0 = man.project(X, np.random.default_rng(0).standard_normal(man.ambient_shape))
-    dim = man.dim()
+    v0, dim = man.coords(X, v0), man.dim()
     min_eig, applications = math.inf, 0
     for jac in jacs if dim else []:  # a zero tangent space has no eigenvalue
-        Hc = ev.ghess_operator(jac)
-        w, n = _lanczos_min(lambda t: man.ambient(X, Hc(man.coords(X, t))),
-                            lambda v: man.project(X, v), v0, min(dim, LANCZOS_VECTORS))
+        w, n = _lanczos_min(ev.ghess_operator(jac),
+                            lambda c: man.coords(X, man.project(X, man.ambient(X, c))),
+                            v0, min(dim, LANCZOS_VECTORS))
         min_eig, applications = min(min_eig, w), applications + n
     return Certificate(
         "generalized-hessian",
         min_eig,
         dim,
         boundary_count=b,
-        elements_checked=len(jacs),
+        elements_checked=2 ** b if enumerated else 1,
         partial=b > 0 and not enumerated,
         degenerate=dim == 0,
         operator_applications=applications,

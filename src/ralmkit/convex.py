@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Iterator, Tuple
 
 import numpy as np
 
@@ -78,24 +78,25 @@ class L1Norm:
         mask = np.greater(gap, BOUNDARY_TOL, out=np.empty(p.shape))  # gap > 0 off the boundary
         return ProxJacobian(mask=mask, boundary=np.abs(gap, out=gap) <= BOUNDARY_TOL)
 
-    def extreme_prox_jacobians(self, base: ProxJacobian) -> List[ProxJacobian]:
+    def extreme_prox_jacobians(self, base: ProxJacobian) -> Iterator[ProxJacobian]:
         """All extreme B-subdifferential elements of the prox whose convention
-        element (:meth:`prox_jacobian`) is ``base``.
+        element (:meth:`prox_jacobian`) is ``base``, made one at a time.
 
         One element per 0/1 assignment of the boundary entries, so the
-        count is 2^b; refuses to enumerate past ``2**ENUM_CAP`` elements.
+        count is 2^b; refuses, when called, to enumerate past ``2**ENUM_CAP``
+        elements.
         """
-        idx = np.argwhere(base.boundary)
+        idx = np.flatnonzero(base.boundary)
         b = len(idx)
         if b > ENUM_CAP:
             raise ConvexError(f"{b} boundary entries exceed the enumeration cap of {ENUM_CAP}")
-        out = []
-        for bits in itertools.product((0.0, 1.0), repeat=b):
+
+        def element(bits):
             mask = base.mask.copy()
-            for bit, ij in zip(bits, idx):
-                mask[tuple(ij)] = bit
-            out.append(ProxJacobian(mask=mask, boundary=base.boundary))
-        return out
+            mask.flat[idx] = bits
+            return ProxJacobian(mask=mask, boundary=base.boundary)
+
+        return map(element, itertools.product((0.0, 1.0), repeat=b))
 
     def envelope(self, rho: float, p: np.ndarray) -> Tuple[float, np.ndarray]:
         """The envelope at ``p`` and its gradient ``rho (p - q)`` from one prox

@@ -261,8 +261,9 @@ class TestMssoscAtScale:
         elapsed = time.perf_counter() - t0
         ref = reference_cone_basis(P, res.X, res.y)
         hess = lagrangian.lagrangian_hess_operator(P, res.X, res.y)
-        ref_coords = [res.X.manifold.coords(res.X, v) for v in ref]
-        ref_eig = float(np.linalg.eigvalsh(certify._quadratic_form(hess, ref_coords))[0])
+        ref_coords = np.stack([res.X.manifold.coords(res.X, v).ravel() for v in ref])
+        B = ref_coords @ np.stack([hess(c.reshape(res.X.X.shape)).ravel() for c in ref_coords]).T
+        ref_eig = float(np.linalg.eigvalsh(0.5 * (B + B.T))[0])
         assert cert.subspace_dim == len(ref)
         assert abs(cert.min_eig - ref_eig) <= 1e-10
         assert cert.verdict == "holds"
@@ -270,22 +271,29 @@ class TestMssoscAtScale:
                                    f"min_eig={cert.min_eig:.12f} (reference {ref_eig:.12f}) "
                                    f"{elapsed:.3f}s")
 
-    def test_cm200_blocked_form_equals_the_one_shot_form(self, cm200_runs):
+    def test_cm200_coefficient_form_equals_the_dense_basis_form(self, cm200_runs, monkeypatch):
+        # the form mssosc_certificate builds from the cone's coefficients on
+        # the free coordinates, against <H d_i, d_j> on the ambient basis rows
         P, runs = cm200_runs
         X, y = runs[0][0].X, runs[0][0].y
+        forms, quadratic_form = [], certify._quadratic_form
+        monkeypatch.setattr(certify, "_quadratic_form",
+                            lambda row, V: forms.append(quadratic_form(row, V)) or forms[-1])
+        certify.mssosc_certificate(P, X, y)
         basis = certify.critical_cone_basis(P, X, y)
         assert len(basis) == 85 > certify.FORM_BLOCK
+        assert forms[0].shape == (85, 85)
         hess = lagrangian.lagrangian_hess_operator(P, X, y)
         V = basis.reshape(len(basis), -1)
         B = V @ np.stack([hess(v).ravel() for v in basis]).T
-        np.testing.assert_allclose(certify._quadratic_form(hess, basis), 0.5 * (B + B.T),
-                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(forms[0], 0.5 * (B + B.T), rtol=0, atol=1e-12)
 
-    def test_cm200_certificate_peak_stays_below_1_1_mib(self, cm200_runs):
-        # the cone basis (85 x 1000 doubles, 0.65 MiB) and one block of
-        # Hessian products, 0.97 MiB in all; a (free x ambient) matrix of
-        # normal parts with its QR, or a (cone x ambient) copy of the basis
-        # or of its Hessian products, would pass the bound
+    def test_cm200_certificate_peak_stays_below_0_5_mib(self, cm200_runs):
+        # the cone's coefficients on the 90 free coordinates, one ambient
+        # direction, one block of the free entries of its Hessian products
+        # and the 85 x 85 form: 0.28 MiB in all; an 85 x 1000 basis
+        # (0.65 MiB) of ambient rows or of their Hessian products would
+        # exceed the bound
         import tracemalloc
 
         P, runs = cm200_runs
@@ -298,7 +306,7 @@ class TestMssoscAtScale:
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
-        assert peak <= 1.1 * 2 ** 20, f"peak {peak / 2 ** 20:.3f} MiB"
+        assert peak <= 0.5 * 2 ** 20, f"peak {peak / 2 ** 20:.3f} MiB"
 
 
 class TestCriterion7DerivativeOracles:

@@ -328,6 +328,24 @@ class TestMssosc:
         cert = mssosc_certificate(P, Xbar, ybar)
         assert cert.operator_applications == len(calls) == cert.subspace_dim == 2
 
+    def test_free_coefficient_form_equals_the_tangent_basis_form(self, cm_pair):
+        # a declared entrywise g takes the free-coordinate route, whose form
+        # pairs the free entries of each Hessian product with the cone's
+        # coefficients; as callbacks it takes the tangent-basis route, whose
+        # form pairs coordinates.  On Stiefel and on the fixed-rank manifold
+        # (n free entries of row 0, fewer than the tangent dimension)
+        pairs = [cm_pair]
+        for m, n, r in ((6, 5, 1), (9, 8, 3)):
+            X = geometry.FixedRank(m, n, r).random_point(np.random.default_rng(m))
+            fixed = np.zeros((m, n), dtype=bool)
+            fixed[1:] = True
+            pairs.append(linear_g_pair(X, np.diag(np.arange(1.0, m + 1)), fixed, entrywise=True))
+        for P, X, y in pairs:
+            free = mssosc_certificate(P, X, y)
+            tangent = mssosc_certificate(dataclasses.replace(P, g_jvp=P.g_vjp), X, y)
+            assert free.subspace_dim == tangent.subspace_dim > 0
+            assert abs(free.min_eig - tangent.min_eig) <= 1e-12 * max(1.0, abs(tangent.min_eig))
+
     def test_scale_equivariance(self):
         # scaling f and theta by lambda scales the certificate, verdict fixed
         for lam in (0.25, 4.0):
@@ -603,6 +621,28 @@ class TestGenHessAgainstReference:
         y = np.zeros((1, 3))
         assert self.assert_matches(P, 2.0, X, y).elements_checked == 2
         assert self.assert_matches(P, 2.0, X, y, enumerate_elements=False).partial
+
+    def test_fixed_rank_lanczos_runs_on_tangent_coordinates(self):
+        # Fr(100, 150, 2) at a completion truth: the 41-vector Lanczos basis
+        # holds 504 packed coordinates per vector, 1.4 ambient arrays in all;
+        # with ambient vectors it alone would be 41 arrays.  The evaluation,
+        # the prepared Hessian and the re-projection's temporaries make the
+        # rest of a 10.9-array peak
+        import tracemalloc
+
+        L, A = bench.rmc_random_data(100, 150, 2, 0.05, 1.0, 0)
+        P = bench.build_rmc(A, np.ones(A.shape, dtype=bool), 2)
+        X, y = P.manifold.point_from_ambient(L), -np.sign(A - L)
+        cert = self.assert_matches(P, 64.0, X, y)  # one-time allocations fall outside the peak
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            again = genhess_min_eig(P, 64.0, X, y, enumerate_elements=True)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert again == cert
+        assert peak < 12 * A.nbytes, f"peak {peak / A.nbytes:.2f} ambient arrays"
 
 
 class TestRateFit:

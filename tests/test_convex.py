@@ -169,12 +169,31 @@ class TestClarkeJacobian:
     def test_enumeration_counts(self):
         th = L1Norm(1.0)
         p = np.array([1.0, -1.0, 0.2, 5.0])
-        jacs = th.extreme_prox_jacobians(th.prox_jacobian(1.0, p))
+        jacs = list(th.extreme_prox_jacobians(th.prox_jacobian(1.0, p)))
         assert len(jacs) == 4  # two boundary entries
         masks = {tuple(j.mask) for j in jacs}
         assert len(masks) == 4
-        with pytest.raises(ConvexError):
+        with pytest.raises(ConvexError):  # refused when called, before any element is made
             th.extreme_prox_jacobians(th.prox_jacobian(1.0, np.ones(13)))
+
+    def test_enumeration_makes_one_element_at_a_time(self):
+        # 10 ties on 60 x 80: the 1,024 masks take 37.5 MiB held at once
+        import tracemalloc
+
+        th = L1Norm(1.0)
+        p = np.full((60, 80), 0.5)
+        p.flat[np.arange(0, 4800, 480)] = 1.0
+        base = th.prox_jacobian(1.0, p)
+        assert base.boundary_count == 10
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            count = sum(1 for _ in th.extreme_prox_jacobians(base))
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert count == 2 ** 10
+        assert peak <= 2 ** 20, f"peak {peak / 2 ** 20:.3f} MiB"
 
 
 def special_points(t, mu):
