@@ -8,13 +8,10 @@ the generalized augmented Hessian over the full tangent space, and fits
 empirical linear rates to residual histories.
 
 A tangent or critical-cone basis is one ``(k, *ambient_shape)`` array.  The
-critical-cone basis needs no tangent basis when g is entrywise and few ambient
-coordinates are free; its null space is then taken in the manifold's normal
-coordinates (``r * r`` numbers per free coordinate on Stiefel), and the
-second-order certificate's dense form is built from the coefficients on the
-free coordinates, one direction at a time; otherwise from the basis's
-coordinates, a block of Hessian products at a time.  The generalized-Hessian
-eigensolve is matrix-free and runs on tangent coordinates.
+critical cone needs no tangent basis when g is entrywise and few ambient
+coordinates are free: its null space is then taken in the manifold's normal
+coordinates (``r * r`` numbers per free coordinate on Stiefel).  The
+generalized-Hessian eigensolve is matrix-free and runs on tangent coordinates.
 """
 
 from __future__ import annotations
@@ -76,63 +73,74 @@ class Certificate:
 
 def critical_cone_basis(P: ProblemSpec, X: ManifoldPoint, y: np.ndarray) -> np.ndarray:
     """Orthonormal basis of aff(critical cone) intersected with T_X M, as a
-    ``(k, *ambient_shape)`` array of tangent vectors.
+    ``(k, *ambient_shape)`` array of tangent vectors, :func:`_cone`'s directions.
 
     For the l1 term the affine hull fixes to zero every constraint-space
     entry where ``g(X)`` vanishes and the multiplier is strictly inside
     its box: the subspace is T_X M intersected with ker E_c Dg(X).  When
     Dg(X) is entrywise (``P.g_jvp`` None), with diagonal ``g_vjp(X, 1)``, and
     at most ``dim T_X M`` ambient unit vectors e_i are free of those entries,
-    it is the null space of the normal parts
-    ``e_i - project(X, e_i)`` (the columns have norm at most 1), taken from
-    ``Manifold.normal_rows``, which has their singular values; otherwise it
-    is the null space of C = E_c Dg(X) T in tangent-basis coordinates, its
-    rows scaled to norm <= 1 by those of E_c Dg(X); both by :func:`_null_rows`.
+    it is the null space of the normal parts ``e_i - project(X, e_i)`` (the
+    columns have norm at most 1), taken from ``Manifold.normal_rows``, which
+    has their singular values; otherwise it is the null space of
+    C = E_c Dg(X) T in tangent-basis coordinates, its rows scaled to norm
+    <= 1 by those of E_c Dg(X); both by :func:`_null_rows`.
     Requires ``y`` to be a subgradient at ``g(X)`` up to ``CONE_TOL``.
     """
-    V, free = _cone(P, X, y)
-    if free is None:
-        return V
-    rows = np.zeros((len(V), *X.manifold.ambient_shape))
-    for v, coefficients in zip(rows, V):
-        v.flat[free] = coefficients
-        v[...] = X.manifold.project(X, v)
+    V, direction, _ = _cone(P, X, y)
+    rows = np.empty((len(V), *X.manifold.ambient_shape))
+    for i, v in enumerate(rows):
+        v[...] = direction(i)
     return rows
 
 
 def _cone(P: ProblemSpec, X: ManifoldPoint, y: np.ndarray) -> tuple:
-    """The subspace of :func:`critical_cone_basis` as ``(V, free)``.  On the
-    free-coordinate route V's orthonormal rows are coefficients on the flat
-    ambient indices ``free``, and their projections span it; otherwise
-    ``free`` is None and V is the basis itself."""
+    """The subspace of :func:`critical_cone_basis` as ``(V, direction, pair)``
+    on either route: ``direction(i)`` is its i-th direction d_i, an ambient
+    tangent vector, and ``pair`` maps the coordinates of a tangent h to numbers
+    whose dot product with ``V[j]`` is <h, d_j>.  Free-coordinate route: V's row
+    j holds the coefficients of s_j on the flat ambient indices ``free``, d_j =
+    project(s_j), and <h, d_j> = <h, s_j> pairs h's free entries with them.
+    Otherwise V holds the d_j's coordinates, whose dot product is the metric."""
     man, shape, A = X.manifold, X.manifold.ambient_shape, X.X
     z = P.g_value(A)
     diagonal = P.g_jvp is None
     if diagonal and z.shape != shape:
         raise CertifyError(f"g_jvp=None needs g(X) of the ambient shape {shape}, got {z.shape}")
     if not P.theta.in_subdifferential(z, y, tol=CONE_TOL):
-        raise StationarityError(
-            "multiplier is not in the subdifferential at g(X); the critical cone is undefined"
-        )
-    mu = P.theta.mu
-    constrained = (np.abs(z) <= CONE_TOL) & (np.abs(y) < mu - CONE_TOL)
+        raise StationarityError("multiplier is not in the subdifferential at g(X); "
+                                "the critical cone is undefined")
+    constrained = (np.abs(z) <= CONE_TOL) & (np.abs(y) < P.theta.mu - CONE_TOL)
     if not np.any(constrained):
-        return man.tangent_basis(X), None
-    c = P.g_vjp(A, np.ones(shape)) if diagonal else None
-    free = np.flatnonzero(~(constrained & (c != 0))) if diagonal else None
-    if diagonal and free.size <= man.dim():
-        return _null_rows(man.normal_rows(X, free).T), free
-    basis = man.tangent_basis(X)
-    # the norms of the rows of E_c Dg(X); a zero row constrains nothing
-    d = np.abs(c[constrained]) if diagonal else np.array([
-        np.linalg.norm(P.g_vjp(A, np.eye(1, z.size, i).reshape(z.shape)))
-        for i in np.flatnonzero(constrained)])
-    jvp = P.g_jvp or P.g_vjp
-    C = np.stack([jvp(A, v)[constrained] for v in basis]).T[d > 0] / d[d > 0, None]
-    rows = (_null_rows(C) @ basis.reshape(len(basis), -1)).reshape(-1, *shape)
-    for v in rows:
-        v[...] = man.project(X, v)
-    return rows, None
+        rows = man.tangent_basis(X)
+    else:
+        c = P.g_vjp(A, np.ones(shape)) if diagonal else None
+        free = np.flatnonzero(~(constrained & (c != 0))) if diagonal else None
+        if diagonal and free.size <= man.dim():
+            V = _null_rows(man.normal_rows(X, free).T)
+
+            def direction(i):
+                s = np.zeros(shape)
+                s.flat[free] = V[i]
+                return man.project(X, s)
+
+            return V, direction, lambda h: man.ambient(X, h).ravel()[free]
+        basis = man.tangent_basis(X)
+        # the norms of the rows of E_c Dg(X); a zero row constrains nothing
+        d = np.abs(c[constrained]) if diagonal else np.array([
+            np.linalg.norm(P.g_vjp(A, np.eye(1, z.size, i).reshape(z.shape)))
+            for i in np.flatnonzero(constrained)])
+        jvp = P.g_jvp or P.g_vjp
+        C = np.array([jvp(A, v)[constrained] for v in basis]).reshape(len(basis), len(d)).T[d > 0]
+        C /= d[d > 0, None]
+        rows = (_null_rows(C) @ basis.reshape(len(basis), A.size)).reshape(-1, *shape)
+        for v in rows:
+            v[...] = man.project(X, v)
+    # where coords returns its argument (Stiefel, Euclidean) V is a view of the rows
+    V = rows
+    if len(rows) and man.coords(X, first := rows[0]) is not first:
+        V = np.stack([man.coords(X, v) for v in rows])
+    return V, rows.__getitem__, np.ravel
 
 
 def _null_rows(A: np.ndarray) -> np.ndarray:
@@ -162,26 +170,12 @@ def mssosc_certificate(P: ProblemSpec, X: ManifoldPoint, y: np.ndarray) -> Certi
     """Minimum eigenvalue of the Lagrangian Hessian on the critical-cone
     affine hull; positive means the second-order sufficient condition
     holds at ``(X, y)``."""
-    V, free = _cone(P, X, y)
+    V, direction, pair = _cone(P, X, y)
     if not len(V):
         return Certificate("mssosc", math.inf, 0, degenerate=True)
     man, H = X.manifold, lagrangian.lagrangian_hess_operator(P, X, y)
-    if free is None:
-        # np.vdot of coordinates is the metric, so the form is the same in them;
-        # where coords returns its argument, the basis is its own coordinate array
-        if man.coords(X, first := V[0]) is not first:
-            V = np.stack([man.coords(X, v) for v in V])
-        B = _quadratic_form(lambda i: H(V[i]).ravel(), V.reshape(len(V), -1))
-    else:
-        # <H d_i, d_j> = <ambient(H d_i), s_j> for d_j = project(s_j), s_j = V[j] on
-        # free, as H d_i is tangent: d_i is formed alone, its product kept on free
-        s = np.zeros(man.ambient_shape)
-
-        def row(i):
-            s.flat[free] = V[i]
-            return man.ambient(X, H(man.coords(X, man.project(X, s)))).ravel()[free]
-
-        B = _quadratic_form(row, V)
+    # <H d_i, d_j>, one direction d_i and its Hessian product at a time
+    B = _quadratic_form(lambda i: pair(H(man.coords(X, direction(i)))), V.reshape(len(V), -1))
     w = np.linalg.eigvalsh(B)
     return Certificate("mssosc", float(w[0]), len(B), operator_applications=len(B))
 
@@ -245,7 +239,9 @@ def genhess_min_eig(
     """
     if not (math.isfinite(rho) and rho > 0):
         raise CertifyError(f"penalty must be positive and finite, got {rho}")
-    # a fixed-rank point by its factors, without forming X
+    if np.shape(y) != (shape := np.shape(P.g_value(X.X))):
+        raise CertifyError(f"multiplier shape {np.shape(y)} does not match g(X) {shape}")
+    # a fixed-rank point by its factors
     if not all(np.isfinite(a).all() for a in (y, *(X.factors or (X.X,)))):
         raise CertifyError("multiplier and point must be finite")
     ev = lagrangian.Subproblem(P, rho, y).at(X)

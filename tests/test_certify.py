@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -242,6 +243,17 @@ class TestConeBasisAgainstReference:
                                    rtol=0, atol=1e-12)
         assert self.assert_same_subspace(P, X, y) == 4
 
+    def test_zero_dimensional_tangent_space_on_either_route(self):
+        # St(1, 1) = {-1, 1} has T_x = {0}; g = X - 1 vanishes at x = 1 with
+        # y inside the box.  Declared entrywise, no coordinate is free; as
+        # callbacks, the tangent basis is empty, and so is C
+        P = dataclasses.replace(euclidean_l1_problem(shape=(1, 1), mu=1.0),
+                                manifold=geometry.Stiefel(1, 1), g_value=lambda Z: Z - 1.0)
+        X, y = P.manifold.point(np.array([[1.0]])), np.array([[0.5]])
+        for Q in (P, dataclasses.replace(P, g_jvp=P.g_vjp)):
+            assert critical_cone_basis(Q, X, y).shape == (0, 1, 1)
+            assert mssosc_certificate(Q, X, y).degenerate
+
     def test_tangent_route_constraint_tangent_up_to_rounding(self):
         # D = x^T on the sphere St(5, 1): ker D is exactly T_x, so C = D T is
         # rounding alone and the cone is all of T_x (dimension 4).  A
@@ -328,23 +340,41 @@ class TestMssosc:
         cert = mssosc_certificate(P, Xbar, ybar)
         assert cert.operator_applications == len(calls) == cert.subspace_dim == 2
 
-    def test_free_coefficient_form_equals_the_tangent_basis_form(self, cm_pair):
+    def test_free_coefficient_form_equals_the_tangent_basis_form(self, cm_pair, monkeypatch):
         # a declared entrywise g takes the free-coordinate route, whose form
         # pairs the free entries of each Hessian product with the cone's
         # coefficients; as callbacks it takes the tangent-basis route, whose
         # form pairs coordinates.  On Stiefel and on the fixed-rank manifold
-        # (n free entries of row 0, fewer than the tangent dimension)
+        # (n free entries of row 0, fewer than the tangent dimension), and on
+        # a pair with no constrained entry, whose cone is the whole tangent
+        # space.  Both forms are <H b_i, b_j> over critical_cone_basis's rows.
         pairs = [cm_pair]
         for m, n, r in ((6, 5, 1), (9, 8, 3)):
             X = geometry.FixedRank(m, n, r).random_point(np.random.default_rng(m))
             fixed = np.zeros((m, n), dtype=bool)
             fixed[1:] = True
             pairs.append(linear_g_pair(X, np.diag(np.arange(1.0, m + 1)), fixed, entrywise=True))
+        X = geometry.FixedRank(6, 5, 1).random_point(np.random.default_rng(7))
+        pairs.append(linear_g_pair(X, np.diag(np.arange(1.0, 7)), np.zeros((6, 5), dtype=bool),
+                                   entrywise=True))
+        forms, quadratic_form = [], certify._quadratic_form
+        monkeypatch.setattr(certify, "_quadratic_form",
+                            lambda row, V: forms.append(quadratic_form(row, V)) or forms[-1])
         for P, X, y in pairs:
-            free = mssosc_certificate(P, X, y)
-            tangent = mssosc_certificate(dataclasses.replace(P, g_jvp=P.g_vjp), X, y)
+            certificates = []
+            for Q in (P, dataclasses.replace(P, g_jvp=P.g_vjp)):
+                certificates.append(mssosc_certificate(Q, X, y))
+                basis = critical_cone_basis(Q, X, y)
+                hess = ambient_operator(X, lagrangian.lagrangian_hess_operator(Q, X, y))
+                B = np.array([[np.vdot(hess(u), v) for v in basis] for u in basis])
+                scale = max(1.0, np.abs(B).max())
+                np.testing.assert_allclose(forms[-1], 0.5 * (B + B.T), rtol=0, atol=1e-12 * scale)
+                w = np.linalg.eigvalsh(0.5 * (B + B.T))[0]
+                assert abs(certificates[-1].min_eig - w) <= 1e-12 * scale
+            free, tangent = certificates
             assert free.subspace_dim == tangent.subspace_dim > 0
             assert abs(free.min_eig - tangent.min_eig) <= 1e-12 * max(1.0, abs(tangent.min_eig))
+        assert free.subspace_dim == X.manifold.dim()  # the unconstrained pair
 
     def test_scale_equivariance(self):
         # scaling f and theta by lambda scales the certificate, verdict fixed
@@ -402,6 +432,21 @@ class TestGenHess:
             X = geometry.ManifoldPoint(X.manifold, Z)
         with pytest.raises(CertifyError, match="finite"):
             genhess_min_eig(P, 16.0, X, y)
+
+    @pytest.mark.parametrize("shape", [(), (1, 2), (4, 1)], ids=["scalar", "1x2", "4x1"])
+    def test_rejects_a_multiplier_not_of_the_shape_of_g(self, cm_pair, shape, monkeypatch):
+        # g(X) is 4 x 2 on the CM-4 pair: a scalar would broadcast, the
+        # others would fail inside NumPy; refused before any Evaluation
+        P, X, _ = cm_pair
+
+        def refuse(*args):
+            raise AssertionError("an Evaluation was built")
+
+        monkeypatch.setattr(lagrangian.Evaluation, "__init__", refuse)
+        y = np.full(shape, 0.3) if shape else 0.3
+        with pytest.raises(CertifyError, match=rf"multiplier shape {re.escape(str(shape))} "
+                                               r"does not match g\(X\) \(4, 2\)"):
+            genhess_min_eig(P, 1.0, X, y)
 
     @pytest.mark.parametrize("rho", [math.nan, math.inf, 0.0])
     def test_rejects_penalty_not_positive_and_finite(self, cm_pair, rho):
