@@ -98,15 +98,12 @@ def _cone(P: ProblemSpec, X: ManifoldPoint, y: np.ndarray) -> tuple:
     """The subspace of :func:`critical_cone_basis` as ``(V, direction, pair)``
     on either route: ``direction(i)`` is its i-th direction d_i, an ambient
     tangent vector, and ``pair`` maps the coordinates of a tangent h to numbers
-    whose dot product with ``V[j]`` is <h, d_j>.  Free-coordinate route: V's row
-    j holds the coefficients of s_j on the flat ambient indices ``free``, d_j =
-    project(s_j), and <h, d_j> = <h, s_j> pairs h's free entries with them.
-    Otherwise V holds the d_j's coordinates, whose dot product is the metric."""
+    whose dot product with ``V[j]`` is <h, d_j>, entries of h's ambient form.
+    Free-coordinate route: V's row j holds the coefficients of s_j on the flat
+    ambient indices ``free``, d_j = project(s_j), and <h, d_j> = <h, s_j> pairs
+    h's free entries with them.  Otherwise V holds the d_j, paired with all."""
     man, shape, A = X.manifold, X.manifold.ambient_shape, X.X
-    z = P.g_value(A)
-    diagonal = P.g_jvp is None
-    if diagonal and z.shape != shape:
-        raise CertifyError(f"g_jvp=None needs g(X) of the ambient shape {shape}, got {z.shape}")
+    z, diagonal = lagrangian.constraint_value(P, A, y), P.g_jvp is None
     if not P.theta.in_subdifferential(z, y, tol=CONE_TOL):
         raise StationarityError("multiplier is not in the subdifferential at g(X); "
                                 "the critical cone is undefined")
@@ -136,11 +133,7 @@ def _cone(P: ProblemSpec, X: ManifoldPoint, y: np.ndarray) -> tuple:
         rows = (_null_rows(C) @ basis.reshape(len(basis), A.size)).reshape(-1, *shape)
         for v in rows:
             v[...] = man.project(X, v)
-    # where coords returns its argument (Stiefel, Euclidean) V is a view of the rows
-    V = rows
-    if len(rows) and man.coords(X, first := rows[0]) is not first:
-        V = np.stack([man.coords(X, v) for v in rows])
-    return V, rows.__getitem__, np.ravel
+    return rows, rows.__getitem__, lambda h: man.ambient(X, h).ravel()
 
 
 def _null_rows(A: np.ndarray) -> np.ndarray:
@@ -237,10 +230,6 @@ def genhess_min_eig(
     ``operator_applications`` counts every product with H, summed over the
     elements checked.
     """
-    if not (math.isfinite(rho) and rho > 0):
-        raise CertifyError(f"penalty must be positive and finite, got {rho}")
-    if np.shape(y) != (shape := np.shape(P.g_value(X.X))):
-        raise CertifyError(f"multiplier shape {np.shape(y)} does not match g(X) {shape}")
     # a fixed-rank point by its factors
     if not all(np.isfinite(a).all() for a in (y, *(X.factors or (X.X,)))):
         raise CertifyError("multiplier and point must be finite")

@@ -10,7 +10,8 @@ gradient, its gradient in y, generalized Hessian-vector products and the
 KKT residual.  All dual quantities are computed analytically from the
 envelope, never by differencing.  An :class:`Evaluation` holds them at one
 point, all from one prox, and is the one way to compute them: take one
-from ``Subproblem(P, rho, y).at(X)``.
+from ``Subproblem(P, rho, y).at(X)``.  :func:`constraint_value` is the one
+reader of g: it refuses a multiplier not of g(X)'s shape.
 """
 
 from __future__ import annotations
@@ -117,7 +118,7 @@ class Evaluation:
         """The envelope argument g(X) + y/rho, summed as y/rho + g(X) into
         the quotient's array: addition commutes, bit for bit."""
         p = np.divide(self.sub.y, self.sub.rho)
-        p += self.sub.P.g_value(self.dense)
+        p += constraint_value(self.sub.P, self.dense, self.sub.y)
         return p
 
     def _envelope(self, name: str):
@@ -194,8 +195,6 @@ class Evaluation:
         if mine:
             self.drop("dense")
         if P.g_jvp is None:  # the envelope term is the weight term
-            if G.shape != X.manifold.ambient_shape:
-                raise LagrangianError(f"g_jvp=None needs g(X) of the ambient shape, got {G.shape}")
             W, G = P.g_vjp(A, G), None  # G goes before the second product
             W = P.g_vjp(A, W)
         ehess = _ehess(P, A, y, G)
@@ -227,6 +226,17 @@ def auglag_ghess_vec(P: ProblemSpec, rho: float, X: ManifoldPoint, y: np.ndarray
     return man.ambient(X, Subproblem(P, rho, y).at(X).ghess_operator(jac)(man.coords(X, xi)))
 
 
+def constraint_value(P: ProblemSpec, A: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """g at the ambient matrix ``A``, refused unless the multiplier ``y`` has its
+    shape and, when ``g_jvp`` is None, it has the ambient shape."""
+    g = P.g_value(A)
+    if np.shape(y) != g.shape:
+        raise LagrangianError(f"multiplier shape {np.shape(y)} does not match g(X) {g.shape}")
+    if P.g_jvp is None and g.shape != A.shape:
+        raise LagrangianError(f"g_jvp=None needs g(X) of the ambient shape {A.shape}, got {g.shape}")
+    return g
+
+
 def lagrangian_egrad(P: ProblemSpec, A: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Euclidean gradient of L(., y) = f + <y, g(.)> at the ambient matrix ``A``."""
     w = P.g_vjp(A, y)
@@ -256,7 +266,7 @@ def kkt_residual(P: ProblemSpec, X: ManifoldPoint, y: np.ndarray) -> float:
     """|grad_x L(x,y)| + |g(x) - prox_theta(g(x) + y)|; zero exactly at
     stationary pairs."""
     A = X.X
-    g = P.g_value(A)
+    g = constraint_value(P, A, y)
     grad_part = float(np.linalg.norm(X.manifold.project(X, lagrangian_egrad(P, A, y))))
     del A  # before the prox's arrays
     r = P.theta.prox(1.0, g + y)  # a fresh array; g may be X itself

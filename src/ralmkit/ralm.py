@@ -176,9 +176,6 @@ def ralm_solve(
     below ``cfg.kkt_tol`` or ``cfg.max_outer`` iterations elapse.  Record
     ``k`` describes the pair after ``k`` inner solves, record 0 the start."""
     y = np.asarray(y0, dtype=float)
-    g_shape = np.shape(P.g_value(X0.X))
-    if y.shape != g_shape:
-        raise RalmError(f"multiplier shape {y.shape} does not match g(X0) {g_shape}")
     box = P.theta.mu
     if np.max(np.abs(y), initial=0.0) > box:
         log.warning("initial multiplier leaves the |.|_inf <= %g box", box)

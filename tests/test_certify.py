@@ -287,6 +287,22 @@ def test_cone_basis_forms_a_fixed_rank_x_once_at_any_size(entrywise, monkeypatch
         calls.clear()
 
 
+def test_tangent_route_cone_on_fixed_rank_needs_no_coordinates(monkeypatch):
+    # on the tangent-basis route the cone's directions are ambient arrays and
+    # pair in ambient form: coords runs only inside project, once per direction
+    X = geometry.FixedRank(6, 5, 1).random_point(np.random.default_rng(6))
+    fixed = np.zeros((6, 5), dtype=bool)
+    fixed[:, 0] = True
+    P, X, y = linear_g_pair(X, np.eye(6) + np.ones((6, 6)), fixed)
+    calls = {"coords": [], "project": []}
+    for name, seen in calls.items():
+        real = getattr(geometry.FixedRank, name)
+        monkeypatch.setattr(geometry.FixedRank, name,
+                            lambda *args, seen=seen, real=real: seen.append(1) or real(*args))
+    basis = critical_cone_basis(P, X, y)
+    assert len(basis) and len(calls["coords"]) == len(calls["project"]) == len(basis)
+
+
 class TestMssosc:
     def test_cm_value_and_verdict(self, cm_pair):
         P, Xbar, ybar = cm_pair
@@ -436,22 +452,24 @@ class TestGenHess:
     @pytest.mark.parametrize("shape", [(), (1, 2), (4, 1)], ids=["scalar", "1x2", "4x1"])
     def test_rejects_a_multiplier_not_of_the_shape_of_g(self, cm_pair, shape, monkeypatch):
         # g(X) is 4 x 2 on the CM-4 pair: a scalar would broadcast, the
-        # others would fail inside NumPy; refused before any Evaluation
+        # others would fail inside NumPy; refused before any prox
         P, X, _ = cm_pair
 
         def refuse(*args):
-            raise AssertionError("an Evaluation was built")
+            raise AssertionError("a prox or prox Jacobian ran")
 
-        monkeypatch.setattr(lagrangian.Evaluation, "__init__", refuse)
+        monkeypatch.setattr(L1Norm, "prox", refuse)
+        monkeypatch.setattr(L1Norm, "prox_jacobian", refuse)
         y = np.full(shape, 0.3) if shape else 0.3
-        with pytest.raises(CertifyError, match=rf"multiplier shape {re.escape(str(shape))} "
-                                               r"does not match g\(X\) \(4, 2\)"):
+        with pytest.raises(lagrangian.LagrangianError,
+                           match=rf"multiplier shape {re.escape(str(shape))} "
+                                 r"does not match g\(X\) \(4, 2\)"):
             genhess_min_eig(P, 1.0, X, y)
 
     @pytest.mark.parametrize("rho", [math.nan, math.inf, 0.0])
     def test_rejects_penalty_not_positive_and_finite(self, cm_pair, rho):
         P, Xbar, ybar = cm_pair
-        with pytest.raises(CertifyError, match="positive and finite"):
+        with pytest.raises(lagrangian.LagrangianError, match="positive and finite"):
             genhess_min_eig(P, rho, Xbar, ybar)
 
     def test_cm_positive_at_moderate_penalty(self, cm_pair):

@@ -15,7 +15,7 @@ from conftest import (
     weight_ghess_operator,
 )
 from ralmkit import bench, geometry, oracles
-from ralmkit.certify import CertifyError, critical_cone_basis
+from ralmkit.certify import critical_cone_basis
 from ralmkit.convex import L1Norm
 from ralmkit.lagrangian import (
     LagrangianError,
@@ -29,6 +29,7 @@ from ralmkit.lagrangian import (
     lagrangian_egrad,
     lagrangian_hess_operator,
 )
+from ralmkit.newton import ssn_minimize
 from ralmkit.ralm import RalmConfig, ralm_solve
 
 
@@ -566,7 +567,7 @@ class TestEnvelopeRoutes:
         declared = dataclasses.replace(P, g_jvp=None)
         with pytest.raises(LagrangianError, match="shape"):
             evaluate(declared, 2.0, X, y).ghess_operator()
-        with pytest.raises(CertifyError, match="shape"):
+        with pytest.raises(LagrangianError, match="shape"):
             critical_cone_basis(declared, X, y)
 
     def test_no_random_draws(self, monkeypatch, cm_pair, rmc_fixture):
@@ -753,6 +754,21 @@ class TestKktResidual:
             assert np.linalg.norm(evaluate(P, rho, Xbar, ybar).rgrad) <= 1e-10
             y1 = dual_step(P, rho, Xbar, ybar, rho)
             assert np.max(np.abs(y1 - ybar)) <= 1e-12
+
+
+@pytest.mark.parametrize("shape", [(), (1, 2), (4, 1)], ids=["scalar", "1x2", "4x1"])
+@pytest.mark.parametrize("read", [
+    kkt_residual,
+    lambda P, X, y: Subproblem(P, 10.0, y).at(X).value,
+    lambda P, X, y: ssn_minimize(P, 10.0, y, X),
+], ids=["kkt_residual", "value", "ssn_minimize"])
+def test_every_reader_refuses_a_multiplier_not_of_the_shape_of_g(cm_pair, read, shape):
+    # g(X) is 4 x 2 on the CM-4 pair: each of these multipliers broadcasts
+    # against it, and every reader of g(X) refuses it
+    P, X, _ = cm_pair
+    with pytest.raises(LagrangianError,
+                       match=r"multiplier shape .* does not match g\(X\) \(4, 2\)"):
+        read(P, X, np.full(shape, 0.3))
 
 
 class TestStructure:

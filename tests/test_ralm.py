@@ -107,7 +107,7 @@ class TestSolveCm:
     def test_rejects_misshapen_multiplier(self, cm_pair, shape):
         # the first three broadcast against g(X)'s (4, 2); the last is its transpose
         P, Xbar, _ = cm_pair
-        with pytest.raises(RalmError, match="multiplier shape"):
+        with pytest.raises(lagrangian.LagrangianError, match="multiplier shape"):
             ralm_solve(P, RalmConfig(max_outer=1), Xbar, 0.3 * np.ones(shape))
 
     def test_multiplier_box_invariance_full_step(self, cm_pair):

@@ -69,3 +69,45 @@ class CgInfo: ...
     uses, defined = uses_and_definitions(ast.parse(source))
     assert uses == {"auglag_value", "auglag_rgrad", "auglag_dual_grad"}
     assert defined == {"evaluate", "holds", "CgInfo"}
+
+
+# The one reader of g(X), which refuses a multiplier not of its shape, and the
+# oracles' sampling draw, which reads g(X)'s shape to draw a multiplier.
+G_READERS = {("lagrangian.py", "constraint_value"), ("oracles.py", "_stable_sample")}
+
+
+def g_value_calls(tree):
+    """The innermost enclosing function of each ``.g_value(...)`` call in
+    ``tree``, or ``None`` for a call at module level."""
+    callers = []
+
+    def visit(node, function):
+        if isinstance(node, ast.FunctionDef):
+            function = node.name
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "g_value"):
+            callers.append(function)
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return callers
+
+
+def test_g_is_read_only_through_the_one_reader():
+    modules = sorted(SRC.glob("*.py"))
+    assert len(modules) >= 10
+    calls = {(path.name, caller) for path in modules
+             for caller in g_value_calls(ast.parse(path.read_text(), str(path)))}
+    assert calls == G_READERS
+
+
+def test_the_g_scan_sees_calls_at_every_depth():
+    source = """
+g = P.g_value(A)
+def reader(P, A):
+    def inner():
+        return P.g_value(A).shape
+    return P.g_value(A), P.g_jvp(A, A)
+"""
+    assert g_value_calls(ast.parse(source)) == [None, "inner", "reader"]
