@@ -39,10 +39,6 @@ CONE_TOL = 1e-8
 LANCZOS_VECTORS = 40
 LANCZOS_TOL = 1e-12
 LANCZOS_MAX_APPLICATIONS = 100_000
-# Rows of H V^T held at once while the M-SSOSC form is built.  With ambient
-# rows, 16 peaked CM-200's certificate at 0.97 MiB (1.16 with 40, 1.50 with
-# all 85), and at CM-800's 285 directions 4 took twice 16's time.
-FORM_BLOCK = 16
 
 
 class CertifyError(ValueError):
@@ -101,7 +97,8 @@ def _cone(P: ProblemSpec, X: ManifoldPoint, y: np.ndarray) -> tuple:
     whose dot product with ``V[j]`` is <h, d_j>, entries of h's ambient form.
     Free-coordinate route: V's row j holds the coefficients of s_j on the flat
     ambient indices ``free``, d_j = project(s_j), and <h, d_j> = <h, s_j> pairs
-    h's free entries with them.  Otherwise V holds the d_j, paired with all."""
+    h's free entries with them.  Otherwise V holds the d_j, paired with all:
+    orthonormal combinations of an orthonormal tangent basis, tangent as built."""
     man, shape, A = X.manifold, X.manifold.ambient_shape, X.X
     z, diagonal = lagrangian.constraint_value(P, A, y), P.g_jvp is None
     if not P.theta.in_subdifferential(z, y, tol=CONE_TOL):
@@ -131,8 +128,6 @@ def _cone(P: ProblemSpec, X: ManifoldPoint, y: np.ndarray) -> tuple:
         C = np.array([jvp(A, v)[constrained] for v in basis]).reshape(len(basis), len(d)).T[d > 0]
         C /= d[d > 0, None]
         rows = (_null_rows(C) @ basis.reshape(len(basis), A.size)).reshape(-1, *shape)
-        for v in rows:
-            v[...] = man.project(X, v)
     return rows, rows.__getitem__, lambda h: man.ambient(X, h).ravel()
 
 
@@ -147,15 +142,8 @@ def _null_rows(A: np.ndarray) -> np.ndarray:
 
 def _quadratic_form(row, V: np.ndarray) -> np.ndarray:
     """Symmetric part of ``R V^T`` for the ``(k, n)`` array ``V``, where row
-    i of R is ``row(i)``, n numbers.  It is built ``FORM_BLOCK`` rows of R at
-    a time, so only one block of Hessian products is held."""
-    B = np.empty((len(V), len(V)))
-    R = np.empty((min(len(V), FORM_BLOCK), V.shape[1]))
-    for j in range(0, len(V), FORM_BLOCK):
-        block = R[:len(V) - j]
-        for i, h in enumerate(block, j):
-            h[:] = row(i)
-        np.matmul(block, V.T, out=B[j:j + len(block)])
+    i of R is ``row(i)``, n numbers, stacked whole: one product."""
+    B = np.array([row(i) for i in range(len(V))]) @ V.T
     return 0.5 * (B + B.T)
 
 
@@ -167,7 +155,6 @@ def mssosc_certificate(P: ProblemSpec, X: ManifoldPoint, y: np.ndarray) -> Certi
     if not len(V):
         return Certificate("mssosc", math.inf, 0, degenerate=True)
     man, H = X.manifold, lagrangian.lagrangian_hess_operator(P, X, y)
-    # <H d_i, d_j>, one direction d_i and its Hessian product at a time
     B = _quadratic_form(lambda i: pair(H(man.coords(X, direction(i)))), V.reshape(len(V), -1))
     w = np.linalg.eigvalsh(B)
     return Certificate("mssosc", float(w[0]), len(B), operator_applications=len(B))

@@ -7,6 +7,7 @@ appear as strict xfail twins next to the corrected assertions, with the
 independent oracles that settle the discrepancy in-line.
 """
 
+import dataclasses
 import math
 import time
 
@@ -281,17 +282,38 @@ class TestMssoscAtScale:
                             lambda row, V: forms.append(quadratic_form(row, V)) or forms[-1])
         certify.mssosc_certificate(P, X, y)
         basis = certify.critical_cone_basis(P, X, y)
-        assert len(basis) == 85 > certify.FORM_BLOCK
+        assert len(basis) == 85
         assert forms[0].shape == (85, 85)
         hess = lagrangian.lagrangian_hess_operator(P, X, y)
         V = basis.reshape(len(basis), -1)
         B = V @ np.stack([hess(v).ravel() for v in basis]).T
         np.testing.assert_allclose(forms[0], 0.5 * (B + B.T), rtol=0, atol=1e-12)
 
+    def test_cm200_tangent_route_form_equals_the_coefficient_form(self, cm200_runs, monkeypatch):
+        # with g's Jacobian as callbacks the cone takes the tangent-basis
+        # route: its 85 directions, used as built, are tangent, and the form
+        # over them is <H d_i, d_j> with the coefficient route's minimum
+        P, runs = cm200_runs
+        X, y = runs[0][0].X, runs[0][0].y
+        Q = dataclasses.replace(P, g_jvp=P.g_vjp)
+        forms, quadratic_form = [], certify._quadratic_form
+        monkeypatch.setattr(certify, "_quadratic_form",
+                            lambda row, V: forms.append(quadratic_form(row, V)) or forms[-1])
+        cert = certify.mssosc_certificate(Q, X, y)
+        basis = certify.critical_cone_basis(Q, X, y)
+        assert len(basis) == 85
+        for v in basis:
+            np.testing.assert_allclose(X.manifold.project(X, v), v, rtol=0, atol=1e-12)
+        hess = lagrangian.lagrangian_hess_operator(Q, X, y)
+        V = basis.reshape(len(basis), -1)
+        B = V @ np.stack([hess(v).ravel() for v in basis]).T
+        np.testing.assert_allclose(forms[0], 0.5 * (B + B.T), rtol=0, atol=1e-12)
+        assert abs(cert.min_eig - certify.mssosc_certificate(P, X, y).min_eig) <= 1e-12
+
     def test_cm200_certificate_peak_stays_below_0_5_mib(self, cm200_runs):
         # the cone's coefficients on the 90 free coordinates, one ambient
-        # direction, one block of the free entries of its Hessian products
-        # and the 85 x 85 form: 0.28 MiB in all; an 85 x 1000 basis
+        # direction, the free entries of its 85 Hessian products and the
+        # 85 x 85 form: 0.26 MiB in all; an 85 x 1000 basis
         # (0.65 MiB) of ambient rows or of their Hessian products would
         # exceed the bound
         import tracemalloc

@@ -25,15 +25,17 @@ TRACER_ONLY = {"auglag_value", "auglag_rgrad", "auglag_dual_grad", "auglag_ghess
 # Mirrors of the Evaluation and Certificate APIs, CG's flag record, the
 # dense CSV writer, L1Norm's second name for mu, the CLI's second solver
 # config readers, FixedRank's copy-free point constructor, the envelope's
-# value and gradient apart (each reran the prox) and the CLI's point loader
-# (FixedRank.point took it over), all gone.
+# value and gradient apart (each reran the prox), the CLI's point loader
+# (FixedRank.point took it over) and the M-SSOSC form's block size (the form
+# is one product), all gone.
 DELETED = {"evaluate", "multiplier_update", "holds", "CgInfo", "save_dense", "conjugate_bound",
            "build_solver_config", "_solver_config", "_from_factors", "moreau", "moreau_grad",
-           "_load_point"}
+           "_load_point", "FORM_BLOCK"}
 
 
 def uses_and_definitions(tree):
-    """The tracer-only names ``tree`` refers to and the deleted names it defines."""
+    """The tracer-only names ``tree`` refers to and the deleted names it
+    defines, as functions, classes or module-level assignments."""
     uses, defined = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and node.id in TRACER_ONLY:
@@ -44,6 +46,10 @@ def uses_and_definitions(tree):
             uses |= {a.name for a in node.names} & TRACER_ONLY
         elif isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in DELETED:
             defined.add(node.name)
+    for node in tree.body:
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign) else [])
+        defined |= {t.id for t in targets if isinstance(t, ast.Name)} & DELETED
     return uses, defined
 
 
@@ -65,10 +71,14 @@ def evaluate(P, rho, X, y): ...
 class C:
     def holds(self): ...
 class CgInfo: ...
+FORM_BLOCK = 16
+moreau: float = 0.5
+def local():
+    save_dense = 1
 """
     uses, defined = uses_and_definitions(ast.parse(source))
     assert uses == {"auglag_value", "auglag_rgrad", "auglag_dual_grad"}
-    assert defined == {"evaluate", "holds", "CgInfo"}
+    assert defined == {"evaluate", "holds", "CgInfo", "FORM_BLOCK", "moreau"}
 
 
 # The one reader of g(X), which refuses a multiplier not of its shape, and the
